@@ -9,7 +9,7 @@
 //    reconstructed here verbatim from the pre-SIMD code and asserted
 //    byte-identical to the shipping path) against the scalar fused scan,
 //    the vectorized brute scan, and the vectorized indexed path
-//    (ml::KdTree descent/flat). The acceptance gate is >= 3x vs the seed
+//    (ml::KdTree). The acceptance gate is >= 3x vs the seed
 //    algorithm: hard on multi-core hosts, soft (warn only) on 1-core CI
 //    boxes where a background-load spike can dwarf the margin.
 //  * The batch-blocking report: PredictBatchInto (query-blocked kernel

@@ -155,12 +155,7 @@ Prediction Predictor::Predict(const linalg::Vector& query_features) const {
     return out;
   }
 
-  const linalg::Vector q = kcca_.ProjectX(xp);
-  const std::vector<ml::Neighbor> nbrs =
-      proj_index_.empty()
-          ? ml::FindNearest(kcca_.x_projection(), q, config_.k_neighbors,
-                            config_.distance)
-          : proj_index_.FindNearest(q, config_.k_neighbors);
+  const std::vector<ml::Neighbor> nbrs = ProjectionNeighbors(xp);
   // Feature-space distance to the query's own feature-space neighbors (see
   // header: catches far-away inputs the saturating kernel would hide). These
   // are searched independently of the projection neighbors — the projection
@@ -172,6 +167,26 @@ Prediction Predictor::Predict(const linalg::Vector& query_features) const {
                             config_.distance)
           : feat_index_.FindNearest(xp, config_.k_neighbors);
   return AssembleKccaPrediction(nbrs, feat_nbrs);
+}
+
+workload::QueryType Predictor::Classify(
+    const linalg::Vector& query_features) const {
+  QPP_CHECK_MSG(trained_, "Classify before Train");
+  if (config_.model == ModelKind::kRegression) {
+    // No neighbors: the category is that of the predicted elapsed time.
+    return Predict(query_features).predicted_type;
+  }
+  return VoteCategory(
+      ProjectionNeighbors(preprocessor_.TransformRow(query_features)));
+}
+
+std::vector<ml::Neighbor> Predictor::ProjectionNeighbors(
+    const linalg::Vector& xp) const {
+  const linalg::Vector q = kcca_.ProjectX(xp);
+  return proj_index_.empty()
+             ? ml::FindNearest(kcca_.x_projection(), q, config_.k_neighbors,
+                               config_.distance)
+             : proj_index_.FindNearest(q, config_.k_neighbors);
 }
 
 std::vector<Prediction> Predictor::PredictBatch(
@@ -271,10 +286,8 @@ void Predictor::AssembleKccaPredictionInto(
     Prediction* outp) const {
   Prediction& out = *outp;
   // `out` may be a reused object from a previous batch: every field is
-  // reassigned below; the neighbor list is cleared (keeping capacity) and
-  // the vote default restored before the tally.
+  // reassigned below; the neighbor list is cleared (keeping capacity).
   out.neighbor_indices.clear();
-  out.predicted_type = workload::QueryType::kFeather;
   double metrics[engine::QueryMetrics::kNumMetrics];
   ml::WeightedAverageTo(projection_neighbors, train_y_, config_.weighting,
                         metrics);
@@ -305,23 +318,26 @@ void Predictor::AssembleKccaPredictionInto(
   out.anomalous =
       out.mean_neighbor_distance > config_.anomaly_factor * train_dist_p99_ ||
       feat_dist > config_.anomaly_factor * train_feat_dist_p99_;
+  out.predicted_type = VoteCategory(projection_neighbors);
+}
 
-  // Majority vote over the neighbors' measured categories. Fixed tally
-  // array (ties to the lowest enum value, same as the ordered-map walk
-  // this replaces) — the map's node allocations showed up in the Predict
-  // profile.
+workload::QueryType Predictor::VoteCategory(
+    const std::vector<ml::Neighbor>& projection_neighbors) const {
+  // A fixed tally array: no allocation on the classify path.
   size_t votes[4] = {0, 0, 0, 0};
   for (const ml::Neighbor& nb : projection_neighbors) {
     const double elapsed = train_y_(nb.index, 0);
     votes[static_cast<size_t>(workload::ClassifyElapsed(elapsed))] += 1;
   }
+  workload::QueryType type = workload::QueryType::kFeather;
   size_t best = 0;
   for (size_t t = 0; t < 4; ++t) {
     if (votes[t] > best) {
       best = votes[t];
-      out.predicted_type = static_cast<workload::QueryType>(t);
+      type = static_cast<workload::QueryType>(t);
     }
   }
+  return type;
 }
 
 const ml::KccaModel& Predictor::kcca() const {

@@ -65,14 +65,14 @@ struct Prediction {
   /// Training-example indices of the neighbors used.
   std::vector<size_t> neighbor_indices;
   /// Majority feather/golf/bowling vote of the neighbors' measured elapsed
-  /// times (used by the two-step predictor's first stage).
+  /// times; Predictor::Classify computes it alone.
   workload::QueryType predicted_type = workload::QueryType::kFeather;
 };
 
 /// Thread-safety contract
 /// ----------------------
 /// A Predictor is immutable once trained: Train()/Load() write the model
-/// state exactly once, and every const member function (Predict,
+/// state exactly once, and every const member function (Predict, Classify,
 /// PredictBatch, PreprocessFeatures, the accessors) only reads it — there
 /// is no mutable state, lazy initialization, or internal caching anywhere
 /// in the predict path (audited down through ml::Preprocessor,
@@ -95,6 +95,14 @@ class Predictor {
 
   /// Predicts all six metrics for a query feature vector.
   Prediction Predict(const linalg::Vector& query_features) const;
+
+  /// The category Predict(query_features).predicted_type reports, always
+  /// equal to it. A KCCA model runs only what the vote reads: preprocess,
+  /// projection, the projection-space neighbor search and the vote over
+  /// their measured elapsed times. It skips the feature-space search, the
+  /// metric averaging and the confidence. This is the two-step predictor's
+  /// first step and the serving front door's router.
+  workload::QueryType Classify(const linalg::Vector& query_features) const;
 
   /// Micro-batch prediction: result i is bit-identical to
   /// Predict(queries[i]). One call runs the query-blocked KCCA pipeline
@@ -192,6 +200,17 @@ class Predictor {
   Prediction AssembleKccaPrediction(
       const std::vector<ml::Neighbor>& projection_neighbors,
       const std::vector<ml::Neighbor>& feature_neighbors) const;
+
+  /// The k nearest projection-space training rows of one preprocessed
+  /// query: KCCA projection, then the tree or brute search. Shared by
+  /// Predict and Classify, so the vote sees the same neighbors on both.
+  std::vector<ml::Neighbor> ProjectionNeighbors(const linalg::Vector& xp) const;
+
+  /// Majority feather/golf/bowling vote of the neighbors' measured elapsed
+  /// times, ties to the lowest category. The only source of
+  /// Prediction::predicted_type for a KCCA model, on every path.
+  workload::QueryType VoteCategory(
+      const std::vector<ml::Neighbor>& projection_neighbors) const;
 
   /// AssembleKccaPrediction into a (possibly reused) Prediction object.
   /// Every field is reassigned — stale state from a previous batch cannot

@@ -38,11 +38,11 @@ void TwoStepPredictor::Train(const std::vector<ml::TrainingExample>& examples,
 Prediction TwoStepPredictor::Predict(
     const linalg::Vector& query_features) const {
   QPP_CHECK_MSG(trained_, "Predict before Train");
-  Prediction first = base_.Predict(query_features);
-  const auto it = per_type_.find(first.predicted_type);
-  if (it == per_type_.end()) return first;
+  const workload::QueryType type = base_.Classify(query_features);
+  const auto it = per_type_.find(type);
+  if (it == per_type_.end()) return base_.Predict(query_features);
   Prediction second = it->second->Predict(query_features);
-  second.predicted_type = first.predicted_type;
+  second.predicted_type = type;
   return second;
 }
 

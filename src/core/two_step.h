@@ -2,7 +2,8 @@
 //
 // Step 1: a base one-model KCCA predictor classifies the incoming query as
 // feather / golf ball / bowling ball by majority vote of its nearest
-// neighbors' measured elapsed times.
+// neighbors' measured elapsed times (Predictor::Classify: the vote alone,
+// without the metric prediction).
 // Step 2: a per-category KCCA model (trained only on that category's
 // queries) produces the metric predictions. Categories with too few
 // training queries fall back to the base model.

@@ -394,7 +394,7 @@ Fabric::RouteVerdict Fabric::Classify(const serve::ServeRequest& request) {
   }
   {
     obs::Span span(trace_, "classify", "fabric");
-    verdict.pool = snap.model->Predict(request.features).predicted_type;
+    verdict.pool = snap.model->Classify(request.features);
   }
   verdict.classifier_generation = snap.generation;
   classified_->Inc();

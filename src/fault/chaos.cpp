@@ -604,7 +604,7 @@ ScenarioResult RunShardIsolation(const FaultPlan& plan,
     const size_t pool = j % 3;
     probes.push_back(examples[pool * 40 + j / 3].query_features);
     probe_shard.push_back(workload::QueryTypeName(
-        two_step.base().Predict(probes.back()).predicted_type));
+        two_step.base().Classify(probes.back())));
   }
 
   const uint64_t kill_at = plan.serve.shard_kill_after_requests;
@@ -774,7 +774,7 @@ ScenarioResult RunRollingDrain(const FaultPlan& plan,
     const size_t pool = j % 3;
     probes.push_back(examples[pool * 40 + j / 3].query_features);
     probe_group.push_back(workload::QueryTypeName(
-        two_step.base().Predict(probes.back()).predicted_type));
+        two_step.base().Classify(probes.back())));
   }
   // Precompute the oracles once; 1M-scale callers of the same loop below
   // (the fabric soak) cannot afford a Predict per response.
@@ -1436,7 +1436,7 @@ FabricSoakResult RunFabricSoak(const ChaosOptions& options) {
     const size_t pool = j % 4;
     probes.push_back(examples[pool * 40 + j / 4].query_features);
     const workload::QueryType verdict =
-        two_step.base().Predict(probes.back()).predicted_type;
+        two_step.base().Classify(probes.back());
     probe_pool.push_back(verdict);
     probe_prefix.push_back(
         std::string(workload::QueryTypeName(verdict)) + "#");
@@ -1745,8 +1745,7 @@ ObsFlightDemoResult RunObsFlightDemo(const ChaosOptions& options) {
   std::vector<workload::QueryType> probe_pool;
   for (size_t j = 0; j < kProbes; ++j) {
     probes.push_back(examples[(j % 4) * 40 + j / 4].query_features);
-    probe_pool.push_back(
-        two_step.base().Predict(probes.back()).predicted_type);
+    probe_pool.push_back(two_step.base().Classify(probes.back()));
   }
 
   // The SLO engine under test: synthetic seed-derived latencies (never the

@@ -97,7 +97,6 @@ void KdTree::Clear() {
   pts_.clear();
   idx_.clear();
   nodes_.clear();
-  leaves_.clear();
 }
 
 void KdTree::Build(const linalg::Matrix& points) {
@@ -125,9 +124,6 @@ void KdTree::Build(const linalg::Matrix& points) {
       const double* row = src + perm[node.left + r] * dims_;
       for (size_t j = 0; j < dims_; ++j) tile[j * count + r] = row[j];
     }
-    // nodes_ is in preorder with the left subtree built first, so the
-    // leaves come out in ascending [lo, hi) storage order here.
-    leaves_.emplace_back(node.left, node.right);
   }
   idx_ = std::move(perm);
 }
@@ -272,22 +268,9 @@ void KdTree::Search(size_t node_id, const double* query, size_t kk,
   off[node.axis] = old_off;
 }
 
-KdTree::SearchMode KdTree::auto_mode() const {
-  // Branch-and-bound pays only when axis pruning discards most leaves,
-  // which needs n large relative to 2^dims (the classic kd-tree regime).
-  // Below that, the gated linear sweep over the leaf tiles wins: it
-  // streams the same tiles the descent would touch anyway, without the
-  // per-node bound arithmetic or the recursion. Either mode returns
-  // byte-identical neighbors, so this is purely a latency heuristic.
-  const size_t shift = std::min(dims_, size_t{48});
-  return n_ >= (size_t{1} << shift) ? SearchMode::kDescent : SearchMode::kFlat;
-}
-
 void KdTree::FindNearestRaw(const double* query, size_t k,
-                            std::vector<Neighbor>* out,
-                            SearchMode mode) const {
+                            std::vector<Neighbor>* out) const {
   QPP_CHECK(n_ > 0 && k >= 1);
-  if (mode == SearchMode::kAuto) mode = auto_mode();
   const size_t kk = std::min(k, n_);
   // Per-query state lives on the stack for the common shapes (the paper's
   // operating points are k = 3..7 in a 16-dim projection); only oversized
@@ -309,23 +292,13 @@ void KdTree::FindNearestRaw(const double* query, size_t k,
     kept.sq = sqheap.data();
     kept.idx = iheap.data();
   }
-  const bool use_simd = simd::Enabled();
-  if (mode == SearchMode::kFlat) {
-    // Gated linear sweep: every leaf tile in storage order. Exact for the
-    // same reason the descent is — ScanLeaf offers every candidate a
-    // whole-block gate cannot prove a strict loser.
-    for (const auto& [lo, hi] : leaves_) {
-      ScanLeaf(lo, hi, query, use_simd, &kept);
-    }
-  } else {
-    double* off = offbuf;
-    if (dims_ > kStackDims) {
-      offheap.resize(dims_);
-      off = offheap.data();
-    }
-    for (size_t a = 0; a < dims_; ++a) off[a] = 0.0;
-    Search(0, query, kk, use_simd, &kept, off);
+  double* off = offbuf;
+  if (dims_ > kStackDims) {
+    offheap.resize(dims_);
+    off = offheap.data();
   }
+  for (size_t a = 0; a < dims_; ++a) off[a] = 0.0;
+  Search(0, query, kk, simd::Enabled(), &kept, off);
   out->resize(kept.count);
   for (size_t j = 0; j < kept.count; ++j) {
     (*out)[j].index = kept.idx[j];
@@ -334,10 +307,10 @@ void KdTree::FindNearestRaw(const double* query, size_t k,
 }
 
 std::vector<Neighbor> KdTree::FindNearest(const linalg::Vector& query,
-                                          size_t k, SearchMode mode) const {
+                                          size_t k) const {
   QPP_CHECK(query.size() == dims_);
   std::vector<Neighbor> out;
-  FindNearestRaw(query.data(), k, &out, mode);
+  FindNearestRaw(query.data(), k, &out);
   return out;
 }
 

@@ -22,12 +22,19 @@
 //    lose *strictly* on distance (bound > current worst — never on ties,
 //    which must fall through to the index comparison).
 //
+// The search is always a branch-and-bound descent. Pruning adapts to the
+// data by itself: the paper's plan features cluster by template, so on the
+// Experiment-1 model (n = 1027, 16 and 28 dims) the descent scans 4-6x
+// fewer points than a sweep over every leaf, although the classic
+// n >= 2^dims rule says axis pruning should not pay there. On i.i.d.
+// Gaussian points of that shape a full sweep would win instead, by 8-15%
+// (docs/PERFORMANCE.md).
+//
 // tests/kdtree_test.cpp pins this equivalence against the brute oracle
 // over randomized point sets with duplicates and exact ties.
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -37,19 +44,6 @@ namespace qpp::ml {
 
 class KdTree {
  public:
-  /// How FindNearest walks the points. Both modes are exact and return
-  /// byte-identical results (the candidate set order never matters under
-  /// the strict (distance, index) comparison); the choice is purely a
-  /// latency knob, pinned against each other by tests/kdtree_test.cpp.
-  ///  * kDescent — classic branch-and-bound tree walk. Sublinear when the
-  ///    dimensionality is low relative to log2(n) (axis pruning pays).
-  ///  * kFlat    — gated linear sweep over the leaf tiles in storage
-  ///    order: contiguous SIMD loads, no recursion, whole blocks rejected
-  ///    against the current worst by one vector compare. Wins when axis
-  ///    pruning cannot (n << 2^dims, the paper's operating regime).
-  ///  * kAuto    — kDescent iff n >= 2^dims, else kFlat.
-  enum class SearchMode { kAuto, kDescent, kFlat };
-
   KdTree() = default;
 
   /// Builds the tree over a copy of the rows of `points` (row-major;
@@ -68,20 +62,15 @@ class KdTree {
 
   /// The min(k, size()) nearest rows to `query`, ascending by
   /// (distance, index) — bit-identical to
-  /// ml::FindNearest(points, query, k, DistanceKind::kEuclidean),
-  /// whichever search mode runs.
+  /// ml::FindNearest(points, query, k, DistanceKind::kEuclidean).
   /// Requires a non-empty tree, k >= 1, and query.size() == dims().
-  std::vector<Neighbor> FindNearest(const linalg::Vector& query, size_t k,
-                                    SearchMode mode = SearchMode::kAuto) const;
+  std::vector<Neighbor> FindNearest(const linalg::Vector& query,
+                                    size_t k) const;
 
   /// Raw-pointer form for hot paths (query must have dims() elements);
   /// result is appended into *out after a clear.
   void FindNearestRaw(const double* query, size_t k,
-                      std::vector<Neighbor>* out,
-                      SearchMode mode = SearchMode::kAuto) const;
-
-  /// The mode kAuto resolves to for this tree's (n, dims).
-  SearchMode auto_mode() const;
+                      std::vector<Neighbor>* out) const;
 
  private:
   struct Node {
@@ -108,9 +97,6 @@ class KdTree {
   std::vector<double> pts_;
   std::vector<size_t> idx_;   ///< tree-order row -> original row index
   std::vector<Node> nodes_;   ///< nodes_[0] is the root when n_ > 0
-  /// Leaf [lo, hi) ranges in ascending storage order (they partition
-  /// [0, n)); the kFlat sweep walks these without touching nodes_.
-  std::vector<std::pair<size_t, size_t>> leaves_;
 };
 
 }  // namespace qpp::ml

@@ -241,7 +241,7 @@ ShardRouter::Shard* ShardRouter::Route(const serve::ServeRequest& request) {
   } else {
     {
       obs::Span span(trace_, "classify", "shard");
-      verdict.pool = snap.model->Predict(request.features).predicted_type;
+      verdict.pool = snap.model->Classify(request.features);
     }
     verdict.classifier_generation = snap.generation;
     classified_->Inc();
