@@ -5,9 +5,10 @@
 // Traffic model: decision-support workloads are template-heavy, so the
 // steady-state mix repeats a bounded set of distinct plans (identical
 // feature vectors -> result-cache hits). A second, cache-disabled section
-// isolates what micro-batching alone buys. Every service response is
-// checked bit-identical against the sequential predictor before any
-// throughput is reported.
+// isolates what micro-batching alone buys. Every distinct plan is checked
+// bit-identical against the sequential predictor before any throughput is
+// reported, and the fabric section bit-checks every concurrent answer
+// against the offline two-step predictor.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -16,14 +17,13 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/rng.h"
 #include "core/two_step.h"
 #include "fabric/fabric.h"
+#include "fault/chaos.h"
 #include "golden_metrics.h"
 #include "ml/feature_vector.h"
 #include "obs/metrics.h"
 #include "serve/prediction_service.h"
-#include "shard/shard_router.h"
 
 using namespace qpp;
 
@@ -79,65 +79,6 @@ double QuantileMs(const obs::Histogram& hist, double q) {
   return hist.Quantile(q) * 1000.0;
 }
 
-struct TimedRun {
-  double qps = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  size_t mismatches = 0;  ///< responses not bit-identical to `expected`
-};
-
-/// Drives the workload through `submit` with `clients` threads, checking
-/// every response bit-for-bit against the precomputed per-distinct-plan
-/// expectation (a map lookup, cheap enough to not distort the timing).
-/// One untimed warmup pass over the distinct plans fills route caches and
-/// spins the workers up first.
-template <typename SubmitFn>
-TimedRun RunTimed(const Workload& wl, size_t clients,
-                  const std::vector<core::Prediction>& expected,
-                  SubmitFn&& submit) {
-  for (const auto& req : wl.distinct) submit(req).get();  // warmup
-
-  const size_t per_client = wl.total_requests / clients;
-  std::atomic<size_t> mismatches{0};
-  obs::Histogram latency_hist;
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      std::vector<std::future<serve::ServeResponse>> futures;
-      futures.reserve(per_client);
-      for (size_t r = 0; r < per_client; ++r) {
-        futures.push_back(submit(wl.At(c * per_client + r)));
-      }
-      for (size_t r = 0; r < per_client; ++r) {
-        const serve::ServeResponse resp = futures[r].get();
-        latency_hist.Record(resp.latency_seconds);
-        const core::Prediction& want =
-            expected[(c * per_client + r) % wl.distinct.size()];
-        if (resp.degraded() ||
-            resp.prediction.metrics.ToVector() != want.metrics.ToVector() ||
-            resp.prediction.neighbor_indices != want.neighbor_indices ||
-            resp.prediction.confidence != want.confidence) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  TimedRun run;
-  run.qps = static_cast<double>(per_client * clients) / wall;
-  run.p50_ms = QuantileMs(latency_hist, 0.50);
-  run.p95_ms = QuantileMs(latency_hist, 0.95);
-  run.p99_ms = QuantileMs(latency_hist, 0.99);
-  run.mismatches = mismatches.load();
-  return run;
-}
-
 // ----------------------------------------------------------- fabric mode --
 
 struct FabricRun {
@@ -160,7 +101,7 @@ struct FabricRun {
 /// violating).
 FabricRun RunFabric(const Workload& wl, fabric::Fabric* fab, size_t clients,
                     const std::vector<core::Prediction>& expect_expert,
-                    const std::vector<core::Prediction>& expected_mono,
+                    const std::vector<core::Prediction>& expect_base,
                     double slo_seconds, bool closed_loop) {
   for (const auto& req : wl.distinct) fab->Submit(req).get();  // warmup
 
@@ -188,7 +129,7 @@ FabricRun RunFabric(const Workload& wl, fabric::Fabric* fab, size_t clients,
              resp.prediction.neighbor_indices == want.neighbor_indices &&
              resp.prediction.confidence == want.confidence;
     };
-    if (!matches(expect_expert[which]) && !matches(expected_mono[which])) {
+    if (!matches(expect_expert[which]) && !matches(expect_base[which])) {
       mismatches.fetch_add(1, std::memory_order_relaxed);
     }
   };
@@ -231,37 +172,6 @@ FabricRun RunFabric(const Workload& wl, fabric::Fabric* fab, size_t clients,
   return run;
 }
 
-/// Four-band synthetic training set spanning every Fig. 2 pool, same
-/// construction the chaos harness uses. The paper's own pools exclude
-/// wrecking balls from training by design, so its step-1 classifier can
-/// never emit a wrecking-ball verdict — the admission comparison needs a
-/// workload where shedding has something to shed.
-std::vector<ml::TrainingExample> FourPoolExamples(size_t per_pool,
-                                                  uint64_t seed) {
-  static const double kElapsedBase[4] = {10.0, 400.0, 2500.0, 9000.0};
-  Rng rng(seed);
-  std::vector<ml::TrainingExample> out;
-  out.reserve(4 * per_pool);
-  for (size_t pool = 0; pool < 4; ++pool) {
-    const double off = static_cast<double>(pool);
-    for (size_t i = 0; i < per_pool; ++i) {
-      ml::TrainingExample ex;
-      const double a = rng.Uniform(1.0, 10.0);
-      const double b = rng.Uniform(1.0, 10.0);
-      const double c = rng.Uniform(0.0, 5.0);
-      ex.query_features = {a + 40.0 * off, b + 10.0 * off, c,
-                           a * b + 25.0 * off, rng.Uniform(0.0, 1.0)};
-      ex.metrics.elapsed_seconds = kElapsedBase[pool] + 0.5 * a * b + c;
-      ex.metrics.records_accessed = 1000.0 * a + 50.0 * c + 10000.0 * off;
-      ex.metrics.records_used = 100.0 * a + 1000.0 * off;
-      ex.metrics.message_count = 10.0 * b + 100.0 * off;
-      ex.metrics.message_bytes = 1000.0 * b + 10.0 * a;
-      out.push_back(std::move(ex));
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -300,29 +210,30 @@ int main(int argc, char** argv) {
   // Determinism gate: every distinct plan served == sequential Predict,
   // bit for bit (fallbacks are excluded from the identity check but must
   // be labeled).
+  size_t serve_mismatches = 0;
   {
     serve::ServiceConfig config;
     serve::PredictionService service(&registry, config, calibration);
-    size_t mismatches = 0, fallbacks = 0;
+    size_t fallbacks = 0;
     for (const auto& req : wl.distinct) {
       serve::ServeResponse resp = service.Submit(req).get();
       if (resp.degraded()) {
         ++fallbacks;
-        if (resp.degraded_reason.empty()) ++mismatches;  // must be labeled
+        if (resp.degraded_reason.empty()) ++serve_mismatches;  // unlabeled
         continue;
       }
       const core::Prediction direct = predictor.Predict(req.features);
       if (resp.prediction.metrics.ToVector() != direct.metrics.ToVector() ||
           resp.prediction.neighbor_indices != direct.neighbor_indices ||
           resp.prediction.confidence != direct.confidence) {
-        ++mismatches;
+        ++serve_mismatches;
       }
     }
     std::printf("determinism: %zu/%zu served bit-identical to sequential "
                 "Predict (%zu labeled fallbacks)  %s\n\n",
-                wl.distinct.size() - mismatches - fallbacks,
+                wl.distinct.size() - serve_mismatches - fallbacks,
                 wl.distinct.size(), fallbacks,
-                mismatches == 0 ? "OK" : "MISMATCH");
+                serve_mismatches == 0 ? "OK" : "MISMATCH");
   }
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -370,73 +281,6 @@ int main(int argc, char** argv) {
               "unbatched baseline (target >=3x: %s)\n",
               speedup_8_16, speedup_8_16 >= 3.0 ? "PASS" : "FAIL");
 
-  // --- sharded mode: per-pool expert routing vs the monolithic service.
-  // Both sides run cache-disabled (model-bound) with the same worker and
-  // batch settings per service; the sharded side's win comes from five
-  // services predicting in parallel against smaller per-pool models. Every
-  // response is checked bit-identical against the offline TwoStepPredictor
-  // (sharded) / its base model (monolithic) at every thread count.
-  std::printf("\nsharded mode: per-pool experts (shard::ShardRouter) vs "
-              "monolithic one-model service\n");
-  core::TwoStepPredictor two_step;
-  two_step.Train(exp.train);
-
-  std::vector<core::Prediction> expected_sharded, expected_mono;
-  for (const auto& req : wl.distinct) {
-    expected_sharded.push_back(two_step.Predict(req.features));
-    expected_mono.push_back(two_step.base().Predict(req.features));
-  }
-
-  serve::ServiceConfig service_config;
-  service_config.max_batch = 16;
-  service_config.cache_capacity = 0;
-  service_config.fallback_on_anomalous = false;
-  // The clients submit the whole run before draining any future; a full
-  // expert queue is an escalation for the router (not backpressure as in
-  // the monolithic service), so size the queues for the burst.
-  service_config.queue_capacity = wl.total_requests + wl.distinct.size();
-
-  serve::ModelRegistry mono_registry;
-  mono_registry.Publish(two_step.base());
-
-  shard::ShardRouterConfig router_config =
-      shard::MakePerPoolConfig(service_config);
-  shard::ShardRouter router(std::move(router_config), calibration);
-  shard::PublishTwoStep(two_step, &router);
-
-  std::printf("%12s %8s %14s %9s %9s %9s  %s\n", "mode", "clients",
-              "queries/sec", "p50 ms", "p95 ms", "p99 ms", "bit-identical");
-  TimedRun mono_8, sharded_8;
-  size_t total_mismatches = 0;
-  for (const size_t clients : {1, 8}) {
-    serve::PredictionService mono(&mono_registry, service_config,
-                                  calibration);
-    const TimedRun mono_run =
-        RunTimed(wl, clients, expected_mono,
-                 [&](const serve::ServeRequest& r) { return mono.Submit(r); });
-    const TimedRun sharded_run = RunTimed(
-        wl, clients, expected_sharded,
-        [&](const serve::ServeRequest& r) { return router.Submit(r); });
-    for (const auto& [label, run] :
-         {std::pair{"monolithic", &mono_run}, {"sharded", &sharded_run}}) {
-      std::printf("%12s %8zu %14.0f %9.2f %9.2f %9.2f  %s\n", label, clients,
-                  run->qps, run->p50_ms, run->p95_ms, run->p99_ms,
-                  run->mismatches == 0 ? "OK" : "MISMATCH");
-    }
-    total_mismatches += mono_run.mismatches + sharded_run.mismatches;
-    if (clients == 8) {
-      mono_8 = mono_run;
-      sharded_8 = sharded_run;
-    }
-  }
-  router.Shutdown();
-
-  const double routed_ratio = sharded_8.qps / mono_8.qps;
-  std::printf("\nsharded/monolithic throughput at 8 clients: %.2fx "
-              "(target >=1x: %s); bit-identity mismatches: %zu\n",
-              routed_ratio, routed_ratio >= 1.0 ? "PASS" : "FAIL",
-              total_mismatches);
-
   // --- fabric mode: replica groups + prediction-aware admission control.
   // Two questions: (1) capacity — the highest sustained closed-loop
   // queries/sec whose p99 stays inside a fixed latency SLO (the SLO is
@@ -444,8 +288,18 @@ int main(int argc, char** argv) {
   // in spirit, not in absolute value, across machines); (2) overload —
   // with every client's share submitted up front, does admission control
   // (shed wrecking balls while breached) cut SLO violations vs the same
-  // fabric with admission off? Sheds are labeled, never silent, and every
-  // model answer is bit-checked against the offline TwoStepPredictor.
+  // fabric with admission off? Sheds are labeled, never silent; every
+  // expert answer is bit-checked against the offline TwoStepPredictor and
+  // every escalated one against its base model.
+  core::TwoStepPredictor two_step;
+  two_step.Train(exp.train);
+
+  std::vector<core::Prediction> expected_two_step, expected_base;
+  for (const auto& req : wl.distinct) {
+    expected_two_step.push_back(two_step.Predict(req.features));
+    expected_base.push_back(two_step.base().Predict(req.features));
+  }
+
   std::printf("\nfabric mode: replica groups (fabric::Fabric, 2 replicas "
               "per group) + admission control\n");
 
@@ -487,7 +341,7 @@ int main(int argc, char** argv) {
     const auto fab = make_fabric(two_step, /*admission=*/false);
     for (const size_t clients : {1, 2, 4, 8}) {
       const FabricRun run =
-          RunFabric(wl, fab.get(), clients, expected_sharded, expected_mono,
+          RunFabric(wl, fab.get(), clients, expected_two_step, expected_base,
                     slo_seconds > 0.0 ? slo_seconds : 1e9,
                     /*closed_loop=*/true);
       if (slo_seconds == 0.0) slo_seconds = 5.0 * run.p50_ms / 1000.0;
@@ -504,14 +358,14 @@ int main(int argc, char** argv) {
 
   // Overload: the whole workload submitted up front, on a four-pool mix
   // (the paper workload trains no wrecking-ball expert, so its classifier
-  // never predicts one — see FourPoolExamples). Admission-off serves
+  // never predicts one — see fault::PoolExamples). Admission-off serves
   // everything late; admission-on sheds the wrecking balls it predicts
   // (step-1) while the queues are deep, so fewer served responses breach
   // the SLO.
   core::PredictorConfig heavy_cfg;
   heavy_cfg.kcca.solver = ml::KccaSolver::kExact;
   core::TwoStepPredictor heavy_ts(heavy_cfg);
-  const auto heavy_examples = FourPoolExamples(40, 0xFAB5E4BEull);
+  const auto heavy_examples = fault::PoolExamples(4, 40, 0xFAB5E4BEull);
   heavy_ts.Train(heavy_examples);
 
   Workload heavy_wl;
@@ -567,14 +421,7 @@ int main(int argc, char** argv) {
       argc, argv,
       {{"serve_baseline_qps", base_qps},
        {"serve_speedup_8clients_batch16", speedup_8_16},
-       {"serve_monolithic_qps_8clients", mono_8.qps},
-       {"serve_monolithic_p99_ms_8clients", mono_8.p99_ms},
-       {"serve_sharded_qps_8clients", sharded_8.qps},
-       {"serve_sharded_p50_ms_8clients", sharded_8.p50_ms},
-       {"serve_sharded_p95_ms_8clients", sharded_8.p95_ms},
-       {"serve_sharded_p99_ms_8clients", sharded_8.p99_ms},
-       {"serve_sharded_over_monolithic", routed_ratio},
-       {"serve_bit_identity_mismatches", double(total_mismatches)},
+       {"serve_bit_identity_mismatches", double(serve_mismatches)},
        {"fabric_capacity_qps", capacity_qps},
        {"fabric_capacity_slo_ms", slo_seconds * 1000.0},
        {"fabric_admission_off_slo_violations",
@@ -583,8 +430,8 @@ int main(int argc, char** argv) {
        {"fabric_admission_shed", double(on_run.shed)},
        {"fabric_bit_identity_mismatches", double(fabric_mismatches)}});
 
-  const bool pass = speedup_8_16 >= 3.0 && routed_ratio >= 1.0 &&
-                    total_mismatches == 0 && admission_helps &&
-                    fabric_mismatches == 0 && capacity_qps > 0.0;
+  const bool pass = speedup_8_16 >= 3.0 && serve_mismatches == 0 &&
+                    admission_helps && fabric_mismatches == 0 &&
+                    capacity_qps > 0.0;
   return pass ? 0 : 1;
 }

@@ -403,7 +403,7 @@ Predictor Predictor::Load(std::istream* is) {
   if (cfg.model == ModelKind::kKcca) {
     p.kcca_ = ml::KccaModel::Load(&r);
     // Derived, not serialized: the indexes are rebuilt from the loaded
-    // projection and features so serve/shard/fabric reloads stay
+    // projection and features so serve/fabric reloads stay
     // byte-identical on the wire while still getting the fast lookup path.
     p.RebuildIndexes();
   } else {

@@ -33,7 +33,7 @@ class TwoStepPredictor {
   bool HasCategoryModel(workload::QueryType type) const;
   /// The dedicated second-step model for `type`, or null when that
   /// category fell back to the base model (too few training members).
-  /// Lets a sharded deployment publish each expert into its own registry.
+  /// Lets fabric::PublishTwoStep publish each expert into its own group.
   const Predictor* CategoryModel(workload::QueryType type) const;
 
  private:

@@ -261,8 +261,7 @@ void Fabric::Shutdown() {
       obs::ScopedRequestContext scope(d.request.ctx);
       flight_.Record(obs::FlightEventKind::kDeferDrained,
                      d.request.ctx.trace_id);
-      const RouteVerdict verdict = Classify(d.request);
-      Dispatch(d.request, &d.promise, verdict.pool);
+      Dispatch(d.request, &d.promise, Classify(d.request));
     }
     for (auto& group : groups_) {
       for (auto& replica : group->replicas) replica->service->Shutdown();
@@ -381,7 +380,7 @@ Fabric::RouteVerdict Fabric::Classify(const serve::ServeRequest& request) {
       if (snap.valid()) break;
     }
   }
-  if (!snap.valid()) return verdict;  // no classifier anywhere: feather/0
+  if (!snap.valid()) return verdict;  // no classifier anywhere: generation 0
   bool cached = false;
   if (route_cache_.capacity() > 0) {
     std::lock_guard<std::mutex> lock(route_cache_mu_);
@@ -418,7 +417,8 @@ Fabric::Replica* Fabric::PickReplica(Group* group, bool require_model,
                                      const char** reason) {
   // Eligible = up, serving a model (experts only), breaker not open — but
   // every open_probe_every-th pick of an open-breaker replica goes
-  // through anyway as a recovery probe, exactly like the shard router.
+  // through anyway as a recovery probe, so its breaker can walk the
+  // half-open path back to closed.
   std::vector<Replica*> ups;
   ups.reserve(group->replicas.size());
   size_t open_excluded = 0;
@@ -514,11 +514,13 @@ void Fabric::RespondExhausted(const serve::ServeRequest& request,
 
 void Fabric::Dispatch(const serve::ServeRequest& request,
                       std::promise<serve::ServeResponse>* promise,
-                      workload::QueryType pool) {
+                      const RouteVerdict& verdict) {
   // Deferred-drain and shutdown dispatches arrive outside Submit's scope;
   // reinstall the request's identity for picks, escalations, and faults.
   obs::ScopedRequestContext scope(request.ctx);
-  Group* expert = GroupFor(pool);
+  // No classifier: the catch-all owns the request (and answers with its
+  // own labeled no-model fallback) rather than an expert it never voted.
+  Group* expert = verdict.classified() ? GroupFor(verdict.pool) : nullptr;
   if (expert != nullptr) {
     const char* escalation = nullptr;
     Replica* replica = PickReplica(expert, /*require_model=*/true,
@@ -599,8 +601,7 @@ void Fabric::DrainDeferred() {
     obs::ScopedRequestContext scope(d.request.ctx);
     flight_.Record(obs::FlightEventKind::kDeferDrained,
                    d.request.ctx.trace_id);
-    const RouteVerdict verdict = Classify(d.request);
-    Dispatch(d.request, &d.promise, verdict.pool);
+    Dispatch(d.request, &d.promise, Classify(d.request));
   }
 }
 
@@ -674,7 +675,7 @@ std::future<serve::ServeResponse> Fabric::Submit(serve::ServeRequest request) {
   } else {
     admitted_->Inc();
   }
-  Dispatch(request, &promise, verdict.pool);
+  Dispatch(request, &promise, verdict);
   return future;
 }
 

@@ -1,6 +1,10 @@
-// Replicated per-pool serving: qpp::shard's expert shards grown into
-// replica groups, with prediction-aware admission control at the front
-// door.
+// Replicated per-pool serving: the paper's two-step design (classify a
+// query as feather / golf ball / bowling ball, then predict with a
+// pool-specific expert model — Experiment 3, Fig. 14) lifted from the
+// offline core::TwoStepPredictor into the serving layer, in the shape of a
+// mixture-of-experts / model-selection router (Jacobs et al.; Crankshaw et
+// al., NSDI'17), with replica groups per expert and prediction-aware
+// admission control at the front door.
 //
 //   client ──Submit()──▶ classify (step-1, cached)
 //                          │ admission: shed / defer heavies on SLO breach
@@ -12,6 +16,10 @@
 //                          │ refused?                       per replica (own
 //                          ▼                                registry, queue,
 //                        inline optimizer-cost fallback     workers, breaker)
+//
+// The step-1 classifier is the catch-all group's model. With none
+// published anywhere there is no verdict to route by, so the catch-all
+// owns the request and answers with its own labeled no-model fallback.
 //
 // Each group is N independent serve::PredictionService instances behind
 // one name ("feather#0", "feather#1", ...). Replicas of a group serve the
@@ -37,10 +45,15 @@
 // core::TwoStepPredictor::Predict, and every response absorbed by the
 // catch-all is bit-identical to its base model — regardless of replica
 // count, worker threads, client threads, batching, caching, or which
-// replica answered. Admission produces labeled degradations
-// ("admission-shed"), never silently altered predictions; deferred
-// requests are answered by the normal model path once dispatched. See
-// docs/FABRIC.md.
+// replica answered. Routing is a pure function of (request, published
+// models): the route cache only memoizes step-1 verdicts, keyed by exact
+// feature bits + classifier generation. The one deliberate deviation is
+// `Prediction::predicted_type`, which carries the answering expert's own
+// neighbor vote rather than the step-1 vote; the step-1 pool is the group
+// named in `ServeResponse::shard`. Admission produces labeled
+// degradations ("admission-shed"), never silently altered predictions;
+// deferred requests are answered by the normal model path once
+// dispatched. See docs/FABRIC.md.
 #pragma once
 
 #include <atomic>
@@ -96,9 +109,13 @@ struct FabricConfig {
   /// Must contain exactly one catch-all spec (empty `pools`).
   std::vector<ReplicaGroupSpec> groups;
   AdmissionConfig admission;
-  /// Step-1 verdict memo, exactly as in shard::ShardRouterConfig.
+  /// Step-1 verdict memo (exact feature match, classifier-generation
+  /// tagged): the classifier runs once per distinct plan per generation,
+  /// not once per request. 0 disables.
   size_t route_cache_capacity = 4096;
-  /// Recovery-probe cadence while a replica's breaker is open.
+  /// While a replica's breaker is open the fabric diverts its picks, so
+  /// the breaker would never see the probes it needs to recover; every
+  /// Nth diverted pick is sent through anyway as a recovery probe.
   size_t open_probe_every = 32;
   /// Key for the power-of-two-choices draw stream. Two fabrics with the
   /// same seed, groups, and (sequential) request sequence make identical
@@ -254,9 +271,13 @@ class Fabric {
     obs::Counter* escalated_overloaded = nullptr;
   };
 
+  /// Step-1 verdict. Generation 0 means no classifier was published
+  /// anywhere: `pool` is then the admission default (feather) and the
+  /// catch-all owns the request.
   struct RouteVerdict {
     workload::QueryType pool = workload::QueryType::kFeather;
     uint64_t classifier_generation = 0;
+    bool classified() const { return classifier_generation != 0; }
   };
 
   /// A request parked by a defer decision: the caller already holds the
@@ -277,7 +298,7 @@ class Fabric {
   /// fulfills `promise` (moved from on dispatch or answered inline).
   void Dispatch(const serve::ServeRequest& request,
                 std::promise<serve::ServeResponse>* promise,
-                workload::QueryType pool);
+                const RouteVerdict& verdict);
   void RespondShed(const serve::ServeRequest& request,
                    std::promise<serve::ServeResponse>* promise,
                    workload::QueryType pool);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "catalog/tpcds.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "core/predictor.h"
@@ -32,7 +33,6 @@
 #include "optimizer/optimizer.h"
 #include "core/two_step.h"
 #include "serve/prediction_service.h"
-#include "shard/shard_router.h"
 #include "workload/generator.h"
 #include "workload/tpcds_templates.h"
 
@@ -58,8 +58,7 @@ class Violations {
 const char* kAllKinds[] = {
     "disk_stall",      "message_loss",  "node_slowdown", "node_failure",
     "buffer_pressure", "submit_reject", "worker_stall",  "registry_swap",
-    "shard_kill",      "shard_stall",   "replica_kill",  "replica_stall",
-    "model_poison",
+    "replica_kill",    "replica_stall", "model_poison",
 };
 
 std::string FaultDigest(const FaultInjector& injector) {
@@ -148,68 +147,6 @@ std::vector<linalg::Vector> MakeProbes(size_t n, uint64_t seed) {
   out.reserve(n);
   for (const auto& ex : SyntheticExamples(n, seed)) {
     out.push_back(ex.query_features);
-  }
-  return out;
-}
-
-/// Three Fig. 2 pools (feather / golf ball / bowling ball) with
-/// well-separated features AND elapsed times, so the step-1 classifier's
-/// neighbor vote lands in the right pool and every pool trains an expert.
-/// Pool-major order: [0, per_pool) feathers, then golf, then bowling.
-std::vector<ml::TrainingExample> MultiPoolExamples(size_t per_pool,
-                                                   uint64_t seed) {
-  static const double kElapsedBase[3] = {10.0, 400.0, 2500.0};
-  Rng rng(seed);
-  std::vector<ml::TrainingExample> out;
-  out.reserve(3 * per_pool);
-  for (size_t pool = 0; pool < 3; ++pool) {
-    const double off = static_cast<double>(pool);
-    for (size_t i = 0; i < per_pool; ++i) {
-      ml::TrainingExample ex;
-      const double a = rng.Uniform(1.0, 10.0);
-      const double b = rng.Uniform(1.0, 10.0);
-      const double c = rng.Uniform(0.0, 5.0);
-      ex.query_features = {a + 40.0 * off, b + 10.0 * off, c,
-                           a * b + 25.0 * off, rng.Uniform(0.0, 1.0)};
-      // 0.5ab + c <= 55, so every example stays inside its pool's band.
-      ex.metrics.elapsed_seconds = kElapsedBase[pool] + 0.5 * a * b + c;
-      ex.metrics.records_accessed = 1000.0 * a + 50.0 * c + 10000.0 * off;
-      ex.metrics.records_used = 100.0 * a + 1000.0 * off;
-      ex.metrics.message_count = 10.0 * b + 100.0 * off;
-      ex.metrics.message_bytes = 1000.0 * b + 10.0 * a;
-      out.push_back(std::move(ex));
-    }
-  }
-  return out;
-}
-
-/// All four Fig. 2 pools, same construction as MultiPoolExamples with a
-/// wrecking-ball band on top. The fabric soak needs heavies of both kinds:
-/// admission defers bowling balls and sheds wrecking balls, so the probe
-/// mix must be classified into every pool.
-std::vector<ml::TrainingExample> FourPoolExamples(size_t per_pool,
-                                                  uint64_t seed) {
-  static const double kElapsedBase[4] = {10.0, 400.0, 2500.0, 9000.0};
-  Rng rng(seed);
-  std::vector<ml::TrainingExample> out;
-  out.reserve(4 * per_pool);
-  for (size_t pool = 0; pool < 4; ++pool) {
-    const double off = static_cast<double>(pool);
-    for (size_t i = 0; i < per_pool; ++i) {
-      ml::TrainingExample ex;
-      const double a = rng.Uniform(1.0, 10.0);
-      const double b = rng.Uniform(1.0, 10.0);
-      const double c = rng.Uniform(0.0, 5.0);
-      ex.query_features = {a + 40.0 * off, b + 10.0 * off, c,
-                           a * b + 25.0 * off, rng.Uniform(0.0, 1.0)};
-      // 0.5ab + c <= 55, so every example stays inside its pool's band.
-      ex.metrics.elapsed_seconds = kElapsedBase[pool] + 0.5 * a * b + c;
-      ex.metrics.records_accessed = 1000.0 * a + 50.0 * c + 10000.0 * off;
-      ex.metrics.records_used = 100.0 * a + 1000.0 * off;
-      ex.metrics.message_count = 10.0 * b + 100.0 * off;
-      ex.metrics.message_bytes = 1000.0 * b + 10.0 * a;
-      out.push_back(std::move(ex));
-    }
   }
   return out;
 }
@@ -551,174 +488,6 @@ ScenarioResult RunBackpressure(const FaultPlan& plan,
   return result;
 }
 
-/// shard-isolation: the plan kills the feather expert's registry after its
-/// Nth routed request and stalls only feather workers. One dead/slow expert
-/// must degrade only its own pool: golf and bowling answers stay
-/// bit-identical to their experts throughout, feather traffic escalates
-/// ("dead") to the one-model shard which absorbs it with base-model
-/// answers, and not a single request is lost anywhere on the ladder.
-ScenarioResult RunShardIsolation(const FaultPlan& plan,
-                                 const ChaosOptions& opts) {
-  ScenarioResult result;
-  result.name = "shard-isolation";
-  Violations v(&result);
-
-  FaultInjector injector(plan);
-
-  core::PredictorConfig cfg;
-  cfg.kcca.solver = ml::KccaSolver::kExact;
-  core::TwoStepPredictor two_step(cfg);
-  const auto examples = MultiPoolExamples(40, opts.seed ^ 0x54A8Dull);
-  two_step.Train(examples);
-  for (const workload::QueryType type :
-       {workload::QueryType::kFeather, workload::QueryType::kGolfBall,
-        workload::QueryType::kBowlingBall}) {
-    v.Check(two_step.HasCategoryModel(type),
-            std::string("no expert trained for pool ") +
-                workload::QueryTypeName(type));
-  }
-
-  serve::ServiceConfig service_config;
-  service_config.num_workers = 1;     // sequential driving => batch size 1
-  service_config.cache_capacity = 0;  // every answer is model or fallback
-  service_config.queue_deadline_seconds = 5.0;  // << injected shard stalls
-  // Serve the prediction (flag intact) instead of the anomalous fallback:
-  // the offline TwoStepPredictor does no fallback either, so this keeps
-  // every healthy answer bit-comparable to it. The anomaly policy has its
-  // own coverage in the serve tests.
-  service_config.fallback_on_anomalous = false;
-  shard::ShardRouterConfig router_config =
-      shard::MakePerPoolConfig(service_config);
-  router_config.faults = &injector;  // installs the default kill hook
-  shard::ShardRouter router(std::move(router_config), ChaosCalibration());
-  shard::PublishTwoStep(two_step, &router);
-
-  // Probes are training rows (pool-major), so the anomaly policy stays
-  // quiet; expectations use the classifier's own verdict — identical to
-  // what the router computes — so the invariants hold even if a probe's
-  // neighbor vote were to land in a surprising pool.
-  const size_t kProbes = 9;
-  std::vector<linalg::Vector> probes;
-  std::vector<std::string> probe_shard;
-  for (size_t j = 0; j < kProbes; ++j) {
-    const size_t pool = j % 3;
-    probes.push_back(examples[pool * 40 + j / 3].query_features);
-    probe_shard.push_back(workload::QueryTypeName(
-        two_step.base().Classify(probes.back())));
-  }
-
-  const uint64_t kill_at = plan.serve.shard_kill_after_requests;
-  const std::string& target = plan.serve.target_shard;
-  uint64_t target_seen = 0;  // mirrors the injector's routed-request count
-  uint64_t pre_kill_model = 0, pre_kill_deadline = 0, absorbed = 0;
-  size_t mismatches = 0, misrouted = 0, unexpected_degraded = 0;
-  for (size_t i = 0; i < opts.requests; ++i) {
-    const size_t j = i % kProbes;
-    const serve::ServeResponse resp =
-        router.Submit({probes[j], 100.0}).get();
-    const bool to_target = probe_shard[j] == target;
-    if (to_target) ++target_seen;
-    const bool post_kill = to_target && kill_at > 0 && target_seen >= kill_at;
-    if (post_kill) {
-      // Dead expert: the one-model shard absorbs with base-model answers.
-      ++absorbed;
-      if (resp.shard != router.catch_all_name()) ++misrouted;
-      if (resp.degraded()) {
-        ++unexpected_degraded;
-      } else if (!BitIdentical(resp.prediction,
-                               two_step.base().Predict(probes[j]))) {
-        ++mismatches;
-      }
-      continue;
-    }
-    // Healthy path: answered by the classified pool's own expert, and —
-    // for golf/bowling the whole run, for feather until the kill —
-    // bit-identical to the offline TwoStepPredictor.
-    if (resp.shard != probe_shard[j]) ++misrouted;
-    if (resp.degraded()) {
-      if (to_target && resp.degraded_reason == "deadline") {
-        ++pre_kill_deadline;  // the targeted stall, surfaced and labeled
-      } else {
-        ++unexpected_degraded;
-      }
-    } else {
-      if (to_target) ++pre_kill_model;
-      if (!BitIdentical(resp.prediction, two_step.Predict(probes[j]))) {
-        ++mismatches;
-      }
-    }
-  }
-  router.Shutdown();
-
-  v.Check(misrouted == 0,
-          StrFormat("%llu responses from the wrong shard",
-                    static_cast<unsigned long long>(misrouted)));
-  v.Check(mismatches == 0,
-          StrFormat("%llu responses did not bit-match their expert",
-                    static_cast<unsigned long long>(mismatches)));
-  v.Check(unexpected_degraded == 0,
-          StrFormat("%llu degradations outside the injected faults",
-                    static_cast<unsigned long long>(unexpected_degraded)));
-  v.Check(target_seen > kill_at,
-          "not enough target-pool traffic to prove isolation");
-  v.Check(absorbed > 0, "the one-model shard absorbed nothing");
-  v.Check(injector.injected("shard_kill") == 1,
-          "the kill must fire exactly once");
-  v.Check(injector.injected("shard_stall") == pre_kill_deadline,
-          StrFormat("deadline fallbacks %llu != injected shard stalls %llu "
-                    "(batch size 1 must map 1:1)",
-                    static_cast<unsigned long long>(pre_kill_deadline),
-                    static_cast<unsigned long long>(
-                        injector.injected("shard_stall"))));
-  v.Check(pre_kill_model > 0, "target expert never answered before the kill");
-
-  serve::ModelRegistry* killed = router.registry(target);
-  v.Check(killed != nullptr && !killed->has_model(),
-          "target registry still has a model after the kill");
-  v.Check(killed != nullptr && killed->generation() == 1,
-          "kill must retain the generation counter, not reset it");
-
-  const shard::ShardStatsSnapshot stats = router.stats();
-  v.Check(stats.escalations_dead == absorbed,
-          "dead-escalation count != client-observed absorbed requests");
-  v.Check(stats.escalations_open == 0 && stats.escalations_overloaded == 0 &&
-              stats.fallback_exhausted == 0,
-          "ladder rungs below 'dead' fired under sequential driving");
-  v.Check(stats.classified + stats.route_cache_hits == opts.requests,
-          "every request must be classified or route-cache answered");
-  v.Check(stats.classified == kProbes,
-          "classifier calls != distinct probes (route cache broken)");
-  uint64_t served = 0;
-  for (const auto& s : stats.shards) {
-    CheckAccounting(s.service, &v);
-    served += s.service.requests;
-    if (s.name == target) {
-      v.Check(s.service.requests == target_seen - absorbed,
-              "target shard served traffic after its kill");
-      v.Check(s.service.fallback_deadline == pre_kill_deadline,
-              "target deadline fallbacks != client-observed stalls");
-    } else if (!s.catch_all) {
-      v.Check(s.service.fallbacks() == 0,
-              "a non-target expert degraded (isolation broken): " + s.name);
-      v.Check(s.absorbed == 0, "a non-target expert absorbed traffic");
-    } else {
-      v.Check(s.absorbed == absorbed,
-              "one-model absorbed counter != dead escalations");
-    }
-  }
-  v.Check(served == opts.requests, "a request was lost on the ladder");
-
-  result.report = FaultDigest(injector);
-  result.report += stats.ToString();
-  result.report += StrFormat(
-      "target traffic:     %llu (model %llu, stalled %llu, absorbed %llu)\n",
-      static_cast<unsigned long long>(target_seen),
-      static_cast<unsigned long long>(pre_kill_model),
-      static_cast<unsigned long long>(pre_kill_deadline),
-      static_cast<unsigned long long>(absorbed));
-  return result;
-}
-
 /// rolling-drain: replica-level faults under a Fabric. One replica of the
 /// feather group ("feather#1") is stalled probabilistically and then killed
 /// on a counted pick; meanwhile the golf group is drain-swap-revived one
@@ -738,7 +507,7 @@ ScenarioResult RunRollingDrain(const FaultPlan& plan,
   core::PredictorConfig cfg;
   cfg.kcca.solver = ml::KccaSolver::kExact;
   core::TwoStepPredictor two_step(cfg);
-  const auto examples = MultiPoolExamples(40, opts.seed ^ 0x0D3A1ull);
+  const auto examples = PoolExamples(3, 40, opts.seed ^ 0x0D3A1ull);
   two_step.Train(examples);
   for (const workload::QueryType type :
        {workload::QueryType::kFeather, workload::QueryType::kGolfBall,
@@ -1161,10 +930,38 @@ LifecycleChaosResult RunLifecycleChaosImpl(const FaultPlan& plan,
 
 // --------------------------------------------------------------- public --
 
+std::vector<ml::TrainingExample> PoolExamples(size_t pools, size_t per_pool,
+                                              uint64_t seed) {
+  static const double kElapsedBase[4] = {10.0, 400.0, 2500.0, 9000.0};
+  QPP_CHECK(pools >= 1 && pools <= 4);
+  Rng rng(seed);
+  std::vector<ml::TrainingExample> out;
+  out.reserve(pools * per_pool);
+  for (size_t pool = 0; pool < pools; ++pool) {
+    const double off = static_cast<double>(pool);
+    for (size_t i = 0; i < per_pool; ++i) {
+      ml::TrainingExample ex;
+      const double a = rng.Uniform(1.0, 10.0);
+      const double b = rng.Uniform(1.0, 10.0);
+      const double c = rng.Uniform(0.0, 5.0);
+      ex.query_features = {a + 40.0 * off, b + 10.0 * off, c,
+                           a * b + 25.0 * off, rng.Uniform(0.0, 1.0)};
+      // 0.5ab + c <= 55, so every example stays inside its pool's band.
+      ex.metrics.elapsed_seconds = kElapsedBase[pool] + 0.5 * a * b + c;
+      ex.metrics.records_accessed = 1000.0 * a + 50.0 * c + 10000.0 * off;
+      ex.metrics.records_used = 100.0 * a + 1000.0 * off;
+      ex.metrics.message_count = 10.0 * b + 100.0 * off;
+      ex.metrics.message_bytes = 1000.0 * b + 10.0 * a;
+      out.push_back(std::move(ex));
+    }
+  }
+  return out;
+}
+
 const std::vector<std::string>& ChaosScenarioNames() {
   static const std::vector<std::string> kNames = {
       "node-death", "fallback-storm", "hot-swap", "backpressure",
-      "shard-isolation", "rolling-drain", "model-lifecycle"};
+      "rolling-drain", "model-lifecycle"};
   return kNames;
 }
 
@@ -1186,11 +983,6 @@ FaultPlan ChaosScenarioPlan(const std::string& name, uint64_t seed) {
     plan.serve.registry_swap_probability = 0.35;
   } else if (name == "backpressure") {
     plan.serve.submit_reject_probability = 0.4;
-  } else if (name == "shard-isolation") {
-    plan.serve.target_shard = "feather";
-    plan.serve.shard_kill_after_requests = 25;
-    plan.serve.shard_stall_probability = 0.3;
-    plan.serve.shard_stall_seconds = 60.0;
   } else if (name == "rolling-drain") {
     // The kill must land inside small harness runs too: at 200 requests
     // (the unit-test scale) the target sees ~20 picks, so 15 is the
@@ -1248,7 +1040,6 @@ ScenarioResult RunChaosScenario(const std::string& name,
   if (name == "fallback-storm") return RunFallbackStorm(plan, options);
   if (name == "hot-swap") return RunHotSwap(plan, options);
   if (name == "backpressure") return RunBackpressure(plan, options);
-  if (name == "shard-isolation") return RunShardIsolation(plan, options);
   if (name == "rolling-drain") return RunRollingDrain(plan, options);
   if (name == "model-lifecycle") return RunLifecycleChaosImpl(plan, options).scenario;
   ScenarioResult unknown;
@@ -1378,7 +1169,7 @@ FabricSoakResult RunFabricSoak(const ChaosOptions& options) {
   core::PredictorConfig cfg;
   cfg.kcca.solver = ml::KccaSolver::kExact;
   core::TwoStepPredictor two_step(cfg);
-  const auto examples = FourPoolExamples(40, options.seed ^ 0xFAB50ull);
+  const auto examples = PoolExamples(4, 40, options.seed ^ 0xFAB50ull);
   two_step.Train(examples);
   for (const workload::QueryType type :
        {workload::QueryType::kFeather, workload::QueryType::kGolfBall,
@@ -1711,7 +1502,7 @@ ObsFlightDemoResult RunObsFlightDemo(const ChaosOptions& options) {
   core::PredictorConfig cfg;
   cfg.kcca.solver = ml::KccaSolver::kExact;
   core::TwoStepPredictor two_step(cfg);
-  const auto examples = FourPoolExamples(40, options.seed ^ 0x0B5D3340ull);
+  const auto examples = PoolExamples(4, 40, options.seed ^ 0x0B5D3340ull);
   two_step.Train(examples);
 
   serve::ServiceConfig service_config;

@@ -23,10 +23,6 @@
 //                   yields a broken future and the stats accounting
 //                   identity (requests == cache + model + fallbacks)
 //                   holds exactly.
-//   shard-isolation shard: the feather expert is stalled and then killed
-//                   mid-run under a ShardRouter; golf/bowling answers stay
-//                   bit-identical to their experts, feather traffic is
-//                   absorbed by the one-model shard, zero requests lost.
 //   rolling-drain   fabric: one replica of the feather group is stalled
 //                   and then killed while the golf group is drain-swapped
 //                   replica by replica; the surviving peers absorb the
@@ -70,8 +66,19 @@
 #include <vector>
 
 #include "fault/fault_plan.h"
+#include "ml/feature_vector.h"
 
 namespace qpp::fault {
+
+/// The synthetic Fig. 2 pool fixture every two-step test, bench, and
+/// scenario trains on: `pools` (1..4) bands of `per_pool` rows each —
+/// feathers, golf balls, bowling balls, wrecking balls, in that order —
+/// with well-separated features AND elapsed times, so the step-1
+/// classifier's neighbor vote lands in the right pool and every pool
+/// trains an expert. Rows draw from one seeded stream in pool-major order,
+/// so a smaller `pools` yields exactly a prefix of a larger one.
+std::vector<ml::TrainingExample> PoolExamples(size_t pools, size_t per_pool,
+                                              uint64_t seed);
 
 struct ChaosOptions {
   uint64_t seed = 42;

@@ -12,15 +12,13 @@ namespace qpp::fault {
 
 namespace {
 const char* kKindNames[] = {
-    "disk_stall",     "message_loss", "node_slowdown", "node_failure",
+    "disk_stall",      "message_loss",  "node_slowdown", "node_failure",
     "buffer_pressure", "submit_reject", "worker_stall",  "registry_swap",
-    "shard_kill",     "shard_stall",  "replica_kill",  "replica_stall",
-    "model_poison",
+    "replica_kill",    "replica_stall", "model_poison",
 };
 const char* kKindLayers[] = {
-    "engine", "engine", "engine", "engine",   "engine",  "serve",
-    "serve",  "serve",  "shard",  "shard",    "replica", "replica",
-    "lifecycle",
+    "engine", "engine", "engine",  "engine",  "engine",    "serve",
+    "serve",  "serve",  "replica", "replica", "lifecycle",
 };
 }  // namespace
 
@@ -175,49 +173,6 @@ void FaultInjector::FireRegistrySwap() {
 void FaultInjector::set_registry_swap_hook(std::function<void()> hook) {
   std::lock_guard<std::mutex> lock(hook_mu_);
   swap_hook_ = std::move(hook);
-}
-
-bool FaultInjector::NextShardKill(const std::string& shard) {
-  const ServeFaultSpec& spec = plan_.serve;
-  if (spec.shard_kill_after_requests == 0 || shard != spec.target_shard) {
-    return false;
-  }
-  // Counted, not sampled: the (spec.shard_kill_after_requests)-th request
-  // routed to the target shard is the one that kills it.
-  return shard_route_seq_.fetch_add(1, std::memory_order_relaxed) + 1 ==
-         spec.shard_kill_after_requests;
-}
-
-void FaultInjector::FireShardKill() {
-  std::function<void()> hook;
-  {
-    std::lock_guard<std::mutex> lock(hook_mu_);
-    hook = shard_kill_hook_;
-  }
-  if (hook) {
-    Record(kShardKill, plan_.serve.target_shard.c_str());
-    hook();
-  }
-}
-
-void FaultInjector::set_shard_kill_hook(std::function<void()> hook) {
-  std::lock_guard<std::mutex> lock(hook_mu_);
-  shard_kill_hook_ = std::move(hook);
-}
-
-FaultInjector::BatchFaults FaultInjector::NextShardBatchFaults(
-    const std::string& shard) {
-  BatchFaults out;
-  const ServeFaultSpec& spec = plan_.serve;
-  if (spec.shard_stall_probability <= 0.0 || shard != spec.target_shard) {
-    return out;
-  }
-  const uint64_t i = shard_batch_seq_.fetch_add(1, std::memory_order_relaxed);
-  if (Draw(kTagShardStall, i) < spec.shard_stall_probability) {
-    out.stall_seconds = std::max(0.0, spec.shard_stall_seconds);
-    Record(kShardStall, spec.target_shard.c_str());
-  }
-  return out;
 }
 
 bool FaultInjector::NextReplicaKill(const std::string& label) {

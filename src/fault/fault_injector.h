@@ -111,33 +111,14 @@ class FaultInjector {
   void FireRegistrySwap();
   void set_registry_swap_hook(std::function<void()> hook);
 
-  // -------------------------------------------------------------- shard --
-
-  /// One decision per request routed to `shard` by a ShardRouter: true
-  /// exactly once, when the plan's target shard has seen its configured
-  /// Nth routed request (a counted decision — deterministic under
-  /// sequential driving, and independent of the seed). Calls for
-  /// non-target shards return false without consuming the counter.
-  bool NextShardKill(const std::string& shard);
-
-  /// Called by the router when NextShardKill said kill; invokes the hook
-  /// (typically ShardRouter's default hook, which unpublishes the target
-  /// shard's registry) and records the injection.
-  void FireShardKill();
-  void set_shard_kill_hook(std::function<void()> hook);
-
-  /// One decision per micro-batch picked up by a worker of `shard`; only
-  /// the plan's target shard ever stalls (stall_seconds; swap_registry is
-  /// never set here). Consumes the target shard's batch index.
-  BatchFaults NextShardBatchFaults(const std::string& shard);
-
   // ------------------------------------------------------------- replica --
 
   /// One decision per fabric pick of the replica labeled `label`
   /// ("group#index"): true exactly once, when the plan's target replica
-  /// has been picked its configured Nth time (counted, like
-  /// NextShardKill). Calls for non-target replicas return false without
-  /// consuming the counter.
+  /// has been picked its configured Nth time (a counted decision —
+  /// deterministic under sequential driving, and independent of the seed).
+  /// Calls for non-target replicas return false without consuming the
+  /// counter.
   bool NextReplicaKill(const std::string& label);
 
   /// Called by the fabric when NextReplicaKill said kill; invokes the hook
@@ -178,7 +159,6 @@ class FaultInjector {
     kTagSubmit = 0xC2B2AE3D27D4EB4Full,
     kTagStall = 0x165667B19E3779F9ull,
     kTagSwap = 0x27D4EB2F165667C5ull,
-    kTagShardStall = 0x2545F4914F6CDD1Dull,
     kTagReplicaStall = 0x8EBC6AF09C88C6E3ull,
     kTagPoison = 0x589965CC75374CC3ull,
   };
@@ -197,8 +177,6 @@ class FaultInjector {
     kSubmitReject,
     kWorkerStall,
     kRegistrySwap,
-    kShardKill,
-    kShardStall,
     kReplicaKill,
     kReplicaStall,
     kModelPoison,
@@ -215,18 +193,14 @@ class FaultInjector {
   mutable Kind kinds_[kNumKinds];
   std::atomic<uint64_t> submit_seq_{0};
   std::atomic<uint64_t> batch_seq_{0};
-  // Shard-targeted streams: only calls naming the plan's target shard
-  // consume these, so one shard's schedule is unaffected by its peers.
-  std::atomic<uint64_t> shard_route_seq_{0};
-  std::atomic<uint64_t> shard_batch_seq_{0};
-  // Replica-targeted streams, keyed the same way one level down.
+  // Replica-targeted streams: only calls naming the plan's target replica
+  // consume these, so one replica's schedule is unaffected by its peers.
   std::atomic<uint64_t> replica_pick_seq_{0};
   std::atomic<uint64_t> replica_batch_seq_{0};
   // Lifecycle stream: one poison decision per registered candidate.
   std::atomic<uint64_t> candidate_seq_{0};
   std::mutex hook_mu_;
   std::function<void()> swap_hook_;
-  std::function<void()> shard_kill_hook_;
   std::function<void()> replica_kill_hook_;
 };
 

@@ -12,9 +12,11 @@ namespace {
 constexpr uint32_t kMagic = 0x51505046;  // "QPPF" little-endian
 // v1: engine + serve probabilities. v2 appends the shard-targeted serve
 // fields; v3 appends the replica-targeted serve fields; v4 appends the
-// model_poison lifecycle fields. Older files still load (the appended
-// fault families default to disabled).
-constexpr uint32_t kVersion = 4;
+// model_poison lifecycle fields; v5 drops the shard fields again (the
+// shard router is gone: replica faults cover one expert going bad). Older
+// files still load (the appended fault families default to disabled) —
+// unless they aim a shard fault, which no longer has anything to hit.
+constexpr uint32_t kVersion = 5;
 }  // namespace
 
 void FaultPlan::Write(BinaryWriter* w) const {
@@ -37,10 +39,6 @@ void FaultPlan::Write(BinaryWriter* w) const {
   w->WriteDouble(serve.worker_stall_probability);
   w->WriteDouble(serve.worker_stall_seconds);
   w->WriteDouble(serve.registry_swap_probability);
-  w->WriteString(serve.target_shard);
-  w->WriteU64(serve.shard_kill_after_requests);
-  w->WriteDouble(serve.shard_stall_probability);
-  w->WriteDouble(serve.shard_stall_seconds);
   w->WriteString(serve.target_replica_label);
   w->WriteU64(serve.replica_kill_after_picks);
   w->WriteDouble(serve.replica_stall_probability);
@@ -72,11 +70,19 @@ FaultPlan FaultPlan::Read(BinaryReader* r) {
   p.serve.worker_stall_probability = r->ReadDouble();
   p.serve.worker_stall_seconds = r->ReadDouble();
   p.serve.registry_swap_probability = r->ReadDouble();
-  if (version >= 2) {
-    p.serve.target_shard = r->ReadString();
-    p.serve.shard_kill_after_requests = r->ReadU64();
-    p.serve.shard_stall_probability = r->ReadDouble();
-    p.serve.shard_stall_seconds = r->ReadDouble();
+  if (version >= 2 && version <= 4) {
+    // v2-v4 shard fields: target_shard, then the kill count and the stall
+    // probability/seconds, all inert without a target. A named target
+    // would replay a different schedule if silently dropped.
+    const std::string target_shard = r->ReadString();
+    QPP_CHECK_MSG(target_shard.empty(),
+                  "fault plan v" << version << " sets target_shard \""
+                                 << target_shard
+                                 << "\"; shard faults are no longer "
+                                    "supported (use target_replica_label)");
+    r->ReadU64();
+    r->ReadDouble();
+    r->ReadDouble();
   }
   if (version >= 3) {
     p.serve.target_replica_label = r->ReadString();
@@ -114,13 +120,6 @@ std::string FaultPlan::ToString() const {
         "registry_swap p=%.2f\n",
         serve.submit_reject_probability, serve.worker_stall_probability,
         serve.worker_stall_seconds, serve.registry_swap_probability);
-    if (serve.shard_targeted()) {
-      os << StrFormat(
-          "  shard \"%s\": kill after %llu routed | stall p=%.2f %.1fs\n",
-          serve.target_shard.c_str(),
-          static_cast<unsigned long long>(serve.shard_kill_after_requests),
-          serve.shard_stall_probability, serve.shard_stall_seconds);
-    }
     if (serve.replica_targeted()) {
       os << StrFormat(
           "  replica \"%s\": kill after %llu picks | stall p=%.2f %.1fs\n",

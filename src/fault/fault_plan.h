@@ -84,35 +84,16 @@ struct ServeFaultSpec {
   /// the worker acquired its model snapshot — the hardest hot-swap timing.
   double registry_swap_probability = 0.0;
 
-  // Shard-targeted faults (sharded serving, see shard/shard_router.h).
-  // `target_shard` names the shard they apply to; empty disables them.
-
-  /// Shard whose registry/workers the faults below aim at.
-  std::string target_shard;
-  /// Kill the target shard's registry (fire the shard-kill hook) when the
-  /// Nth request is routed to it — a counted, not sampled, decision, so
-  /// the kill lands on the same request under any seed. 0 disables.
-  uint64_t shard_kill_after_requests = 0;
-  /// Per-batch probability that a target-shard worker stalls; same virtual
-  /// -age semantics as worker_stall_* but scoped to one shard.
-  double shard_stall_probability = 0.0;
-  double shard_stall_seconds = 0.0;
-
-  bool shard_targeted() const {
-    return !target_shard.empty() && (shard_kill_after_requests > 0 ||
-                                     shard_stall_probability > 0.0);
-  }
-
   // Replica-targeted faults (replicated serving, see fabric/fabric.h).
   // `target_replica_label` names one replica by its "group#index" label;
-  // empty disables them. Distinct from the shard fields above so a plan
-  // can aim at a whole shard and one replica of another group at once.
+  // empty disables them.
 
   /// Replica whose registry/workers the faults below aim at.
   std::string target_replica_label;
   /// Kill the target replica (fire the replica-kill hook: health -> dead,
   /// registry unpublished) when the fabric picks it for the Nth time — a
-  /// counted, not sampled, decision, like shard_kill. 0 disables.
+  /// counted, not sampled, decision, so the kill lands on the same pick
+  /// under any seed. 0 disables.
   uint64_t replica_kill_after_picks = 0;
   /// Per-batch probability that a target-replica worker stalls; same
   /// virtual-age semantics as worker_stall_* but scoped to one replica.
@@ -140,8 +121,8 @@ struct ServeFaultSpec {
   bool enabled() const {
     return submit_reject_probability > 0.0 ||
            worker_stall_probability > 0.0 ||
-           registry_swap_probability > 0.0 || shard_targeted() ||
-           replica_targeted() || model_poison_probability > 0.0;
+           registry_swap_probability > 0.0 || replica_targeted() ||
+           model_poison_probability > 0.0;
   }
 };
 

@@ -224,9 +224,10 @@ struct LifecycleStats {
   uint64_t pending_invalidated = 0;  ///< cleared by promote/rollback
 };
 
-/// The closed loop. Install as ServiceConfig::shadow (or via the shard /
-/// fabric pass-through) so every model-answered response flows through
-/// OnServedPrediction; feed observed actuals back through ScoreActual.
+/// The closed loop. Install as ServiceConfig::shadow (or via the
+/// FabricConfig::shadow pass-through) so every model-answered response
+/// flows through OnServedPrediction; feed observed actuals back through
+/// ScoreActual.
 /// One candidate is active at a time; further registrations queue behind
 /// it in registration order.
 class LifecycleManager : public serve::ShadowObserver {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <thread>
 
 #include "obs/json_util.h"
 #include "obs/request_context.h"
@@ -49,7 +50,8 @@ void PackDetail(std::string_view detail, uint64_t words[3]) {
   char bytes[24] = {};
   const size_t len =
       std::min(detail.size(), FlightRecorder::kDetailCapacity);
-  std::memcpy(bytes, detail.data(), len);
+  // An empty view may carry a null data(), which memcpy must never see.
+  if (len > 0) std::memcpy(bytes, detail.data(), len);
   bytes[23] = static_cast<char>(len);
   std::memcpy(words, bytes, sizeof(bytes));
 }
@@ -76,18 +78,31 @@ void FlightRecorder::Record(FlightEventKind kind, uint64_t trace_id,
   const uint64_t ticket =
       next_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
   Slot& slot = slots_[(ticket - 1) & mask_];
-  // Invalidate, write payload, publish — the release on the final seq
-  // store makes all payload stores visible to a reader that observes it.
-  slot.seq.store(0, std::memory_order_release);
-  slot.trace_id.store(trace_id, std::memory_order_relaxed);
-  slot.kind.store(static_cast<uint32_t>(kind), std::memory_order_relaxed);
-  slot.code.store(static_cast<uint32_t>(code), std::memory_order_relaxed);
+  // Writes to one slot go in ticket order: wait until the previous lap's
+  // writer has published. Otherwise a writer preempted between its ticket
+  // and its publish could land after a newer lap and bury that event under
+  // a stale one. The wait only happens when a whole ring of events is
+  // recorded during one unfinished Record.
+  const uint64_t capacity = slots_.size();
+  const uint64_t previous = ticket > capacity ? ticket - capacity : 0;
+  while (slot.seq.load(std::memory_order_acquire) != previous) {
+    std::this_thread::yield();
+  }
+  // Invalidate, write payload, publish. Release payload stores keep the
+  // invalidation ahead of them: a reader that loads any field of this
+  // write also sees the slot invalidated when it re-checks seq. The
+  // release on the final seq store makes the payload visible to a reader
+  // that observes the ticket.
+  slot.seq.store(0, std::memory_order_relaxed);
+  slot.trace_id.store(trace_id, std::memory_order_release);
+  slot.kind.store(static_cast<uint32_t>(kind), std::memory_order_release);
+  slot.code.store(static_cast<uint32_t>(code), std::memory_order_release);
   slot.value_bits.store(std::bit_cast<uint64_t>(value),
-                        std::memory_order_relaxed);
+                        std::memory_order_release);
   uint64_t words[3];
   PackDetail(detail, words);
   for (int i = 0; i < 3; ++i) {
-    slot.detail_words[i].store(words[i], std::memory_order_relaxed);
+    slot.detail_words[i].store(words[i], std::memory_order_release);
   }
   slot.seq.store(ticket, std::memory_order_release);
 }
@@ -102,22 +117,23 @@ std::vector<FlightEvent> FlightRecorder::Snapshot() const {
   for (uint64_t ticket = first; ticket <= latest; ++ticket) {
     const Slot& slot = slots_[(ticket - 1) & mask_];
     if (slot.seq.load(std::memory_order_acquire) != ticket) continue;
+    // Acquire payload loads keep the re-check below after them.
     FlightEvent e;
     e.ticket = ticket;
-    e.trace_id = slot.trace_id.load(std::memory_order_relaxed);
+    e.trace_id = slot.trace_id.load(std::memory_order_acquire);
     e.kind = static_cast<FlightEventKind>(
-        slot.kind.load(std::memory_order_relaxed));
-    e.code = static_cast<int32_t>(slot.code.load(std::memory_order_relaxed));
+        slot.kind.load(std::memory_order_acquire));
+    e.code = static_cast<int32_t>(slot.code.load(std::memory_order_acquire));
     e.value = std::bit_cast<double>(
-        slot.value_bits.load(std::memory_order_relaxed));
+        slot.value_bits.load(std::memory_order_acquire));
     uint64_t words[3];
     for (int i = 0; i < 3; ++i) {
-      words[i] = slot.detail_words[i].load(std::memory_order_relaxed);
+      words[i] = slot.detail_words[i].load(std::memory_order_acquire);
     }
-    e.detail = UnpackDetail(words);
     // Reject the copy if a concurrent writer lapped or rewrote the slot
     // while we were reading it.
     if (slot.seq.load(std::memory_order_acquire) != ticket) continue;
+    e.detail = UnpackDetail(words);
     events.push_back(std::move(e));
   }
   return events;

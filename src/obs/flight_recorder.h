@@ -11,14 +11,19 @@
 // and is cheap enough to leave running in production and in every soak.
 //
 // Concurrency: a multi-writer seqlock ring. Writers claim a slot with one
-// fetch_add on the ticket counter, invalidate the slot, write the payload
-// as individual relaxed atomics, then publish by storing the ticket into
-// the slot's seq with release ordering. Readers accept a slot only when
-// its seq reads the same expected ticket before AND after copying the
-// payload, so an in-progress or lapped write is skipped, never blocked on,
-// and never a data race (every field is atomic). In deterministic
-// sequential harnesses there is no tearing at all and Snapshot()/
-// DumpJson() are byte-replayable functions of the event history.
+// fetch_add on the ticket counter, wait until the slot's previous lap is
+// published (so a slot's writes land in ticket order), invalidate the
+// slot, write the payload as individual release-ordered atomics, then
+// publish by storing the ticket into the slot's seq with release
+// ordering. The wait is empty unless a whole ring of events was recorded
+// while one earlier Record on the same slot was still unfinished. Readers
+// accept a slot only when its seq reads the same expected ticket before
+// AND after copying the payload (with acquire loads, so the re-check
+// cannot move ahead of them), so an in-progress or lapped write is
+// skipped, never blocked on, and never a data race (every field is
+// atomic). In deterministic sequential harnesses there is no tearing at
+// all and Snapshot()/DumpJson() are byte-replayable functions of the
+// event history.
 //
 // Determinism: the recorder itself stores nothing time-derived. Events
 // carry (ticket, trace id, kind, code, value, 23-char detail); whether a
@@ -91,8 +96,9 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Appends one event; wait-free apart from the slot stores. `detail` is
-  /// truncated to kDetailCapacity bytes. Safe from any thread.
+  /// Appends one event. Waits only if the ring has lapped a writer that
+  /// is still filling this event's slot. `detail` is truncated to
+  /// kDetailCapacity bytes. Safe from any thread.
   void Record(FlightEventKind kind, uint64_t trace_id = 0, int32_t code = 0,
               double value = 0.0, std::string_view detail = {});
 

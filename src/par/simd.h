@@ -18,7 +18,7 @@
 // contraction). Lane width therefore never leaks into results: AVX2, SSE2,
 // NEON, and forced-scalar builds all produce the same bytes, which is what
 // lets the golden suite, the cross-thread-count byte-identity tests, and
-// the serve/shard/fabric bit-identity contracts stay pinned while the
+// the serve/fabric bit-identity contracts stay pinned while the
 // kernels get faster. The only reassociating helpers (horizontal
 // reductions, simd_lanes.h ReduceAdd) are not used on any pinned path and
 // are gated by tolerance-based differential tests instead.

@@ -54,7 +54,7 @@ class ModelRegistry {
     return Publish(std::make_shared<const core::Predictor>(model));
   }
 
-  /// Removes the published model (shard kill / decommission): Acquire()
+  /// Removes the published model (replica kill / decommission): Acquire()
   /// then returns an invalid snapshot and the service degrades to its
   /// labeled no-model fallback. The generation counter is retained so a
   /// later Publish keeps advancing it and generation-tagged caches never

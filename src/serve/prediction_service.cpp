@@ -204,17 +204,8 @@ void PredictionService::ProcessBatch(std::vector<Pending>* batch,
           std::min(bf.stall_seconds, 0.001)));
     }
     if (!config_.shard_label.empty()) {
-      // Shard-targeted stall: only fires on the service whose label the
-      // plan names, so chaos can slow one expert while its peers run clean.
-      const fault::FaultInjector::BatchFaults sf =
-          config_.faults->NextShardBatchFaults(config_.shard_label);
-      if (sf.stall_seconds > 0.0) {
-        virtual_age += sf.stall_seconds;
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            std::min(sf.stall_seconds, 0.001)));
-      }
-      // Replica-targeted stall: same mechanism one level down — the plan
-      // names a single "group#index" replica label, so chaos can slow one
+      // Replica-targeted stall: only fires on the service whose label the
+      // plan names (a "group#index" replica label), so chaos can slow one
       // replica while its group peers absorb the traffic.
       const fault::FaultInjector::BatchFaults rf =
           config_.faults->NextReplicaBatchFaults(config_.shard_label);

@@ -93,8 +93,9 @@ struct ServeResponse {
   uint64_t model_generation = 0;
   /// Submit-to-response wall time.
   double latency_seconds = 0.0;
-  /// ServiceConfig::shard_label of the answering service; empty outside a
-  /// ShardRouter deployment (see shard/shard_router.h).
+  /// ServiceConfig::shard_label of the answering service: the fabric
+  /// replica label "group#index" (see fabric/fabric.h); empty for a
+  /// standalone service.
   std::string shard;
   /// The request's correlation id echoed back (0 when the request carried
   /// none): the handle for finding this request's spans in the Chrome
@@ -146,11 +147,11 @@ struct ServiceConfig {
   /// the fault points down to one pointer test each. The injector must
   /// outlive the service.
   fault::FaultInjector* faults = nullptr;
-  /// Name of the shard this service instance backs. Stamped onto every
+  /// Name of the replica this service instance backs. Stamped onto every
   /// response (`ServeResponse::shard`) and matched against the fault
-  /// plan's `target_shard` / `target_replica_label` for targeted worker
-  /// stalls; empty (the default) for a monolithic deployment. Fabric
-  /// replicas use "group#index" labels (see fabric/fabric.h).
+  /// plan's `target_replica_label` for targeted worker stalls; empty (the
+  /// default) for a standalone deployment. Fabric replicas use
+  /// "group#index" labels (see fabric/fabric.h).
   std::string shard_label;
   /// Default backoff schedule for SubmitWithRetry; per-call policies
   /// override it. The defaults here ARE the historical compile-time
@@ -219,7 +220,7 @@ class PredictionService {
 
   // Hash/equality for exact feature-vector cache keys: doubles hashed by
   // bit pattern, so a hit implies bit-identical input. Public because the
-  // ShardRouter keys its routing cache the same way.
+  // fabric keys its route cache the same way.
   struct FeatureHash {
     size_t operator()(const linalg::Vector& v) const;
   };

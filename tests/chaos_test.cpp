@@ -2,11 +2,13 @@
 // AND produces a byte-identical report when replayed with the same seed;
 // the fault injector's decisions are independent of call interleaving; a
 // disabled injector is indistinguishable from none; monotone fault kinds
-// never make any metric smaller; FaultPlans survive file round trips. The
-// long-mode soaks (10k concurrent requests under a randomized plan; the
-// fabric capacity soak at 1M requests) run only when QPP_SOAK=1 — ctest
-// wires them up under the `soak` label. A 10k fabric soak always runs so
-// plain ctest still covers the admission/replica/chaos stack end to end.
+// never make any metric smaller; FaultPlans survive file round trips, and
+// files in the older v2/v4 layouts load as the same plan unless they aim
+// a fault at a shard, which is an error. The long-mode soaks (10k
+// concurrent requests under a randomized plan; the fabric capacity soak
+// at 1M requests) run only when QPP_SOAK=1 — ctest wires them up under
+// the `soak` label. A 10k fabric soak always runs so plain ctest still
+// covers the admission/replica/chaos stack end to end.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -173,6 +175,110 @@ TEST(FaultPlanTest, FileRoundTripPreservesEveryField) {
   EXPECT_EQ(a.str(), b.str());
   EXPECT_EQ(loaded.value().seed, plan.seed);
   EXPECT_EQ(loaded.value().ToString(), plan.ToString());
+}
+
+/// `plan` hand-written in a pre-v5 layout (v2..v4): the v1 fields, the
+/// four shard fields v2 appended (target_shard, kill count, stall
+/// probability and seconds), then the replica (v3) and poison (v4) fields
+/// the version has.
+std::string LegacyPlanBytes(const FaultPlan& plan, uint32_t version,
+                            const std::string& target_shard) {
+  std::ostringstream os;
+  BinaryWriter w(os);
+  w.WriteU32(0x51505046);  // "QPPF"
+  w.WriteU32(version);
+  w.WriteU64(plan.seed);
+  const EngineFaultSpec& e = plan.engine;
+  for (const double d :
+       {e.disk_stall_probability, e.disk_stall_multiplier,
+        e.message_loss_rate, e.retransmit_cost_factor,
+        e.node_slowdown_probability, e.node_slowdown_multiplier,
+        e.node_failure_probability}) {
+    w.WriteDouble(d);
+  }
+  w.WriteI64(e.max_failed_nodes);
+  for (const double d : {e.repartition_seconds,
+                         e.buffer_pressure_probability,
+                         e.work_mem_multiplier}) {
+    w.WriteDouble(d);
+  }
+  const ServeFaultSpec& s = plan.serve;
+  for (const double d :
+       {s.submit_reject_probability, s.worker_stall_probability,
+        s.worker_stall_seconds, s.registry_swap_probability}) {
+    w.WriteDouble(d);
+  }
+  w.WriteString(target_shard);
+  w.WriteU64(target_shard.empty() ? 0 : 25);
+  w.WriteDouble(target_shard.empty() ? 0.0 : 0.3);
+  w.WriteDouble(target_shard.empty() ? 0.0 : 60.0);
+  if (version >= 3) {
+    w.WriteString(s.target_replica_label);
+    w.WriteU64(s.replica_kill_after_picks);
+    w.WriteDouble(s.replica_stall_probability);
+    w.WriteDouble(s.replica_stall_seconds);
+  }
+  if (version >= 4) {
+    w.WriteDouble(s.model_poison_probability);
+    w.WriteDouble(s.model_poison_multiplier);
+  }
+  return os.str();
+}
+
+std::string CurrentPlanBytes(const FaultPlan& plan) {
+  std::ostringstream os;
+  BinaryWriter w(os);
+  plan.Write(&w);
+  return os.str();
+}
+
+Result<FaultPlan> LoadPlanBytes(const std::string& bytes,
+                                const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  return LoadFaultPlanFile(path);
+}
+
+TEST(FaultPlanTest, LegacyLayoutsWithoutShardFaultsLoadAsTheSamePlan) {
+  // v4 carries every field the current format has; v2 predates the
+  // replica and poison families, which must come back disabled.
+  const FaultPlan full = RandomFaultPlan(0xC0FFEEull);
+  FaultPlan v1_fields = full;
+  v1_fields.serve.target_replica_label.clear();
+  v1_fields.serve.replica_kill_after_picks = 0;
+  v1_fields.serve.replica_stall_probability = 0.0;
+  v1_fields.serve.replica_stall_seconds = 0.0;
+  v1_fields.serve.model_poison_probability = 0.0;
+  v1_fields.serve.model_poison_multiplier =
+      ServeFaultSpec{}.model_poison_multiplier;
+  for (const auto& [version, plan] :
+       {std::pair<uint32_t, FaultPlan>{2, v1_fields}, {4, full}}) {
+    SCOPED_TRACE(version);
+    const auto loaded =
+        LoadPlanBytes(LegacyPlanBytes(plan, version, ""),
+                      "legacy_v" + std::to_string(version) + ".bin");
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    EXPECT_EQ(CurrentPlanBytes(loaded.value()), CurrentPlanBytes(plan));
+  }
+}
+
+TEST(FaultPlanTest, LegacyShardTargetIsAnErrorNotASilentDrop) {
+  // The shard a v2-v4 plan aims at no longer exists; replaying the plan
+  // without it would be a different schedule, so loading refuses it.
+  const FaultPlan plan = RandomFaultPlan(0xC0FFEEull);
+  for (const uint32_t version : {2u, 3u, 4u}) {
+    SCOPED_TRACE(version);
+    const auto loaded =
+        LoadPlanBytes(LegacyPlanBytes(plan, version, "feather"),
+                      "legacy_shard_v" + std::to_string(version) + ".bin");
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("target_shard"),
+              std::string::npos)
+        << loaded.status().message();
+  }
 }
 
 TEST(FaultPlanTest, LoadRejectsGarbage) {

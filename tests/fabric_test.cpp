@@ -1,10 +1,14 @@
 // Tests for the replicated serving fabric (fabric/fabric.h): replica-group
 // shape, the determinism contract (answers bit-identical to the offline
-// TwoStepPredictor no matter which replica serves), keyed power-of-two-
-// choices spreading, replica health (draining / dead) and the rolling
-// DrainSwapRevive hot-swap, prediction-aware admission control (shed /
-// defer / drain / overflow / shutdown-drain), replica-targeted fault
-// injection, qpp_fabric_* metrics, and "fabric"-category tracing.
+// TwoStepPredictor no matter which replica serves), step-1 routing (the
+// generation-tagged route cache; no classifier means the catch-all owns
+// the request), keyed power-of-two-choices spreading, replica health
+// (draining / dead) and the rolling DrainSwapRevive hot-swap, the full
+// escalation ladder rung by rung (dead -> circuit-open with recovery
+// probes -> overloaded -> catch-all -> inline cost fallback),
+// prediction-aware admission control (shed / defer / drain / overflow /
+// shutdown-drain), replica-targeted fault injection, qpp_fabric_*
+// metrics, and "fabric"-category tracing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,10 +21,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/two_step.h"
 #include "fabric/admission.h"
 #include "fabric/fabric.h"
+#include "fault/chaos.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "obs/trace.h"
@@ -31,35 +35,6 @@ namespace qpp::fabric {
 namespace {
 
 using workload::QueryType;
-
-/// Four Fig. 2 pools with well-separated features and elapsed bands, so
-/// the step-1 neighbor vote is unambiguous (same shape the fabric soak
-/// uses). Pool-major: feathers, golf, bowling, wrecking.
-std::vector<ml::TrainingExample> FourPoolExamples(size_t per_pool,
-                                                  uint64_t seed) {
-  static const double kElapsedBase[4] = {10.0, 400.0, 2500.0, 9000.0};
-  Rng rng(seed);
-  std::vector<ml::TrainingExample> out;
-  out.reserve(4 * per_pool);
-  for (size_t pool = 0; pool < 4; ++pool) {
-    const double off = static_cast<double>(pool);
-    for (size_t i = 0; i < per_pool; ++i) {
-      ml::TrainingExample ex;
-      const double a = rng.Uniform(1.0, 10.0);
-      const double b = rng.Uniform(1.0, 10.0);
-      const double c = rng.Uniform(0.0, 5.0);
-      ex.query_features = {a + 40.0 * off, b + 10.0 * off, c,
-                           a * b + 25.0 * off, rng.Uniform(0.0, 1.0)};
-      ex.metrics.elapsed_seconds = kElapsedBase[pool] + 0.5 * a * b + c;
-      ex.metrics.records_accessed = 1000.0 * a + 50.0 * c + 10000.0 * off;
-      ex.metrics.records_used = 100.0 * a + 1000.0 * off;
-      ex.metrics.message_count = 10.0 * b + 100.0 * off;
-      ex.metrics.message_bytes = 1000.0 * b + 10.0 * a;
-      out.push_back(std::move(ex));
-    }
-  }
-  return out;
-}
 
 core::TwoStepPredictor TrainTwoStep(
     const std::vector<ml::TrainingExample>& ex) {
@@ -73,7 +48,8 @@ core::TwoStepPredictor TrainTwoStep(
 /// Training is the expensive part of every test; one shared model is
 /// enough because the fabric under test is always built fresh.
 struct TrainedFixture {
-  std::vector<ml::TrainingExample> examples = FourPoolExamples(40, 0xFAB7E5u);
+  std::vector<ml::TrainingExample> examples =
+      fault::PoolExamples(4, 40, 0xFAB7E5u);
   core::TwoStepPredictor ts = TrainTwoStep(examples);
 
   linalg::Vector probe(QueryType pool, size_t j) const {
@@ -222,6 +198,58 @@ TEST(FabricTest, AnswersBitIdenticalToOfflineTwoStepOnEveryReplica) {
   EXPECT_EQ(picks, kRequests);
 }
 
+TEST(FabricTest, RouteCacheIsClassifierGenerationTagged) {
+  const TrainedFixture& f = F();
+  Fabric fabric(TestConfig(1), TestCalibration());
+  PublishTwoStep(f.ts, &fabric);
+
+  const linalg::Vector probe = f.probe(QueryType::kFeather, 0);
+  fabric.Submit({probe, 100.0}).get();
+  fabric.Submit({probe, 100.0}).get();
+  EXPECT_EQ(fabric.stats().classified, 1u);
+  EXPECT_EQ(fabric.stats().route_cache_hits, 1u);
+
+  // Swapping the catch-all (= classifier) model retires the cached
+  // verdicts: the next submit classifies again under the new generation.
+  fabric.registry(fabric.catch_all_name(), 0)->Publish(f.ts.base());
+  fabric.Submit({probe, 100.0}).get();
+  EXPECT_EQ(fabric.stats().classified, 2u);
+  EXPECT_EQ(fabric.stats().route_cache_hits, 1u);
+}
+
+TEST(FabricTest, NoClassifierMeansCatchAllOwnsTheRequest) {
+  const TrainedFixture& f = F();
+  // A bowling ball: an expert would answer it if the fabric guessed a
+  // pool, and the feather expert's answer would be tens of minutes off.
+  const linalg::Vector bowling = f.probe(QueryType::kBowlingBall, 0);
+  struct Case {
+    const char* name;
+    bool publish_experts;  // everything but the catch-all is published
+  };
+  for (const Case& c : {Case{"nothing published", false},
+                        Case{"only the catch-all unpublished", true}}) {
+    SCOPED_TRACE(c.name);
+    Fabric fabric(TestConfig(1), TestCalibration());
+    if (c.publish_experts) {
+      PublishTwoStep(f.ts, &fabric);
+      fabric.registry(fabric.catch_all_name(), 0)->Unpublish();
+    }
+    // No step-1 verdict exists, so the one-model group owns the request
+    // and answers with its own labeled no-model fallback.
+    const serve::ServeResponse resp = fabric.Submit({bowling, 200.0}).get();
+    EXPECT_TRUE(resp.degraded());
+    EXPECT_EQ(resp.degraded_reason, "no-model");
+    EXPECT_EQ(resp.shard, "one-model#0");
+    const FabricStatsSnapshot stats = fabric.stats();
+    EXPECT_EQ(stats.classified, 0u);
+    EXPECT_EQ(stats.escalations(), 0u);
+    for (const auto& g : stats.groups) {
+      EXPECT_EQ(g.routed, g.catch_all ? 1u : 0u) << g.name;
+      EXPECT_EQ(g.absorbed, 0u) << g.name;
+    }
+  }
+}
+
 // -------------------------------------------------- power of two choices --
 
 TEST(FabricTest, P2CPickSequenceReplaysBitForBitAndSpreadsLoad) {
@@ -322,7 +350,7 @@ TEST(FabricTest, MissingExpertPoolMatchesTwoStepFallbackExactly) {
   // no wrecking expert, PublishTwoStep leaves that group dead, and the
   // fabric's escalation answers with the base model — the exact same
   // fallback the offline predictor takes.
-  auto examples = FourPoolExamples(40, 0xBEEFu);
+  auto examples = fault::PoolExamples(4, 40, 0xBEEFu);
   examples.erase(examples.begin() + 125, examples.end());  // 5 wrecking rows
   const core::TwoStepPredictor ts = TrainTwoStep(examples);
   ASSERT_FALSE(ts.HasCategoryModel(QueryType::kWreckingBall));
@@ -355,7 +383,7 @@ TEST(FabricTest, DrainSwapReviveIsARollingPerReplicaHotSwap) {
   core::PredictorConfig cfg;
   cfg.kcca.solver = ml::KccaSolver::kExact;
   auto golf_v2 = std::make_shared<core::Predictor>(cfg);
-  const auto fresh = FourPoolExamples(40, 0xF00Du);
+  const auto fresh = fault::PoolExamples(4, 40, 0xF00Du);
   golf_v2->Train({fresh.begin() + 40, fresh.begin() + 80});
   ASSERT_TRUE(fabric.DrainSwapRevive("golf ball", 1, golf_v2));
 
@@ -374,9 +402,60 @@ TEST(FabricTest, DrainSwapReviveIsARollingPerReplicaHotSwap) {
   EXPECT_EQ(resp.model_generation, 2u);
   ExpectBitIdentical(resp.prediction, golf_v2->Predict(golf));
 
+  // Only the swapped pool moved: feather keeps its generation and bits.
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(fabric.registry("feather", i)->generation(), 1u);
+  }
+  const linalg::Vector feather = f.probe(QueryType::kFeather, 3);
+  const serve::ServeResponse light = fabric.Submit({feather, 100.0}).get();
+  EXPECT_EQ(light.shard.rfind("feather#", 0), 0u) << light.shard;
+  EXPECT_EQ(light.model_generation, 1u);
+  ExpectBitIdentical(light.prediction, f.ts.Predict(feather));
+
   // Unknown addresses are a clean refusal, not a crash.
   EXPECT_FALSE(fabric.DrainSwapRevive("golf ball", 9, golf_v2));
   EXPECT_FALSE(fabric.DrainSwapRevive("no-such-group", 0, golf_v2));
+}
+
+TEST(FabricTest, HotSwapMovesOnlyTheSwappedPool) {
+  const TrainedFixture& f = F();
+  Fabric fabric(TestConfig(), TestCalibration());
+  PublishTwoStep(f.ts, &fabric);
+
+  const linalg::Vector feather = f.probe(QueryType::kFeather, 0);
+  const linalg::Vector golf = f.probe(QueryType::kGolfBall, 5);
+  ASSERT_EQ(fabric.Submit({feather, 100.0}).get().shard.rfind("feather#", 0),
+            0u);
+  ASSERT_EQ(fabric.Submit({golf, 100.0}).get().shard.rfind("golf ball#", 0),
+            0u);
+
+  // Retrain just the golf expert (fresh data) and roll it onto every golf
+  // replica, one drain-swap-revive at a time.
+  core::PredictorConfig cfg;
+  cfg.kcca.solver = ml::KccaSolver::kExact;
+  auto golf_v2 = std::make_shared<core::Predictor>(cfg);
+  const auto fresh = fault::PoolExamples(4, 40, 0xF00Du);
+  golf_v2->Train({fresh.begin() + 40, fresh.begin() + 80});
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(fabric.DrainSwapRevive("golf ball", i, golf_v2));
+  }
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(fabric.registry("golf ball", i)->generation(), 2u);
+    EXPECT_EQ(fabric.registry("feather", i)->generation(), 1u);
+  }
+
+  // Whichever replica answers, golf traffic gets the new bits and feather
+  // traffic is untouched by the golf swap.
+  for (size_t n = 0; n < 6; ++n) {
+    const serve::ServeResponse g = fabric.Submit({golf, 100.0}).get();
+    EXPECT_EQ(g.shard.rfind("golf ball#", 0), 0u) << g.shard;
+    EXPECT_EQ(g.model_generation, 2u);
+    ExpectBitIdentical(g.prediction, golf_v2->Predict(golf));
+    const serve::ServeResponse fr = fabric.Submit({feather, 100.0}).get();
+    EXPECT_EQ(fr.shard.rfind("feather#", 0), 0u) << fr.shard;
+    EXPECT_EQ(fr.model_generation, 1u);
+    ExpectBitIdentical(fr.prediction, f.ts.Predict(feather));
+  }
 }
 
 // ----------------------------------------------------------- admission --
@@ -632,6 +711,166 @@ TEST(FabricTest, ExhaustedLadderAnswersInlineCostFallback) {
   EXPECT_EQ(resp.prediction.metrics.elapsed_seconds,
             cal.EstimateSeconds(400.0));
   EXPECT_EQ(fabric.stats().fallback_exhausted, 1u);
+}
+
+TEST(FabricTest, RefusingExpertEscalatesOverloaded) {
+  const TrainedFixture& f = F();
+  Fabric fabric(TestConfig(1), TestCalibration());
+  PublishTwoStep(f.ts, &fabric);
+
+  // A shut-down service refuses every submit — indistinguishable from a
+  // full queue, which is exactly the "overloaded" rung.
+  fabric.service("golf ball", 0)->Shutdown();
+
+  const linalg::Vector golf = f.probe(QueryType::kGolfBall, 5);
+  ASSERT_EQ(f.ts.base().Classify(golf), QueryType::kGolfBall);
+  const serve::ServeResponse resp = fabric.Submit({golf, 100.0}).get();
+  EXPECT_FALSE(resp.degraded());
+  EXPECT_EQ(resp.shard, "one-model#0");
+  ExpectBitIdentical(resp.prediction, f.ts.base().Predict(golf));
+  EXPECT_EQ(fabric.stats().escalations_overloaded, 1u);
+  EXPECT_EQ(fabric.stats().escalations_dead, 0u);
+}
+
+/// A 1-replica fabric whose feather replica blows every deadline, so its
+/// breaker trips and stays open under continued failures; every 4th
+/// diverted pick still goes through as a recovery probe.
+FabricConfig SickFeatherConfig() {
+  FabricConfig config = TestConfig(1);
+  config.open_probe_every = 4;
+  for (ReplicaGroupSpec& spec : config.groups) {
+    if (spec.name != "feather") continue;
+    spec.service.queue_deadline_seconds = 1e-12;
+    spec.service.breaker.enabled = true;
+    spec.service.breaker.window = 8;
+    spec.service.breaker.min_samples = 4;
+    spec.service.breaker.trip_ratio = 0.5;
+    spec.service.breaker.open_requests = 64;
+  }
+  return config;
+}
+
+TEST(FabricTest, OpenBreakerDivertsButProbesForRecovery) {
+  const TrainedFixture& f = F();
+  Fabric fabric(SickFeatherConfig(), TestCalibration());
+  PublishTwoStep(f.ts, &fabric);
+
+  const linalg::Vector feather = f.probe(QueryType::kFeather, 0);
+  const size_t kSubmits = 60;
+  size_t absorbed_clean = 0, feather_answers = 0;
+  for (size_t i = 0; i < kSubmits; ++i) {
+    const serve::ServeResponse resp = fabric.Submit({feather, 100.0}).get();
+    if (resp.shard == "one-model#0" && !resp.degraded()) {
+      ++absorbed_clean;
+      ExpectBitIdentical(resp.prediction, f.ts.base().Predict(feather));
+    }
+    if (resp.shard == "feather#0") {
+      ++feather_answers;
+      // Anything the sick replica still answers is labeled, never silent.
+      EXPECT_TRUE(!resp.degraded() || resp.degraded_reason == "deadline" ||
+                  resp.degraded_reason == "circuit-open")
+          << resp.degraded_reason;
+    }
+  }
+  const FabricStatsSnapshot stats = fabric.stats();
+  EXPECT_GE(fabric.service("feather", 0)->breaker().trips(), 1u);
+  EXPECT_GT(stats.escalations_open, 0u);
+  // Diverted traffic is served cleanly by the catch-all...
+  EXPECT_EQ(absorbed_clean, stats.escalations_open);
+  // ...while every open_probe_every-th pick still reaches the expert so
+  // its breaker can walk the half-open recovery path.
+  EXPECT_GT(feather_answers, 0u);
+  EXPECT_EQ(feather_answers + stats.escalations_open, kSubmits);
+}
+
+// Every escalation rung must move exactly its own qpp_fabric_* counters
+// in the fabric's metrics registry — the stats snapshot reads the same
+// counters, but the registered names + labels are the monitoring
+// contract, so assert them by name. One table row per rung: dead ->
+// circuit-open (including the every-Nth recovery-probe path) ->
+// overloaded -> catch-all absorption -> inline fallback.
+TEST(FabricTest, EveryEscalationRungMovesItsLabeledCounters) {
+  const TrainedFixture& f = F();
+  const linalg::Vector feather = f.probe(QueryType::kFeather, 0);
+
+  struct RungCase {
+    const char* rung;   // which rung the row forces for feather traffic
+    size_t submits;     // identical feather requests driven through
+    bool sick;          // use SickFeatherConfig (breaker trips)
+    void (*induce)(Fabric&);  // put the fabric in the rung's state
+    uint64_t dead, overloaded, exhausted;  // exact counter expectations
+    bool open_positive;  // expect escalations{circuit-open} > 0 instead
+  };
+  const RungCase kCases[] = {
+      {"dead", 1, false,
+       [](Fabric& fab) { fab.registry("feather", 0)->Unpublish(); },
+       /*dead=*/1, /*overloaded=*/0, /*exhausted=*/0, false},
+      {"circuit-open", 60, true, [](Fabric&) {},
+       /*dead=*/0, /*overloaded=*/0, /*exhausted=*/0, true},
+      {"overloaded", 1, false,
+       [](Fabric& fab) { fab.service("feather", 0)->Shutdown(); },
+       /*dead=*/0, /*overloaded=*/1, /*exhausted=*/0, false},
+      // Bottom of the ladder: feather refuses (overloaded rung), the
+      // catch-all refuses too, and the fabric answers inline.
+      {"fabric-exhausted", 1, false, [](Fabric& fab) { fab.Shutdown(); },
+       /*dead=*/0, /*overloaded=*/1, /*exhausted=*/1, false},
+  };
+
+  for (const RungCase& c : kCases) {
+    SCOPED_TRACE(c.rung);
+    Fabric fabric(c.sick ? SickFeatherConfig() : TestConfig(1),
+                  TestCalibration());
+    PublishTwoStep(f.ts, &fabric);
+    c.induce(fabric);
+    for (size_t i = 0; i < c.submits; ++i) {
+      fabric.Submit({feather, 100.0}).get();
+    }
+
+    obs::MetricsRegistry* m = fabric.metrics();
+    const auto counter = [m](const std::string& name,
+                             obs::Labels labels = {}) {
+      return m->GetCounter(name, std::move(labels))->value();
+    };
+    const obs::Labels kFeather = {{"group", "feather"}};
+    const obs::Labels kCatchAll = {{"group", "one-model"}};
+
+    // Step-1 accounting: one real classification, every identical repeat
+    // a route-cache hit.
+    EXPECT_EQ(counter("qpp_fabric_classified_total"), 1u);
+    EXPECT_EQ(counter("qpp_fabric_route_cache_hits_total"), c.submits - 1);
+
+    const uint64_t open = counter(
+        "qpp_fabric_escalations_total",
+        {{"group", "feather"}, {"reason", "circuit-open"}});
+    EXPECT_EQ(counter("qpp_fabric_escalations_total",
+                      {{"group", "feather"}, {"reason", "dead"}}),
+              c.dead);
+    EXPECT_EQ(counter("qpp_fabric_escalations_total",
+                      {{"group", "feather"}, {"reason", "overloaded"}}),
+              c.overloaded);
+    EXPECT_EQ(counter("qpp_fabric_fallback_exhausted_total"), c.exhausted);
+
+    const uint64_t escalations = c.dead + c.overloaded + open;
+    const uint64_t feather_routed =
+        counter("qpp_fabric_requests_total", kFeather);
+    if (c.open_positive) {
+      // The breaker trips after its min_samples deadline blowups, then
+      // diverts — but every open_probe_every-th pick still probes the
+      // expert, so routed traffic lands strictly between 0 and all.
+      EXPECT_GT(open, 0u);
+      EXPECT_GT(feather_routed, 0u);
+      EXPECT_LT(feather_routed, c.submits);
+      EXPECT_EQ(feather_routed + open, c.submits);
+    } else {
+      EXPECT_EQ(open, 0u);
+      EXPECT_EQ(feather_routed, 0u);
+    }
+    // Escalated requests are absorbed by the catch-all (even at the
+    // exhausted rung, where absorption is counted before its refusal),
+    // and absorption is never first-choice routing.
+    EXPECT_EQ(counter("qpp_fabric_absorbed_total", kCatchAll), escalations);
+    EXPECT_EQ(counter("qpp_fabric_requests_total", kCatchAll), 0u);
+  }
 }
 
 // ----------------------------------------------------------- concurrency --

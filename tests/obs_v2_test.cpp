@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/two_step.h"
 #include "fabric/fabric.h"
 #include "fault/chaos.h"
@@ -153,6 +152,18 @@ TEST(FlightRecorderTest, DetailIsTruncatedToTwentyThreeBytes) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].detail, "abcdefghijklmnopqrstuvw");
   EXPECT_EQ(events[0].detail.size(), FlightRecorder::kDetailCapacity);
+}
+
+TEST(FlightRecorderTest, EventWithoutDetailDumpsAnEmptyDetail) {
+  // The default detail is an empty view whose data() is null; packing it
+  // must copy nothing (memcpy from null is undefined even for 0 bytes).
+  FlightRecorder flight;
+  flight.Record(FlightEventKind::kNote);
+  const std::vector<FlightEvent> events = flight.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].detail, "");
+  EXPECT_NE(flight.DumpJson("no-detail").find("\"detail\":\"\""),
+            std::string::npos);
 }
 
 TEST(FlightRecorderTest, ZeroTraceIdFallsBackToTheThreadContext) {
@@ -600,36 +611,9 @@ namespace {
 
 using workload::QueryType;
 
-// Same well-separated four-pool workload shape the fabric tests train on.
-std::vector<ml::TrainingExample> FourPoolExamples(size_t per_pool,
-                                                  uint64_t seed) {
-  static const double kElapsedBase[4] = {10.0, 400.0, 2500.0, 9000.0};
-  Rng rng(seed);
-  std::vector<ml::TrainingExample> out;
-  out.reserve(4 * per_pool);
-  for (size_t pool = 0; pool < 4; ++pool) {
-    const double off = static_cast<double>(pool);
-    for (size_t i = 0; i < per_pool; ++i) {
-      ml::TrainingExample ex;
-      const double a = rng.Uniform(1.0, 10.0);
-      const double b = rng.Uniform(1.0, 10.0);
-      const double c = rng.Uniform(0.0, 5.0);
-      ex.query_features = {a + 40.0 * off, b + 10.0 * off, c,
-                           a * b + 25.0 * off, rng.Uniform(0.0, 1.0)};
-      ex.metrics.elapsed_seconds = kElapsedBase[pool] + 0.5 * a * b + c;
-      ex.metrics.records_accessed = 1000.0 * a + 50.0 * c + 10000.0 * off;
-      ex.metrics.records_used = 100.0 * a + 1000.0 * off;
-      ex.metrics.message_count = 10.0 * b + 100.0 * off;
-      ex.metrics.message_bytes = 1000.0 * b + 10.0 * a;
-      out.push_back(std::move(ex));
-    }
-  }
-  return out;
-}
-
 struct TracedFixture {
   std::vector<ml::TrainingExample> examples =
-      FourPoolExamples(40, 0x0B5E2Eu);
+      fault::PoolExamples(4, 40, 0x0B5E2Eu);
   core::TwoStepPredictor ts = [this] {
     core::PredictorConfig cfg;
     cfg.kcca.solver = ml::KccaSolver::kExact;

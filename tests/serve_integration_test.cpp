@@ -18,8 +18,8 @@
 #include "core/retraining.h"
 #include "core/two_step.h"
 #include "core/workload_manager.h"
+#include "fabric/fabric.h"
 #include "serve/prediction_service.h"
-#include "shard/shard_router.h"
 #include "workload/pools.h"
 
 namespace qpp::serve {
@@ -500,12 +500,12 @@ TEST(TwoStepServingTest, BoundaryQueriesRoundTripThroughShardedServing) {
   ServiceConfig plain;
   plain.cache_capacity = 0;
   plain.fallback_on_anomalous = false;
-  shard::ShardRouter router(shard::MakePerPoolConfig(plain),
-                            TestCalibration());
-  shard::PublishTwoStep(ts, &router);
+  fabric::Fabric fab(fabric::MakePerPoolFabricConfig(1, plain),
+                     TestCalibration());
+  fabric::PublishTwoStep(ts, &fab);
 
   // Every training row, round-tripped: the served answer must carry the
-  // voted pool in resp.shard and the offline TwoStep bits.
+  // voted pool's replica label in resp.shard and the offline TwoStep bits.
   size_t misclassified_boundary = 0, base_fallbacks = 0;
   for (size_t i = 0; i < examples.size(); ++i) {
     const linalg::Vector& probe = examples[i].query_features;
@@ -513,7 +513,7 @@ TEST(TwoStepServingTest, BoundaryQueriesRoundTripThroughShardedServing) {
         ts.base().Predict(probe).predicted_type;
     const workload::QueryType truth =
         workload::ClassifyElapsed(examples[i].metrics.elapsed_seconds);
-    const ServeResponse resp = router.Submit({probe, 100.0}).get();
+    const ServeResponse resp = fab.Submit({probe, 100.0}).get();
     ASSERT_FALSE(resp.degraded()) << resp.degraded_reason;
     const core::Prediction offline = ts.Predict(probe);
     EXPECT_EQ(resp.prediction.metrics.ToVector(), offline.metrics.ToVector());
@@ -521,18 +521,20 @@ TEST(TwoStepServingTest, BoundaryQueriesRoundTripThroughShardedServing) {
     EXPECT_EQ(resp.prediction.confidence, offline.confidence);
     if (vote == workload::QueryType::kBowlingBall) {
       // Voted pool has no expert: the documented fallback — the one-model
-      // shard answers with the base model, which is exactly what the
+      // group answers with the base model, which is exactly what the
       // offline TwoStepPredictor does for an expert-less category.
-      EXPECT_EQ(resp.shard, "one-model");
+      EXPECT_EQ(resp.shard, "one-model#0");
       ++base_fallbacks;
     } else {
-      EXPECT_EQ(resp.shard, workload::QueryTypeName(vote));
+      EXPECT_EQ(resp.shard, fabric::ReplicaLabel(
+                                workload::QueryTypeName(vote), 0));
     }
     if (truth == workload::QueryType::kBowlingBall &&
         vote == workload::QueryType::kGolfBall) {
       // A ~30-minute query on the wrong side of the vote: served by the
-      // golf expert, openly (shard says so), not silently dropped.
-      EXPECT_EQ(resp.shard, "golf ball");
+      // golf expert, openly (the replica label says so), not silently
+      // dropped.
+      EXPECT_EQ(resp.shard, "golf ball#0");
       ++misclassified_boundary;
     }
   }
@@ -540,7 +542,7 @@ TEST(TwoStepServingTest, BoundaryQueriesRoundTripThroughShardedServing) {
   // queries were voted golf (neighbors dominated by the golf cluster).
   EXPECT_GT(misclassified_boundary, 0u);
   EXPECT_GT(base_fallbacks, 0u);
-  EXPECT_EQ(router.stats().escalations_dead, base_fallbacks);
+  EXPECT_EQ(fab.stats().escalations_dead, base_fallbacks);
 }
 
 // ---------------------------------------------- retraining publish hook --

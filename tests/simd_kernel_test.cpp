@@ -9,7 +9,7 @@
 //
 // Comparisons are bytewise (std::memcmp on doubles), not EXPECT_DOUBLE_EQ:
 // the contract is "same bits", which is what lets the golden suite and the
-// serve/shard/fabric replay contracts stay pinned while the kernels change.
+// serve/fabric replay contracts stay pinned while the kernels change.
 // The single deliberately-reassociating helper, simd::ReduceAdd, gets a
 // relative-tolerance gate instead and is asserted to match the ascending
 // scalar sum of its own lane values exactly (the reassociation happens when
