@@ -348,6 +348,14 @@ const ml::KccaModel& Predictor::kcca() const {
 namespace {
 constexpr uint32_t kMagic = 0x4D505051;  // "QPPM"
 constexpr uint32_t kVersion = 1;
+
+/// Reads an enum or 0/1 flag field and refuses any value above `max`: an
+/// unchecked enum cast would reach code that has no case for it.
+uint32_t ReadField(BinaryReader* r, uint32_t max, const char* what) {
+  const uint32_t v = r->ReadU32();
+  QPP_CHECK_MSG(v <= max, "model file: bad " << what << " " << v);
+  return v;
+}
 }  // namespace
 
 void Predictor::Save(std::ostream* os) const {
@@ -385,12 +393,16 @@ Predictor Predictor::Load(std::istream* is) {
   QPP_CHECK_MSG(r.ReadU32() == kMagic, "not a qpp model file");
   QPP_CHECK_MSG(r.ReadU32() == kVersion, "unsupported model version");
   PredictorConfig cfg;
-  cfg.model = r.ReadU32() == 0 ? ModelKind::kKcca : ModelKind::kRegression;
+  cfg.model = ReadField(&r, 1, "model kind") == 0 ? ModelKind::kKcca
+                                                  : ModelKind::kRegression;
   cfg.k_neighbors = static_cast<size_t>(r.ReadU64());
-  cfg.distance = static_cast<ml::DistanceKind>(r.ReadU32());
-  cfg.weighting = static_cast<ml::NeighborWeighting>(r.ReadU32());
-  cfg.preprocess_log1p = r.ReadU32() != 0;
-  cfg.preprocess_standardize = r.ReadU32() != 0;
+  cfg.distance = static_cast<ml::DistanceKind>(ReadField(
+      &r, static_cast<uint32_t>(ml::DistanceKind::kCosine), "distance"));
+  cfg.weighting = static_cast<ml::NeighborWeighting>(ReadField(
+      &r, static_cast<uint32_t>(ml::NeighborWeighting::kInverseDistance),
+      "weighting"));
+  cfg.preprocess_log1p = ReadField(&r, 1, "log1p flag") != 0;
+  cfg.preprocess_standardize = ReadField(&r, 1, "standardize flag") != 0;
   cfg.anomaly_factor = r.ReadDouble();
   Predictor p(cfg);
   p.preprocessor_ = ml::Preprocessor::Load(&r);

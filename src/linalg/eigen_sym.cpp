@@ -40,13 +40,24 @@ void Tred2(Matrix& a, Vector& d, Vector& e) {
         e[i] = scale * g;
         h -= f * g;
         a(i, l) = f - g;
+        // p = A u / h from the lower triangle: g_j sums a(j,k) u_k up to the
+        // diagonal, then a(k,j) u_k below it, in ascending k. Walked row by
+        // row: row k completes g_k's row part, then adds its entries left
+        // of the diagonal to every g_j, j < k, so each g_j (held in e[j])
+        // receives its terms in ascending k.
+        const double* ai = &a(i, 0);
+        for (size_t k = 0; k <= l; ++k) {
+          const double* ak = &a(k, 0);
+          double gk = 0.0;
+          for (size_t j = 0; j <= k; ++j) gk += ak[j] * ai[j];
+          const double uk = ai[k];
+          for (size_t j = 0; j < k; ++j) e[j] += ak[j] * uk;
+          e[k] = gk;
+        }
         f = 0.0;
         for (size_t j = 0; j <= l; ++j) {
           a(j, i) = a(i, j) / h;
-          g = 0.0;
-          for (size_t k = 0; k <= j; ++k) g += a(j, k) * a(i, k);
-          for (size_t k = j + 1; k <= l; ++k) g += a(k, j) * a(i, k);
-          e[j] = g / h;
+          e[j] /= h;
           f += e[j] * a(i, j);
         }
         const double hh = f / (h + h);
@@ -64,12 +75,24 @@ void Tred2(Matrix& a, Vector& d, Vector& e) {
   }
   d[0] = 0.0;
   e[0] = 0.0;
+  // Accumulation of Q: for each i, g_j = sum_k a(i,k) a(k,j) for every
+  // j < i, then a(k,j) -= g_j a(k,i). All g_j are accumulated first, row by
+  // row over k, and the rank-1 update follows, also row by row. g_j reads
+  // only row i and column j (rows k < i), which no other column's update
+  // touches, and each g_j sums from 0.0 in ascending k.
+  Vector g(n);
   for (size_t i = 0; i < n; ++i) {
     if (d[i] != 0.0) {
-      for (size_t j = 0; j < i; ++j) {
-        double g = 0.0;
-        for (size_t k = 0; k < i; ++k) g += a(i, k) * a(k, j);
-        for (size_t k = 0; k < i; ++k) a(k, j) -= g * a(k, i);
+      std::fill(g.begin(), g.begin() + i, 0.0);
+      for (size_t k = 0; k < i; ++k) {
+        const double aik = a(i, k);
+        const double* ak = &a(k, 0);
+        for (size_t j = 0; j < i; ++j) g[j] += aik * ak[j];
+      }
+      for (size_t k = 0; k < i; ++k) {
+        const double aki = a(k, i);
+        double* ak = &a(k, 0);
+        for (size_t j = 0; j < i; ++j) ak[j] -= g[j] * aki;
       }
     }
     d[i] = a(i, i);
@@ -79,8 +102,19 @@ void Tred2(Matrix& a, Vector& d, Vector& e) {
 }
 
 // Implicit-shift QL on a tridiagonal matrix with eigenvector accumulation.
-// Returns false if any eigenvalue needs more than 50 iterations.
-bool Tqli(Vector& d, Vector& e, Matrix& z) {
+// The eigenvectors are kept transposed: row i of `zt` is eigenvector
+// column i of NR's z, so each Givens rotation updates two contiguous rows,
+// with NR's two expressions per element.
+//
+// Returns false if an eigenvalue has not converged after kMaxIters sweeps
+// (NaN input, for one). The deflation test compares e[m] with its two
+// neighbouring diagonal entries, so a cluster of round-off-sized
+// eigenvalues (the null space of a rank-deficient kernel product, ~1e-19
+// next to eigenvalues ~1) converges slowly: the golf-ball model of one
+// seed-42 ledger training split needs 50 sweeps on its first eigenvalue.
+// The cap does not affect a decomposition that converges within it.
+bool Tqli(Vector& d, Vector& e, Matrix& zt) {
+  constexpr int kMaxIters = 200;
   const size_t n = d.size();
   if (n == 0) return true;
   for (size_t i = 1; i < n; ++i) e[i - 1] = e[i];
@@ -94,7 +128,7 @@ bool Tqli(Vector& d, Vector& e, Matrix& z) {
         if (std::abs(e[m]) <= 1e-300 || std::abs(e[m]) <= 2.3e-16 * dd) break;
       }
       if (m != l) {
-        if (++iter == 50) return false;
+        if (++iter == kMaxIters) return false;
         double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
         double r = Hypot(g, 1.0);
         g = d[m] - d[l] + e[l] / (g + (g >= 0.0 ? std::abs(r) : -std::abs(r)));
@@ -119,10 +153,12 @@ bool Tqli(Vector& d, Vector& e, Matrix& z) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
+          double* zi = &zt(i, 0);
+          double* zi1 = &zt(i + 1, 0);
           for (size_t k = 0; k < n; ++k) {
-            f = z(k, i + 1);
-            z(k, i + 1) = s * z(k, i) + c * f;
-            z(k, i) = c * z(k, i) - s * f;
+            const double zf = zi1[k];
+            zi1[k] = s * zi[k] + c * zf;
+            zi[k] = c * zi[k] - s * zf;
           }
         }
         if (r == 0.0 && m > l + 1) continue;
@@ -135,12 +171,19 @@ bool Tqli(Vector& d, Vector& e, Matrix& z) {
   return true;
 }
 
-}  // namespace
+// The decomposition both entry points share: eigenvalues in QL order,
+// eigenvectors as the rows of `zt`, and the ascending-eigenvalue order.
+struct Decomposition {
+  Vector d;
+  Matrix zt;
+  std::vector<size_t> order;
+  bool converged = false;
+};
 
-SymmetricEigen EigenSymmetric(const Matrix& a) {
+Decomposition Decompose(const Matrix& a) {
   QPP_CHECK_MSG(a.rows() == a.cols(), "EigenSymmetric needs a square matrix");
   const size_t n = a.rows();
-  SymmetricEigen out;
+  Decomposition out;
   if (n == 0) {
     out.converged = true;
     return out;
@@ -160,41 +203,59 @@ SymmetricEigen EigenSymmetric(const Matrix& a) {
       },
       "eigen_symmetrize");
 
-  Vector d, e;
-  Tred2(s, d, e);
-  const bool ok = Tqli(d, e, s);
+  Vector e;
+  Tred2(s, out.d, e);
+  out.zt = s.Transpose();
+  out.converged = Tqli(out.d, e, out.zt);
 
-  // Sort ascending, permuting eigenvector columns to match.
-  std::vector<size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), 0);
-  std::sort(idx.begin(), idx.end(),
+  out.order.resize(n);
+  std::iota(out.order.begin(), out.order.end(), 0);
+  const Vector& d = out.d;
+  std::sort(out.order.begin(), out.order.end(),
             [&](size_t x, size_t y) { return d[x] < d[y]; });
-  out.values.resize(n);
-  out.vectors = Matrix(n, n);
-  for (size_t c = 0; c < n; ++c) out.values[c] = d[idx[c]];
+  return out;
+}
+
+// Eigenpairs src[0], src[1], ... of `dec`: values[c] and column c of the
+// n x k `vectors`. The output columns are split across threads, each
+// reading whole rows of zt.
+void Gather(const Decomposition& dec, const std::vector<size_t>& src,
+            Vector* values, Matrix* vectors) {
+  const size_t n = dec.zt.cols();
+  const size_t k = src.size();
+  values->resize(k);
+  for (size_t c = 0; c < k; ++c) (*values)[c] = dec.d[src[c]];
+  *vectors = Matrix(n, k);
   par::ParallelFor(
-      0, n, 32,
-      [&](size_t r0, size_t r1) {
-        for (size_t r = r0; r < r1; ++r)
-          for (size_t c = 0; c < n; ++c) out.vectors(r, c) = s(r, idx[c]);
+      0, k, 32,
+      [&](size_t c0, size_t c1) {
+        for (size_t c = c0; c < c1; ++c) {
+          const double* row = dec.zt.data().data() + src[c] * n;
+          for (size_t r = 0; r < n; ++r) (*vectors)(r, c) = row[r];
+        }
       },
       "eigen_permute");
-  out.converged = ok;
+}
+
+}  // namespace
+
+SymmetricEigen EigenSymmetric(const Matrix& a) {
+  const Decomposition dec = Decompose(a);
+  SymmetricEigen out;
+  Gather(dec, dec.order, &out.values, &out.vectors);
+  out.converged = dec.converged;
   return out;
 }
 
 TopEigen TopKEigenSymmetric(const Matrix& a, size_t k) {
-  const SymmetricEigen full = EigenSymmetric(a);
-  const size_t n = full.values.size();
-  const size_t kk = std::min(k, n);
+  const Decomposition dec = Decompose(a);
+  const size_t n = dec.order.size();
+  // Largest first: column c is the (n-1-c)-th in ascending order.
+  std::vector<size_t> src(std::min(k, n));
+  for (size_t c = 0; c < src.size(); ++c) src[c] = dec.order[n - 1 - c];
   TopEigen out;
-  out.values.resize(kk);
-  out.vectors = Matrix(n, kk);
-  for (size_t c = 0; c < kk; ++c) {
-    const size_t src = n - 1 - c;  // ascending -> take from the top
-    out.values[c] = full.values[src];
-    for (size_t r = 0; r < n; ++r) out.vectors(r, c) = full.vectors(r, src);
-  }
+  Gather(dec, src, &out.values, &out.vectors);
+  out.converged = dec.converged;
   return out;
 }
 

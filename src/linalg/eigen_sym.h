@@ -26,10 +26,13 @@ struct SymmetricEigen {
 SymmetricEigen EigenSymmetric(const Matrix& a);
 
 /// Convenience: the top-k eigenpairs (largest eigenvalues first) as
-/// (values, n-by-k matrix of column eigenvectors).
+/// (values, n-by-k matrix of column eigenvectors). `converged` is false
+/// when the QL iteration gave up (e.g. on NaN input); the pairs are then
+/// meaningless.
 struct TopEigen {
   Vector values;
   Matrix vectors;
+  bool converged = false;
 };
 TopEigen TopKEigenSymmetric(const Matrix& a, size_t k);
 

@@ -23,6 +23,7 @@ IncompleteCholeskyResult IncompleteCholesky(size_t n, const KernelFn& kernel,
 
   std::vector<size_t> pivots;
   pivots.reserve(m_cap);
+  std::vector<bool> pivoted(n, false);
 
   while (pivots.size() < m_cap) {
     // Select the pivot with the largest residual diagonal.
@@ -36,20 +37,24 @@ IncompleteCholeskyResult IncompleteCholesky(size_t n, const KernelFn& kernel,
     }
     if (best <= tol) break;
 
+    // New column: (K(i, p) - sum_c G(i, c) G(p, c)) / lpp, built one
+    // previous column at a time so every pass runs down contiguous
+    // vectors; each row's subtraction chain runs in ascending column
+    // order. The kernel is evaluated only on rows that are neither the
+    // pivot nor already pivoted; those rows are set afterwards: lpp on the
+    // pivot row, 0 on pivoted rows, whose residual is exactly zero.
     const double lpp = std::sqrt(best);
-    std::vector<bool> pivoted(n, false);
-    for (size_t prev : pivots) pivoted[prev] = true;
     Vector col(n, 0.0);
     for (size_t i = 0; i < n; ++i) {
-      if (i == p) {
-        col[i] = lpp;
-        continue;
-      }
-      if (pivoted[i]) continue;  // residual is exactly zero there
-      double s = kernel(i, p);
-      for (const Vector& prev : cols) s -= prev[i] * prev[p];
-      col[i] = s / lpp;
+      if (i != p && !pivoted[i]) col[i] = kernel(i, p);
     }
+    for (const Vector& prev : cols) {
+      const double gp = prev[p];
+      for (size_t i = 0; i < n; ++i) col[i] -= prev[i] * gp;
+    }
+    for (size_t i = 0; i < n; ++i) col[i] /= lpp;
+    for (size_t prev : pivots) col[prev] = 0.0;
+    col[p] = lpp;
     for (size_t i = 0; i < n; ++i) {
       d[i] -= col[i] * col[i];
       if (d[i] < 0.0) d[i] = 0.0;  // clamp round-off
@@ -57,6 +62,7 @@ IncompleteCholeskyResult IncompleteCholesky(size_t n, const KernelFn& kernel,
     d[p] = 0.0;
     cols.push_back(std::move(col));
     pivots.push_back(p);
+    pivoted[p] = true;
   }
 
   const size_t m = cols.size();

@@ -11,14 +11,36 @@ namespace qpp::ml {
 
 namespace {
 
+// Sums row by row; each mean[j] accumulates from 0.0 in ascending i.
 linalg::Vector ColumnMeans(const linalg::Matrix& m) {
-  linalg::Vector mean(m.cols(), 0.0);
-  for (size_t j = 0; j < m.cols(); ++j) {
-    double s = 0.0;
-    for (size_t i = 0; i < m.rows(); ++i) s += m(i, j);
-    mean[j] = s / static_cast<double>(m.rows());
+  const size_t cols = m.cols();
+  linalg::Vector mean(cols, 0.0);
+  for (size_t i = 0; i < m.rows(); ++i) {
+    const double* row = &m.data()[i * cols];
+    for (size_t j = 0; j < cols; ++j) mean[j] += row[j];
   }
+  for (double& v : mean) v /= static_cast<double>(m.rows());
   return mean;
+}
+
+// out(i, .) = sum_j (x(i, j) - mean[j]) w(j, .): each element sums from 0.0
+// over ascending j, one row of w at a time.
+linalg::Matrix ProjectRows(const linalg::Matrix& x, const linalg::Vector& mean,
+                           const linalg::Matrix& w) {
+  QPP_CHECK(x.cols() == mean.size() && w.rows() == mean.size());
+  const size_t p = x.cols();
+  const size_t d = w.cols();
+  linalg::Matrix out(x.rows(), d);
+  for (size_t i = 0; i < x.rows(); ++i) {
+    const double* xrow = &x.data()[i * p];
+    double* orow = &out.data()[i * d];
+    for (size_t j = 0; j < p; ++j) {
+      const double xj = xrow[j] - mean[j];
+      const double* wrow = &w.data()[j * d];
+      for (size_t c = 0; c < d; ++c) orow[c] += xj * wrow[c];
+    }
+  }
+  return out;
 }
 
 linalg::Matrix CenterColumns(const linalg::Matrix& m,
@@ -71,6 +93,7 @@ CcaModel FitCca(const linalg::Matrix& x, const linalg::Matrix& y,
   const linalg::Matrix s = m.MultiplyTranspose(m);
 
   const linalg::TopEigen top = linalg::TopKEigenSymmetric(s, d);
+  QPP_CHECK_MSG(top.converged, "CCA eigensolver did not converge");
 
   model.wx = linalg::Matrix(p, d);
   model.wy = linalg::Matrix(q, d);
@@ -82,12 +105,16 @@ CcaModel FitCca(const linalg::Matrix& x, const linalg::Matrix& y,
     const linalg::Vector u = top.vectors.Col(c);
     const linalg::Vector wx_col = lx.SolveLowerTranspose(u);
     for (size_t j = 0; j < p; ++j) model.wx(j, c) = wx_col[j];
-    // v = M^T u / sigma; wy = Ly^{-T} v.
+    // v = M^T u / sigma, accumulated row by row over M (each v[j] sums
+    // in ascending i); wy = Ly^{-T} v.
     linalg::Vector v(q, 0.0);
-    for (size_t j = 0; j < q; ++j) {
-      double sum = 0.0;
-      for (size_t i = 0; i < p; ++i) sum += m(i, j) * u[i];
-      v[j] = sigma > 1e-12 ? sum / sigma : sum;
+    for (size_t i = 0; i < p; ++i) {
+      const double ui = u[i];
+      const double* mrow = &m.data()[i * q];
+      for (size_t j = 0; j < q; ++j) v[j] += mrow[j] * ui;
+    }
+    if (sigma > 1e-12) {
+      for (double& vj : v) vj /= sigma;
     }
     const linalg::Vector wy_col = ly.SolveLowerTranspose(v);
     for (size_t j = 0; j < q; ++j) model.wy(j, c) = wy_col[j];
@@ -96,41 +123,19 @@ CcaModel FitCca(const linalg::Matrix& x, const linalg::Matrix& y,
 }
 
 linalg::Vector CcaModel::ProjectX(const linalg::Vector& x) const {
-  QPP_CHECK(x.size() == mean_x.size());
-  linalg::Vector out(wx.cols(), 0.0);
-  for (size_t c = 0; c < wx.cols(); ++c) {
-    double s = 0.0;
-    for (size_t j = 0; j < x.size(); ++j) {
-      s += (x[j] - mean_x[j]) * wx(j, c);
-    }
-    out[c] = s;
-  }
-  return out;
+  return ProjectXAll(linalg::Matrix::FromRows({x})).Row(0);
 }
 
 linalg::Vector CcaModel::ProjectY(const linalg::Vector& y) const {
-  QPP_CHECK(y.size() == mean_y.size());
-  linalg::Vector out(wy.cols(), 0.0);
-  for (size_t c = 0; c < wy.cols(); ++c) {
-    double s = 0.0;
-    for (size_t j = 0; j < y.size(); ++j) {
-      s += (y[j] - mean_y[j]) * wy(j, c);
-    }
-    out[c] = s;
-  }
-  return out;
+  return ProjectYAll(linalg::Matrix::FromRows({y})).Row(0);
 }
 
 linalg::Matrix CcaModel::ProjectXAll(const linalg::Matrix& x) const {
-  linalg::Matrix out(x.rows(), wx.cols());
-  for (size_t i = 0; i < x.rows(); ++i) out.SetRow(i, ProjectX(x.Row(i)));
-  return out;
+  return ProjectRows(x, mean_x, wx);
 }
 
 linalg::Matrix CcaModel::ProjectYAll(const linalg::Matrix& y) const {
-  linalg::Matrix out(y.rows(), wy.cols());
-  for (size_t i = 0; i < y.rows(); ++i) out.SetRow(i, ProjectY(y.Row(i)));
-  return out;
+  return ProjectRows(y, mean_y, wy);
 }
 
 namespace {

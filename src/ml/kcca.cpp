@@ -147,6 +147,7 @@ KccaModel KccaModel::Train(const linalg::Matrix& x, const linalg::Matrix& y,
 
     const size_t d = std::min(d_wanted, n);
     const linalg::TopEigen top = linalg::TopKEigenSymmetric(s, d);
+    QPP_CHECK_MSG(top.converged, "KCCA eigensolver did not converge");
 
     model.a_ = linalg::Matrix(n, d);
     linalg::Matrix b(n, d);
@@ -157,12 +158,13 @@ KccaModel KccaModel::Train(const linalg::Matrix& x, const linalg::Matrix& y,
       const linalg::Vector u = top.vectors.Col(cidx);
       const linalg::Vector a_col = lx.SolveLowerTranspose(u);
       for (size_t i = 0; i < n; ++i) model.a_(i, cidx) = a_col[i];
-      // b = My^{-1} C^T a / sigma.
+      // b = My^{-1} C^T a / sigma, with C^T a accumulated row by row over
+      // C (each cta[j] sums in ascending i).
       linalg::Vector cta(n, 0.0);
-      for (size_t j = 0; j < n; ++j) {
-        double sum = 0.0;
-        for (size_t i = 0; i < n; ++i) sum += c(i, j) * a_col[i];
-        cta[j] = sum;
+      for (size_t i = 0; i < n; ++i) {
+        const double ai = a_col[i];
+        const double* crow = &c.data()[i * n];
+        for (size_t j = 0; j < n; ++j) cta[j] += crow[j] * ai;
       }
       linalg::Vector b_col = ly.Solve(cta);
       if (sigma > 1e-12) {
@@ -636,8 +638,9 @@ void KccaModel::Save(BinaryWriter* w) const {
 
 KccaModel KccaModel::Load(BinaryReader* r) {
   KccaModel m;
-  m.solver_used_ =
-      r->ReadU32() == 0 ? KccaSolver::kExact : KccaSolver::kIcd;
+  const uint32_t solver = r->ReadU32();
+  QPP_CHECK_MSG(solver <= 1, "model file: bad KCCA solver");
+  m.solver_used_ = solver == 0 ? KccaSolver::kExact : KccaSolver::kIcd;
   m.options_.num_dims = static_cast<size_t>(r->ReadU64());
   m.options_.kappa = r->ReadDouble();
   m.options_.tau_factor_x = r->ReadDouble();

@@ -27,6 +27,7 @@ void Pca::Fit(const linalg::Matrix& x, size_t num_components) {
   for (size_t j = 0; j < p; ++j) total_variance_ += cov(j, j);
 
   const linalg::TopEigen top = linalg::TopKEigenSymmetric(cov, k);
+  QPP_CHECK_MSG(top.converged, "PCA eigensolver did not converge");
   components_ = top.vectors;  // p x k, descending eigenvalues
   variance_ = top.values;
   for (double& v : variance_) v = std::max(v, 0.0);

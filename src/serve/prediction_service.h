@@ -77,8 +77,10 @@ struct ServeRequest {
   /// Request-scoped correlation context (see obs/request_context.h). The
   /// fabric stamps a deterministic trace id here at its front door;
   /// standalone callers may stamp their own or leave it empty (no
-  /// correlation, no cost). Never affects the prediction.
-  obs::RequestContext ctx;
+  /// correlation, no cost). Never affects the prediction. The default
+  /// member initializer lets callers brace-initialize the leading fields
+  /// without -Wmissing-field-initializers.
+  obs::RequestContext ctx = {};
 };
 
 struct ServeResponse {

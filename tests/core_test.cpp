@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "common/rng.h"
+#include "common/serde.h"
 #include "core/capacity_planner.h"
 #include "core/experiment.h"
 #include "core/model_io.h"
@@ -156,6 +158,45 @@ TEST(ModelIoTest, CorruptFileReportsError) {
     os << "not a model";
   }
   EXPECT_FALSE(LoadModelFile(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(ModelIoTest, OutOfRangeEnumFieldsAreErrors) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "qpp_enum_flip.bin").string();
+  Predictor pred;
+  pred.Train(SyntheticExamples(100, 9));
+  std::stringstream ss;
+  pred.Save(&ss);
+  const std::string bytes = ss.str();
+  // The KCCA block closes the file; its first field is the solver.
+  std::ostringstream kcca;
+  {
+    BinaryWriter w(kcca);
+    pred.kcca().Save(&w);
+  }
+  const size_t solver_at = bytes.size() - kcca.str().size();
+
+  // Saving what was loaded reproduces the file byte for byte.
+  std::stringstream in(bytes);
+  std::stringstream again;
+  Predictor::Load(&in).Save(&again);
+  EXPECT_EQ(again.str(), bytes);
+
+  // Offsets: magic 0, version 4, model kind 8, k 12, distance 20,
+  // weighting 24, log1p 28, standardize 32.
+  const std::pair<size_t, uint32_t> flips[] = {
+      {8, 2}, {20, 7}, {24, 9}, {28, 2}, {32, 5}, {solver_at, 3}};
+  for (const auto& [offset, value] : flips) {
+    std::string bad = bytes;
+    std::memcpy(&bad[offset], &value, sizeof(value));
+    {
+      std::ofstream os(path, std::ios::binary);
+      os << bad;
+    }
+    const auto loaded = LoadModelFile(path);
+    EXPECT_FALSE(loaded.ok()) << "byte " << offset << " = " << value;
+  }
   std::remove(path.c_str());
 }
 

@@ -183,6 +183,14 @@ TEST(EigenTest, TopKOrdering) {
   EXPECT_EQ(top.vectors.cols(), 3u);
 }
 
+TEST(EigenTest, TopKReportsNonConvergenceOnNaN) {
+  Matrix a = RandomSpd(4, 13);
+  a(1, 2) = a(2, 1) = std::nan("");
+  EXPECT_FALSE(EigenSymmetric(a).converged);
+  EXPECT_FALSE(TopKEigenSymmetric(a, 2).converged);
+  EXPECT_TRUE(TopKEigenSymmetric(RandomSpd(4, 13), 2).converged);
+}
+
 TEST(EigenTest, DegenerateRepeatedEigenvalues) {
   const Matrix a = Matrix::Identity(6).Scale(4.0);
   const SymmetricEigen eig = EigenSymmetric(a);

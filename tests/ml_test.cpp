@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "catalog/tpcds.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "ml/feature_vector.h"
 #include "ml/kernel.h"
@@ -379,6 +380,13 @@ TEST(PcaTest, VarianceDescending) {
   for (size_t i = 1; i < 5; ++i) {
     EXPECT_GE(pca.explained_variance()[i - 1], pca.explained_variance()[i]);
   }
+}
+
+TEST(PcaTest, RefusesAnUnconvergedEigensolve) {
+  linalg::Matrix x = RandomMatrix(20, 4, 12);
+  x(3, 1) = std::nan("");
+  Pca pca;
+  EXPECT_THROW(pca.Fit(x, 2), CheckFailure);
 }
 
 TEST(KnnTest, FindsExactNearest) {

@@ -146,7 +146,9 @@ TEST_P(TemplatePropertyTest, MetricInvariants) {
     EXPECT_EQ(m.message_count, std::floor(m.message_count));
     // Payload bytes imply messages; the reverse need not hold (empty
     // results still exchange zero-payload control messages).
-    if (m.message_bytes > 0) EXPECT_GT(m.message_count, 0.0) << sql;
+    if (m.message_bytes > 0) {
+      EXPECT_GT(m.message_count, 0.0) << sql;
+    }
   }
 }
 
@@ -167,7 +169,9 @@ TEST_P(TemplatePropertyTest, FeatureVectorInvariants) {
       EXPECT_EQ(v[d], std::floor(v[d])) << "instance counts are integral";
       EXPECT_GE(v[d + 1], 0.0) << "cardinality sums are non-negative";
       // No cardinality mass without instances.
-      if (v[d] == 0.0) EXPECT_EQ(v[d + 1], 0.0);
+      if (v[d] == 0.0) {
+        EXPECT_EQ(v[d + 1], 0.0);
+      }
       total_count += v[d];
     }
     // Counts add up to the number of plan nodes.

@@ -44,7 +44,9 @@
 //       counter set (tests/golden/lifecycle.json; docs/LIFECYCLE.md).
 //
 // All commands run against the TPC-DS SF-1 catalog on the Neoview-4
-// configuration; this is a demonstration surface, not a kitchen sink.
+// configuration; this is a demonstration surface, not a kitchen sink. A
+// flag the command does not read, or a stray argument, prints the usage
+// text and exits 2.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -54,6 +56,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -91,20 +94,69 @@ struct Args {
   }
 };
 
-Args ParseArgs(int argc, char** argv) {
-  Args args;
-  if (argc >= 2) args.command = argv[1];
+/// The flags one command reads: `values` take the next argument, `switches`
+/// take none.
+struct FlagSpec {
+  std::set<std::string> values;
+  std::set<std::string> switches;
+};
+
+FlagSpec FlagsFor(const std::string& command, bool flight_demo) {
+  if (command == "pools") return {{"candidates", "seed"}, {}};
+  if (command == "train") return {{"out", "candidates", "seed"}, {}};
+  if (command == "plan") return {{"sql", "out"}, {"dot"}};
+  if (command == "predict") return {{"model", "sql", "plan"}, {}};
+  if (command == "explain") return {{"model", "sql"}, {}};
+  if (command == "serve") {
+    return {{"model", "candidates", "seed", "clients", "requests", "distinct",
+             "workers", "batch", "cache", "trace-out", "statsz"},
+            {}};
+  }
+  if (command == "obs" && flight_demo) {
+    return {{"flight-dump", "trace-out", "prom", "seed", "requests"}, {}};
+  }
+  if (command == "obs") {
+    return {{"sql", "trace-out", "model", "candidates", "seed"}, {}};
+  }
+  if (command == "chaos") {
+    return {{"scenario", "seed", "requests", "queries", "json-out", "plan",
+             "save-plan"},
+            {"soak", "fabric-soak"}};
+  }
+  return {};
+}
+
+/// Parses argv[2..] against the command's flags. Prints what is wrong and
+/// returns false on a flag the command does not read, a value flag with no
+/// value, or a stray positional argument.
+bool ParseArgs(int argc, char** argv, Args* args) {
+  if (argc >= 2) args->command = argv[1];
+  bool flight_demo = false;
   for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args.options[key] = argv[++i];
+    flight_demo = flight_demo || std::strcmp(argv[i], "--flight-dump") == 0;
+  }
+  const FlagSpec spec = FlagsFor(args->command, flight_demo);
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      std::fprintf(stderr, "error: unexpected argument '%s'\n", arg.c_str());
+      return false;
+    }
+    const std::string key = arg.substr(2);
+    if (spec.switches.count(key) > 0) {
+      args->options[key] = "";
+    } else if (spec.values.count(key) == 0) {
+      std::fprintf(stderr, "error: unknown flag --%s for '%s'\n", key.c_str(),
+                   args->command.c_str());
+      return false;
+    } else if (i + 1 >= argc) {
+      std::fprintf(stderr, "error: --%s needs a value\n", key.c_str());
+      return false;
     } else {
-      args.options[key] = "";
+      args->options[key] = argv[++i];
     }
   }
-  return args;
+  return true;
 }
 
 int Usage() {
@@ -657,7 +709,8 @@ int CmdChaos(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = ParseArgs(argc, argv);
+  Args args;
+  if (!ParseArgs(argc, argv, &args)) return Usage();
   try {
     if (args.command == "pools") return CmdPools(args);
     if (args.command == "train") return CmdTrain(args);
