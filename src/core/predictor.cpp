@@ -17,6 +17,19 @@ namespace {
 /// Queries per parallel chunk when batching k-d tree lookups (matches the
 /// brute batch path's kQueryGrain; fixed — see par/thread_pool.h).
 constexpr size_t kIndexQueryGrain = 4;
+
+using Clock = std::chrono::steady_clock;
+
+double Secs(Clock::time_point a, Clock::time_point z) {
+  return std::chrono::duration<double>(z - a).count();
+}
+
+/// The scratch Predict and Classify run their B = 1 batch through: one per
+/// thread (see the thread-safety contract in predictor.h).
+Predictor::BatchScratch& ThreadScratch() {
+  thread_local Predictor::BatchScratch scratch;
+  return scratch;
+}
 }  // namespace
 
 Predictor::Predictor(PredictorConfig config) : config_(std::move(config)) {
@@ -82,12 +95,13 @@ void Predictor::Train(const std::vector<ml::TrainingExample>& examples) {
     *mean_out = mean;
     *p99_out = self_dist[static_cast<size_t>(0.99 * (n - 1))];
   };
-  self_stats(IndexedNeighbors(proj_index_, kcca_.x_projection(),
-                              kcca_.x_projection(), config_.k_neighbors + 1),
-             &train_dist_mean_, &train_dist_p99_);
-  self_stats(IndexedNeighbors(feat_index_, train_xp_, train_xp_,
-                              config_.k_neighbors + 1),
-             &train_feat_dist_mean_, &train_feat_dist_p99_);
+  std::vector<std::vector<ml::Neighbor>> nbrs;
+  IndexedNeighborsInto(proj_index_, kcca_.x_projection(), kcca_.x_projection(),
+                       config_.k_neighbors + 1, &nbrs);
+  self_stats(nbrs, &train_dist_mean_, &train_dist_p99_);
+  IndexedNeighborsInto(feat_index_, train_xp_, train_xp_,
+                       config_.k_neighbors + 1, &nbrs);
+  self_stats(nbrs, &train_feat_dist_mean_, &train_feat_dist_p99_);
   trained_ = true;
 }
 
@@ -100,14 +114,6 @@ void Predictor::RebuildIndexes() {
     proj_index_.Build(kcca_.x_projection());
     feat_index_.Build(train_xp_);
   }
-}
-
-std::vector<std::vector<ml::Neighbor>> Predictor::IndexedNeighbors(
-    const ml::KdTree& index, const linalg::Matrix& points,
-    const linalg::Matrix& queries, size_t k) const {
-  std::vector<std::vector<ml::Neighbor>> out;
-  IndexedNeighborsInto(index, points, queries, k, &out);
-  return out;
 }
 
 void Predictor::IndexedNeighborsInto(
@@ -146,27 +152,17 @@ void Predictor::IndexedNeighborsInto(
 Prediction Predictor::Predict(const linalg::Vector& query_features) const {
   QPP_CHECK_MSG(trained_, "Predict before Train");
   Prediction out;
-  const linalg::Vector xp = preprocessor_.TransformRow(query_features);
-
   if (config_.model == ModelKind::kRegression) {
-    out.metrics = engine::QueryMetrics::FromVector(regression_.Predict(xp));
-    out.predicted_type =
-        workload::ClassifyElapsed(out.metrics.elapsed_seconds);
+    RegressionPredictInto(query_features, &out);
     return out;
   }
-
-  const std::vector<ml::Neighbor> nbrs = ProjectionNeighbors(xp);
-  // Feature-space distance to the query's own feature-space neighbors (see
-  // header: catches far-away inputs the saturating kernel would hide). These
-  // are searched independently of the projection neighbors — the projection
-  // legitimately ignores performance-irrelevant dimensions, so its
-  // neighbors can be feature-distant without being anomalous.
-  const std::vector<ml::Neighbor> feat_nbrs =
-      feat_index_.empty()
-          ? ml::FindNearest(train_xp_, xp, config_.k_neighbors,
-                            config_.distance)
-          : feat_index_.FindNearest(xp, config_.k_neighbors);
-  return AssembleKccaPrediction(nbrs, feat_nbrs);
+  BatchScratch& scratch = ThreadScratch();
+  ProjectAndSearch(&query_features, 1, &scratch, nullptr, nullptr);
+  IndexedNeighborsInto(feat_index_, train_xp_, scratch.xp, config_.k_neighbors,
+                       &scratch.feat_nbrs);
+  out.neighbor_indices.reserve(config_.k_neighbors);
+  AssembleKccaPredictionInto(scratch.nbrs[0], scratch.feat_nbrs[0], &out);
+  return out;
 }
 
 workload::QueryType Predictor::Classify(
@@ -176,17 +172,56 @@ workload::QueryType Predictor::Classify(
     // No neighbors: the category is that of the predicted elapsed time.
     return Predict(query_features).predicted_type;
   }
-  return VoteCategory(
-      ProjectionNeighbors(preprocessor_.TransformRow(query_features)));
+  BatchScratch& scratch = ThreadScratch();
+  ProjectAndSearch(&query_features, 1, &scratch, nullptr, nullptr);
+  return VoteCategory(scratch.nbrs[0]);
 }
 
-std::vector<ml::Neighbor> Predictor::ProjectionNeighbors(
-    const linalg::Vector& xp) const {
-  const linalg::Vector q = kcca_.ProjectX(xp);
-  return proj_index_.empty()
-             ? ml::FindNearest(kcca_.x_projection(), q, config_.k_neighbors,
-                               config_.distance)
-             : proj_index_.FindNearest(q, config_.k_neighbors);
+void Predictor::RegressionPredictInto(const linalg::Vector& query_features,
+                                      Prediction* out) const {
+  // No neighbors, distances or confidence: a fresh Prediction carrying the
+  // linear model's metrics and their category.
+  *out = Prediction();
+  out->metrics = engine::QueryMetrics::FromVector(
+      regression_.Predict(preprocessor_.TransformRow(query_features)));
+  out->predicted_type = workload::ClassifyElapsed(out->metrics.elapsed_seconds);
+}
+
+void Predictor::ProjectAndSearch(const linalg::Vector* queries, size_t b,
+                                 BatchScratch* scratch,
+                                 obs::TraceRecorder* trace,
+                                 BatchStageTimes* times) const {
+  const auto t0 = Clock::now();
+  {
+    obs::Span span(trace, "preprocess", "predict");
+    const size_t dims = preprocessor_.dims();
+    scratch->xp.Reshape(b, dims);
+    double* base = scratch->xp.data().data();
+    for (size_t r = 0; r < b; ++r) {
+      preprocessor_.TransformRowTo(queries[r], base + r * dims);
+    }
+  }
+  const auto t1 = Clock::now();
+  ml::KccaProjectTimes ptimes;
+  {
+    obs::Span span(trace, "kcca_project", "predict");
+    kcca_.ProjectXBatchInto(scratch->xp, &scratch->ws, &scratch->projections,
+                            times != nullptr ? &ptimes : nullptr);
+  }
+  const auto t2 = Clock::now();
+  {
+    obs::Span span(trace, "knn_projection_space", "predict");
+    IndexedNeighborsInto(proj_index_, kcca_.x_projection(),
+                         scratch->projections, config_.k_neighbors,
+                         &scratch->nbrs);
+  }
+  if (times != nullptr) {
+    times->preprocess_s += Secs(t0, t1);
+    times->kernel_s += ptimes.kernel_s;
+    times->solve_s += ptimes.solve_s;
+    times->project_s += ptimes.project_s;
+    times->knn_s += Secs(t2, Clock::now());
+  }
 }
 
 std::vector<Prediction> Predictor::PredictBatch(
@@ -214,43 +249,26 @@ void Predictor::PredictBatchInto(const std::vector<linalg::Vector>& queries,
   if (b == 0) return;
 
   if (config_.model == ModelKind::kRegression) {
-    // No shared work to amortize in the linear model; keep one code path.
+    // No shared work to amortize in the linear model.
     obs::Span span(trace, "regression_predict", "predict");
-    for (size_t r = 0; r < b; ++r) (*out)[r] = Predict(queries[r]);
+    for (size_t r = 0; r < b; ++r) {
+      RegressionPredictInto(queries[r], &(*out)[r]);
+    }
     return;
   }
 
-  using Clock = std::chrono::steady_clock;
-  const auto t0 = Clock::now();
+  ProjectAndSearch(queries.data(), b, scratch, trace, times);
+  const auto t3 = Clock::now();
   {
-    obs::Span span(trace, "preprocess", "predict");
-    scratch->xp.Reshape(b, preprocessor_.dims());
-    double* base = scratch->xp.data().data();
-    const size_t dims = preprocessor_.dims();
-    for (size_t r = 0; r < b; ++r) {
-      preprocessor_.TransformRowTo(queries[r], base + r * dims);
-    }
-  }
-  const auto t1 = Clock::now();
-  ml::KccaProjectTimes ptimes;
-  {
-    obs::Span span(trace, "kcca_project", "predict");
-    kcca_.ProjectXBatchInto(scratch->xp, &scratch->ws, &scratch->projections,
-                            times != nullptr ? &ptimes : nullptr);
-  }
-  const auto t2 = Clock::now();
-  {
-    obs::Span span(trace, "knn_projection_space", "predict");
-    IndexedNeighborsInto(proj_index_, kcca_.x_projection(),
-                         scratch->projections, config_.k_neighbors,
-                         &scratch->nbrs);
-  }
-  {
+    // Feature-space neighbors, searched independently of the projection
+    // ones (see the header: they catch far-away inputs the saturating
+    // kernel would hide, while the projection legitimately ignores
+    // performance-irrelevant dimensions).
     obs::Span span(trace, "knn_feature_space", "predict");
     IndexedNeighborsInto(feat_index_, train_xp_, scratch->xp,
                          config_.k_neighbors, &scratch->feat_nbrs);
   }
-  const auto t3 = Clock::now();
+  const auto t4 = Clock::now();
   {
     obs::Span span(trace, "assemble", "predict");
     for (size_t r = 0; r < b; ++r) {
@@ -259,25 +277,9 @@ void Predictor::PredictBatchInto(const std::vector<linalg::Vector>& queries,
     }
   }
   if (times != nullptr) {
-    const auto t4 = Clock::now();
-    const auto secs = [](Clock::time_point a, Clock::time_point z) {
-      return std::chrono::duration<double>(z - a).count();
-    };
-    times->preprocess_s += secs(t0, t1);
-    times->kernel_s += ptimes.kernel_s;
-    times->solve_s += ptimes.solve_s;
-    times->project_s += ptimes.project_s;
-    times->knn_s += secs(t2, t3);
-    times->assemble_s += secs(t3, t4);
+    times->knn_s += Secs(t3, t4);
+    times->assemble_s += Secs(t4, Clock::now());
   }
-}
-
-Prediction Predictor::AssembleKccaPrediction(
-    const std::vector<ml::Neighbor>& projection_neighbors,
-    const std::vector<ml::Neighbor>& feature_neighbors) const {
-  Prediction out;
-  AssembleKccaPredictionInto(projection_neighbors, feature_neighbors, &out);
-  return out;
 }
 
 void Predictor::AssembleKccaPredictionInto(
@@ -408,12 +410,23 @@ Predictor Predictor::Load(std::istream* is) {
   p.preprocessor_ = ml::Preprocessor::Load(&r);
   p.train_y_ = linalg::ReadMatrix(&r);
   p.train_xp_ = linalg::ReadMatrix(&r);
+  // Prediction indexes train_y_ by neighbor index and reads every metric
+  // column, so a section whose shape disagrees would read or write out of
+  // bounds later instead of failing here.
+  const size_t n = p.train_y_.rows();
+  QPP_CHECK_MSG(p.train_y_.cols() == engine::QueryMetrics::kNumMetrics,
+                "model file: training metrics are not n x 6");
   p.train_dist_mean_ = r.ReadDouble();
   p.train_dist_p99_ = r.ReadDouble();
   p.train_feat_dist_mean_ = r.ReadDouble();
   p.train_feat_dist_p99_ = r.ReadDouble();
   if (cfg.model == ModelKind::kKcca) {
+    QPP_CHECK_MSG(p.train_xp_.rows() == n &&
+                      p.train_xp_.cols() == p.preprocessor_.dims(),
+                  "model file: training features are not n x p");
     p.kcca_ = ml::KccaModel::Load(&r);
+    QPP_CHECK_MSG(p.kcca_.x_projection().rows() == n,
+                  "model file: KCCA projection does not have n rows");
     // Derived, not serialized: the indexes are rebuilt from the loaded
     // projection and features so serve/fabric reloads stay
     // byte-identical on the wire while still getting the fast lookup path.

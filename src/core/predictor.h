@@ -73,14 +73,22 @@ struct Prediction {
 /// ----------------------
 /// A Predictor is immutable once trained: Train()/Load() write the model
 /// state exactly once, and every const member function (Predict, Classify,
-/// PredictBatch, PreprocessFeatures, the accessors) only reads it — there
-/// is no mutable state, lazy initialization, or internal caching anywhere
-/// in the predict path (audited down through ml::Preprocessor,
-/// ml::KccaModel, and ml::FindNearest, which are all pure reads too). Any
-/// number of threads may therefore call const methods on one shared
-/// instance concurrently, which is how the serving worker pool uses it
+/// PredictBatch, PreprocessFeatures, the accessors) only reads it — no
+/// lazy initialization or internal caching anywhere in the predict path
+/// (audited down through ml::Preprocessor, ml::KccaModel and the neighbor
+/// searches, which are all pure reads too). Any number of threads may
+/// therefore call const methods on one shared instance concurrently,
+/// which is how the serving worker pool uses it
 /// (serve::PredictionService workers predict against one
 /// std::shared_ptr<const Predictor> snapshot).
+///
+/// The one piece of mutable state is scratch, never model state.
+/// PredictBatchInto writes only the caller's BatchScratch. Predict and
+/// Classify run the same pipeline at B = 1 through one thread_local
+/// BatchScratch per calling thread, shared by every Predictor that thread
+/// calls. Concurrent calls stay safe because each thread owns its scratch,
+/// and a call cannot re-enter itself on one thread: nothing in the
+/// pipeline calls back into a Predictor.
 ///
 /// Train() itself is NOT safe to run concurrently with reads on the same
 /// instance. Never retrain in place under traffic: train a fresh Predictor
@@ -93,24 +101,28 @@ class Predictor {
   void Train(const std::vector<ml::TrainingExample>& examples);
   bool trained() const { return trained_; }
 
-  /// Predicts all six metrics for a query feature vector.
+  /// Predicts all six metrics for a query feature vector: the
+  /// PredictBatchInto pipeline at B = 1, through this thread's scratch.
   Prediction Predict(const linalg::Vector& query_features) const;
 
   /// The category Predict(query_features).predicted_type reports, always
-  /// equal to it. A KCCA model runs only what the vote reads: preprocess,
-  /// projection, the projection-space neighbor search and the vote over
-  /// their measured elapsed times. It skips the feature-space search, the
-  /// metric averaging and the confidence. This is the two-step predictor's
-  /// first step and the serving front door's router.
+  /// equal to it. A KCCA model runs only what the vote reads, at B = 1
+  /// through this thread's scratch: preprocess, projection, the
+  /// projection-space neighbor search and the vote over their measured
+  /// elapsed times. It skips the feature-space search, the metric
+  /// averaging and the confidence. With the default k-d tree index it
+  /// allocates nothing after its first call on a thread. This is the
+  /// two-step predictor's first step and the serving front door's router.
   workload::QueryType Classify(const linalg::Vector& query_features) const;
 
   /// Micro-batch prediction: result i is bit-identical to
-  /// Predict(queries[i]). One call runs the query-blocked KCCA pipeline
+  /// Predict(queries[i]), because Predict is this pipeline at B = 1. One
+  /// call runs the query-blocked KCCA projection
   /// (ml::KccaModel::ProjectXBatchInto: batched kernel tiles, one blocked
   /// triangular solve over the whole batch) and one batched neighbor
-  /// search per space, amortizing both the per-row allocations and the
-  /// per-query factor traffic that dominate single-query latency. This is
-  /// the path the serving micro-batcher drains queued requests through.
+  /// search per space, amortizing the per-query factor traffic that
+  /// dominates single-query latency. This is the path the serving
+  /// micro-batcher drains queued requests through.
   ///
   /// When `trace` is non-null, the internal stages (preprocess, KCCA
   /// kernel/projection, the two kNN searches, prediction assembly) are
@@ -123,8 +135,8 @@ class Predictor {
   /// Reusable per-caller scratch for PredictBatchInto. All buffers grow to
   /// the steady-state batch shape on the first calls and are then reused:
   /// after warmup, PredictBatchInto performs no heap allocations (pinned
-  /// by the allocation-count check in bench_timing_batch_predict). Not
-  /// thread-safe; give each serving worker its own instance.
+  /// by tests/alloc_test.cpp). Not thread-safe; give each serving worker
+  /// its own instance.
   struct BatchScratch {
     par::Workspace ws;              ///< KCCA kernel/solve staging
     linalg::Matrix xp;              ///< B x p preprocessed queries
@@ -194,17 +206,20 @@ class Predictor {
  private:
   friend class TwoStepPredictor;
 
-  /// Everything downstream of the neighbor searches (metric averaging,
-  /// confidence, anomaly flags, category vote) for one query. Shared by
-  /// Predict and PredictBatch so the two paths cannot drift.
-  Prediction AssembleKccaPrediction(
-      const std::vector<ml::Neighbor>& projection_neighbors,
-      const std::vector<ml::Neighbor>& feature_neighbors) const;
+  /// The stages every KCCA prediction starts with, for queries[0..b):
+  /// preprocess into scratch->xp, the KCCA projection into
+  /// scratch->projections, and the projection-space neighbor search into
+  /// scratch->nbrs. PredictBatchInto runs it on the whole batch; Predict
+  /// and Classify pass one query. Spans go to `trace` and stage times to
+  /// `times` when non-null.
+  void ProjectAndSearch(const linalg::Vector* queries, size_t b,
+                        BatchScratch* scratch, obs::TraceRecorder* trace,
+                        BatchStageTimes* times) const;
 
-  /// The k nearest projection-space training rows of one preprocessed
-  /// query: KCCA projection, then the tree or brute search. Shared by
-  /// Predict and Classify, so the vote sees the same neighbors on both.
-  std::vector<ml::Neighbor> ProjectionNeighbors(const linalg::Vector& xp) const;
+  /// The whole prediction of a regression model for one query, into a
+  /// (possibly reused) Prediction: every field is reassigned.
+  void RegressionPredictInto(const linalg::Vector& query_features,
+                             Prediction* out) const;
 
   /// Majority feather/golf/bowling vote of the neighbors' measured elapsed
   /// times, ties to the lowest category. The only source of
@@ -212,26 +227,23 @@ class Predictor {
   workload::QueryType VoteCategory(
       const std::vector<ml::Neighbor>& projection_neighbors) const;
 
-  /// AssembleKccaPrediction into a (possibly reused) Prediction object.
-  /// Every field is reassigned — stale state from a previous batch cannot
-  /// leak — and the neighbor list is cleared, not reallocated.
+  /// Everything downstream of the neighbor searches (metric averaging,
+  /// confidence, anomaly flags, category vote) for one query, into a
+  /// (possibly reused) Prediction object. Every field is reassigned —
+  /// stale state from a previous batch cannot leak — and the neighbor
+  /// list is cleared, not reallocated.
   void AssembleKccaPredictionInto(
       const std::vector<ml::Neighbor>& projection_neighbors,
       const std::vector<ml::Neighbor>& feature_neighbors,
       Prediction* out) const;
 
-  /// k nearest rows of `points` for every row of `queries`: `index` when
-  /// built (it must have been built over exactly `points`), else the brute
-  /// batch search — bit-identical either way. Shared by PredictBatch and
-  /// the training self-stats, for both search spaces.
-  std::vector<std::vector<ml::Neighbor>> IndexedNeighbors(
-      const ml::KdTree& index, const linalg::Matrix& points,
-      const linalg::Matrix& queries, size_t k) const;
-
-  /// IndexedNeighbors into caller-owned storage; outer and inner vectors
-  /// keep their capacity across calls, so the indexed path allocates
-  /// nothing after warmup (the brute fallback — non-default configs only —
-  /// still assigns a fresh batch result).
+  /// k nearest rows of `points` for every row of `queries`, into
+  /// caller-owned storage: `index` when built (it must have been built
+  /// over exactly `points`), else the brute batch search — bit-identical
+  /// either way. Outer and inner vectors keep their capacity across calls,
+  /// so the indexed path allocates nothing after warmup (the brute
+  /// fallback — non-default configs only — still assigns a fresh batch
+  /// result). Serves both search spaces and the training self-stats.
   void IndexedNeighborsInto(const ml::KdTree& index,
                             const linalg::Matrix& points,
                             const linalg::Matrix& queries, size_t k,
@@ -248,8 +260,7 @@ class Predictor {
   ml::KccaModel kcca_;
   /// Exact k-d trees over kcca_.x_projection() and train_xp_ (Euclidean +
   /// kKcca + use_knn_index only; empty otherwise). Derived state: rebuilt
-  /// by Train/Load, never serialized. Immutable after training, so the
-  /// thread-safety contract above is unchanged.
+  /// by Train/Load, never serialized, immutable after training.
   ml::KdTree proj_index_;
   ml::KdTree feat_index_;
   ml::MultiOutputRegression regression_;

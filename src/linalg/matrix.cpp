@@ -25,8 +25,9 @@ constexpr size_t kParMinWork = size_t{1} << 15;
 
 // out rows [r0, r1) of A * B. k-tiled i-k-j: per output element the
 // accumulation order over k is ascending (tiles ascending, k within a tile
-// ascending), exactly matching reference::Multiply, and the aik == 0 skip
-// is preserved — so the result is bit-identical to the reference kernel.
+// ascending), exactly matching the pre-par single-threaded i-k-j loop, and
+// the aik == 0 skip is preserved — so the result is bit-identical to it
+// (tests/linalg_reference.cpp keeps that loop as the tests' oracle).
 // The tiling keeps a kKTile-row band of B hot across all rows of the block.
 // The j loop runs over independent output elements, so the SIMD form
 // (simd::AxpyRow: one mul + one add per element, lanes = adjacent j) is
@@ -54,9 +55,9 @@ void MultiplyRowRange(const double* a, const double* b, double* out,
 }
 
 // out rows [i0, i1) of A^T * B (out is acols x bcols). k stays the outer
-// loop exactly as in reference::TransposeMultiply, restricted to the
-// columns of A that map to this output-row block; per element the k order
-// and the zero skip match the reference bit for bit.
+// loop exactly as in the pre-par kernel (tests/linalg_reference.cpp),
+// restricted to the columns of A that map to this output-row block; per
+// element the k order and the zero skip match it bit for bit.
 void TransposeMultiplyRowRange(const double* a, const double* b, double* out,
                                size_t arows, size_t acols, size_t bcols,
                                size_t i0, size_t i1, bool use_simd) {
@@ -77,7 +78,8 @@ void TransposeMultiplyRowRange(const double* a, const double* b, double* out,
 }
 
 // out rows [r0, r1) of A * B^T: independent dot products, inner loop
-// identical to reference::MultiplyTranspose. The SIMD form computes
+// identical to the pre-par kernel (tests/linalg_reference.cpp). The SIMD
+// form computes
 // kLanes output columns at once — lane L carries the full sequential
 // k-ascending dot product against B row j+L (simd::DotRows), so each
 // output element's accumulation chain matches the scalar kernel bit for
@@ -275,60 +277,6 @@ std::string Matrix::ToString(int precision) const {
   }
   return os.str();
 }
-
-namespace reference {
-
-Matrix Multiply(const Matrix& a, const Matrix& b) {
-  QPP_CHECK_MSG(a.cols() == b.rows(), "dimension mismatch in Multiply");
-  Matrix out(a.rows(), b.cols());
-  // The original single-threaded i-k-j kernel, unchanged.
-  for (size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.data().data() + i * a.cols();
-    double* orow = out.data().data() + i * b.cols();
-    for (size_t k = 0; k < a.cols(); ++k) {
-      const double aik = arow[k];
-      if (aik == 0.0) continue;
-      const double* brow = b.data().data() + k * b.cols();
-      for (size_t j = 0; j < b.cols(); ++j) orow[j] += aik * brow[j];
-    }
-  }
-  return out;
-}
-
-Matrix TransposeMultiply(const Matrix& a, const Matrix& b) {
-  QPP_CHECK_MSG(a.rows() == b.rows(),
-                "dimension mismatch in TransposeMultiply");
-  Matrix out(a.cols(), b.cols());
-  for (size_t k = 0; k < a.rows(); ++k) {
-    const double* arow = a.data().data() + k * a.cols();
-    const double* brow = b.data().data() + k * b.cols();
-    for (size_t i = 0; i < a.cols(); ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      double* orow = out.data().data() + i * b.cols();
-      for (size_t j = 0; j < b.cols(); ++j) orow[j] += aki * brow[j];
-    }
-  }
-  return out;
-}
-
-Matrix MultiplyTranspose(const Matrix& a, const Matrix& b) {
-  QPP_CHECK_MSG(a.cols() == b.cols(),
-                "dimension mismatch in MultiplyTranspose");
-  Matrix out(a.rows(), b.rows());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.data().data() + i * a.cols();
-    for (size_t j = 0; j < b.rows(); ++j) {
-      const double* brow = b.data().data() + j * b.cols();
-      double s = 0.0;
-      for (size_t k = 0; k < a.cols(); ++k) s += arow[k] * brow[k];
-      out(i, j) = s;
-    }
-  }
-  return out;
-}
-
-}  // namespace reference
 
 double Dot(const Vector& a, const Vector& b) {
   QPP_CHECK(a.size() == b.size());

@@ -58,15 +58,16 @@ class Matrix {
   Matrix Transpose() const;
 
   /// this * other. Dimension-checked. Cache-blocked and parallelized over
-  /// row blocks on the qpp::par pool for large products; bit-identical to
-  /// reference::Multiply at every thread count (each output element
-  /// accumulates over k in ascending order in both kernels).
+  /// row blocks on the qpp::par pool for large products; bit-identical at
+  /// every thread count to the pre-par single-threaded kernel the tests
+  /// keep in tests/linalg_reference.cpp (each output element accumulates
+  /// over k in ascending order in both).
   Matrix Multiply(const Matrix& other) const;
   /// this^T * other without materializing the transpose. Parallel over
-  /// output-row blocks; bit-identical to reference::TransposeMultiply.
+  /// output-row blocks; bit-identical to the pre-par kernel.
   Matrix TransposeMultiply(const Matrix& other) const;
   /// this * other^T without materializing the transpose. Parallel over
-  /// row blocks; bit-identical to reference::MultiplyTranspose.
+  /// row blocks; bit-identical to the pre-par kernel.
   Matrix MultiplyTranspose(const Matrix& other) const;
   /// this * v for a vector v.
   Vector MultiplyVec(const Vector& v) const;
@@ -91,16 +92,6 @@ class Matrix {
   size_t rows_, cols_;
   std::vector<double> data_;
 };
-
-/// Reference single-threaded product kernels — the pre-par implementations,
-/// kept verbatim so tests can pin the blocked/parallel member kernels
-/// against them bit for bit (tests/linalg_test.cpp, tests/par_test.cpp).
-/// Not for production call sites.
-namespace reference {
-Matrix Multiply(const Matrix& a, const Matrix& b);
-Matrix TransposeMultiply(const Matrix& a, const Matrix& b);
-Matrix MultiplyTranspose(const Matrix& a, const Matrix& b);
-}  // namespace reference
 
 /// Euclidean dot product. Sizes must match.
 double Dot(const Vector& a, const Vector& b);

@@ -1,6 +1,10 @@
 // Binary (de)serialization for linalg types, shared by all model formats.
 #pragma once
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "common/check.h"
 #include "common/serde.h"
 #include "linalg/matrix.h"
@@ -13,12 +17,18 @@ inline void WriteMatrix(BinaryWriter* w, const Matrix& m) {
   w->WriteDoubles(m.data());
 }
 
+/// Reads a WriteMatrix section. The header's rows x cols must not wrap and
+/// must equal the payload's length before any rows x cols buffer exists: a
+/// wrapped product would let a huge shape pass with a short payload.
 inline Matrix ReadMatrix(BinaryReader* r) {
-  const size_t rows = static_cast<size_t>(r->ReadU64());
-  const size_t cols = static_cast<size_t>(r->ReadU64());
-  Matrix m(rows, cols);
-  m.data() = r->ReadDoubles();
-  QPP_CHECK_MSG(m.data().size() == rows * cols, "corrupt matrix payload");
+  const uint64_t rows = r->ReadU64();
+  const uint64_t cols = r->ReadU64();
+  QPP_CHECK_MSG(cols == 0 || rows <= UINT64_MAX / cols,
+                "corrupt matrix shape");
+  std::vector<double> payload = r->ReadDoubles();
+  QPP_CHECK_MSG(payload.size() == rows * cols, "corrupt matrix payload");
+  Matrix m(static_cast<size_t>(rows), static_cast<size_t>(cols));
+  m.data() = std::move(payload);
   return m;
 }
 

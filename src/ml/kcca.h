@@ -80,35 +80,33 @@ class KccaModel {
   size_t num_training_points() const { return px_.rows(); }
 
   /// Projects a new (preprocessed) query feature vector into the query
-  /// projection space.
+  /// projection space: a one-row ProjectXBatchInto with call-local
+  /// scratch.
   linalg::Vector ProjectX(const linalg::Vector& x) const;
 
-  /// Batch projection: row i of the result is bit-identical to
-  /// ProjectX(xs.Row(i)). Convenience wrapper over ProjectXBatchInto with
-  /// a call-local workspace (the exact path projects row-chunks in
-  /// parallel directly). Results are identical at every thread count
-  /// (tests/par_test.cpp asserts byte equality).
-  linalg::Matrix ProjectXBatch(const linalg::Matrix& xs) const;
-
-  /// The query-blocked batch projection — the serving hot path. For the
-  /// ICD solver the per-row chain (pivot kernel vector → forward
-  /// substitution → CCA directions) is restructured into three
-  /// batch-level phases over an m×B right-hand-side block carved from
-  /// `ws`: one multi-query pass over the pivot tiles
-  /// (ml::GaussianKernelTilesBatch), one blocked triangular solve
-  /// (linalg::ForwardSubstBlocked) that reads the 256 KB factor once per
-  /// B-column block instead of once per query, and one projection pass.
-  /// Row q of `out` stays bit-identical to ProjectX(xs.Row(q)) — every
-  /// output element keeps its exact per-query scalar chain; blocking only
+  /// The batch projection, and the only one: ProjectX and every
+  /// core::Predictor path run through it. Row q of `out` is the
+  /// projection of row q of `xs`, and each row's value depends on that
+  /// row alone — not on B, the thread count or the blocking.
+  ///
+  /// For the ICD solver each row's chain is pivot kernel vector → forward
+  /// substitution → CCA directions. Batches under 16 rows run it per
+  /// query (tiled kernel row, transposed substitution); larger ones
+  /// restructure it into three batch-level phases over an m×B
+  /// right-hand-side block carved from `ws`: one multi-query pass over the
+  /// pivot tiles (ml::GaussianKernelTilesBatch), one blocked triangular
+  /// solve (linalg::ForwardSubstBlocked) that reads the 256 KB factor once
+  /// per B-column block instead of once per query, and one projection
+  /// pass. Both keep every output element's scalar chain; blocking only
   /// reorders which element advances next (pinned by
-  /// tests/simd_kernel_test.cpp and tests/knn_oracle_test.cpp).
+  /// tests/simd_kernel_test.cpp and tests/knn_oracle_test.cpp). The exact
+  /// solver projects row chunks in parallel, each row's centered kernel
+  /// vector in its own slice of `ws`.
   ///
   /// `ws` and `out` are caller-owned and reused across calls: after one
   /// warmup batch of the steady-state shape the call performs zero heap
-  /// allocations (the bench's operator-new hook gates this). `times`, when
-  /// non-null, accumulates per-stage wall clock. The exact solver has no
-  /// blocked form and delegates to the row-parallel path (allocating its
-  /// result as before).
+  /// allocations on either solver (tests/alloc_test.cpp). `times`, when
+  /// non-null, accumulates the ICD path's per-stage wall clock.
   void ProjectXBatchInto(const linalg::Matrix& xs, par::Workspace* ws,
                          linalg::Matrix* out,
                          KccaProjectTimes* times = nullptr) const;
@@ -135,8 +133,9 @@ class KccaModel {
   // ICD path state: kernel against pivot points only.
   linalg::Matrix pivot_x_;       ///< m x p pivot feature rows
   linalg::Matrix lpp_;           ///< m x m lower factor of K[P,P]
-  /// Derived: lpp_ transposed, so the column-oriented (vectorized) forward
-  /// substitution in ProjectX reads columns of the factor contiguously.
+  /// Derived: lpp_ transposed, so the column-oriented (vectorized)
+  /// per-query forward substitution reads columns of the factor
+  /// contiguously.
   /// Rebuilt in Train and Load, never serialized (the model format is
   /// unchanged).
   linalg::Matrix lpp_t_;

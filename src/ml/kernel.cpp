@@ -291,17 +291,6 @@ linalg::Matrix KernelMatrix(const linalg::Matrix& x,
   return k;
 }
 
-linalg::Vector KernelVector(const linalg::Matrix& x,
-                            const linalg::Vector& point,
-                            const GaussianKernel& kernel) {
-  QPP_CHECK(kernel.tau > 0.0);
-  QPP_CHECK(x.cols() == point.size());
-  linalg::Vector out(x.rows());
-  GaussianKernelRows(x.data().data(), x.rows(), x.cols(), point.data(),
-                     x.cols(), kernel.tau, simd::Enabled(), out.data());
-  return out;
-}
-
 void CenterKernelMatrix(linalg::Matrix* k) {
   QPP_CHECK(k != nullptr && k->rows() == k->cols());
   const size_t n = k->rows();
@@ -320,21 +309,6 @@ void CenterKernelMatrix(linalg::Matrix* k) {
       (*k)(i, j) += grand - row_mean[i] - row_mean[j];
     }
   }
-}
-
-linalg::Vector CenterKernelVector(const linalg::Vector& k_star,
-                                  const linalg::Vector& row_means,
-                                  double grand_mean) {
-  QPP_CHECK(k_star.size() == row_means.size());
-  const size_t n = k_star.size();
-  double mean_star = 0.0;
-  for (double v : k_star) mean_star += v;
-  mean_star /= static_cast<double>(n);
-  linalg::Vector out(n);
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = k_star[i] - row_means[i] - mean_star + grand_mean;
-  }
-  return out;
 }
 
 }  // namespace qpp::ml

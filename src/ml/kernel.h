@@ -35,18 +35,14 @@ double MeanSquaredPairwiseDistance(const linalg::Matrix& x,
 linalg::Matrix KernelMatrix(const linalg::Matrix& x,
                             const GaussianKernel& kernel);
 
-/// Kernel vector of a new point against every row of x.
-linalg::Vector KernelVector(const linalg::Matrix& x,
-                            const linalg::Vector& point,
-                            const GaussianKernel& kernel);
-
-/// Raw row-block form of the Gaussian evaluation behind KernelVector /
-/// KernelMatrix: out[r] = exp(-||row_r - point||^2 / tau) for r in
-/// [0, count), where row_r starts at rows + r*stride. With use_simd the
-/// squared distances are computed kLanes rows at a time, one row's full
-/// ascending-j chain per lane, so the values are bit-identical to the
-/// scalar loop (which is the literal GaussianKernel::operator() chain).
-/// Hot-path building block for ml::KccaModel projection.
+/// Raw row-block form of the Gaussian evaluation behind KernelMatrix and
+/// the exact solver's query kernel vector: out[r] =
+/// exp(-||row_r - point||^2 / tau) for r in [0, count), where row_r starts
+/// at rows + r*stride. With use_simd the squared distances are computed
+/// kLanes rows at a time, one row's full ascending-j chain per lane, so
+/// the values are bit-identical to the scalar loop (which is the literal
+/// GaussianKernel::operator() chain). Hot-path building block for
+/// ml::KccaModel projection.
 void GaussianKernelRows(const double* rows, size_t count, size_t stride,
                         const double* point, size_t dims, double tau,
                         bool use_simd, double* out);
@@ -85,12 +81,5 @@ void GaussianKernelTilesBatch(const double* tiles, size_t count, size_t dims,
 
 /// In-place double centering: K <- H K H with H = I - 11^T/N.
 void CenterKernelMatrix(linalg::Matrix* k);
-
-/// Centers a new point's kernel vector consistently with a centered training
-/// kernel: k̃* = k* - rowmean(K) - mean(k*)·1 + grandmean(K).
-/// `row_means` and `grand_mean` must come from the UNcentered training K.
-linalg::Vector CenterKernelVector(const linalg::Vector& k_star,
-                                  const linalg::Vector& row_means,
-                                  double grand_mean);
 
 }  // namespace qpp::ml

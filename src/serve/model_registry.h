@@ -4,20 +4,20 @@
 //
 // Readers call Acquire() and get an immutable snapshot — a
 // std::shared_ptr<const core::Predictor> plus the generation it was
-// published as. They hold the snapshot for a whole micro-batch and never
-// take a caller-visible lock; the swap itself is a single atomic
-// shared_ptr store (libstdc++ guards the control block with an internal
-// per-object spinlock, paid once per batch, not per query). Publishers are
-// rare (one per retrain) and serialize on the atomic exchange loop.
+// published as — and hold it for a whole micro-batch (workers) or one
+// request (the fabric front door). One mutex guards the {model,
+// generation} pair; each call holds it only to copy or swap that pair, so
+// a swap is atomic to every reader. A replaced model is released after
+// the lock drops, and lives on until its last snapshot does. Publishers
+// are rare (one per retrain).
 //
 // The published Predictor must never be mutated afterwards — see the
 // thread-safety contract in core/predictor.h.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <utility>
+#include <mutex>
 
 #include "core/predictor.h"
 
@@ -39,13 +39,9 @@ class ModelRegistry {
   /// Returns the generation assigned to this model (1, 2, ...).
   uint64_t Publish(std::shared_ptr<const core::Predictor> model) {
     QPP_CHECK(model != nullptr && model->trained());
-    auto entry = std::make_shared<Entry>();
-    entry->model = std::move(model);
-    std::shared_ptr<const Entry> prev = entry_.load();
-    do {
-      entry->generation = (prev ? prev->generation : 0) + 1;
-    } while (!entry_.compare_exchange_weak(prev, entry));
-    return entry->generation;
+    std::lock_guard<std::mutex> lock(mu_);
+    model_.swap(model);  // the old model is released after the unlock
+    return ++generation_;
   }
 
   /// Convenience overload: copies a trained predictor into a shared
@@ -60,39 +56,31 @@ class ModelRegistry {
   /// later Publish keeps advancing it and generation-tagged caches never
   /// confuse a revived registry with the model it served before the kill.
   void Unpublish() {
-    std::shared_ptr<const Entry> prev = entry_.load();
-    std::shared_ptr<const Entry> cleared;
-    do {
-      if (!prev || prev->model == nullptr) return;  // already empty
-      auto entry = std::make_shared<Entry>();
-      entry->generation = prev->generation;  // model stays null
-      cleared = std::move(entry);
-    } while (!entry_.compare_exchange_weak(prev, cleared));
+    std::shared_ptr<const core::Predictor> released;
+    std::lock_guard<std::mutex> lock(mu_);
+    model_.swap(released);
   }
 
   /// Current model + generation; {nullptr, 0} before the first publish.
   /// After Unpublish() the snapshot is invalid but keeps the generation.
   Snapshot Acquire() const {
-    const std::shared_ptr<const Entry> entry = entry_.load();
-    if (!entry) return {};
-    return {entry->model, entry->generation};
+    std::lock_guard<std::mutex> lock(mu_);
+    return {model_, generation_};
   }
 
   bool has_model() const {
-    const std::shared_ptr<const Entry> entry = entry_.load();
-    return entry != nullptr && entry->model != nullptr;
+    std::lock_guard<std::mutex> lock(mu_);
+    return model_ != nullptr;
   }
   uint64_t generation() const {
-    const std::shared_ptr<const Entry> entry = entry_.load();
-    return entry ? entry->generation : 0;
+    std::lock_guard<std::mutex> lock(mu_);
+    return generation_;
   }
 
  private:
-  struct Entry {
-    std::shared_ptr<const core::Predictor> model;
-    uint64_t generation = 0;
-  };
-  std::atomic<std::shared_ptr<const Entry>> entry_;
+  mutable std::mutex mu_;
+  std::shared_ptr<const core::Predictor> model_;  ///< null when unpublished
+  uint64_t generation_ = 0;                       ///< 0 = nothing published
 };
 
 }  // namespace qpp::serve

@@ -200,6 +200,97 @@ TEST(ModelIoTest, OutOfRangeEnumFieldsAreErrors) {
   std::remove(path.c_str());
 }
 
+/// A WriteMatrix section: the rows x cols header, then a payload of
+/// `count` doubles.
+std::string MatrixSection(uint64_t rows, uint64_t cols, uint64_t count) {
+  std::ostringstream os;
+  BinaryWriter w(os);
+  w.WriteU64(rows);
+  w.WriteU64(cols);
+  w.WriteDoubles(std::vector<double>(count, 1.0));
+  return os.str();
+}
+
+/// `bytes` with its first rows x cols matrix section at or after offset
+/// `from` replaced by `section`.
+std::string SpliceMatrix(const std::string& bytes, uint64_t rows,
+                         uint64_t cols, const std::string& section,
+                         size_t from = 0) {
+  const std::string old = MatrixSection(rows, cols, rows * cols);
+  const size_t at = bytes.find(old.substr(0, 3 * sizeof(uint64_t)), from);
+  QPP_CHECK(at != std::string::npos);
+  return bytes.substr(0, at) + section + bytes.substr(at + old.size());
+}
+
+/// Whether LoadModelFile accepts `bytes`, written to a file named after
+/// the running test (ctest runs tests in parallel processes).
+bool Loads(const std::string& bytes) {
+  const std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  const auto path = (std::filesystem::temp_directory_path() /
+                     ("qpp_splice_" + name + ".bin"))
+                        .string();
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << bytes;
+  }
+  const bool ok = LoadModelFile(path).ok();
+  std::remove(path.c_str());
+  return ok;
+}
+
+TEST(ModelIoTest, SectionsThatDisagreeInShapeAreErrors) {
+  for (const ml::KccaSolver solver :
+       {ml::KccaSolver::kExact, ml::KccaSolver::kIcd}) {
+    PredictorConfig cfg;
+    cfg.kcca.solver = solver;
+    Predictor pred(cfg);
+    pred.Train(SyntheticExamples(120, 10));
+    std::stringstream ss;
+    pred.Save(&ss);
+    const std::string bytes = ss.str();
+    const uint64_t n = 120;
+    const uint64_t d = pred.kcca().x_projection().cols();
+    // The splices find a section by its shape: the first n x 6 one is the
+    // metrics, and the projection opens the KCCA block that closes the
+    // file.
+    std::ostringstream kcca;
+    {
+      BinaryWriter w(kcca);
+      pred.kcca().Save(&w);
+    }
+    const size_t kcca_at = bytes.size() - kcca.str().size();
+
+    // A valid file loads, and saving what was loaded gives it back.
+    ASSERT_TRUE(Loads(bytes));
+    std::stringstream in(bytes);
+    std::stringstream again;
+    Predictor::Load(&in).Save(&again);
+    EXPECT_EQ(again.str(), bytes);
+
+    // The training metrics with a seventh column, then with half the rows:
+    // Predict would write past its six-metric average and Classify would
+    // read past the metrics.
+    EXPECT_FALSE(Loads(SpliceMatrix(bytes, n, 6, MatrixSection(n, 7, 7 * n))));
+    EXPECT_FALSE(
+        Loads(SpliceMatrix(bytes, n, 6, MatrixSection(n / 2, 6, 3 * n))));
+    // The KCCA projection one column wider than the solver's directions.
+    EXPECT_FALSE(Loads(SpliceMatrix(
+        bytes, n, d, MatrixSection(n, d + 1, n * (d + 1)), kcca_at)));
+  }
+}
+
+TEST(ModelIoTest, MatrixShapeThatWrapsIsAnError) {
+  Predictor pred;
+  pred.Train(SyntheticExamples(120, 11));
+  std::stringstream ss;
+  pred.Save(&ss);
+  // 2^32 x 2^32 wraps to 0 doubles, the length of an empty payload.
+  const uint64_t big = uint64_t{1} << 32;
+  EXPECT_FALSE(
+      Loads(SpliceMatrix(ss.str(), 120, 6, MatrixSection(big, big, 0))));
+}
+
 TEST(TwoStepTest, BuildsPerCategoryModels) {
   // 100 of each regime so every category clears min_category_size.
   std::vector<ml::TrainingExample> train;

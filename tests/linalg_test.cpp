@@ -10,6 +10,7 @@
 #include "linalg/incomplete_cholesky.h"
 #include "linalg/matrix.h"
 #include "linalg/serde.h"
+#include "linalg_reference.h"
 
 namespace qpp::linalg {
 namespace {

@@ -174,29 +174,6 @@ TEST(KernelTest, CenteringZeroesRowSums) {
   }
 }
 
-TEST(KernelTest, CenterKernelVectorConsistentWithMatrixCentering) {
-  // Centering the kernel vector of a TRAINING point must match the
-  // corresponding row of the centered kernel matrix.
-  const linalg::Matrix x = RandomMatrix(15, 3, 10);
-  const GaussianKernel k{3.0};
-  linalg::Matrix km = KernelMatrix(x, k);
-  linalg::Vector row_means(15, 0.0);
-  double grand = 0.0;
-  for (size_t i = 0; i < 15; ++i) {
-    for (size_t j = 0; j < 15; ++j) row_means[i] += km(i, j);
-    row_means[i] /= 15;
-    grand += row_means[i];
-  }
-  grand /= 15;
-  const linalg::Vector kv = KernelVector(x, x.Row(4), k);
-  const linalg::Vector centered = CenterKernelVector(kv, row_means, grand);
-  linalg::Matrix km_centered = km;
-  CenterKernelMatrix(&km_centered);
-  for (size_t j = 0; j < 15; ++j) {
-    EXPECT_NEAR(centered[j], km_centered(4, j), 1e-9);
-  }
-}
-
 TEST(KernelTest, ScaleFallsBackWhenNormsDegenerate) {
   // All rows on the unit circle: norm variance == 0.
   linalg::Matrix x(8, 2);

@@ -29,6 +29,7 @@
 #include "ml/knn.h"
 #include "par/simd.h"
 #include "par/simd_lanes.h"
+#include "linalg_reference.h"
 
 namespace qpp {
 namespace {
