@@ -249,10 +249,11 @@ FabricSoakGolden ComputeFabricSoak() {
   fault::ChaosOptions opts;
   opts.seed = 42;
   opts.requests = 50000;
-  const fault::FabricSoakResult soak = fault::RunFabricSoak(opts);
+  const fault::ScenarioResult soak =
+      fault::RunChaosScenario("fabric-soak", opts);
   FabricSoakGolden out;
-  out.report = soak.scenario.report;
-  out.ok = soak.scenario.ok();
+  out.report = soak.report;
+  out.ok = soak.ok();
   for (const auto& [key, value] : soak.counters) out.values[key] = value;
   return out;
 }
@@ -260,10 +261,11 @@ FabricSoakGolden ComputeFabricSoak() {
 LifecycleGolden ComputeLifecycleChaos() {
   fault::ChaosOptions opts;
   opts.seed = 42;
-  const fault::LifecycleChaosResult run = fault::RunLifecycleChaos(opts);
+  const fault::ScenarioResult run =
+      fault::RunChaosScenario("model-lifecycle", opts);
   LifecycleGolden out;
-  out.report = run.scenario.report;
-  out.ok = run.scenario.ok();
+  out.report = run.report;
+  out.ok = run.ok();
   for (const auto& [key, value] : run.counters) out.values[key] = value;
   return out;
 }

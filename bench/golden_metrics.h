@@ -103,12 +103,12 @@ struct Fig17Golden {
 Fig17Golden ComputeFig17(const PaperExperiment& exp,
                          const std::vector<core::MetricEvaluation>& exp1_evals);
 
-/// Fabric capacity soak (docs/FABRIC.md): runs fault::RunFabricSoak at the
-/// pinned schedule — seed 42, 50k requests — and returns its deterministic
-/// counter set (admission sheds/defers, the counted replica kill, stall =
-/// deadline fallbacks, rolling drains). Every value is an exact counter,
-/// so the golden tolerances are zero; throughput/latency never appear
-/// here. Refresh with:
+/// Fabric capacity soak (docs/FABRIC.md): runs the chaos table's
+/// fabric-soak row at the pinned schedule — seed 42, 50k requests — and
+/// returns its deterministic counter set (admission sheds/defers, the
+/// counted replica kill, stall = deadline fallbacks, rolling drains).
+/// Every value is an exact counter, so the golden tolerances are zero;
+/// throughput/latency never appear here. Refresh with:
 ///   build/tools/qpp_tool chaos --fabric-soak --seed 42 --requests 50000
 ///       --json-out tests/golden/fabric.json   (one command line)
 struct FabricSoakGolden {
@@ -118,9 +118,9 @@ struct FabricSoakGolden {
 };
 FabricSoakGolden ComputeFabricSoak();
 
-/// Model-lifecycle chaos scenario (docs/LIFECYCLE.md): runs
-/// fault::RunLifecycleChaos at the pinned seed 42 and returns its counter
-/// set — candidates registered vs poisoned, promotions, the watchdog
+/// Model-lifecycle chaos scenario (docs/LIFECYCLE.md): runs the chaos
+/// table's model-lifecycle row at the pinned seed 42 and returns its
+/// counter set — candidates registered vs poisoned, promotions, the watchdog
 /// rollback, the confirmed promotion, and the zero-tolerance keys
 /// (lifecycle_poisoned_promoted / lifecycle_poisoned_served must pin at
 /// exactly 0: a poisoned candidate never reaches user traffic). All exact

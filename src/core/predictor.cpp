@@ -427,6 +427,8 @@ Predictor Predictor::Load(std::istream* is) {
     p.kcca_ = ml::KccaModel::Load(&r);
     QPP_CHECK_MSG(p.kcca_.x_projection().rows() == n,
                   "model file: KCCA projection does not have n rows");
+    QPP_CHECK_MSG(p.kcca_.input_dims() == p.preprocessor_.dims(),
+                  "model file: KCCA input width is not p");
     // Derived, not serialized: the indexes are rebuilt from the loaded
     // projection and features so serve/fabric reloads stay
     // byte-identical on the wire while still getting the fast lookup path.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <deque>
 #include <future>
 #include <map>
@@ -19,6 +18,7 @@
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "core/predictor.h"
+#include "core/two_step.h"
 #include "engine/simulator.h"
 #include "fabric/fabric.h"
 #include "fault/fault_injector.h"
@@ -31,7 +31,6 @@
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
-#include "core/two_step.h"
 #include "serve/prediction_service.h"
 #include "workload/generator.h"
 #include "workload/tpcds_templates.h"
@@ -109,35 +108,29 @@ void CheckAccounting(const serve::ServiceStatsSnapshot& s, Violations* v) {
                      static_cast<unsigned long long>(s.requests)));
 }
 
-// --------------------------------------------------- serve scenario rig --
-
-/// Small synthetic workload with nonlinear metric structure; the same
-/// shape the serve tests train on (milliseconds to fit).
-std::vector<ml::TrainingExample> SyntheticExamples(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<ml::TrainingExample> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    ml::TrainingExample ex;
-    const double a = rng.Uniform(1.0, 10.0);
-    const double b = rng.Uniform(1.0, 10.0);
-    const double c = rng.Uniform(0.0, 5.0);
-    ex.query_features = {a, b, c, a * b, rng.Uniform(0.0, 1.0)};
-    ex.metrics.elapsed_seconds = 0.5 * a * b + c;
-    ex.metrics.records_accessed = 1000.0 * a + 50.0 * c;
-    ex.metrics.records_used = 100.0 * a;
-    ex.metrics.message_count = 10.0 * b;
-    ex.metrics.message_bytes = 1000.0 * b + 10.0 * a;
-    out.push_back(std::move(ex));
-  }
-  return out;
-}
-
-std::shared_ptr<const core::Predictor> TrainModel(uint64_t seed) {
+core::PredictorConfig ExactSolver() {
   core::PredictorConfig cfg;
   cfg.kcca.solver = ml::KccaSolver::kExact;
-  auto pred = std::make_shared<core::Predictor>(cfg);
-  pred->Train(SyntheticExamples(64, seed));
+  return cfg;
+}
+
+engine::QueryMetrics ScaleMetrics(const engine::QueryMetrics& m,
+                                  double factor) {
+  return engine::QueryMetrics::FromVector(
+      linalg::ScaleVec(m.ToVector(), factor));
+}
+
+/// An exact-solver model on `n` ServeExamples rows, every metric scaled by
+/// `metric_scale`.
+std::shared_ptr<const core::Predictor> TrainModel(uint64_t seed,
+                                                  size_t n = 64,
+                                                  double metric_scale = 1.0) {
+  auto examples = ServeExamples(n, seed);
+  for (auto& ex : examples) {
+    ex.metrics = ScaleMetrics(ex.metrics, metric_scale);
+  }
+  auto pred = std::make_shared<core::Predictor>(ExactSolver());
+  pred->Train(examples);
   return pred;
 }
 
@@ -145,7 +138,7 @@ std::shared_ptr<const core::Predictor> TrainModel(uint64_t seed) {
 std::vector<linalg::Vector> MakeProbes(size_t n, uint64_t seed) {
   std::vector<linalg::Vector> out;
   out.reserve(n);
-  for (const auto& ex : SyntheticExamples(n, seed)) {
+  for (const auto& ex : ServeExamples(n, seed)) {
     out.push_back(ex.query_features);
   }
   return out;
@@ -159,6 +152,16 @@ serve::CostCalibration ChaosCalibration() {
   return cal;
 }
 
+size_t CountOccurrences(const std::string& haystack,
+                        const std::string& needle) {
+  size_t count = 0;
+  for (size_t pos = haystack.find(needle); pos != std::string::npos;
+       pos = haystack.find(needle, pos + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
 bool BitIdentical(const core::Prediction& a, const core::Prediction& b) {
   return a.metrics.ToVector() == b.metrics.ToVector() &&
          a.mean_neighbor_distance == b.mean_neighbor_distance &&
@@ -166,24 +169,255 @@ bool BitIdentical(const core::Prediction& a, const core::Prediction& b) {
          a.neighbor_indices == b.neighbor_indices;
 }
 
-// -------------------------------------------------------- engine: plans --
+// ------------------------------------------------------------ serve rig --
 
-engine::QueryMetrics ScaleMetrics(const engine::QueryMetrics& m,
-                                  double factor) {
-  return engine::QueryMetrics::FromVector(
-      linalg::ScaleVec(m.ToVector(), factor));
+/// The rig every serve run shares: the run's FaultInjector and a model
+/// registry. A run publishes and hooks what it needs, takes a
+/// PredictionService from Serve, drives it, and closes with Finish.
+struct ServeRig {
+  explicit ServeRig(const FaultPlan& plan) : injector(plan, &fault_metrics) {}
+
+  /// A service over the rig's registry and injector on ChaosCalibration.
+  serve::PredictionService Serve(serve::ServiceConfig config) {
+    config.faults = &injector;
+    return serve::PredictionService(&registry, config, ChaosCalibration());
+  }
+
+  /// Shuts `service` down, checks the accounting identity on its final
+  /// stats, and opens the report with the fault digest and the
+  /// deterministic serve counters.
+  serve::ServiceStatsSnapshot Finish(serve::PredictionService* service,
+                                     ScenarioResult* result) const {
+    service->Shutdown();
+    const serve::ServiceStatsSnapshot stats = service->stats();
+    Violations v(result);
+    CheckAccounting(stats, &v);
+    result->report = FaultDigest(injector) + ServeCounters(stats);
+    return stats;
+  }
+
+  obs::MetricsRegistry fault_metrics;
+  FaultInjector injector;
+  serve::ModelRegistry registry;
+};
+
+// ----------------------------------------------------------- fabric rig --
+
+/// The fabric every fabric run starts from: one group per pool plus the
+/// catch-all, `replicas` each, keyed P2C draws. Every replica runs one
+/// worker at batch size 1, so sequential driving fixes every batch — and
+/// with it every per-batch stall draw — even where deferred dispatches
+/// briefly overlap the request in flight. `faults` (null for none) arm
+/// the replica kill and stalls; only then is there a queue deadline, far
+/// below the injected stalls, to turn each into a labeled fallback.
+fabric::FabricConfig RigFabricConfig(size_t replicas, size_t cache_capacity,
+                                     FaultInjector* faults, uint64_t seed) {
+  serve::ServiceConfig service;
+  service.num_workers = 1;
+  service.max_batch = 1;
+  service.cache_capacity = cache_capacity;
+  if (faults != nullptr) service.queue_deadline_seconds = 5.0;
+  service.fallback_on_anomalous = false;  // bit-compare healthy paths
+  fabric::FabricConfig config =
+      fabric::MakePerPoolFabricConfig(replicas, service);
+  config.faults = faults;  // installs the default replica-kill hook
+  config.p2c_seed = SplitMix64(seed ^ 0xFAB51Cull);
+  return config;
 }
 
-// ----------------------------------------------------------- scenarios --
+/// The rig every fabric run shares: an exact-solver two-step model trained
+/// on PoolExamples(pools, 40, train_seed) and published on a fabric built
+/// from `config`, and `probes_per_pool` probes per pool (probe j is
+/// example j / pools of pool j % pools). Each probe carries the step-1
+/// model's own verdict, so expectations hold wherever a neighbor vote
+/// lands, and both its oracles — expert and catch-all — computed once: a
+/// 1M-request run cannot afford a Predict per response.
+class FabricRig {
+ public:
+  FabricRig(fabric::FabricConfig config, size_t pools, size_t probes_per_pool,
+            uint64_t train_seed, ScenarioResult* result)
+      : faults(config.faults),
+        two_step(ExactSolver()),
+        fab(std::move(config), ChaosCalibration()) {
+    Violations v(result);
+    const auto examples = PoolExamples(pools, 40, train_seed);
+    two_step.Train(examples);
+    for (size_t p = 0; p < pools; ++p) {
+      const auto type = static_cast<workload::QueryType>(p);
+      v.Check(two_step.HasCategoryModel(type),
+              std::string("no expert trained for pool ") +
+                  workload::QueryTypeName(type));
+    }
+    fabric::PublishTwoStep(two_step, &fab);
+    catch_prefix = fab.catch_all_name() + "#";
+
+    bool pool_covered[4] = {false, false, false, false};
+    for (size_t j = 0; j < pools * probes_per_pool; ++j) {
+      probes.push_back(examples[(j % pools) * 40 + j / pools].query_features);
+      const workload::QueryType verdict =
+          two_step.base().Classify(probes.back());
+      probe_pool.push_back(verdict);
+      probe_prefix.push_back(std::string(workload::QueryTypeName(verdict)) +
+                             "#");
+      pool_covered[static_cast<size_t>(verdict)] = true;
+      expect_expert.push_back(two_step.Predict(probes.back()));
+      expect_base.push_back(two_step.base().Predict(probes.back()));
+    }
+    for (size_t p = 0; p < pools; ++p) {
+      v.Check(pool_covered[p],
+              std::string("probe mix never classifies into pool ") +
+                  workload::QueryTypeName(
+                      static_cast<workload::QueryType>(p)));
+    }
+  }
+
+  /// Whether request i falls in an overload wave — every fourth block of
+  /// `wave_len` requests, keyed by index alone so admission replays — with
+  /// the fabric's virtual load signal set to match at each wave edge.
+  bool Overloaded(size_t i, size_t wave_len) {
+    const bool over = (i / wave_len) % 4 == 3;
+    if (i == 0 || over != overloaded_) {
+      fab.admission()->SetVirtualLoad(over ? fabric::LoadSignal{4096, 1.0}
+                                           : fabric::LoadSignal{0, 0.0});
+    }
+    overloaded_ = over;
+    return over;
+  }
+
+  /// Sorts the answer to probe j. From its classified group, a
+  /// degradation may only be the target replica's labeled deadline; from
+  /// the catch-all, only the killing pick may have escalated; anything
+  /// else is misrouted. Every healthy answer must bit-match its oracle.
+  void CheckResponse(const serve::ServeResponse& resp, size_t j) {
+    if (resp.shard.rfind(probe_prefix[j], 0) == 0) {
+      if (resp.degraded()) {
+        if (resp.degraded_reason == "deadline" &&
+            resp.shard == faults->plan().serve.target_replica_label) {
+          ++deadline_seen;  // the targeted stall, surfaced and labeled
+        } else {
+          ++unexpected;
+        }
+      } else if (!BitIdentical(resp.prediction, expect_expert[j])) {
+        ++mismatches;
+      }
+    } else if (resp.shard.rfind(catch_prefix, 0) == 0) {
+      ++absorbed;
+      if (resp.degraded()) {
+        ++unexpected;
+      } else if (!BitIdentical(resp.prediction, expect_base[j])) {
+        ++mismatches;
+      }
+    } else {
+      ++misrouted;
+    }
+  }
+
+  /// The checks a run that stalls and then kills the target replica ends
+  /// with, after `requests` submits and `drain_ops` drain-swap-revives.
+  /// The group absorbs both: exactly one request escalates (the killing
+  /// pick itself, since the group has live peers), every stall surfaces
+  /// as one labeled deadline fallback on the target alone, the target is
+  /// dead and unpublished, every replica of a probed group took picks, and
+  /// no request is lost. Returns the final stats for the run's own checks.
+  fabric::FabricStatsSnapshot CheckFaultedRun(size_t requests,
+                                              uint64_t drain_ops,
+                                              ScenarioResult* result) {
+    Violations v(result);
+    const std::string& target = faults->plan().serve.target_replica_label;
+    v.Check(misrouted == 0,
+            StrFormat("%llu responses from outside the classified group",
+                      static_cast<unsigned long long>(misrouted)));
+    v.Check(mismatches == 0,
+            StrFormat("%llu responses did not bit-match their expert",
+                      static_cast<unsigned long long>(mismatches)));
+    v.Check(unexpected == 0,
+            StrFormat("%llu degradations outside the injected faults",
+                      static_cast<unsigned long long>(unexpected)));
+    v.Check(faults->injected("replica_kill") == 1,
+            "the replica kill must fire exactly once");
+    v.Check(absorbed == 1,
+            StrFormat("catch-all absorbed %llu requests; only the killing "
+                      "pick may escalate (the group has live peers)",
+                      static_cast<unsigned long long>(absorbed)));
+    v.Check(faults->injected("replica_stall") == deadline_seen,
+            StrFormat("deadline fallbacks %llu != injected replica stalls "
+                      "%llu (batch size 1 must map 1:1)",
+                      static_cast<unsigned long long>(deadline_seen),
+                      static_cast<unsigned long long>(
+                          faults->injected("replica_stall"))));
+    v.Check(deadline_seen > 0, "target replica never stalled before the kill");
+
+    const fabric::FabricStatsSnapshot stats = fab.stats();
+    v.Check(stats.drains == drain_ops,
+            "drains counter != drain-swap-revive operations");
+    v.Check(stats.escalations_dead == absorbed,
+            "dead-escalation count != client-observed absorbed requests");
+    v.Check(stats.escalations_open == 0 &&
+                stats.escalations_overloaded == 0 &&
+                stats.fallback_exhausted == 0,
+            "ladder rungs below 'dead' fired under sequential driving");
+    v.Check(stats.classified == probes.size(),
+            "classifier calls != distinct probes (route cache broken)");
+    v.Check(stats.classified + stats.route_cache_hits ==
+                requests + stats.defer_drained,
+            "every submit and every defer dispatch must classify exactly "
+            "once");
+    uint64_t served = 0;
+    for (const auto& g : stats.groups) {
+      const bool probed = std::find(probe_prefix.begin(), probe_prefix.end(),
+                                    g.name + "#") != probe_prefix.end();
+      for (size_t i = 0; i < g.replicas.size(); ++i) {
+        const fabric::FabricStatsSnapshot::PerReplica& r = g.replicas[i];
+        CheckAccounting(r.service, &v);
+        served += r.service.requests;
+        if (r.label == target) {
+          v.Check(r.health == fabric::ReplicaHealth::kDead,
+                  "killed replica is not marked dead");
+          v.Check(!fab.registry(g.name, i)->has_model(),
+                  "killed replica still has a model");
+          v.Check(r.generation == 1,
+                  "kill must retain the generation counter, not reset it");
+          v.Check(r.service.fallback_deadline == deadline_seen,
+                  "target deadline fallbacks != client-observed stalls");
+        } else {
+          v.Check(r.service.fallbacks() == 0,
+                  "a non-target replica degraded (containment broken): " +
+                      r.label);
+        }
+        if (probed) {
+          v.Check(r.picks > 0, "a replica never took a pick: " + r.label);
+        }
+      }
+    }
+    v.Check(served + stats.shed == requests,
+            "a request was lost on the ladder");
+    return stats;
+  }
+
+  const FaultInjector* faults;
+  core::TwoStepPredictor two_step;
+  fabric::Fabric fab;
+  std::string catch_prefix;
+  std::vector<linalg::Vector> probes;
+  std::vector<workload::QueryType> probe_pool;
+  std::vector<std::string> probe_prefix;
+  std::vector<core::Prediction> expect_expert, expect_base;
+  uint64_t deadline_seen = 0, absorbed = 0, mismatches = 0, misrouted = 0,
+           unexpected = 0;
+
+ private:
+  bool overloaded_ = false;
+};
+
+// ----------------------------------------------------------------- runs --
 
 /// node-death: engine faults under the simulator. Determinism (two
 /// injectors with the same plan produce bit-identical metrics), clean-run
 /// bit-identity (a disabled injector changes nothing), and the
 /// faults-only-slow-queries contract on elapsed time.
-ScenarioResult RunNodeDeath(const FaultPlan& plan, const ChaosOptions& opts) {
-  ScenarioResult result;
-  result.name = "node-death";
-  Violations v(&result);
+void RunNodeDeath(const FaultPlan& plan, const ChaosOptions& opts,
+                  ScenarioResult* result) {
+  Violations v(result);
 
   const catalog::Catalog catalog = catalog::MakeTpcdsCatalog(1.0);
   optimizer::OptimizerOptions oopts;
@@ -236,36 +470,29 @@ ScenarioResult RunNodeDeath(const FaultPlan& plan, const ChaosOptions& opts) {
   v.Check(faulted_sum > clean_sum,
           "fault schedule had no aggregate elapsed-time effect");
 
-  result.report = FaultDigest(faulted_a);
-  result.report += StrFormat("queries simulated:  %llu\n",
-                             static_cast<unsigned long long>(simulated));
-  result.report +=
+  result->report = FaultDigest(faulted_a);
+  result->report += StrFormat("queries simulated:  %llu\n",
+                              static_cast<unsigned long long>(simulated));
+  result->report +=
       StrFormat("clean elapsed sum:   %.17g\n", clean_sum) +
       StrFormat("faulted elapsed sum: %.17g\n", faulted_sum);
-  result.report += "faulted metric sums:\n";
+  result->report += "faulted metric sums:\n";
   const auto names = engine::QueryMetrics::MetricNames();
   for (size_t m = 0; m < names.size(); ++m) {
-    result.report +=
+    result->report +=
         StrFormat("  %-18s %.17g\n", names[m].c_str(), metric_sums[m]);
   }
-  return result;
 }
 
 /// fallback-storm: worker stalls blow the queue deadline; late requests
 /// take the labeled deadline fallback, the breaker trips to circuit-open
 /// and recovers through half-open probes, and the drift monitor fires on
 /// the degradation the storm causes.
-ScenarioResult RunFallbackStorm(const FaultPlan& plan,
-                                const ChaosOptions& opts) {
-  ScenarioResult result;
-  result.name = "fallback-storm";
-  Violations v(&result);
-
-  obs::MetricsRegistry fault_registry;
-  FaultInjector injector(plan, &fault_registry);
-
-  serve::ModelRegistry registry;
-  registry.Publish(TrainModel(opts.seed ^ 0x5EEDull));
+void RunFallbackStorm(const FaultPlan& plan, const ChaosOptions& opts,
+                      ScenarioResult* result) {
+  Violations v(result);
+  ServeRig rig(plan);
+  rig.registry.Publish(TrainModel(opts.seed ^ 0x5EEDull));
 
   serve::ServiceConfig config;
   config.num_workers = 1;          // sequential driving => batch size 1
@@ -276,8 +503,7 @@ ScenarioResult RunFallbackStorm(const FaultPlan& plan,
   config.breaker.min_samples = 8;
   config.breaker.trip_ratio = 0.5;
   config.breaker.open_requests = 6;
-  config.faults = &injector;
-  serve::PredictionService service(&registry, config, ChaosCalibration());
+  serve::PredictionService service = rig.Serve(config);
 
   obs::DriftMonitor drift({}, service.metrics());
   uint64_t drift_signals = 0;
@@ -302,18 +528,16 @@ ScenarioResult RunFallbackStorm(const FaultPlan& plan,
               "degraded response with empty reason");
     }
   }
-  service.Shutdown();
+  const serve::ServiceStatsSnapshot stats = rig.Finish(&service, result);
 
-  const serve::ServiceStatsSnapshot stats = service.stats();
-  CheckAccounting(stats, &v);
   v.Check(stats.requests == opts.requests,
           "not every submitted request was answered");
-  v.Check(stats.fallback_deadline == injector.injected("worker_stall"),
+  v.Check(stats.fallback_deadline == rig.injector.injected("worker_stall"),
           StrFormat("deadline fallbacks %llu != injected stalls %llu (batch "
                     "size 1 must map 1:1)",
                     static_cast<unsigned long long>(stats.fallback_deadline),
                     static_cast<unsigned long long>(
-                        injector.injected("worker_stall"))));
+                        rig.injector.injected("worker_stall"))));
   v.Check(stats.fallback_deadline > 0, "storm injected no deadline misses");
   v.Check(service.breaker().trips() >= 1, "breaker never tripped");
   v.Check(stats.fallback_circuit_open > 0,
@@ -322,51 +546,43 @@ ScenarioResult RunFallbackStorm(const FaultPlan& plan,
           "no model answers at all — breaker never recovered");
   v.Check(drift_signals >= 1, "drift monitor never fired under the storm");
 
-  result.report = FaultDigest(injector);
-  result.report += ServeCounters(stats);
-  result.report += StrFormat(
+  result->report += StrFormat(
       "breaker trips:      %llu\ndrift signals:      %llu\n",
       static_cast<unsigned long long>(service.breaker().trips()),
       static_cast<unsigned long long>(drift_signals));
-  return result;
 }
 
 /// hot-swap: the registry-swap fault fires right after a worker acquired
 /// its model snapshot. Every response must still bit-match the Predict of
 /// the generation it reports, and the generation-tagged cache must never
 /// serve a retired model's bits.
-ScenarioResult RunHotSwap(const FaultPlan& plan, const ChaosOptions& opts) {
-  ScenarioResult result;
-  result.name = "hot-swap";
-  Violations v(&result);
-
-  FaultInjector injector(plan);
-
+void RunHotSwap(const FaultPlan& plan, const ChaosOptions& opts,
+                ScenarioResult* result) {
+  Violations v(result);
   const auto model_a = TrainModel(opts.seed ^ 0xA0Aull);
   const auto model_b = TrainModel(opts.seed ^ 0xB0Bull);
 
-  serve::ModelRegistry registry;
   // published[g - 1] is the model that generation g serves.
   std::mutex published_mu;
   std::vector<std::shared_ptr<const core::Predictor>> published;
+  ServeRig rig(plan);
   {
     std::lock_guard<std::mutex> lock(published_mu);
-    registry.Publish(model_a);
+    rig.registry.Publish(model_a);
     published.push_back(model_a);
   }
-  injector.set_registry_swap_hook([&] {
+  rig.injector.set_registry_swap_hook([&] {
     // Fires on the worker thread, mid-batch, after the snapshot acquire.
     std::lock_guard<std::mutex> lock(published_mu);
     const auto& next = published.size() % 2 == 1 ? model_b : model_a;
-    registry.Publish(next);
+    rig.registry.Publish(next);
     published.push_back(next);
   });
 
   serve::ServiceConfig config;
   config.num_workers = 1;
   config.cache_capacity = 64;
-  config.faults = &injector;
-  serve::PredictionService service(&registry, config, ChaosCalibration());
+  serve::PredictionService service = rig.Serve(config);
 
   const auto probes = MakeProbes(8, opts.seed ^ 0x7AB5ull);
   size_t mismatches = 0;
@@ -400,47 +616,37 @@ ScenarioResult RunHotSwap(const FaultPlan& plan, const ChaosOptions& opts) {
     }
     if (!BitIdentical(resp.prediction, truth->Predict(probe))) ++mismatches;
   }
-  service.Shutdown();
+  const serve::ServiceStatsSnapshot stats = rig.Finish(&service, result);
 
   v.Check(mismatches == 0,
           StrFormat("%llu responses did not bit-match their reported "
                     "generation's Predict (stale cache or blended swap)",
                     static_cast<unsigned long long>(mismatches)));
-  v.Check(injector.injected("registry_swap") > 0,
+  v.Check(rig.injector.injected("registry_swap") > 0,
           "scenario injected zero registry swaps");
-  v.Check(registry.generation() == 1 + injector.injected("registry_swap"),
+  v.Check(rig.registry.generation() ==
+              1 + rig.injector.injected("registry_swap"),
           "registry generation does not add up with the injected swaps");
-  const serve::ServiceStatsSnapshot stats = service.stats();
-  CheckAccounting(stats, &v);
   v.Check(stats.cache_hits > 0, "cache never hit despite repeated probes");
 
-  result.report = FaultDigest(injector);
-  result.report += ServeCounters(stats);
-  result.report += StrFormat(
+  result->report += StrFormat(
       "final generation:   %llu\n",
-      static_cast<unsigned long long>(registry.generation()));
-  return result;
+      static_cast<unsigned long long>(rig.registry.generation()));
 }
 
 /// backpressure: submit-reject storms against SubmitWithRetry. No broken
 /// futures, exhausted retries degrade to the labeled overload fallback,
 /// and the accounting identity holds exactly.
-ScenarioResult RunBackpressure(const FaultPlan& plan,
-                               const ChaosOptions& opts) {
-  ScenarioResult result;
-  result.name = "backpressure";
-  Violations v(&result);
-
-  FaultInjector injector(plan);
-
-  serve::ModelRegistry registry;
-  registry.Publish(TrainModel(opts.seed ^ 0xBACC5ull));
+void RunBackpressure(const FaultPlan& plan, const ChaosOptions& opts,
+                     ScenarioResult* result) {
+  Violations v(result);
+  ServeRig rig(plan);
+  rig.registry.Publish(TrainModel(opts.seed ^ 0xBACC5ull));
 
   serve::ServiceConfig config;
   config.num_workers = 1;
   config.cache_capacity = 0;
-  config.faults = &injector;
-  serve::PredictionService service(&registry, config, ChaosCalibration());
+  serve::PredictionService service = rig.Serve(config);
 
   serve::RetryPolicy policy;
   policy.max_attempts = 3;
@@ -465,214 +671,74 @@ ScenarioResult RunBackpressure(const FaultPlan& plan,
       ++broken;
     }
   }
-  service.Shutdown();
+  const serve::ServiceStatsSnapshot stats = rig.Finish(&service, result);
 
   v.Check(broken == 0, StrFormat("%llu broken futures",
                                  static_cast<unsigned long long>(broken)));
   v.Check(answered == opts.requests, "a request went unanswered");
-
-  const serve::ServiceStatsSnapshot stats = service.stats();
-  CheckAccounting(stats, &v);
   v.Check(stats.requests == opts.requests,
           "responses delivered != requests driven");
-  v.Check(stats.rejected == injector.injected("submit_reject"),
+  v.Check(stats.rejected == rig.injector.injected("submit_reject"),
           "rejected counter != injected submit rejects (queue cannot really "
           "fill under sequential driving)");
   v.Check(stats.fallback_overload == overload,
           "overload counter disagrees with client-observed overloads");
   v.Check(overload > 0, "storm never exhausted a retry budget");
   v.Check(stats.model_predictions > 0, "nothing got through the storm");
-
-  result.report = FaultDigest(injector);
-  result.report += ServeCounters(stats);
-  return result;
 }
 
 /// rolling-drain: replica-level faults under a Fabric. One replica of the
-/// feather group ("feather#1") is stalled probabilistically and then killed
-/// on a counted pick; meanwhile the golf group is drain-swap-revived one
-/// replica at a time. The group must absorb both: exactly one request
-/// escalates to the catch-all (the killing pick itself — its group still
-/// has live peers, so nothing else leaves), stalls surface as labeled
-/// deadline fallbacks on the target replica only, every healthy answer is
-/// bit-identical to its expert, and no request is lost anywhere.
-ScenarioResult RunRollingDrain(const FaultPlan& plan,
-                               const ChaosOptions& opts) {
-  ScenarioResult result;
-  result.name = "rolling-drain";
-  Violations v(&result);
-
+/// feather group is stalled probabilistically and then killed on a
+/// counted pick, while the golf group is drain-swap-revived one replica
+/// at a time; the fabric rig's faulted-run checks hold throughout.
+void RunRollingDrain(const FaultPlan& plan, const ChaosOptions& opts,
+                     ScenarioResult* result) {
+  Violations v(result);
   FaultInjector injector(plan);
-
-  core::PredictorConfig cfg;
-  cfg.kcca.solver = ml::KccaSolver::kExact;
-  core::TwoStepPredictor two_step(cfg);
-  const auto examples = PoolExamples(3, 40, opts.seed ^ 0x0D3A1ull);
-  two_step.Train(examples);
-  for (const workload::QueryType type :
-       {workload::QueryType::kFeather, workload::QueryType::kGolfBall,
-        workload::QueryType::kBowlingBall}) {
-    v.Check(two_step.HasCategoryModel(type),
-            std::string("no expert trained for pool ") +
-                workload::QueryTypeName(type));
-  }
-
-  serve::ServiceConfig service_config;
-  service_config.num_workers = 1;     // sequential driving => batch size 1
-  service_config.max_batch = 1;       // ... even if dispatches ever overlap
-  service_config.cache_capacity = 0;  // every answer is model or fallback
-  service_config.queue_deadline_seconds = 5.0;  // << injected replica stalls
-  service_config.fallback_on_anomalous = false;  // bit-compare healthy paths
-
-  fabric::FabricConfig config =
-      fabric::MakePerPoolFabricConfig(3, service_config);
-  config.faults = &injector;  // installs the default replica-kill hook
-  config.p2c_seed = SplitMix64(opts.seed ^ 0xFAB51Cull);
-  fabric::Fabric fab(std::move(config), ChaosCalibration());
-  fabric::PublishTwoStep(two_step, &fab);
+  FabricRig rig(RigFabricConfig(3, /*cache_capacity=*/0, &injector, opts.seed),
+                /*pools=*/3, /*probes_per_pool=*/3, opts.seed ^ 0x0D3A1ull,
+                result);
 
   const std::string golf_group =
       workload::QueryTypeName(workload::QueryType::kGolfBall);
   const auto golf_model = std::make_shared<const core::Predictor>(
-      *two_step.CategoryModel(workload::QueryType::kGolfBall));
+      *rig.two_step.CategoryModel(workload::QueryType::kGolfBall));
 
-  const size_t kProbes = 9;
-  std::vector<linalg::Vector> probes;
-  std::vector<std::string> probe_group;
-  for (size_t j = 0; j < kProbes; ++j) {
-    const size_t pool = j % 3;
-    probes.push_back(examples[pool * 40 + j / 3].query_features);
-    probe_group.push_back(workload::QueryTypeName(
-        two_step.base().Classify(probes.back())));
-  }
-  // Precompute the oracles once; 1M-scale callers of the same loop below
-  // (the fabric soak) cannot afford a Predict per response.
-  std::vector<core::Prediction> expect_expert, expect_base;
-  for (size_t j = 0; j < kProbes; ++j) {
-    expect_expert.push_back(two_step.Predict(probes[j]));
-    expect_base.push_back(two_step.base().Predict(probes[j]));
-  }
-
-  const std::string& target = plan.serve.target_replica_label;  // feather#1
-  size_t mismatches = 0, misrouted = 0, unexpected = 0;
-  uint64_t absorbed = 0, deadline_seen = 0, drain_ops = 0;
+  uint64_t drain_ops = 0;
   for (size_t i = 0; i < opts.requests; ++i) {
     // Roll the golf group: drain-swap-revive replica r at the r-th quarter.
     if (i > 0 && opts.requests >= 8 && i % (opts.requests / 4) == 0) {
       const size_t r = i / (opts.requests / 4) - 1;
       if (r < 3) {
-        v.Check(fab.DrainSwapRevive(golf_group, r, golf_model),
+        v.Check(rig.fab.DrainSwapRevive(golf_group, r, golf_model),
                 StrFormat("drain-swap-revive of replica %llu failed",
                           static_cast<unsigned long long>(r)));
         ++drain_ops;
       }
     }
-    const size_t j = i % kProbes;
-    const serve::ServeResponse resp = fab.Submit({probes[j], 100.0}).get();
-    if (resp.shard.rfind(probe_group[j] + "#", 0) == 0) {
-      // Answered inside the classified pool's own replica group.
-      if (resp.degraded()) {
-        if (resp.degraded_reason == "deadline" && resp.shard == target) {
-          ++deadline_seen;  // the targeted stall, surfaced and labeled
-        } else {
-          ++unexpected;
-        }
-      } else if (!BitIdentical(resp.prediction, expect_expert[j])) {
-        ++mismatches;
-      }
-    } else if (resp.shard.rfind(fab.catch_all_name() + "#", 0) == 0) {
-      // Escalated: only the killing pick itself may land here.
-      ++absorbed;
-      if (resp.degraded()) {
-        ++unexpected;
-      } else if (!BitIdentical(resp.prediction, expect_base[j])) {
-        ++mismatches;
-      }
-    } else {
-      ++misrouted;
-    }
+    const size_t j = i % rig.probes.size();
+    rig.CheckResponse(rig.fab.Submit({rig.probes[j], 100.0}).get(), j);
   }
-  fab.Shutdown();
+  rig.fab.Shutdown();
 
-  v.Check(misrouted == 0,
-          StrFormat("%llu responses from outside the classified group",
-                    static_cast<unsigned long long>(misrouted)));
-  v.Check(mismatches == 0,
-          StrFormat("%llu responses did not bit-match their expert",
-                    static_cast<unsigned long long>(mismatches)));
-  v.Check(unexpected == 0,
-          StrFormat("%llu degradations outside the injected faults",
-                    static_cast<unsigned long long>(unexpected)));
-  v.Check(injector.injected("replica_kill") == 1,
-          "the replica kill must fire exactly once");
-  v.Check(absorbed == 1,
-          StrFormat("catch-all absorbed %llu requests; only the killing "
-                    "pick may escalate (the group has live peers)",
-                    static_cast<unsigned long long>(absorbed)));
-  v.Check(injector.injected("replica_stall") == deadline_seen,
-          StrFormat("deadline fallbacks %llu != injected replica stalls "
-                    "%llu (batch size 1 must map 1:1)",
-                    static_cast<unsigned long long>(deadline_seen),
-                    static_cast<unsigned long long>(
-                        injector.injected("replica_stall"))));
-  v.Check(deadline_seen > 0, "target replica never stalled before the kill");
-  v.Check(fab.health("feather", 1) == fabric::ReplicaHealth::kDead,
-          "killed replica is not marked dead");
-  v.Check(!fab.registry("feather", 1)->has_model(),
-          "killed replica still has a model");
-  v.Check(fab.registry("feather", 1)->generation() == 1,
-          "kill must retain the generation counter, not reset it");
+  const fabric::FabricStatsSnapshot stats =
+      rig.CheckFaultedRun(opts.requests, drain_ops, result);
   for (size_t r = 0; r < drain_ops; ++r) {
-    v.Check(fab.registry(golf_group, r)->generation() == 2,
+    v.Check(rig.fab.registry(golf_group, r)->generation() == 2,
             "drained replica did not take the republished model");
-    v.Check(fab.health(golf_group, r) == fabric::ReplicaHealth::kUp,
+    v.Check(rig.fab.health(golf_group, r) == fabric::ReplicaHealth::kUp,
             "drained replica was not revived");
   }
-
-  const fabric::FabricStatsSnapshot stats = fab.stats();
-  v.Check(stats.drains == drain_ops,
-          "drains counter != drain-swap-revive operations");
-  v.Check(stats.escalations_dead == absorbed,
-          "dead-escalation count != client-observed absorbed requests");
-  v.Check(stats.escalations_open == 0 && stats.escalations_overloaded == 0 &&
-              stats.fallback_exhausted == 0,
-          "ladder rungs below 'dead' fired under sequential driving");
   v.Check(stats.shed == 0 && stats.deferred == 0,
           "admission acted while disabled");
-  v.Check(stats.classified == kProbes,
-          "classifier calls != distinct probes (route cache broken)");
-  v.Check(stats.classified + stats.route_cache_hits == opts.requests,
-          "every request must be classified or route-cache answered");
-  uint64_t served = 0;
-  for (const auto& g : stats.groups) {
-    for (const auto& r : g.replicas) {
-      CheckAccounting(r.service, &v);
-      served += r.service.requests;
-      if (r.label == target) {
-        v.Check(r.service.fallback_deadline == deadline_seen,
-                "target deadline fallbacks != client-observed stalls");
-      } else {
-        v.Check(r.service.fallbacks() == 0,
-                "a non-target replica degraded (containment broken): " +
-                    r.label);
-      }
-    }
-    if (g.name == golf_group) {
-      for (const auto& r : g.replicas) {
-        v.Check(r.picks > 0, "a golf replica never took a pick: " + r.label);
-      }
-    }
-  }
-  v.Check(served == opts.requests, "a request was lost on the ladder");
 
-  result.report = FaultDigest(injector);
-  result.report += stats.ToString();
-  result.report += StrFormat(
+  result->report = FaultDigest(injector);
+  result->report += stats.ToString();
+  result->report += StrFormat(
       "rolling drains:     %llu (stalled %llu, absorbed %llu)\n",
       static_cast<unsigned long long>(drain_ops),
-      static_cast<unsigned long long>(deadline_seen),
-      static_cast<unsigned long long>(absorbed));
-  return result;
+      static_cast<unsigned long long>(rig.deadline_seen),
+      static_cast<unsigned long long>(rig.absorbed));
 }
 
 /// model-lifecycle: the closed loop under the model_poison fault. A weak
@@ -685,38 +751,20 @@ ScenarioResult RunRollingDrain(const FaultPlan& plan,
 /// promotion confirmed. Throughout, every response must bit-match the
 /// model of the generation it reports, and no generation ever maps to a
 /// poisoned candidate's model (zero poisoned predictions reach clients).
-LifecycleChaosResult RunLifecycleChaosImpl(const FaultPlan& plan,
-                                           const ChaosOptions& opts) {
-  LifecycleChaosResult out;
-  ScenarioResult& result = out.scenario;
-  result.name = "model-lifecycle";
-  Violations v(&result);
-
-  obs::MetricsRegistry fault_registry;
-  FaultInjector injector(plan, &fault_registry);
+void RunModelLifecycle(const FaultPlan& plan, const ChaosOptions& opts,
+                       ScenarioResult* result) {
+  Violations v(result);
   obs::FlightRecorder flight;
-  injector.set_flight_recorder(&flight);
-
-  auto train = [](size_t n, uint64_t seed, double metric_scale) {
-    core::PredictorConfig cfg;
-    cfg.kcca.solver = ml::KccaSolver::kExact;
-    auto examples = SyntheticExamples(n, seed);
-    for (auto& ex : examples) {
-      ex.metrics = ScaleMetrics(ex.metrics, metric_scale);
-    }
-    auto pred = std::make_shared<core::Predictor>(cfg);
-    pred->Train(examples);
-    return pred;
-  };
+  ServeRig rig(plan);
+  rig.injector.set_flight_recorder(&flight);
 
   // The champion is trained on x3-miscalibrated metrics, so it serves with
   // a steady ~2.0 relative error on every metric. Clean challengers train
   // unbiased and land around 0.8-1.6 (the intrinsic error of 3-NN equal
   // weighting on this workload), comfortably under the champion; poisoned
   // ones multiply predictions x100 and sit near 99.
-  const auto weak_champion = train(16, opts.seed ^ 0x0DDBA11ull, 3.0);
-  serve::ModelRegistry registry;
-  registry.Publish(weak_champion);
+  const auto weak_champion = TrainModel(opts.seed ^ 0x0DDBA11ull, 16, 3.0);
+  rig.registry.Publish(weak_champion);
 
   obs::MetricsRegistry lifecycle_metrics;
   lifecycle::LifecycleConfig lcfg;
@@ -736,18 +784,17 @@ LifecycleChaosResult RunLifecycleChaosImpl(const FaultPlan& plan,
   lcfg.rollback_min_risk = 2.5;
   lcfg.registry = &lifecycle_metrics;
   lcfg.flight = &flight;
-  lcfg.faults = &injector;
-  lifecycle::LifecycleManager manager(&registry, lcfg);
+  lcfg.faults = &rig.injector;
+  lifecycle::LifecycleManager manager(&rig.registry, lcfg);
 
   serve::ServiceConfig config;
   config.num_workers = 1;     // sequential driving => deterministic order
   config.cache_capacity = 0;  // every answer is a fresh model prediction
   config.fallback_on_anomalous = false;  // lifecycle traffic, not anomalies
-  config.faults = &injector;
   config.shadow = &manager;
-  serve::PredictionService service(&registry, config, ChaosCalibration());
+  serve::PredictionService service = rig.Serve(config);
 
-  const auto examples = SyntheticExamples(256, opts.seed ^ 0x11FEC1Cull);
+  const auto examples = ServeExamples(256, opts.seed ^ 0x11FEC1Cull);
 
   // Harness-side truth: which model every published generation maps to,
   // and whether that model belongs to a poisoned candidate.
@@ -755,8 +802,8 @@ LifecycleChaosResult RunLifecycleChaosImpl(const FaultPlan& plan,
       registered;
   std::map<uint64_t, std::shared_ptr<const core::Predictor>> gen_models;
   std::map<uint64_t, bool> gen_poisoned;
-  gen_models[registry.generation()] = weak_champion;
-  gen_poisoned[registry.generation()] = false;
+  gen_models[rig.registry.generation()] = weak_champion;
+  gen_poisoned[rig.registry.generation()] = false;
 
   uint64_t driven = 0, mismatches = 0, poisoned_served = 0, unknown_gen = 0;
   auto drive = [&](size_t n, double actual_scale) {
@@ -803,7 +850,7 @@ LifecycleChaosResult RunLifecycleChaosImpl(const FaultPlan& plan,
   while (!(poison_done && rollback_done && confirm_done) &&
          next_candidate < 24) {
     const auto model =
-        train(96, opts.seed ^ (0xC0FFEEull + 31 * next_candidate), 1.0);
+        TrainModel(opts.seed ^ (0xC0FFEEull + 31 * next_candidate), 96);
     const size_t idx = manager.RegisterCandidate(
         model, StrFormat("cand-%02zu", next_candidate));
     ++next_candidate;
@@ -839,7 +886,7 @@ LifecycleChaosResult RunLifecycleChaosImpl(const FaultPlan& plan,
       confirm_done = true;
     }
   }
-  service.Shutdown();
+  const serve::ServiceStatsSnapshot stats = rig.Finish(&service, result);
 
   v.Check(poison_done, "no poisoned candidate was drawn and rejected");
   v.Check(rollback_done, "the watchdog rollback never happened");
@@ -861,20 +908,16 @@ LifecycleChaosResult RunLifecycleChaosImpl(const FaultPlan& plan,
           StrFormat("%llu responses reported an unknown generation",
                     static_cast<unsigned long long>(unknown_gen)));
 
-  const serve::ServiceStatsSnapshot stats = service.stats();
-  CheckAccounting(stats, &v);
   v.Check(stats.requests == driven, "a request was lost");
   v.Check(stats.shadow_observed == stats.model_predictions,
           "shadow lane missed a model response");
   const lifecycle::LifecycleStats ls = manager.stats();
   v.Check(ls.scored + ls.pending_invalidated == driven,
           "a scored observation went missing");
-  v.Check(ls.poisoned_candidates == injector.injected("model_poison"),
+  v.Check(ls.poisoned_candidates == rig.injector.injected("model_poison"),
           "poison tally diverged from the injector");
 
-  result.report = FaultDigest(injector);
-  result.report += ServeCounters(stats);
-  result.report += StrFormat(
+  result->report += StrFormat(
       "lifecycle counters:\n"
       "  candidates         %llu (poisoned %llu)\n"
       "  windows            %llu (scored %llu, shadow %llu)\n"
@@ -891,9 +934,9 @@ LifecycleChaosResult RunLifecycleChaosImpl(const FaultPlan& plan,
       static_cast<unsigned long long>(ls.rejections),
       static_cast<unsigned long long>(ls.rollbacks),
       static_cast<unsigned long long>(ls.confirmations));
-  result.report += "candidates:\n";
+  result->report += "candidates:\n";
   for (const auto& info : manager.Candidates()) {
-    result.report += StrFormat(
+    result->report += StrFormat(
         "  %-8s %-11s poisoned=%d windows=%llu gen=%llu risk=%.9g\n",
         info.label.c_str(), lifecycle::CandidateStateName(info.state),
         info.poisoned ? 1 : 0,
@@ -902,9 +945,9 @@ LifecycleChaosResult RunLifecycleChaosImpl(const FaultPlan& plan,
   }
   // The decision log closes the report, so the CI same-seed diff of two
   // scenario runs IS the byte-identical-decision-log check.
-  result.report += manager.log().ToString();
+  result->report += manager.log().ToString();
 
-  out.counters = {
+  result->counters = {
       {"lifecycle_candidates", static_cast<double>(ls.candidates)},
       {"lifecycle_poisoned_candidates",
        static_cast<double>(ls.poisoned_candidates)},
@@ -921,158 +964,23 @@ LifecycleChaosResult RunLifecycleChaosImpl(const FaultPlan& plan,
       {"lifecycle_poisoned_served", static_cast<double>(poisoned_served)},
       {"lifecycle_prediction_mismatches", static_cast<double>(mismatches)},
       {"lifecycle_violations",
-       static_cast<double>(result.violations.size())},
+       static_cast<double>(result->violations.size())},
   };
-  return out;
 }
 
-}  // namespace
-
-// --------------------------------------------------------------- public --
-
-std::vector<ml::TrainingExample> PoolExamples(size_t pools, size_t per_pool,
-                                              uint64_t seed) {
-  static const double kElapsedBase[4] = {10.0, 400.0, 2500.0, 9000.0};
-  QPP_CHECK(pools >= 1 && pools <= 4);
-  Rng rng(seed);
-  std::vector<ml::TrainingExample> out;
-  out.reserve(pools * per_pool);
-  for (size_t pool = 0; pool < pools; ++pool) {
-    const double off = static_cast<double>(pool);
-    for (size_t i = 0; i < per_pool; ++i) {
-      ml::TrainingExample ex;
-      const double a = rng.Uniform(1.0, 10.0);
-      const double b = rng.Uniform(1.0, 10.0);
-      const double c = rng.Uniform(0.0, 5.0);
-      ex.query_features = {a + 40.0 * off, b + 10.0 * off, c,
-                           a * b + 25.0 * off, rng.Uniform(0.0, 1.0)};
-      // 0.5ab + c <= 55, so every example stays inside its pool's band.
-      ex.metrics.elapsed_seconds = kElapsedBase[pool] + 0.5 * a * b + c;
-      ex.metrics.records_accessed = 1000.0 * a + 50.0 * c + 10000.0 * off;
-      ex.metrics.records_used = 100.0 * a + 1000.0 * off;
-      ex.metrics.message_count = 10.0 * b + 100.0 * off;
-      ex.metrics.message_bytes = 1000.0 * b + 10.0 * a;
-      out.push_back(std::move(ex));
-    }
-  }
-  return out;
-}
-
-const std::vector<std::string>& ChaosScenarioNames() {
-  static const std::vector<std::string> kNames = {
-      "node-death", "fallback-storm", "hot-swap", "backpressure",
-      "rolling-drain", "model-lifecycle"};
-  return kNames;
-}
-
-FaultPlan ChaosScenarioPlan(const std::string& name, uint64_t seed) {
-  FaultPlan plan;
-  plan.seed = seed;
-  if (name == "node-death") {
-    plan.engine.node_failure_probability = 0.5;
-    plan.engine.max_failed_nodes = 3;
-    plan.engine.repartition_seconds = 0.5;
-    plan.engine.node_slowdown_probability = 0.3;
-    plan.engine.node_slowdown_multiplier = 2.5;
-    plan.engine.disk_stall_probability = 0.2;
-    plan.engine.disk_stall_multiplier = 4.0;
-  } else if (name == "fallback-storm") {
-    plan.serve.worker_stall_probability = 0.45;
-    plan.serve.worker_stall_seconds = 60.0;
-  } else if (name == "hot-swap") {
-    plan.serve.registry_swap_probability = 0.35;
-  } else if (name == "backpressure") {
-    plan.serve.submit_reject_probability = 0.4;
-  } else if (name == "rolling-drain") {
-    // The kill must land inside small harness runs too: at 200 requests
-    // (the unit-test scale) the target sees ~20 picks, so 15 is the
-    // latest counted pick that reliably exists.
-    plan.serve.target_replica_label = "feather#1";
-    plan.serve.replica_kill_after_picks = 15;
-    plan.serve.replica_stall_probability = 0.25;
-    plan.serve.replica_stall_seconds = 60.0;
-  } else if (name == "model-lifecycle") {
-    // High enough that a poisoned candidate lands within a few draws at
-    // any seed; the scenario keeps registering until it has seen one.
-    plan.serve.model_poison_probability = 0.75;
-    plan.serve.model_poison_multiplier = 100.0;
-  }
-  return plan;
-}
-
-FaultPlan RandomFaultPlan(uint64_t seed) {
-  Rng rng(SplitMix64(seed ^ 0xC4A05ull));
-  FaultPlan plan;
-  plan.seed = seed;
-  plan.engine.disk_stall_probability = rng.Uniform(0.0, 0.3);
-  plan.engine.disk_stall_multiplier = rng.Uniform(2.0, 8.0);
-  plan.engine.message_loss_rate = rng.Uniform(0.0, 0.1);
-  plan.engine.node_slowdown_probability = rng.Uniform(0.0, 0.3);
-  plan.engine.node_slowdown_multiplier = rng.Uniform(1.5, 4.0);
-  plan.engine.node_failure_probability = rng.Uniform(0.0, 0.3);
-  plan.engine.max_failed_nodes = 2;
-  plan.engine.buffer_pressure_probability = rng.Uniform(0.0, 0.3);
-  plan.serve.submit_reject_probability = rng.Uniform(0.0, 0.3);
-  plan.serve.worker_stall_probability = rng.Uniform(0.0, 0.2);
-  plan.serve.worker_stall_seconds = 30.0;
-  plan.serve.registry_swap_probability = rng.Uniform(0.0, 0.2);
-  // Replica-targeted fields (plan v3) get nontrivial values too so serde
-  // round trips exercise them; they are label-gated to fabric replica
-  // labels and the soak's service carries no shard_label, so they stay
-  // inert in RunChaosSoak.
-  plan.serve.target_replica_label = "golf ball#1";
-  plan.serve.replica_kill_after_picks = 10 + seed % 90;
-  plan.serve.replica_stall_probability = rng.Uniform(0.05, 0.3);
-  plan.serve.replica_stall_seconds = rng.Uniform(10.0, 60.0);
-  // Model-poison fields (plan v4): exercised by serde round trips; inert
-  // in the soak itself, which registers no lifecycle candidates.
-  plan.serve.model_poison_probability = rng.Uniform(0.1, 0.9);
-  plan.serve.model_poison_multiplier = rng.Uniform(10.0, 200.0);
-  return plan;
-}
-
-ScenarioResult RunChaosScenario(const std::string& name,
-                                const ChaosOptions& options) {
-  const FaultPlan plan = options.has_plan_override
-                             ? options.plan_override
-                             : ChaosScenarioPlan(name, options.seed);
-  if (name == "node-death") return RunNodeDeath(plan, options);
-  if (name == "fallback-storm") return RunFallbackStorm(plan, options);
-  if (name == "hot-swap") return RunHotSwap(plan, options);
-  if (name == "backpressure") return RunBackpressure(plan, options);
-  if (name == "rolling-drain") return RunRollingDrain(plan, options);
-  if (name == "model-lifecycle") return RunLifecycleChaosImpl(plan, options).scenario;
-  ScenarioResult unknown;
-  unknown.name = name;
-  unknown.violations.push_back("unknown scenario: " + name);
-  return unknown;
-}
-
-LifecycleChaosResult RunLifecycleChaos(const ChaosOptions& options) {
-  const FaultPlan plan =
-      options.has_plan_override
-          ? options.plan_override
-          : ChaosScenarioPlan("model-lifecycle", options.seed);
-  return RunLifecycleChaosImpl(plan, options);
-}
-
-ScenarioResult RunChaosSoak(const ChaosOptions& options) {
-  ScenarioResult result;
-  result.name = "soak";
-  Violations v(&result);
-
-  const FaultPlan plan = options.has_plan_override
-                             ? options.plan_override
-                             : RandomFaultPlan(options.seed);
-  FaultInjector injector(plan);
-
-  const auto model_a = TrainModel(options.seed ^ 0x50A0ull);
-  const auto model_b = TrainModel(options.seed ^ 0x50A1ull);
-  serve::ModelRegistry registry;
-  registry.Publish(model_a);
+/// soak: concurrent clients under a randomized plan, for volume. Checks the
+/// accounting identities and the no-broken-future contract, not report
+/// determinism.
+void RunSoak(const FaultPlan& plan, const ChaosOptions& opts,
+             ScenarioResult* result) {
+  Violations v(result);
+  const auto model_a = TrainModel(opts.seed ^ 0x50A0ull);
+  const auto model_b = TrainModel(opts.seed ^ 0x50A1ull);
   std::atomic<uint64_t> swaps{0};
-  injector.set_registry_swap_hook([&] {
-    registry.Publish(swaps.fetch_add(1) % 2 == 0 ? model_b : model_a);
+  ServeRig rig(plan);
+  rig.registry.Publish(model_a);
+  rig.injector.set_registry_swap_hook([&] {
+    rig.registry.Publish(swaps.fetch_add(1) % 2 == 0 ? model_b : model_a);
   });
 
   serve::ServiceConfig config;
@@ -1081,22 +989,20 @@ ScenarioResult RunChaosSoak(const ChaosOptions& options) {
   config.cache_capacity = 1024;
   config.queue_deadline_seconds = 2.0;  // << injected 30s stalls
   config.breaker.enabled = true;
-  config.faults = &injector;
-  serve::PredictionService service(&registry, config, ChaosCalibration());
+  serve::PredictionService service = rig.Serve(config);
 
   serve::RetryPolicy policy;
   policy.max_attempts = 3;
   policy.initial_backoff_seconds = 1e-5;
 
   const size_t kClients = 4;
-  const size_t per_client = options.requests / kClients;
+  const size_t per_client = opts.requests / kClients;
   const size_t total = per_client * kClients;
   std::atomic<uint64_t> answered{0}, broken{0}, unlabeled{0};
   std::vector<std::thread> clients;
   for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      const auto probes =
-          MakeProbes(64, options.seed ^ (0xC11E47ull + c));
+      const auto probes = MakeProbes(64, opts.seed ^ (0xC11E47ull + c));
       for (size_t i = 0; i < per_client; ++i) {
         std::future<serve::ServeResponse> future = service.SubmitWithRetry(
             {probes[i % probes.size()], 100.0}, policy);
@@ -1113,88 +1019,41 @@ ScenarioResult RunChaosSoak(const ChaosOptions& options) {
     });
   }
   for (auto& t : clients) t.join();
-  service.Shutdown();
+  const serve::ServiceStatsSnapshot stats = rig.Finish(&service, result);
 
   v.Check(broken.load() == 0,
           StrFormat("%llu broken futures",
                     static_cast<unsigned long long>(broken.load())));
   v.Check(answered.load() == total, "a soak request went unanswered");
   v.Check(unlabeled.load() == 0, "degraded responses without a reason");
-
-  const serve::ServiceStatsSnapshot stats = service.stats();
-  CheckAccounting(stats, &v);
   v.Check(stats.requests == total,
           StrFormat("responses %llu != requests driven %llu",
                     static_cast<unsigned long long>(stats.requests),
                     static_cast<unsigned long long>(total)));
-  v.Check(stats.rejected >= injector.injected("submit_reject"),
+  v.Check(stats.rejected >= rig.injector.injected("submit_reject"),
           "rejected counter below the injected reject count");
 
-  result.report = FaultDigest(injector);
-  result.report += ServeCounters(stats);
-  result.report += StrFormat(
+  result->report += StrFormat(
       "clients: %llu x %llu requests\n",
       static_cast<unsigned long long>(kClients),
       static_cast<unsigned long long>(per_client));
-  return result;
 }
 
-FabricSoakResult RunFabricSoak(const ChaosOptions& options) {
-  FabricSoakResult out;
-  ScenarioResult& result = out.scenario;
-  result.name = "fabric-soak";
-  Violations v(&result);
-
-  const size_t requests = options.requests;
-  // The fault schedule is sized relative to the run: the counted kill
-  // lands once the target replica has taken ~1/20th of the traffic in
-  // picks (its fair share is ~1/12th, so it always gets there), and the
-  // stall probability is low enough that the capped real sleeps stay
-  // negligible even at 1M requests.
+/// fabric-soak: the capacity soak. Admission load waves keyed by request
+/// index shed wrecking balls and park bowling balls at the front door,
+/// rolling drains walk the golf group, and the target replica is stalled
+/// and then killed; on top of the fabric rig's faulted-run checks, the
+/// driver mirrors every admission decision and the run holds a wall-clock
+/// p99 SLO that stays out of the report.
+void RunFabricSoak(const FaultPlan& plan, const ChaosOptions& opts,
+                   ScenarioResult* result) {
+  Violations v(result);
+  const size_t requests = opts.requests;
   v.Check(requests >= 10000,
           "fabric soak needs >= 10k requests for its fault schedule");
-  FaultPlan plan;
-  if (options.has_plan_override) {
-    plan = options.plan_override;
-  } else {
-    plan.seed = options.seed;
-    plan.serve.target_replica_label = "feather#2";
-    plan.serve.replica_kill_after_picks =
-        std::max<uint64_t>(50, requests / 20);
-    plan.serve.replica_stall_probability = 0.01;
-    plan.serve.replica_stall_seconds = 60.0;
-  }
   FaultInjector injector(plan);
-
-  core::PredictorConfig cfg;
-  cfg.kcca.solver = ml::KccaSolver::kExact;
-  core::TwoStepPredictor two_step(cfg);
-  const auto examples = PoolExamples(4, 40, options.seed ^ 0xFAB50ull);
-  two_step.Train(examples);
-  for (const workload::QueryType type :
-       {workload::QueryType::kFeather, workload::QueryType::kGolfBall,
-        workload::QueryType::kBowlingBall,
-        workload::QueryType::kWreckingBall}) {
-    v.Check(two_step.HasCategoryModel(type),
-            std::string("no expert trained for pool ") +
-                workload::QueryTypeName(type));
-  }
-
-  serve::ServiceConfig service_config;
-  service_config.num_workers = 1;
-  // Batch size 1 pins batch formation: deferred dispatches briefly overlap
-  // the admitted request in flight, and merged batches would make the
-  // per-batch stall draws timing-dependent. One request per batch keeps
-  // the whole fault schedule — and so the report — byte-replayable.
-  service_config.max_batch = 1;
-  service_config.cache_capacity = 1024;
-  service_config.queue_deadline_seconds = 5.0;  // << injected replica stalls
-  service_config.fallback_on_anomalous = false;  // bit-compare healthy paths
-
   fabric::FabricConfig config =
-      fabric::MakePerPoolFabricConfig(3, service_config);
-  config.faults = &injector;  // installs the default replica-kill hook
-  config.p2c_seed = SplitMix64(options.seed ^ 0xFAB51Cull);
+      RigFabricConfig(3, /*cache_capacity=*/1024, &injector, opts.seed);
   // Deferred dispatches overlap in-flight traffic, so live queue depths
   // are racy; pin the P2C to its keyed draws to keep pick counts (and so
   // the whole report) byte-replayable.
@@ -1205,54 +1064,15 @@ FabricSoakResult RunFabricSoak(const ChaosOptions& options) {
   config.admission.max_deferred = 256;
   config.admission.defer_drain_per_submit = 4;
   const fabric::AdmissionConfig admission_cfg = config.admission;
-  fabric::Fabric fab(std::move(config), ChaosCalibration());
-  fabric::PublishTwoStep(two_step, &fab);
+  FabricRig rig(std::move(config), /*pools=*/4, /*probes_per_pool=*/4,
+                opts.seed ^ 0xFAB50ull, result);
 
   const std::string golf_group =
       workload::QueryTypeName(workload::QueryType::kGolfBall);
   const auto golf_model = std::make_shared<const core::Predictor>(
-      *two_step.CategoryModel(workload::QueryType::kGolfBall));
+      *rig.two_step.CategoryModel(workload::QueryType::kGolfBall));
 
-  // Four probes per pool; expectations use the classifier's own verdict so
-  // the invariants hold regardless of where a neighbor vote lands. The
-  // oracles are precomputed — at 1M requests a Predict per response would
-  // dominate the run.
-  const size_t kProbes = 16;
-  std::vector<linalg::Vector> probes;
-  std::vector<workload::QueryType> probe_pool;
-  std::vector<std::string> probe_prefix;
-  std::vector<core::Prediction> expect_expert, expect_base;
-  bool pool_covered[4] = {false, false, false, false};
-  for (size_t j = 0; j < kProbes; ++j) {
-    const size_t pool = j % 4;
-    probes.push_back(examples[pool * 40 + j / 4].query_features);
-    const workload::QueryType verdict =
-        two_step.base().Classify(probes.back());
-    probe_pool.push_back(verdict);
-    probe_prefix.push_back(
-        std::string(workload::QueryTypeName(verdict)) + "#");
-    pool_covered[static_cast<size_t>(verdict)] = true;
-    expect_expert.push_back(two_step.Predict(probes.back()));
-    expect_base.push_back(two_step.base().Predict(probes.back()));
-  }
-  for (size_t p = 0; p < 4; ++p) {
-    v.Check(pool_covered[p],
-            std::string("probe mix never classifies into pool ") +
-                workload::QueryTypeName(
-                    static_cast<workload::QueryType>(p)));
-  }
-  const std::string catch_prefix = fab.catch_all_name() + "#";
-
-  // Load waves, keyed purely by request index: every fourth block of
-  // wave_len requests runs with a virtual overload signal, so the
-  // admission decisions (and every counter downstream of them) replay
-  // bit-for-bit. Rolling drains walk the golf group throughout.
   const size_t wave_len = std::max<size_t>(1, requests / 16);
-  const auto in_overload = [wave_len](size_t i) {
-    return ((i / wave_len) % 4) == 3;
-  };
-  const fabric::LoadSignal kCalm{0, 0.0};
-  const fabric::LoadSignal kOverload{4096, 1.0};
   const size_t drain_every = std::max<size_t>(1000, requests / 12);
 
   obs::Histogram latency_hist;
@@ -1262,55 +1082,26 @@ FabricSoakResult RunFabricSoak(const ChaosOptions& options) {
   };
   std::deque<Parked> parked;  // mirrors the fabric's deferred queue, FIFO
   uint64_t shed_direct = 0, shed_overflow = 0, parked_total = 0,
-           drained_mid = 0, deadline_seen = 0, absorbed = 0,
-           admitted_mirror = 0, breach_mirror = 0, drain_ops = 0,
-           bad_shed = 0;
-  uint64_t mismatches = 0, misrouted = 0, unexpected = 0;
-
+           drained_mid = 0, admitted_mirror = 0, breach_mirror = 0,
+           drain_ops = 0, bad_shed = 0;
   const auto verify = [&](const serve::ServeResponse& resp, size_t j) {
     latency_hist.Record(resp.latency_seconds);
-    if (resp.shard.rfind(probe_prefix[j], 0) == 0) {
-      if (resp.degraded()) {
-        if (resp.degraded_reason == "deadline" &&
-            resp.shard == plan.serve.target_replica_label) {
-          ++deadline_seen;  // the targeted stall, surfaced and labeled
-        } else {
-          ++unexpected;
-        }
-      } else if (!BitIdentical(resp.prediction, expect_expert[j])) {
-        ++mismatches;
-      }
-    } else if (resp.shard.rfind(catch_prefix, 0) == 0) {
-      // Escalated: only the killing pick itself may land here.
-      ++absorbed;
-      if (resp.degraded()) {
-        ++unexpected;
-      } else if (!BitIdentical(resp.prediction, expect_base[j])) {
-        ++mismatches;
-      }
-    } else {
-      ++misrouted;
-    }
+    rig.CheckResponse(resp, j);
   };
 
-  std::optional<bool> over_prev;
   for (size_t i = 0; i < requests; ++i) {
-    const bool over = in_overload(i);
-    if (!over_prev.has_value() || *over_prev != over) {
-      fab.admission()->SetVirtualLoad(over ? kOverload : kCalm);
-      over_prev = over;
-    }
+    const bool over = rig.Overloaded(i, wave_len);
     if (i > 0 && i % drain_every == 0) {
       const size_t r = (i / drain_every - 1) % 3;
-      v.Check(fab.DrainSwapRevive(golf_group, r, golf_model),
+      v.Check(rig.fab.DrainSwapRevive(golf_group, r, golf_model),
               "drain-swap-revive failed mid-soak");
       ++drain_ops;
     }
-    const size_t j = i % kProbes;
-    const workload::QueryType pool = probe_pool[j];
+    const size_t j = i % rig.probes.size();
+    const workload::QueryType pool = rig.probe_pool[j];
     if (over) ++breach_mirror;
     std::future<serve::ServeResponse> future =
-        fab.Submit({probes[j], 100.0});
+        rig.fab.Submit({rig.probes[j], 100.0});
     // The driver mirrors the admission policy (same pool verdict, same
     // virtual signal) so it knows which futures resolved inline (sheds),
     // which are parked at the front door, and which hit a replica queue.
@@ -1345,47 +1136,21 @@ FabricSoakResult RunFabricSoak(const ChaosOptions& options) {
     }
   }
   const uint64_t shutdown_drained = parked.size();
-  fab.Shutdown();  // dispatches the still-parked leftovers, then stops
+  rig.fab.Shutdown();  // dispatches the still-parked leftovers, then stops
   while (!parked.empty()) {
     Parked p = std::move(parked.front());
     parked.pop_front();
     verify(p.future.get(), p.probe);
   }
 
-  v.Check(misrouted == 0,
-          StrFormat("%llu responses from outside the classified group",
-                    static_cast<unsigned long long>(misrouted)));
-  v.Check(mismatches == 0,
-          StrFormat("%llu responses did not bit-match their expert",
-                    static_cast<unsigned long long>(mismatches)));
-  v.Check(unexpected == 0,
-          StrFormat("%llu degradations outside the injected faults",
-                    static_cast<unsigned long long>(unexpected)));
   v.Check(bad_shed == 0,
           StrFormat("%llu shed responses were not labeled admission-shed",
                     static_cast<unsigned long long>(bad_shed)));
   v.Check(shed_direct > 0, "no wrecking ball was shed under overload");
   v.Check(parked_total > 0, "no bowling ball was deferred under overload");
   v.Check(drained_mid > 0, "no deferred request drained after its wave");
-  v.Check(injector.injected("replica_kill") == 1,
-          "the replica kill must fire exactly once");
-  v.Check(absorbed == 1,
-          StrFormat("catch-all absorbed %llu requests; only the killing "
-                    "pick may escalate (the group has live peers)",
-                    static_cast<unsigned long long>(absorbed)));
-  v.Check(injector.injected("replica_stall") == deadline_seen,
-          StrFormat("deadline fallbacks %llu != injected replica stalls "
-                    "%llu (batch size 1 must map 1:1)",
-                    static_cast<unsigned long long>(deadline_seen),
-                    static_cast<unsigned long long>(
-                        injector.injected("replica_stall"))));
-  v.Check(deadline_seen > 0, "target replica never stalled before the kill");
-  v.Check(fab.health("feather", 2) == fabric::ReplicaHealth::kDead,
-          "killed replica is not marked dead");
-  v.Check(!fab.registry("feather", 2)->has_model(),
-          "killed replica still has a model");
-
-  const fabric::FabricStatsSnapshot stats = fab.stats();
+  const fabric::FabricStatsSnapshot stats =
+      rig.CheckFaultedRun(requests, drain_ops, result);
   v.Check(stats.shed == shed_direct + shed_overflow,
           "shed counter != client-observed sheds");
   v.Check(stats.defer_overflow == shed_overflow,
@@ -1398,38 +1163,6 @@ FabricSoakResult RunFabricSoak(const ChaosOptions& options) {
           "admitted counter != client-mirrored admits");
   v.Check(stats.slo_breaches == breach_mirror,
           "slo-breach counter != requests decided under overload waves");
-  v.Check(stats.drains == drain_ops,
-          "drains counter != drain-swap-revive operations");
-  v.Check(stats.escalations_dead == absorbed,
-          "dead-escalation count != client-observed absorbed requests");
-  v.Check(stats.escalations_open == 0 && stats.escalations_overloaded == 0 &&
-              stats.fallback_exhausted == 0,
-          "ladder rungs below 'dead' fired under sequential driving");
-  v.Check(stats.classified == kProbes,
-          "classifier calls != distinct probes (route cache broken)");
-  v.Check(stats.classified + stats.route_cache_hits ==
-              requests + stats.defer_drained,
-          "every submit and every defer dispatch must classify exactly once");
-  uint64_t served = 0;
-  for (const auto& g : stats.groups) {
-    for (const auto& r : g.replicas) {
-      CheckAccounting(r.service, &v);
-      served += r.service.requests;
-      if (r.label == plan.serve.target_replica_label) {
-        v.Check(r.service.fallback_deadline == deadline_seen,
-                "target deadline fallbacks != client-observed stalls");
-      } else {
-        v.Check(r.service.fallbacks() == 0,
-                "a non-target replica degraded (containment broken): " +
-                    r.label);
-      }
-      if (!g.catch_all) {
-        v.Check(r.picks > 0, "a replica never took a pick: " + r.label);
-      }
-    }
-  }
-  v.Check(served + stats.shed == requests,
-          "a request was lost on the ladder");
 
   // The p99-under-chaos SLO: an invariant, never part of the report (the
   // report must stay byte-replayable and wall-clock never is).
@@ -1438,13 +1171,13 @@ FabricSoakResult RunFabricSoak(const ChaosOptions& options) {
           StrFormat("p99 under chaos %.6fs breached the 0.25s soak SLO",
                     p99));
 
-  result.report = StrFormat(
+  result->report = StrFormat(
       "fabric soak: %llu requests | wave %llu | probes %llu | replicas 3\n",
       static_cast<unsigned long long>(requests),
       static_cast<unsigned long long>(wave_len),
-      static_cast<unsigned long long>(kProbes));
-  result.report += FaultDigest(injector);
-  result.report += stats.ToString();
+      static_cast<unsigned long long>(rig.probes.size()));
+  result->report += FaultDigest(injector);
+  result->report += stats.ToString();
 
   const auto count = [](uint64_t value) {
     return static_cast<double>(value);
@@ -1452,7 +1185,7 @@ FabricSoakResult RunFabricSoak(const ChaosOptions& options) {
   // Keys carry the fabric_soak_ prefix because they land in the shared
   // golden/tolerance namespace (tests/golden/fabric.json) next to the
   // paper-figure headline keys.
-  out.counters = {
+  result->counters = {
       {"fabric_soak_requests", count(requests)},
       {"fabric_soak_classified", count(stats.classified)},
       {"fabric_soak_route_cache_hits", count(stats.route_cache_hits)},
@@ -1468,23 +1201,213 @@ FabricSoakResult RunFabricSoak(const ChaosOptions& options) {
       {"fabric_soak_replica_kills", count(injector.injected("replica_kill"))},
       {"fabric_soak_replica_stalls",
        count(injector.injected("replica_stall"))},
-      {"fabric_soak_deadline_fallbacks", count(deadline_seen)},
-      {"fabric_soak_violations", count(result.violations.size())},
+      {"fabric_soak_deadline_fallbacks", count(rig.deadline_seen)},
+      {"fabric_soak_violations", count(result->violations.size())},
   };
+}
+
+// ---------------------------------------------------------------- table --
+
+/// One row of the chaos table: a run and the FaultPlan it runs under
+/// unless ChaosOptions::plan replaces it (`plan` fills in a plan seeded
+/// with options.seed), and whether it is one of the six scenarios
+/// `qpp_tool chaos` runs when no run is named.
+struct ChaosRow {
+  const char* name;
+  bool scenario;
+  void (*plan)(const ChaosOptions&, FaultPlan*);
+  void (*run)(const FaultPlan&, const ChaosOptions&, ScenarioResult*);
+};
+
+const ChaosRow kChaosRows[] = {
+    {"node-death", true,
+     [](const ChaosOptions&, FaultPlan* p) {
+       p->engine.node_failure_probability = 0.5;
+       p->engine.max_failed_nodes = 3;
+       p->engine.repartition_seconds = 0.5;
+       p->engine.node_slowdown_probability = 0.3;
+       p->engine.node_slowdown_multiplier = 2.5;
+       p->engine.disk_stall_probability = 0.2;
+       p->engine.disk_stall_multiplier = 4.0;
+     },
+     RunNodeDeath},
+    {"fallback-storm", true,
+     [](const ChaosOptions&, FaultPlan* p) {
+       p->serve.worker_stall_probability = 0.45;
+       p->serve.worker_stall_seconds = 60.0;
+     },
+     RunFallbackStorm},
+    {"hot-swap", true,
+     [](const ChaosOptions&, FaultPlan* p) {
+       p->serve.registry_swap_probability = 0.35;
+     },
+     RunHotSwap},
+    {"backpressure", true,
+     [](const ChaosOptions&, FaultPlan* p) {
+       p->serve.submit_reject_probability = 0.4;
+     },
+     RunBackpressure},
+    {"rolling-drain", true,
+     [](const ChaosOptions&, FaultPlan* p) {
+       // The kill must land inside small harness runs too: at 200
+       // requests (the unit-test scale) the target sees ~20 picks, so 15
+       // is the latest counted pick that reliably exists.
+       p->serve.target_replica_label = "feather#1";
+       p->serve.replica_kill_after_picks = 15;
+       p->serve.replica_stall_probability = 0.25;
+       p->serve.replica_stall_seconds = 60.0;
+     },
+     RunRollingDrain},
+    {"model-lifecycle", true,
+     [](const ChaosOptions&, FaultPlan* p) {
+       // High enough that a poisoned candidate lands within a few draws at
+       // any seed; the scenario keeps registering until it has seen one.
+       p->serve.model_poison_probability = 0.75;
+       p->serve.model_poison_multiplier = 100.0;
+     },
+     RunModelLifecycle},
+    {"soak", false,
+     [](const ChaosOptions& o, FaultPlan* p) { *p = RandomFaultPlan(o.seed); },
+     RunSoak},
+    {"fabric-soak", false,
+     [](const ChaosOptions& o, FaultPlan* p) {
+       // Sized to the run: the counted kill lands once the target has
+       // taken ~1/20th of the traffic in picks (its fair share is ~1/12th,
+       // so it always gets there), and stalls are rare enough that their
+       // capped real sleeps stay negligible even at 1M requests.
+       p->serve.target_replica_label = "feather#2";
+       p->serve.replica_kill_after_picks =
+           std::max<uint64_t>(50, o.requests / 20);
+       p->serve.replica_stall_probability = 0.01;
+       p->serve.replica_stall_seconds = 60.0;
+     },
+     RunFabricSoak},
+};
+
+const ChaosRow* FindRow(const std::string& name) {
+  for (const ChaosRow& row : kChaosRows) {
+    if (name == row.name) return &row;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+// --------------------------------------------------------------- public --
+
+std::vector<ml::TrainingExample> PoolExamples(size_t pools, size_t per_pool,
+                                              uint64_t seed) {
+  static const double kElapsedBase[4] = {10.0, 400.0, 2500.0, 9000.0};
+  QPP_CHECK(pools >= 1 && pools <= 4);
+  Rng rng(seed);
+  std::vector<ml::TrainingExample> out;
+  out.reserve(pools * per_pool);
+  for (size_t pool = 0; pool < pools; ++pool) {
+    const double off = static_cast<double>(pool);
+    for (size_t i = 0; i < per_pool; ++i) {
+      ml::TrainingExample ex;
+      const double a = rng.Uniform(1.0, 10.0);
+      const double b = rng.Uniform(1.0, 10.0);
+      const double c = rng.Uniform(0.0, 5.0);
+      ex.query_features = {a + 40.0 * off, b + 10.0 * off, c,
+                           a * b + 25.0 * off, rng.Uniform(0.0, 1.0)};
+      // 0.5ab + c <= 55, so every example stays inside its pool's band.
+      ex.metrics.elapsed_seconds = kElapsedBase[pool] + 0.5 * a * b + c;
+      ex.metrics.records_accessed = 1000.0 * a + 50.0 * c + 10000.0 * off;
+      ex.metrics.records_used = 100.0 * a + 1000.0 * off;
+      ex.metrics.message_count = 10.0 * b + 100.0 * off;
+      ex.metrics.message_bytes = 1000.0 * b + 10.0 * a;
+      out.push_back(std::move(ex));
+    }
+  }
   return out;
 }
 
-namespace {
-size_t CountOccurrences(const std::string& haystack,
-                        const std::string& needle) {
-  size_t count = 0;
-  for (size_t pos = haystack.find(needle); pos != std::string::npos;
-       pos = haystack.find(needle, pos + needle.size())) {
-    ++count;
+std::vector<ml::TrainingExample> ServeExamples(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ml::TrainingExample> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    ml::TrainingExample ex;
+    const double a = rng.Uniform(1.0, 10.0);
+    const double b = rng.Uniform(1.0, 10.0);
+    const double c = rng.Uniform(0.0, 5.0);
+    ex.query_features = {a, b, c, a * b, rng.Uniform(0.0, 1.0)};
+    ex.metrics.elapsed_seconds = 0.5 * a * b + c;
+    ex.metrics.records_accessed = 1000.0 * a + 50.0 * c;
+    ex.metrics.records_used = 100.0 * a;
+    ex.metrics.message_count = 10.0 * b;
+    ex.metrics.message_bytes = 1000.0 * b + 10.0 * a;
+    out.push_back(std::move(ex));
   }
-  return count;
+  return out;
 }
-}  // namespace
+
+const std::vector<std::string>& ChaosScenarioNames() {
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const ChaosRow& row : kChaosRows) {
+      if (row.scenario) names.push_back(row.name);
+    }
+    return names;
+  }();
+  return kNames;
+}
+
+std::optional<FaultPlan> ChaosScenarioPlan(const std::string& name,
+                                           const ChaosOptions& options) {
+  const ChaosRow* row = FindRow(name);
+  if (row == nullptr) return std::nullopt;
+  FaultPlan plan;
+  plan.seed = options.seed;
+  row->plan(options, &plan);
+  return plan;
+}
+
+FaultPlan RandomFaultPlan(uint64_t seed) {
+  Rng rng(SplitMix64(seed ^ 0xC4A05ull));
+  FaultPlan plan;
+  plan.seed = seed;
+  plan.engine.disk_stall_probability = rng.Uniform(0.0, 0.3);
+  plan.engine.disk_stall_multiplier = rng.Uniform(2.0, 8.0);
+  plan.engine.message_loss_rate = rng.Uniform(0.0, 0.1);
+  plan.engine.node_slowdown_probability = rng.Uniform(0.0, 0.3);
+  plan.engine.node_slowdown_multiplier = rng.Uniform(1.5, 4.0);
+  plan.engine.node_failure_probability = rng.Uniform(0.0, 0.3);
+  plan.engine.max_failed_nodes = 2;
+  plan.engine.buffer_pressure_probability = rng.Uniform(0.0, 0.3);
+  plan.serve.submit_reject_probability = rng.Uniform(0.0, 0.3);
+  plan.serve.worker_stall_probability = rng.Uniform(0.0, 0.2);
+  plan.serve.worker_stall_seconds = 30.0;
+  plan.serve.registry_swap_probability = rng.Uniform(0.0, 0.2);
+  // Replica-targeted fields (plan v3) get nontrivial values too so serde
+  // round trips exercise them; they are label-gated to fabric replica
+  // labels and the soak's service carries no shard_label, so they stay
+  // inert in the soak row.
+  plan.serve.target_replica_label = "golf ball#1";
+  plan.serve.replica_kill_after_picks = 10 + seed % 90;
+  plan.serve.replica_stall_probability = rng.Uniform(0.05, 0.3);
+  plan.serve.replica_stall_seconds = rng.Uniform(10.0, 60.0);
+  // Model-poison fields (plan v4): exercised by serde round trips; inert
+  // in the soak itself, which registers no lifecycle candidates.
+  plan.serve.model_poison_probability = rng.Uniform(0.1, 0.9);
+  plan.serve.model_poison_multiplier = rng.Uniform(10.0, 200.0);
+  return plan;
+}
+
+ScenarioResult RunChaosScenario(const std::string& name,
+                                const ChaosOptions& options) {
+  ScenarioResult result;
+  result.name = name;
+  const ChaosRow* row = FindRow(name);
+  if (row == nullptr) {
+    result.violations.push_back("unknown scenario: " + name);
+    return result;
+  }
+  row->run(options.plan.value_or(*ChaosScenarioPlan(name, options)), options,
+           &result);
+  return result;
+}
 
 ObsFlightDemoResult RunObsFlightDemo(const ChaosOptions& options) {
   ObsFlightDemoResult out;
@@ -1498,24 +1421,10 @@ ObsFlightDemoResult RunObsFlightDemo(const ChaosOptions& options) {
   if (requests < 512) return out;
 
   obs::TraceRecorder trace;
-
-  core::PredictorConfig cfg;
-  cfg.kcca.solver = ml::KccaSolver::kExact;
-  core::TwoStepPredictor two_step(cfg);
-  const auto examples = PoolExamples(4, 40, options.seed ^ 0x0B5D3340ull);
-  two_step.Train(examples);
-
-  serve::ServiceConfig service_config;
-  service_config.num_workers = 1;
-  service_config.max_batch = 1;  // byte-replayable, as in the fabric soak
-  service_config.cache_capacity = 1024;
-  service_config.fallback_on_anomalous = false;
-
   fabric::FabricConfig config =
-      fabric::MakePerPoolFabricConfig(2, service_config);
+      RigFabricConfig(2, /*cache_capacity=*/1024, nullptr, options.seed);
   config.trace = &trace;
   config.trace_seed = SplitMix64(options.seed ^ 0x0B5F11D0ull);
-  config.p2c_seed = SplitMix64(options.seed ^ 0xFAB51Cull);
   config.p2c_ignore_depth = true;
   config.admission.enabled = true;
   config.admission.p99_slo_seconds = 0.25;
@@ -1524,20 +1433,11 @@ ObsFlightDemoResult RunObsFlightDemo(const ChaosOptions& options) {
   // so the sequential driver never blocks on a parked request and the
   // whole flight history replays byte-for-byte.
   config.admission.defer_bowling = false;
-  fabric::Fabric fab(std::move(config), ChaosCalibration());
-  fabric::PublishTwoStep(two_step, &fab);
+  FabricRig rig(std::move(config), /*pools=*/4, /*probes_per_pool=*/2,
+                options.seed ^ 0x0B5D3340ull, &result);
+  fabric::Fabric& fab = rig.fab;
   fab.flight()->Record(obs::FlightEventKind::kNote, /*trace_id=*/0,
                        /*code=*/0, 0.0, "obs-demo-start");
-
-  // Two probes per pool, classified by the step-1 model itself so the
-  // shed/admit mirror below matches the fabric's verdicts exactly.
-  const size_t kProbes = 8;
-  std::vector<linalg::Vector> probes;
-  std::vector<workload::QueryType> probe_pool;
-  for (size_t j = 0; j < kProbes; ++j) {
-    probes.push_back(examples[(j % 4) * 40 + j / 4].query_features);
-    probe_pool.push_back(two_step.base().Classify(probes.back()));
-  }
 
   // The SLO engine under test: synthetic seed-derived latencies (never the
   // wall clock) make every window's verdict a pure function of the seed.
@@ -1589,27 +1489,15 @@ ObsFlightDemoResult RunObsFlightDemo(const ChaosOptions& options) {
     slo.AddRule(std::move(deferred));
   }
 
-  // Overload waves keyed purely by request index, as in the fabric soak:
-  // every fourth block runs under a virtual breach signal.
   const size_t wave_len = std::max<size_t>(64, requests / 16);
-  const auto in_overload = [wave_len](size_t i) {
-    return ((i / wave_len) % 4) == 3;
-  };
-  const fabric::LoadSignal kCalm{0, 0.0};
-  const fabric::LoadSignal kOverload{4096, 1.0};
-
   uint64_t shed_mirror = 0, admitted_mirror = 0, degraded_seen = 0;
   std::string first_breach_rule;
-  std::optional<bool> over_prev;
   for (size_t i = 0; i < requests; ++i) {
-    const bool over = in_overload(i);
-    if (!over_prev.has_value() || *over_prev != over) {
-      fab.admission()->SetVirtualLoad(over ? kOverload : kCalm);
-      over_prev = over;
-    }
-    const size_t j = i % kProbes;
-    const serve::ServeResponse resp = fab.Submit({probes[j], 100.0}).get();
-    if (over && probe_pool[j] == workload::QueryType::kWreckingBall) {
+    const bool over = rig.Overloaded(i, wave_len);
+    const size_t j = i % rig.probes.size();
+    const serve::ServeResponse resp =
+        fab.Submit({rig.probes[j], 100.0}).get();
+    if (over && rig.probe_pool[j] == workload::QueryType::kWreckingBall) {
       ++shed_mirror;
       v.Check(resp.degraded_reason == "admission-shed",
               "wrecking ball under overload was not labeled admission-shed");
@@ -1692,8 +1580,9 @@ ObsFlightDemoResult RunObsFlightDemo(const ChaosOptions& options) {
       "flight: dump %llu bytes | prom %llu bytes | id chain %llu spans\n",
       static_cast<unsigned long long>(requests),
       static_cast<unsigned long long>(wave_len),
-      static_cast<unsigned long long>(kProbes), first_breach_rule.c_str(),
-      breach_hex.c_str(), static_cast<unsigned long long>(slo.ticks()),
+      static_cast<unsigned long long>(rig.probes.size()),
+      first_breach_rule.c_str(), breach_hex.c_str(),
+      static_cast<unsigned long long>(slo.ticks()),
       static_cast<unsigned long long>(slo.windows_closed()),
       static_cast<unsigned long long>(slo.alerts_total()),
       static_cast<unsigned long long>(admitted_mirror),

@@ -39,28 +39,33 @@
 //                   Every response bit-matches the generation's model and
 //                   the decision log replays byte-for-byte per seed.
 //
-// Scenario traffic is driven sequentially (one request in flight), so the
-// injected fault schedule AND the resulting report are bit-replayable:
-// running the same scenario twice with the same options yields the same
-// report string. Reports therefore contain only deterministic data —
-// counters, fault digests, metric sums — never wall-clock latencies.
+// Every run is one row of a table: its name, the FaultPlan it runs under
+// (built from ChaosOptions, so a plan can depend on the run's size), and
+// its run function. The table holds the six scenarios above and two
+// soaks:
 //
-// RunChaosSoak is the exception: it drives concurrent clients under a
-// randomized FaultPlan for volume, so only the invariants (not the report
-// bytes) are stable. It is gated behind QPP_SOAK=1 in the test suite.
+//   soak            serve: concurrent clients under RandomFaultPlan(seed),
+//                   for volume. Only its invariants are stable, not its
+//                   report bytes; the test suite gates it behind
+//                   QPP_SOAK=1.
+//   fabric-soak     fabric: the capacity-scale run, sized for >= 1M
+//                   requests and driven sequentially. It combines
+//                   admission load waves (a virtual LoadSignal keyed by
+//                   request index), a counted replica kill, probabilistic
+//                   replica stalls and rolling drain-swap-revives, and
+//                   checks the whole fabric contract plus a wall-clock p99
+//                   SLO that never enters the report.
 //
-// RunFabricSoak is the capacity-scale variant for qpp::fabric: a
-// sequentially driven, fully deterministic soak sized for >= 1M requests.
-// It combines admission-control load waves (virtual LoadSignal keyed by
-// request index), a counted replica kill, probabilistic replica stalls,
-// and rolling drain-swap-revive operations, and checks the whole fabric
-// contract — bit-identity, labeled degradations, counter accounting, and
-// a wall-clock p99 SLO under chaos. Its report and counters are
-// byte-replayable per seed (CI diffs two same-seed runs), while the p99
-// check is an invariant only and never enters the report.
+// All rows but `soak` drive traffic sequentially (one request in flight),
+// so the injected fault schedule AND the report are bit-replayable: the
+// same row with the same options yields the same report and counters, and
+// so does a replay under the row's own plan (`qpp_tool chaos --save-plan`
+// then `--plan`). Reports hold only deterministic data — counters, fault
+// digests, metric sums — never wall-clock latencies.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,73 +85,58 @@ namespace qpp::fault {
 std::vector<ml::TrainingExample> PoolExamples(size_t pools, size_t per_pool,
                                               uint64_t seed);
 
+/// The small serve fixture the serve scenarios and serve tests train on:
+/// `n` rows of five features with nonlinear metric structure, from one
+/// seeded stream. A model trains on it in milliseconds.
+std::vector<ml::TrainingExample> ServeExamples(size_t n, uint64_t seed);
+
 struct ChaosOptions {
   uint64_t seed = 42;
-  /// Requests driven through the service in serve scenarios (and the soak).
+  /// Requests driven through the service or fabric in serve and fabric
+  /// rows.
   size_t requests = 400;
   /// Queries simulated in engine scenarios.
   size_t queries = 24;
-  /// When set, replaces the scenario's built-in FaultPlan (replay support:
+  /// When set, replaces the row's own FaultPlan (replay support:
   /// `qpp_tool chaos --plan file`). The plan's own seed is used as-is.
-  bool has_plan_override = false;
-  FaultPlan plan_override;
+  std::optional<FaultPlan> plan;
 };
 
 struct ScenarioResult {
   std::string name;
   /// Deterministic multi-line report (counters, fault digest, metric sums).
   std::string report;
+  /// Headline counters as a flat name -> value list in a fixed order, for
+  /// the byte-replayable `--json-out` artifact and the golden suite
+  /// (tests/golden/fabric.json, tests/golden/lifecycle.json); empty for
+  /// rows that publish none.
+  std::vector<std::pair<std::string, double>> counters;
   /// Human-readable invariant violations; empty on success.
   std::vector<std::string> violations;
   bool ok() const { return violations.empty(); }
 };
 
-/// The scenario names, in canonical order.
+/// The six scenarios, in the order `qpp_tool chaos` runs them when no run
+/// is named. The soaks are rows too, run by name: "soak", "fabric-soak".
 const std::vector<std::string>& ChaosScenarioNames();
 
-/// The FaultPlan a scenario runs under (before any override); exposed so
-/// `qpp_tool chaos --save-plan` can ship a schedule for replay.
-FaultPlan ChaosScenarioPlan(const std::string& name, uint64_t seed);
+/// The FaultPlan row `name` runs under when options.plan is unset, so
+/// `qpp_tool chaos --save-plan` ships exactly the schedule a run injects;
+/// nullopt when no row has that name.
+std::optional<FaultPlan> ChaosScenarioPlan(const std::string& name,
+                                           const ChaosOptions& options);
 
-/// A moderate-everything randomized plan, derived from `seed` (soak mode).
+/// A moderate-everything randomized plan, derived from `seed` (the soak
+/// row's plan).
 FaultPlan RandomFaultPlan(uint64_t seed);
 
-/// Runs one named scenario. Unknown names yield a result with a violation
-/// (never a crash), so the CLI can report them uniformly.
+/// Runs one row — a scenario, "soak" or "fabric-soak" — under
+/// options.plan, or the row's own plan when that is unset. An unknown name
+/// yields a result with a violation (never a crash), so the CLI can report
+/// it uniformly. The fabric soak needs at least 10k requests for its
+/// counted replica kill to fire; fewer is a violation.
 ScenarioResult RunChaosScenario(const std::string& name,
                                 const ChaosOptions& options);
-
-/// High-volume concurrent soak under RandomFaultPlan(seed): checks the
-/// accounting identities and the no-broken-future contract, not report
-/// determinism.
-ScenarioResult RunChaosSoak(const ChaosOptions& options);
-
-/// The fabric soak's outcome: the usual deterministic scenario report plus
-/// the headline counters as a flat name -> value list, in a fixed order,
-/// so the CLI can emit a byte-replayable JSON artifact for CI.
-struct FabricSoakResult {
-  ScenarioResult scenario;
-  std::vector<std::pair<std::string, double>> counters;
-};
-
-/// Deterministic capacity soak over qpp::fabric (see the file comment).
-/// Sized for options.requests >= 1M on manual CI dispatch; needs at least
-/// a few thousand requests for the counted replica kill to fire.
-FabricSoakResult RunFabricSoak(const ChaosOptions& options);
-
-/// The model-lifecycle scenario's outcome: the deterministic report (which
-/// embeds the full promotion/rollback decision log — CI byte-diffs it)
-/// plus the headline lifecycle counters as a flat name -> value list for
-/// the golden-metrics JSON artifact (tests/golden/lifecycle.json).
-struct LifecycleChaosResult {
-  ScenarioResult scenario;
-  std::vector<std::pair<std::string, double>> counters;
-};
-
-/// Runs the closed-loop lifecycle scenario (see the file comment). Mostly
-/// self-sizing: candidate registrations adapt to the seed's poison draws,
-/// so any seed exercises reject + promote + rollback + confirm.
-LifecycleChaosResult RunLifecycleChaos(const ChaosOptions& options);
 
 /// The observability flight demo's outcome: the usual deterministic
 /// scenario report plus the three black-box artifacts the run produced.
@@ -169,7 +159,8 @@ struct ObsFlightDemoResult {
   uint64_t breach_trace_id = 0;
 };
 
-/// Drives a small traced fabric through deterministic overload waves with
+/// Drives a small traced fabric — the fabric rig the fabric rows run on,
+/// two replicas per group — through deterministic overload waves with
 /// an SloEngine judging seed-derived synthetic latencies, so an SLO breach
 /// is *guaranteed* and everything observability promises can be asserted:
 /// trace-id propagation front door to span chain, the flight dump at the

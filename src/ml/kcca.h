@@ -78,6 +78,12 @@ class KccaModel {
   /// Which solver actually ran.
   KccaSolver solver_used() const { return solver_used_; }
   size_t num_training_points() const { return px_.rows(); }
+  /// Width p of the feature rows the model projects: the training rows'
+  /// for the exact solver, the pivot rows' for ICD.
+  size_t input_dims() const {
+    return solver_used_ == KccaSolver::kExact ? train_x_.cols()
+                                              : pivot_x_.cols();
+  }
 
   /// Projects a new (preprocessed) query feature vector into the query
   /// projection space: a one-row ProjectXBatchInto with call-local

@@ -1,5 +1,6 @@
 // The chaos harness under test: every named scenario passes its invariants
-// AND produces a byte-identical report when replayed with the same seed;
+// AND produces a byte-identical report when replayed with the same seed or
+// under its own saved plan;
 // the fault injector's decisions are independent of call interleaving; a
 // disabled injector is indistinguishable from none; monotone fault kinds
 // never make any metric smaller; FaultPlans survive file round trips, and
@@ -68,6 +69,30 @@ INSTANTIATE_TEST_SUITE_P(AllScenarios, ChaosScenarioTest,
 TEST(ChaosScenarioTest, UnknownScenarioIsAViolationNotACrash) {
   const ScenarioResult r = RunChaosScenario("no-such-scenario", {});
   EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(ChaosScenarioPlan("no-such-scenario", {}).has_value());
+}
+
+TEST(ChaosScenarioTest, EveryDeterministicRowReplaysItsOwnPlan) {
+  // A run under the plan `qpp_tool chaos --save-plan` ships for it must be
+  // the run itself, byte for byte: the replay contract. The concurrent
+  // soak is the one row whose bytes are not deterministic.
+  std::vector<std::string> rows = ChaosScenarioNames();
+  rows.push_back("fabric-soak");
+  for (const std::string& name : rows) {
+    SCOPED_TRACE(name);
+    ChaosOptions opts;
+    opts.seed = 7;
+    opts.requests = name == "fabric-soak" ? 10000 : 200;
+    opts.queries = 12;
+    const ScenarioResult own = RunChaosScenario(name, opts);
+    for (const std::string& v : own.violations) ADD_FAILURE() << v;
+    opts.plan = ChaosScenarioPlan(name, opts);
+    ASSERT_TRUE(opts.plan.has_value());
+    const ScenarioResult replay = RunChaosScenario(name, opts);
+    EXPECT_TRUE(replay.ok());
+    EXPECT_EQ(own.report, replay.report);
+    EXPECT_EQ(own.counters, replay.counters);
+  }
 }
 
 // ------------------------------------------------- injector determinism --
@@ -301,14 +326,14 @@ TEST(ChaosSoakTest, TenThousandRequestsUnderRandomizedFaults) {
   ChaosOptions opts;
   opts.seed = 20260806;
   opts.requests = 10000;
-  const ScenarioResult r = RunChaosSoak(opts);
+  const ScenarioResult r = RunChaosScenario("soak", opts);
   for (const std::string& v : r.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(r.ok());
 }
 
 // ------------------------------------------------------ the fabric soak --
 
-void ExpectFabricSoakCountersSane(const FabricSoakResult& r) {
+void ExpectFabricSoakCountersSane(const ScenarioResult& r) {
   uint64_t shed = 0, deferred = 0, drained = 0, kills = 0, stalls = 0,
            deadlines = 0;
   for (const auto& [key, value] : r.counters) {
@@ -341,23 +366,23 @@ TEST(FabricSoakSmokeTest, TenThousandRequestsReplayByteForByte) {
   ChaosOptions opts;
   opts.seed = 20260808;
   opts.requests = 10000;
-  const FabricSoakResult first = RunFabricSoak(opts);
-  for (const std::string& v : first.scenario.violations) ADD_FAILURE() << v;
-  EXPECT_TRUE(first.scenario.ok());
-  EXPECT_FALSE(first.scenario.report.empty());
+  const ScenarioResult first = RunChaosScenario("fabric-soak", opts);
+  for (const std::string& v : first.violations) ADD_FAILURE() << v;
+  EXPECT_TRUE(first.ok());
+  EXPECT_FALSE(first.report.empty());
   ExpectFabricSoakCountersSane(first);
 
   // Same seed, fresh fabric: report and counters must not move by a byte.
-  const FabricSoakResult replay = RunFabricSoak(opts);
-  EXPECT_EQ(first.scenario.report, replay.scenario.report);
+  const ScenarioResult replay = RunChaosScenario("fabric-soak", opts);
+  EXPECT_EQ(first.report, replay.report);
   EXPECT_EQ(first.counters, replay.counters);
 
   // A different seed is a different schedule with the same invariants.
   ChaosOptions other = opts;
   other.seed = 7;
-  const FabricSoakResult shifted = RunFabricSoak(other);
-  for (const std::string& v : shifted.scenario.violations) ADD_FAILURE() << v;
-  EXPECT_NE(first.scenario.report, shifted.scenario.report);
+  const ScenarioResult shifted = RunChaosScenario("fabric-soak", other);
+  for (const std::string& v : shifted.violations) ADD_FAILURE() << v;
+  EXPECT_NE(first.report, shifted.report);
 }
 
 TEST(FabricSoakSmokeTest, RunsBelowTenThousandAreRefused) {
@@ -365,7 +390,7 @@ TEST(FabricSoakSmokeTest, RunsBelowTenThousandAreRefused) {
   // tiny run would pass vacuously, so it is a violation instead.
   ChaosOptions opts;
   opts.requests = 500;
-  EXPECT_FALSE(RunFabricSoak(opts).scenario.ok());
+  EXPECT_FALSE(RunChaosScenario("fabric-soak", opts).ok());
 }
 
 TEST(FabricSoakTest, OneMillionRequestsUnderChaosStayInsideTheSlo) {
@@ -376,9 +401,9 @@ TEST(FabricSoakTest, OneMillionRequestsUnderChaosStayInsideTheSlo) {
   ChaosOptions opts;
   opts.seed = 20260808;
   opts.requests = 1000000;
-  const FabricSoakResult r = RunFabricSoak(opts);
-  for (const std::string& v : r.scenario.violations) ADD_FAILURE() << v;
-  EXPECT_TRUE(r.scenario.ok());
+  const ScenarioResult r = RunChaosScenario("fabric-soak", opts);
+  for (const std::string& v : r.violations) ADD_FAILURE() << v;
+  EXPECT_TRUE(r.ok());
   ExpectFabricSoakCountersSane(r);
 }
 

@@ -291,6 +291,43 @@ TEST(ModelIoTest, MatrixShapeThatWrapsIsAnError) {
       Loads(SpliceMatrix(ss.str(), 120, 6, MatrixSection(big, big, 0))));
 }
 
+/// Whether LoadModelFile accepts a saved `solver` model whose KCCA block is
+/// replaced by one trained on the same rows with a fifth feature: every
+/// section still agrees in shape with the file except the KCCA's input
+/// width, p + 1, so each Predict would fail its projection's width check.
+bool LoadsWithWiderKccaInput(ml::KccaSolver solver) {
+  PredictorConfig cfg;
+  cfg.kcca.solver = solver;
+  auto examples = SyntheticExamples(120, 12);
+  Predictor pred(cfg);
+  pred.Train(examples);
+  for (auto& ex : examples) {
+    ex.query_features.push_back(ex.query_features[3] * ex.query_features[3]);
+  }
+  Predictor wide(cfg);
+  wide.Train(examples);
+  std::stringstream ss;
+  pred.Save(&ss);
+  std::ostringstream narrow_kcca, wide_kcca;
+  {
+    BinaryWriter narrow(narrow_kcca), w(wide_kcca);
+    pred.kcca().Save(&narrow);
+    wide.kcca().Save(&w);
+  }
+  EXPECT_EQ(wide.kcca().input_dims(), pred.kcca().input_dims() + 1);
+  const std::string bytes = ss.str();
+  return Loads(bytes.substr(0, bytes.size() - narrow_kcca.str().size()) +
+               wide_kcca.str());
+}
+
+TEST(ModelIoTest, ExactKccaOfTheWrongInputWidthIsAnError) {
+  EXPECT_FALSE(LoadsWithWiderKccaInput(ml::KccaSolver::kExact));
+}
+
+TEST(ModelIoTest, IcdKccaOfTheWrongInputWidthIsAnError) {
+  EXPECT_FALSE(LoadsWithWiderKccaInput(ml::KccaSolver::kIcd));
+}
+
 TEST(TwoStepTest, BuildsPerCategoryModels) {
   // 100 of each regime so every category clears min_category_size.
   std::vector<ml::TrainingExample> train;

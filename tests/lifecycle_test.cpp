@@ -383,10 +383,11 @@ TEST(LifecycleManagerTest, DecisionLogReplaysByteIdentical) {
 TEST(LifecycleChaosTest, ScenarioPassesAndEmbedsTheDecisionLog) {
   fault::ChaosOptions opts;
   opts.seed = 42;
-  const fault::LifecycleChaosResult run = fault::RunLifecycleChaos(opts);
-  EXPECT_TRUE(run.scenario.ok()) << run.scenario.report;
+  const fault::ScenarioResult run =
+      fault::RunChaosScenario("model-lifecycle", opts);
+  EXPECT_TRUE(run.ok()) << run.report;
   // The report embeds the decision log (CI byte-diffs two runs of it).
-  EXPECT_NE(run.scenario.report.find("lifecycle decision log:"),
+  EXPECT_NE(run.report.find("lifecycle decision log:"),
             std::string::npos);
   // The zero-tolerance counters: no poisoned candidate promoted or served.
   for (const auto& [key, value] : run.counters) {

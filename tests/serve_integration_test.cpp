@@ -19,40 +19,19 @@
 #include "core/two_step.h"
 #include "core/workload_manager.h"
 #include "fabric/fabric.h"
+#include "fault/chaos.h"
 #include "serve/prediction_service.h"
 #include "workload/pools.h"
 
 namespace qpp::serve {
 namespace {
 
-/// Small synthetic workload with nonlinear metric structure — enough for
-/// KCCA+kNN to train on in milliseconds.
-std::vector<ml::TrainingExample> MakeExamples(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<ml::TrainingExample> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    ml::TrainingExample ex;
-    const double a = rng.Uniform(1.0, 10.0);
-    const double b = rng.Uniform(1.0, 10.0);
-    const double c = rng.Uniform(0.0, 5.0);
-    ex.query_features = {a, b, c, a * b, rng.Uniform(0.0, 1.0)};
-    ex.metrics.elapsed_seconds = 0.5 * a * b + c;
-    ex.metrics.records_accessed = 1000.0 * a + 50.0 * c;
-    ex.metrics.records_used = 100.0 * a;
-    ex.metrics.message_count = 10.0 * b;
-    ex.metrics.message_bytes = 1000.0 * b + 10.0 * a;
-    out.push_back(std::move(ex));
-  }
-  return out;
-}
-
 core::Predictor TrainPredictor(size_t n, uint64_t seed,
                                ml::KccaSolver solver) {
   core::PredictorConfig cfg;
   cfg.kcca.solver = solver;
   core::Predictor pred(cfg);
-  pred.Train(MakeExamples(n, seed));
+  pred.Train(fault::ServeExamples(n, seed));
   return pred;
 }
 
@@ -80,7 +59,7 @@ CostCalibration TestCalibration() {
 
 void CheckBatchMatchesSequential(ml::KccaSolver solver) {
   const core::Predictor pred = TrainPredictor(64, 7, solver);
-  const auto probes_src = MakeExamples(20, 99);
+  const auto probes_src = fault::ServeExamples(20, 99);
   std::vector<linalg::Vector> probes;
   for (const auto& ex : probes_src) probes.push_back(ex.query_features);
   const std::vector<core::Prediction> batch = pred.PredictBatch(probes);
@@ -102,8 +81,8 @@ TEST(PredictBatchTest, BitIdenticalForRegressionModel) {
   core::PredictorConfig cfg;
   cfg.model = core::ModelKind::kRegression;
   core::Predictor pred(cfg);
-  pred.Train(MakeExamples(50, 3));
-  const auto probes_src = MakeExamples(10, 4);
+  pred.Train(fault::ServeExamples(50, 3));
+  const auto probes_src = fault::ServeExamples(10, 4);
   std::vector<linalg::Vector> probes;
   for (const auto& ex : probes_src) probes.push_back(ex.query_features);
   const auto batch = pred.PredictBatch(probes);
@@ -133,7 +112,7 @@ TEST(PredictionServiceTest, MultiThreadedTrafficMatchesSequentialPredict) {
 
   // 10 distinct probes, requested 20x each from 4 client threads: exercises
   // batching, the cache, and concurrent submission at once.
-  const auto probes_src = MakeExamples(10, 21);
+  const auto probes_src = fault::ServeExamples(10, 21);
   std::vector<linalg::Vector> probes;
   std::vector<core::Prediction> expected;
   for (const auto& ex : probes_src) {
@@ -186,7 +165,7 @@ TEST(PredictionServiceTest, CacheHitIsBitIdenticalAndCounted) {
   registry.Publish(pred);
   PredictionService service(&registry, {}, TestCalibration());
 
-  const linalg::Vector probe = MakeExamples(1, 77)[0].query_features;
+  const linalg::Vector probe = fault::ServeExamples(1, 77)[0].query_features;
   const ServeResponse first = service.Submit({probe, 10.0}).get();
   EXPECT_EQ(first.source, ResponseSource::kModel);
   const ServeResponse second = service.Submit({probe, 10.0}).get();
@@ -248,7 +227,7 @@ TEST(PredictionServiceTest, QueueDeadlineExceededFallsBack) {
   config.queue_deadline_seconds = 1e-12;  // any queue wait exceeds this
   const CostCalibration cal = TestCalibration();
   PredictionService service(&registry, config, cal);
-  const linalg::Vector probe = MakeExamples(1, 8)[0].query_features;
+  const linalg::Vector probe = fault::ServeExamples(1, 8)[0].query_features;
   const ServeResponse resp = service.Submit({probe, 200.0}).get();
   EXPECT_TRUE(resp.degraded());
   EXPECT_EQ(resp.degraded_reason, "deadline");
@@ -342,7 +321,7 @@ TEST(PredictionServiceTest, SubmitWithRetrySucceedsWithoutFaults) {
   ModelRegistry registry;
   registry.Publish(pred);
   PredictionService service(&registry, {}, TestCalibration());
-  const linalg::Vector probe = MakeExamples(1, 9)[0].query_features;
+  const linalg::Vector probe = fault::ServeExamples(1, 9)[0].query_features;
   const ServeResponse resp = service.SubmitWithRetry({probe, 100.0}).get();
   EXPECT_FALSE(resp.degraded());
   ExpectBitIdentical(resp.prediction, pred.Predict(probe));
@@ -357,7 +336,7 @@ TEST(PredictionServiceTest, PerRequestDeadlineOverridesConfigDefault) {
   config.queue_deadline_seconds = 3600.0;  // config-wide: effectively never
   const CostCalibration cal = TestCalibration();
   PredictionService service(&registry, config, cal);
-  const linalg::Vector probe = MakeExamples(1, 8)[0].query_features;
+  const linalg::Vector probe = fault::ServeExamples(1, 8)[0].query_features;
   ServeRequest strict;
   strict.features = probe;
   strict.optimizer_cost = 200.0;
@@ -377,7 +356,7 @@ TEST(PredictionServiceTest, HotSwapServesTheNewGenerationNotStaleCache) {
   registry.Publish(gen1);
   PredictionService service(&registry, {}, TestCalibration());
 
-  const linalg::Vector probe = MakeExamples(1, 31)[0].query_features;
+  const linalg::Vector probe = fault::ServeExamples(1, 31)[0].query_features;
   const ServeResponse r1 = service.Submit({probe, 100.0}).get();
   EXPECT_EQ(r1.model_generation, 1u);
   ExpectBitIdentical(r1.prediction, gen1.Predict(probe));
@@ -415,7 +394,7 @@ TEST(PredictionServiceTest, HotSwapUnderConcurrentTrafficStaysConsistent) {
   config.max_batch = 8;
   PredictionService service(&registry, config, TestCalibration());
 
-  const auto probes_src = MakeExamples(8, 55);
+  const auto probes_src = fault::ServeExamples(8, 55);
   std::vector<linalg::Vector> probes;
   for (const auto& ex : probes_src) probes.push_back(ex.query_features);
 
@@ -557,7 +536,7 @@ TEST(RetrainingPublishHookTest, SlidingWindowRetrainPublishesToRegistry) {
       [&](const core::Predictor& p) { registry.Publish(p); });
 
   EXPECT_FALSE(registry.has_model());
-  const auto observations = MakeExamples(25, 13);
+  const auto observations = fault::ServeExamples(25, 13);
   for (const auto& obs : observations) {
     sliding.Observe(obs.query_features, obs.metrics);
   }
@@ -568,7 +547,7 @@ TEST(RetrainingPublishHookTest, SlidingWindowRetrainPublishesToRegistry) {
   // The published snapshot is a faithful copy: the service answers with the
   // same bits as the registry's model.
   PredictionService service(&registry, {}, TestCalibration());
-  const linalg::Vector probe = MakeExamples(1, 14)[0].query_features;
+  const linalg::Vector probe = fault::ServeExamples(1, 14)[0].query_features;
   const ServeResponse resp = service.Submit({probe, 100.0}).get();
   ASSERT_FALSE(resp.degraded());
   ExpectBitIdentical(resp.prediction,

@@ -34,14 +34,15 @@
 //   qpp_tool chaos   [--scenario NAME|all] [--seed S] [--requests R]
 //       run the seeded fault-injection scenarios (docs/FAULTS.md) and
 //       print their deterministic reports; exit 1 on any violated
-//       invariant. --save-plan FILE ships a scenario's FaultPlan for
-//       replay; --plan FILE replays a saved plan; --soak runs the
-//       high-volume concurrent soak instead of the named scenarios;
-//       --fabric-soak runs the deterministic replicated-serving capacity
-//       soak (docs/FABRIC.md), with --json-out FILE writing its
-//       byte-replayable counters for the CI artifact/diff. --scenario
-//       model-lifecycle also honors --json-out, emitting the lifecycle
-//       counter set (tests/golden/lifecycle.json; docs/LIFECYCLE.md).
+//       invariant. --soak runs the high-volume concurrent soak instead of
+//       the scenarios; --fabric-soak runs the deterministic
+//       replicated-serving capacity soak (docs/FABRIC.md). --save-plan
+//       FILE ships the selected run's FaultPlan and --plan FILE replays a
+//       saved one; both need one run selected (--scenario NAME, --soak or
+//       --fabric-soak). --json-out FILE writes the runs' byte-replayable
+//       counters: the fabric soak's for the CI artifact/diff, the
+//       model-lifecycle scenario's (tests/golden/lifecycle.json;
+//       docs/LIFECYCLE.md).
 //
 // All commands run against the TPC-DS SF-1 catalog on the Neoview-4
 // configuration; this is a demonstration surface, not a kitchen sink. A
@@ -611,85 +612,74 @@ int CmdChaos(const Args& args) {
       static_cast<size_t>(std::stoul(args.get("requests", "400")));
   opts.queries = static_cast<size_t>(std::stoul(args.get("queries", "24")));
 
+  // The selected run; with none, the six scenarios run in table order.
+  const std::string run = args.flag("fabric-soak") ? "fabric-soak"
+                          : args.flag("soak")
+                              ? "soak"
+                              : args.get("scenario", "all");
+  const std::vector<std::string> runs =
+      run == "all" ? fault::ChaosScenarioNames()
+                   : std::vector<std::string>{run};
+
+  // A plan belongs to one run: saving or replaying one needs that run
+  // named, so a replay injects exactly the schedule that was saved.
   const std::string plan_path = args.get("plan");
+  const std::string save_path = args.get("save-plan");
+  for (const char* flag : {"plan", "save-plan"}) {
+    if (args.flag(flag) &&
+        (run == "all" || !fault::ChaosScenarioPlan(run, opts).has_value())) {
+      std::fprintf(stderr,
+                   "error: --%s needs one known run: --scenario NAME, "
+                   "--soak or --fabric-soak\n",
+                   flag);
+      return Usage();
+    }
+  }
   if (!plan_path.empty()) {
     const auto loaded = fault::LoadFaultPlanFile(plan_path);
     if (!loaded.ok()) {
       std::fprintf(stderr, "error: %s\n", loaded.status().message().c_str());
       return 1;
     }
-    opts.has_plan_override = true;
-    opts.plan_override = loaded.value();
+    opts.plan = loaded.value();
+  } else if (!save_path.empty()) {
+    opts.plan = fault::ChaosScenarioPlan(run, opts);
   }
-
-  const std::string scenario = args.get("scenario", "all");
-  const std::string save_path = args.get("save-plan");
   if (!save_path.empty()) {
-    const fault::FaultPlan to_save =
-        opts.has_plan_override ? opts.plan_override
-        : args.flag("soak")    ? fault::RandomFaultPlan(opts.seed)
-        : scenario != "all" ? fault::ChaosScenarioPlan(scenario, opts.seed)
-                            : fault::RandomFaultPlan(opts.seed);
-    const Status st = fault::SaveFaultPlanFile(to_save, save_path);
+    const Status st = fault::SaveFaultPlanFile(*opts.plan, save_path);
     if (!st.ok()) {
       std::fprintf(stderr, "error: %s\n", st.message().c_str());
       return 1;
     }
     std::printf("fault plan saved to %s\n%s", save_path.c_str(),
-                to_save.ToString().c_str());
+                opts.plan->ToString().c_str());
   }
 
   std::vector<fault::ScenarioResult> results;
-  if (args.flag("fabric-soak")) {
-    fault::FabricSoakResult soak = fault::RunFabricSoak(opts);
-    const std::string json_path = args.get("json-out");
-    if (!json_path.empty()) {
-      // Flat {"name": value} JSON in the fixed counter order: two runs
-      // with the same seed and request count must produce identical bytes
-      // (CI diffs them), so nothing wall-clock-derived belongs here.
-      std::string json = "{\n";
-      for (size_t i = 0; i < soak.counters.size(); ++i) {
-        json += StrFormat("  \"%s\": %.17g%s\n",
-                          soak.counters[i].first.c_str(),
-                          soak.counters[i].second,
-                          i + 1 < soak.counters.size() ? "," : "");
-      }
-      json += "}\n";
-      if (!WriteTextFile(json_path, json)) return 1;
-      // stderr, not stdout: the stdout report must stay byte-identical
-      // across same-seed runs even when the --json-out paths differ
-      // (CI diffs two runs' reports).
-      std::fprintf(stderr, "fabric soak counters written to %s\n",
-                   json_path.c_str());
+  for (const std::string& name : runs) {
+    results.push_back(fault::RunChaosScenario(name, opts));
+  }
+
+  const std::string json_path = args.get("json-out");
+  if (!json_path.empty()) {
+    // Flat {"name": value} JSON in the fixed counter order: two runs with
+    // the same options must produce identical bytes (CI diffs them), so
+    // nothing wall-clock-derived belongs here.
+    std::vector<std::pair<std::string, double>> counters;
+    for (const fault::ScenarioResult& r : results) {
+      counters.insert(counters.end(), r.counters.begin(), r.counters.end());
     }
-    results.push_back(std::move(soak.scenario));
-  } else if (args.flag("soak")) {
-    results.push_back(fault::RunChaosSoak(opts));
-  } else if (scenario == "model-lifecycle") {
-    // Run through the counter-bearing entry point so --json-out can emit
-    // the golden artifact (tests/golden/lifecycle.json); the report and
-    // exit status are identical to the RunChaosScenario path.
-    fault::LifecycleChaosResult run = fault::RunLifecycleChaos(opts);
-    const std::string json_path = args.get("json-out");
-    if (!json_path.empty()) {
-      std::string json = "{\n";
-      for (size_t i = 0; i < run.counters.size(); ++i) {
-        json += StrFormat("  \"%s\": %.17g%s\n", run.counters[i].first.c_str(),
-                          run.counters[i].second,
-                          i + 1 < run.counters.size() ? "," : "");
-      }
-      json += "}\n";
-      if (!WriteTextFile(json_path, json)) return 1;
-      std::fprintf(stderr, "lifecycle counters written to %s\n",
-                   json_path.c_str());
+    std::string json = "{\n";
+    for (size_t i = 0; i < counters.size(); ++i) {
+      json += StrFormat("  \"%s\": %.17g%s\n", counters[i].first.c_str(),
+                        counters[i].second,
+                        i + 1 < counters.size() ? "," : "");
     }
-    results.push_back(std::move(run.scenario));
-  } else if (scenario == "all") {
-    for (const std::string& name : fault::ChaosScenarioNames()) {
-      results.push_back(fault::RunChaosScenario(name, opts));
-    }
-  } else {
-    results.push_back(fault::RunChaosScenario(scenario, opts));
+    json += "}\n";
+    if (!WriteTextFile(json_path, json)) return 1;
+    // stderr, not stdout: the stdout report must stay byte-identical
+    // across same-seed runs even when the --json-out paths differ.
+    std::fprintf(stderr, "counters written to %s\n", json_path.c_str());
   }
 
   bool ok = true;
