@@ -318,7 +318,6 @@ int main(int argc, char** argv) {
       config.admission.enabled = true;
       config.admission.max_queue_depth = 64;
       config.admission.p99_slo_seconds = 1e9;  // depth-triggered only
-      config.admission.shed_wrecking = true;
       // Deferral needs a steady trickle of admitted submits to piggyback
       // on; the burst regime has none, so bowling balls stay admitted.
       config.admission.defer_bowling = false;

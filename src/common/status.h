@@ -18,18 +18,18 @@ class Status {
   static Status Ok() { return Status(); }
   static Status Error(std::string message) {
     Status s;
+    s.error_ = true;
     s.message_ = std::move(message);
     return s;
   }
 
-  bool ok() const { return !message_.has_value(); }
-  const std::string& message() const {
-    static const std::string kEmpty;
-    return message_ ? *message_ : kEmpty;
-  }
+  bool ok() const { return !error_; }
+  /// Empty on success.
+  const std::string& message() const { return message_; }
 
  private:
-  std::optional<std::string> message_;
+  bool error_ = false;
+  std::string message_;
 };
 
 /// A value-or-error result. `value()` asserts success.

@@ -74,7 +74,7 @@ std::string StrFormat(const char* fmt, ...) {
 }
 
 std::string FormatDuration(double seconds) {
-  if (seconds < 0) return "-" + FormatDuration(-seconds);
+  if (seconds < 0) return std::string("-").append(FormatDuration(-seconds));
   const int64_t total_ms = static_cast<int64_t>(std::llround(seconds * 1000.0));
   const int64_t ms = total_ms % 1000;
   const int64_t total_s = total_ms / 1000;

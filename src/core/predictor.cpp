@@ -76,7 +76,7 @@ void Predictor::Train(const std::vector<ml::TrainingExample>& examples) {
   const auto self_stats = [&](const std::vector<std::vector<ml::Neighbor>>&
                                   all_nbrs,
                               double* mean_out, double* p99_out) {
-    const size_t n = all_nbrs.size();
+    const size_t n = train_xp_.rows();
     linalg::Vector self_dist(n, 0.0);
     for (size_t i = 0; i < n; ++i) {
       double sum = 0.0;
@@ -125,9 +125,9 @@ void Predictor::IndexedNeighborsInto(
     return;
   }
   QPP_CHECK(queries.cols() == index.dims());
-  // resize keeps the outer capacity and the inner vectors' capacity;
-  // FindNearestRaw overwrites each inner vector in place.
-  out->resize(queries.rows());
+  // Grow only: rows past this batch keep their buffers for a larger one,
+  // and FindNearestRaw overwrites each inner vector in place.
+  if (out->size() < queries.rows()) out->resize(queries.rows());
   // One-pointer context so the std::function built by ParallelFor stays
   // inside the small-buffer optimization (a multi-reference capture would
   // heap-allocate on every call).
@@ -243,8 +243,17 @@ void Predictor::PredictBatchInto(const std::vector<linalg::Vector>& queries,
                                  BatchStageTimes* times) const {
   QPP_CHECK_MSG(trained_, "PredictBatch before Train");
   const size_t b = queries.size();
-  // resize, not clear+push: reuses the Prediction objects (and their
-  // neighbor_indices buffers) left from the previous batch.
+  // Reuse the Prediction objects (and their neighbor_indices buffers) of
+  // earlier batches: a shrink parks the surplus in the scratch rather
+  // than freeing it, and a growth takes it back before constructing any.
+  while (out->size() > b) {
+    scratch->spare.push_back(std::move(out->back()));
+    out->pop_back();
+  }
+  while (out->size() < b && !scratch->spare.empty()) {
+    out->push_back(std::move(scratch->spare.back()));
+    scratch->spare.pop_back();
+  }
   out->resize(b);
   if (b == 0) return;
 

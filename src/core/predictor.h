@@ -143,6 +143,9 @@ class Predictor {
     linalg::Matrix projections;     ///< B x d KCCA projections
     std::vector<std::vector<ml::Neighbor>> nbrs;       ///< projection space
     std::vector<std::vector<ml::Neighbor>> feat_nbrs;  ///< feature space
+    /// Predictions a smaller batch took off the caller's output, kept with
+    /// their neighbor buffers until a larger batch takes them back.
+    std::vector<Prediction> spare;
   };
 
   /// Wall-clock seconds per internal stage, accumulated (+=) across calls
@@ -159,10 +162,11 @@ class Predictor {
   };
 
   /// PredictBatch into caller-owned storage. (*out)[i] is bit-identical to
-  /// Predict(queries[i]); `out` is resized to the batch (existing
-  /// Prediction objects — and their neighbor_indices capacity — are
-  /// reused). With a warmed `scratch` this is the zero-allocation serving
-  /// hot path. `times`, when non-null, receives the per-stage breakdown.
+  /// Predict(queries[i]); `out` is resized to the batch. Prediction objects
+  /// and their neighbor_indices capacity are reused: a smaller batch parks
+  /// the surplus in `scratch` and a larger one takes it back. With a warmed
+  /// `scratch` this is the zero-allocation serving hot path, whatever the
+  /// batch sizes. `times`, when non-null, receives the per-stage breakdown.
   void PredictBatchInto(const std::vector<linalg::Vector>& queries,
                         BatchScratch* scratch, std::vector<Prediction>* out,
                         obs::TraceRecorder* trace = nullptr,
@@ -237,13 +241,14 @@ class Predictor {
       const std::vector<ml::Neighbor>& feature_neighbors,
       Prediction* out) const;
 
-  /// k nearest rows of `points` for every row of `queries`, into
-  /// caller-owned storage: `index` when built (it must have been built
-  /// over exactly `points`), else the brute batch search — bit-identical
-  /// either way. Outer and inner vectors keep their capacity across calls,
-  /// so the indexed path allocates nothing after warmup (the brute
-  /// fallback — non-default configs only — still assigns a fresh batch
-  /// result). Serves both search spaces and the training self-stats.
+  /// k nearest rows of `points` for every row of `queries`, into rows
+  /// [0, queries.rows()) of caller-owned storage: `index` when built (it
+  /// must have been built over exactly `points`), else the brute batch
+  /// search — bit-identical either way. The indexed path only grows `out`,
+  /// so rows a larger batch left keep their buffers and it allocates
+  /// nothing after warmup (the brute fallback — non-default configs only —
+  /// assigns a fresh batch result). Serves both search spaces and the
+  /// training self-stats.
   void IndexedNeighborsInto(const ml::KdTree& index,
                             const linalg::Matrix& points,
                             const linalg::Matrix& queries, size_t k,

@@ -74,7 +74,6 @@ bool SlidingWindowPredictor::Retrain() {
   predictor_ = std::move(fresh);
   since_retrain_ = 0;
   ++generation_;
-  if (publish_hook_) publish_hook_(predictor_);
   return true;
 }
 

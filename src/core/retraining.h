@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "core/predictor.h"
 
@@ -60,28 +59,12 @@ class SlidingWindowPredictor {
   size_t generation() const { return generation_; }
   const Predictor& predictor() const { return predictor_; }
 
-  /// Called with the freshly trained predictor after every completed
-  /// retrain — the publish side of online serving. Wire it to
-  /// serve::ModelRegistry::Publish and a retrain hot-swaps the service
-  /// model without pausing traffic:
-  ///
-  ///   sliding.set_publish_hook([&](const Predictor& p) {
-  ///     registry.Publish(p);   // copies into an immutable snapshot
-  ///   });
-  ///
-  /// The hook runs on the thread that called Observe()/Retrain(), while
-  /// the predictor is quiescent; the registry copy is what live readers
-  /// see, so in-place retraining stays invisible to them.
-  using PublishHook = std::function<void(const Predictor&)>;
-  void set_publish_hook(PublishHook hook) { publish_hook_ = std::move(hook); }
-
  private:
   SlidingWindowConfig config_;
   std::deque<ml::TrainingExample> window_;
   size_t since_retrain_ = 0;
   size_t generation_ = 0;
   Predictor predictor_;
-  PublishHook publish_hook_;
   Rng rng_;
 };
 

@@ -1,13 +1,14 @@
 #include "fabric/admission.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "obs/request_context.h"
 
 namespace qpp::fabric {
 
 namespace {
+// Responses per tumbling window of the windowed p99 (observed via the
+// services' on_response hook).
+constexpr uint64_t kLatencyWindow = 512;
 // The engine's eager-refresh cadence while a window is still open: the
 // quantile pass over the bucket array is cheap, but not once-per-response
 // cheap, and admission only needs a signal that tracks the window, not one
@@ -20,12 +21,11 @@ const std::string& P99RuleName() {
   return kName;
 }
 
-obs::SloEngineOptions EngineOptions(const AdmissionConfig& config,
-                                    obs::MetricsRegistry* registry,
+obs::SloEngineOptions EngineOptions(obs::MetricsRegistry* registry,
                                     obs::FlightRecorder* flight,
                                     obs::TraceRecorder* trace) {
   obs::SloEngineOptions options;
-  options.window_ticks = std::max<size_t>(1, config.latency_window);
+  options.window_ticks = kLatencyWindow;
   options.eager_refresh_every = kEagerRefreshEvery;
   options.registry = registry;
   options.flight = flight;
@@ -53,7 +53,7 @@ AdmissionController::AdmissionController(AdmissionConfig config,
         o.exemplars = true;  // a breaching window names the trace that did it
         return o;
       }()),
-      slo_(EngineOptions(config, registry, flight, trace)) {
+      slo_(EngineOptions(registry, flight, trace)) {
   QPP_CHECK(config_.p99_slo_seconds > 0.0);
   obs::SloRule rule;
   rule.name = P99RuleName();
@@ -98,8 +98,7 @@ AdmissionAction AdmissionController::Decide(workload::QueryType pool,
   if (!Breached(s)) return AdmissionAction::kAdmit;
   switch (pool) {
     case workload::QueryType::kWreckingBall:
-      return config_.shed_wrecking ? AdmissionAction::kShed
-                                   : AdmissionAction::kAdmit;
+      return AdmissionAction::kShed;
     case workload::QueryType::kBowlingBall:
       return config_.defer_bowling ? AdmissionAction::kDefer
                                    : AdmissionAction::kAdmit;

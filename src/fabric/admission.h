@@ -58,19 +58,16 @@ struct AdmissionConfig {
   /// Queued-request SLO across all replica queues; 0 disables the
   /// depth trigger.
   size_t max_queue_depth = 256;
-  /// Ring size for the windowed p99 (responses observed via the
-  /// services' on_response hook).
-  size_t latency_window = 512;
-  /// Per-pool overload policy (see file comment). Turning a flag off
-  /// admits that pool unconditionally.
-  bool shed_wrecking = true;
+  /// Bowling balls are deferred under overload (see file comment); off
+  /// admits them unconditionally. Wrecking balls are always shed.
   bool defer_bowling = true;
   /// Bound on front-door-parked deferred requests; overflow sheds.
   size_t max_deferred = 256;
-  /// Deferred requests dispatched per admitted request once the breach
-  /// clears (piggyback draining keeps the front door thread-free).
-  size_t defer_drain_per_submit = 4;
 };
+
+/// Deferred requests dispatched per admitted request once the breach
+/// clears (piggyback draining keeps the front door thread-free).
+inline constexpr size_t kDeferDrainPerSubmit = 4;
 
 /// The load evidence one admission decision is based on.
 struct LoadSignal {
@@ -131,7 +128,7 @@ class AdmissionController {
   std::optional<LoadSignal> virtual_load_;
   // The latency evidence and its judge. The histogram is private (the
   // fabric's registry still sees the signal via qpp_slo_rule_value); the
-  // engine tumbles a window every latency_window responses and eagerly
+  // engine tumbles a window every 512 responses (kLatencyWindow) and eagerly
   // refreshes every 32 while a window is open, preserving the cadence of
   // the retired hand-rolled ring buffer.
   obs::Histogram latency_;

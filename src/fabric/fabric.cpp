@@ -30,6 +30,17 @@ size_t PoolIndex(workload::QueryType pool) {
   return static_cast<size_t>(pool);
 }
 
+// Step-1 verdict memo entries (exact feature match, classifier-generation
+// tagged): the classifier runs once per distinct plan per generation, not
+// once per request.
+constexpr size_t kRouteCacheCapacity = 4096;
+// While a replica's breaker is open its picks are diverted, so the breaker
+// would never see the probes it needs to recover; every kOpenProbeEvery-th
+// diverted pick is sent through anyway as a recovery probe.
+constexpr size_t kOpenProbeEvery = 32;
+// Ring capacity of the always-on flight recorder (obs/flight_recorder.h).
+constexpr size_t kFlightCapacity = 4096;
+
 }  // namespace
 
 const char* ReplicaHealthName(ReplicaHealth h) {
@@ -109,16 +120,15 @@ std::string FabricStatsSnapshot::ToString() const {
 
 Fabric::Fabric(FabricConfig config, serve::CostCalibration calibration)
     : admission_config_(config.admission),
-      open_probe_every_(std::max<size_t>(1, config.open_probe_every)),
       p2c_seed_(config.p2c_seed),
       p2c_ignore_depth_(config.p2c_ignore_depth),
       calibration_(calibration),
       trace_(config.trace),
       faults_(config.faults),
-      flight_(obs::FlightRecorderOptions{config.flight_capacity}),
+      flight_(obs::FlightRecorderOptions{kFlightCapacity}),
       trace_ids_(config.trace_seed),
       admission_(config.admission, &metrics_, &flight_, config.trace),
-      route_cache_(config.route_cache_capacity) {
+      route_cache_(kRouteCacheCapacity) {
   QPP_CHECK_MSG(!config.groups.empty(), "fabric needs at least one group");
   classified_ = metrics_.GetCounter("qpp_fabric_classified_total");
   route_cache_hits_ =
@@ -171,9 +181,6 @@ Fabric::Fabric(FabricConfig config, serve::CostCalibration calibration)
       service_config.shard_label = replica->label;
       if (service_config.trace == nullptr) service_config.trace = trace_;
       if (service_config.faults == nullptr) service_config.faults = faults_;
-      if (service_config.shadow == nullptr) {
-        service_config.shadow = config.shadow;
-      }
       if (admission_config_.enabled && !service_config.on_response) {
         // Every replica feeds the front door's windowed-p99 signal.
         AdmissionController* admission = &admission_;
@@ -382,7 +389,7 @@ Fabric::RouteVerdict Fabric::Classify(const serve::ServeRequest& request) {
   }
   if (!snap.valid()) return verdict;  // no classifier anywhere: generation 0
   bool cached = false;
-  if (route_cache_.capacity() > 0) {
+  {
     std::lock_guard<std::mutex> lock(route_cache_mu_);
     cached = route_cache_.Get(request.features, &verdict) &&
              verdict.classifier_generation == snap.generation;
@@ -397,7 +404,7 @@ Fabric::RouteVerdict Fabric::Classify(const serve::ServeRequest& request) {
   }
   verdict.classifier_generation = snap.generation;
   classified_->Inc();
-  if (route_cache_.capacity() > 0) {
+  {
     std::lock_guard<std::mutex> lock(route_cache_mu_);
     route_cache_.Put(request.features, verdict);
   }
@@ -416,9 +423,9 @@ Fabric::Group* Fabric::GroupFor(workload::QueryType pool) {
 Fabric::Replica* Fabric::PickReplica(Group* group, bool require_model,
                                      const char** reason) {
   // Eligible = up, serving a model (experts only), breaker not open — but
-  // every open_probe_every-th pick of an open-breaker replica goes
-  // through anyway as a recovery probe, so its breaker can walk the
-  // half-open path back to closed.
+  // every kOpenProbeEvery-th pick of an open-breaker replica goes through
+  // anyway as a recovery probe, so its breaker can walk the half-open path
+  // back to closed.
   std::vector<Replica*> ups;
   ups.reserve(group->replicas.size());
   size_t open_excluded = 0;
@@ -432,8 +439,8 @@ Fabric::Replica* Fabric::PickReplica(Group* group, bool require_model,
         replica->service->breaker().state() ==
             serve::CircuitBreaker::State::kOpen &&
         replica->open_diversions.fetch_add(1, std::memory_order_relaxed) %
-                open_probe_every_ !=
-            open_probe_every_ - 1) {
+                kOpenProbeEvery !=
+            kOpenProbeEvery - 1) {
       ++open_excluded;
       continue;
     }
@@ -538,7 +545,7 @@ void Fabric::Dispatch(const serve::ServeRequest& request,
       if (replica->health.load(std::memory_order_relaxed) ==
               ReplicaHealth::kUp &&
           replica->registry->has_model() &&
-          replica->service->TrySubmitWithPromise(request, promise)) {
+          replica->service->TrySubmit(request, promise)) {
         expert->routed->Inc();
         return;
       }
@@ -575,7 +582,7 @@ void Fabric::Dispatch(const serve::ServeRequest& request,
     }
     if (replica->health.load(std::memory_order_relaxed) !=
             ReplicaHealth::kDead &&
-        replica->service->TrySubmitWithPromise(request, promise)) {
+        replica->service->TrySubmit(request, promise)) {
       return;
     }
   }
@@ -586,9 +593,7 @@ void Fabric::Dispatch(const serve::ServeRequest& request,
 void Fabric::DrainDeferred() {
   // Piggyback draining: dispatch a few parked requests whenever the
   // signal is clear. Runs on the submitting client's thread.
-  const size_t budget = std::max<size_t>(
-      1, admission_config_.defer_drain_per_submit);
-  for (size_t i = 0; i < budget; ++i) {
+  for (size_t i = 0; i < kDeferDrainPerSubmit; ++i) {
     DeferredRequest d;
     {
       std::lock_guard<std::mutex> lock(deferred_mu_);

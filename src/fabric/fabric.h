@@ -109,14 +109,6 @@ struct FabricConfig {
   /// Must contain exactly one catch-all spec (empty `pools`).
   std::vector<ReplicaGroupSpec> groups;
   AdmissionConfig admission;
-  /// Step-1 verdict memo (exact feature match, classifier-generation
-  /// tagged): the classifier runs once per distinct plan per generation,
-  /// not once per request. 0 disables.
-  size_t route_cache_capacity = 4096;
-  /// While a replica's breaker is open the fabric diverts its picks, so
-  /// the breaker would never see the probes it needs to recover; every
-  /// Nth diverted pick is sent through anyway as a recovery probe.
-  size_t open_probe_every = 32;
   /// Key for the power-of-two-choices draw stream. Two fabrics with the
   /// same seed, groups, and (sequential) request sequence make identical
   /// picks.
@@ -133,16 +125,9 @@ struct FabricConfig {
   /// life gets DeriveTraceId(trace_seed, n) stamped at Submit (unless the
   /// caller stamped its own). Same seed + same request sequence = same ids.
   uint64_t trace_seed = 0xFAB0B5ull;
-  /// Ring capacity of the built-in flight recorder (see
-  /// obs/flight_recorder.h); always on — the per-event cost is a few
-  /// relaxed atomic stores.
-  size_t flight_capacity = 4096;
   /// Optional sinks, shared by all replicas; must outlive the fabric.
   obs::TraceRecorder* trace = nullptr;
   fault::FaultInjector* faults = nullptr;
-  /// Shadow lane shared by every replica service (serve/shadow_observer.h):
-  /// a group spec's own `service.shadow` wins over this default.
-  serve::ShadowObserver* shadow = nullptr;
 };
 
 /// The paper's pool layout as a fabric: one replica group per Fig. 2
@@ -309,7 +294,6 @@ class Fabric {
                     const std::string& detail);
 
   const AdmissionConfig admission_config_;
-  const size_t open_probe_every_;
   const uint64_t p2c_seed_;
   const bool p2c_ignore_depth_;
   const serve::CostCalibration calibration_;

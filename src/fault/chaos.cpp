@@ -1062,7 +1062,6 @@ void RunFabricSoak(const FaultPlan& plan, const ChaosOptions& opts,
   config.admission.p99_slo_seconds = 0.25;
   config.admission.max_queue_depth = 512;
   config.admission.max_deferred = 256;
-  config.admission.defer_drain_per_submit = 4;
   const fabric::AdmissionConfig admission_cfg = config.admission;
   FabricRig rig(std::move(config), /*pools=*/4, /*probes_per_pool=*/4,
                 opts.seed ^ 0xFAB50ull, result);
@@ -1123,10 +1122,9 @@ void RunFabricSoak(const FaultPlan& plan, const ChaosOptions& opts,
     ++admitted_mirror;
     verify(future.get(), j);
     if (!over) {
-      // The fabric piggyback-drained up to defer_drain_per_submit parked
+      // The fabric piggyback-drained up to kDeferDrainPerSubmit parked
       // requests during this admit; collect them in the same FIFO order.
-      const size_t n =
-          std::min(admission_cfg.defer_drain_per_submit, parked.size());
+      const size_t n = std::min(fabric::kDeferDrainPerSubmit, parked.size());
       for (size_t k = 0; k < n; ++k) {
         Parked p = std::move(parked.front());
         parked.pop_front();

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "obs/json_util.h"
 #include "obs/request_context.h"
 
 namespace qpp::fault {
@@ -68,8 +69,8 @@ void FaultInjector::Record(KindIndex kind, const char* detail) const {
     }
     const obs::RequestContext& ctx = obs::CurrentRequestContext();
     if (ctx.valid()) {
-      e.args.emplace_back(
-          "trace_id", "\"" + obs::TraceIdHex(ctx.trace_id) + "\"");
+      e.args.emplace_back("trace_id",
+                          obs::JsonString(obs::TraceIdHex(ctx.trace_id)));
     }
     trace_->Add(std::move(e));
   }

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/str_util.h"
+#include "obs/json_util.h"
 #include "obs/request_context.h"
 #include "workload/pools.h"
 
@@ -486,7 +487,7 @@ void LifecycleManager::TraceInstant(const char* name,
   const obs::RequestContext& ctx = obs::CurrentRequestContext();
   if (ctx.valid()) {
     e.args.emplace_back("trace_id",
-                        "\"" + obs::TraceIdHex(ctx.trace_id) + "\"");
+                        obs::JsonString(obs::TraceIdHex(ctx.trace_id)));
   }
   config_.trace->Add(std::move(e));
 }

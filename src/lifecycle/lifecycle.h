@@ -1,7 +1,7 @@
 // qpp::lifecycle — the closed-loop model lifecycle: shadow scoring,
 // champion/challenger promotion, and auto-rollback.
 //
-// DriftMonitor can trigger a retrain and ModelRegistry can hot-swap, but
+// DriftMonitor can signal drift and ModelRegistry can hot-swap, but
 // nothing validated a candidate before it took traffic (the dominant
 // failure mode of learned QPP in production per the LinkedIn deployment
 // study, PAPERS.md). This layer closes the loop:
@@ -224,9 +224,9 @@ struct LifecycleStats {
   uint64_t pending_invalidated = 0;  ///< cleared by promote/rollback
 };
 
-/// The closed loop. Install as ServiceConfig::shadow (or via the
-/// FabricConfig::shadow pass-through) so every model-answered response
-/// flows through OnServedPrediction; feed observed actuals back through
+/// The closed loop. Install as ServiceConfig::shadow (for a fabric, on
+/// each group's service config) so every model-answered response flows
+/// through OnServedPrediction; feed observed actuals back through
 /// ScoreActual.
 /// One candidate is active at a time; further registrations queue behind
 /// it in registration order.

@@ -199,9 +199,9 @@ KccaModel KccaModel::Train(const linalg::Matrix& x, const linalg::Matrix& y,
                                 ky_fn.tau);
   };
   const linalg::IncompleteCholeskyResult icx = linalg::IncompleteCholesky(
-      n, kx_oracle, options.icd_max_rank, options.icd_tolerance);
+      n, kx_oracle, options.icd_max_rank, kIcdTolerance);
   const linalg::IncompleteCholeskyResult icy = linalg::IncompleteCholesky(
-      n, ky_oracle, options.icd_max_rank, options.icd_tolerance);
+      n, ky_oracle, options.icd_max_rank, kIcdTolerance);
   QPP_CHECK(icx.pivots.size() >= 1 && icy.pivots.size() >= 1);
 
   // CCA in the induced feature spaces (FitCca centers internally).

@@ -60,8 +60,11 @@ struct KccaOptions {
   /// kAuto uses kExact at or below this many training points.
   size_t exact_threshold = 320;
   size_t icd_max_rank = 256;
-  double icd_tolerance = 1e-4;
 };
+
+/// ICD stops early once the largest remaining kernel-diagonal residual
+/// falls below this (linalg::IncompleteCholesky's `tol`).
+inline constexpr double kIcdTolerance = 1e-4;
 
 class KccaModel {
  public:

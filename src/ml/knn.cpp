@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/check.h"
 #include "par/parallel_for.h"
@@ -61,33 +59,6 @@ constexpr size_t kQueryGrain = 4;
 // paper's operating points are k = 3..7; anything larger falls back to the
 // full distance pass + KeepNearestK, which handles any k.
 constexpr size_t kFusedMaxK = 32;
-
-/// QPP_VERIFY_KNN=1 makes FindNearestBatch re-run every query through
-/// FindNearest and assert bitwise-identical neighbors — the documented
-/// batch ≡ row-wise contract (knn.h) as an executable check instead of a
-/// comment. Off by default: it doubles the work.
-bool VerifyKnnEnabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("QPP_VERIFY_KNN");
-    return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-  }();
-  return enabled;
-}
-
-/// Bitwise equality of two neighbor lists: same length, same indices, and
-/// byte-equal distances (stricter than ==, which would conflate 0.0/-0.0
-/// and miss NaNs).
-bool SameNeighbors(const std::vector<Neighbor>& a,
-                   const std::vector<Neighbor>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].index != b[i].index) return false;
-    if (std::memcmp(&a[i].distance, &b[i].distance, sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 // Distances from one query row to every point row, without materializing
 // row copies. `point_norms` (cosine only) carries the query-independent
@@ -350,13 +321,12 @@ std::vector<std::vector<Neighbor>> FindNearestBatch(
   std::vector<std::vector<Neighbor>> out(queries.rows());
   const size_t dims = queries.cols();
   const double* qbase = queries.data().data();
-  const bool verify = VerifyKnnEnabled();
   // Queries are independent (disjoint out slots, read-only shared state),
   // so the serving batch path fans out over query chunks; each chunk keeps
   // its own candidate buffer, reused across its queries exactly as the
   // serial loop reused one. Per-query work goes through NearestOne — the
   // same implementation FindNearest runs — preserving the bit-identity
-  // with FindNearest at any thread count (assertable via QPP_VERIFY_KNN).
+  // with FindNearest at any thread count (tests/knn_oracle_test.cpp).
   par::ParallelFor(
       0, queries.rows(), kQueryGrain,
       [&](size_t r0, size_t r1) {
@@ -368,13 +338,6 @@ std::vector<std::vector<Neighbor>> FindNearestBatch(
                                         : 0.0;
           out[r] = NearestOne(points, query, query_norm, k, metric,
                               point_norms, use_simd, &scratch);
-          if (verify) {
-            QPP_CHECK_MSG(
-                SameNeighbors(out[r],
-                              FindNearest(points, queries.Row(r), k, metric)),
-                "FindNearestBatch: batch result differs from row-wise "
-                "FindNearest (QPP_VERIFY_KNN)");
-          }
         }
       },
       "knn_batch");

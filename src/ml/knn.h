@@ -37,11 +37,9 @@ std::vector<Neighbor> FindNearest(const linalg::Matrix& points,
 /// reuses one candidate buffer per chunk of queries, and hoists the
 /// query-independent point norms out of the loop (cosine). Query chunks
 /// run in parallel on the qpp::par pool (deterministic: identical results
-/// at every thread count). Setting QPP_VERIFY_KNN=1 turns the contract
-/// into a runtime assert: every batch result is re-derived via FindNearest
-/// and compared bitwise (tests/knn_oracle_test.cpp exercises this). Used
-/// by the serving micro-batcher (serve::PredictionService) via
-/// core::Predictor::PredictBatch.
+/// at every thread count; tests/knn_oracle_test.cpp compares every batch
+/// row it makes against FindNearest bitwise). Used by
+/// core::Predictor::PredictBatch when the model has no k-d tree index.
 std::vector<std::vector<Neighbor>> FindNearestBatch(
     const linalg::Matrix& points, const linalg::Matrix& queries, size_t k,
     DistanceKind metric);

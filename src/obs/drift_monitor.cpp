@@ -56,47 +56,42 @@ DriftMonitor::DriftMonitor(Options options, MetricsRegistry* registry)
 bool DriftMonitor::Observe(Source source,
                            const engine::QueryMetrics& predicted,
                            const engine::QueryMetrics& actual) {
-  DriftHook hook_to_fire;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (source == Source::kFallback) {
-      // The fallback only estimates elapsed time (the other five metrics
-      // are "unknown", reported as zero); score what it actually claims.
-      fallback_elapsed_.Update(
-          RelativeError(predicted.elapsed_seconds, actual.elapsed_seconds),
-          options_.alpha);
-      ++fallback_obs_;
-      if (fallback_obs_counter_ != nullptr) fallback_obs_counter_->Inc();
-      ExportLocked();
-      return false;
-    }
-
-    const size_t pool =
-        PoolIndex(workload::ClassifyElapsed(actual.elapsed_seconds));
-    const linalg::Vector pv = predicted.ToVector();
-    const linalg::Vector av = actual.ToVector();
-    for (size_t m = 0; m < kNumMetrics; ++m) {
-      const double err = RelativeError(pv[m], av[m]);
-      overall_[m].Update(err, options_.alpha);
-      per_pool_[pool][m].Update(err, options_.alpha);
-    }
-    ++model_obs_;
-    ++since_signal_;
-    if (model_obs_counter_ != nullptr) model_obs_counter_->Inc();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (source == Source::kFallback) {
+    // The fallback only estimates elapsed time (the other five metrics are
+    // "unknown", reported as zero); score what it actually claims.
+    fallback_elapsed_.Update(
+        RelativeError(predicted.elapsed_seconds, actual.elapsed_seconds),
+        options_.alpha);
+    ++fallback_obs_;
+    if (fallback_obs_counter_ != nullptr) fallback_obs_counter_->Inc();
     ExportLocked();
-
-    const bool warm = model_obs_ >= options_.min_observations;
-    const bool rearmed = since_signal_ >= options_.refire_interval;
-    bool over = false;
-    for (size_t m = 0; m < kNumMetrics; ++m) {
-      over = over || overall_[m].value > options_.relative_error_threshold;
-    }
-    if (!(warm && rearmed && over)) return false;
-    since_signal_ = 0;
-    if (signals_counter_ != nullptr) signals_counter_->Inc();
-    hook_to_fire = hook_;
+    return false;
   }
-  if (hook_to_fire) hook_to_fire();
+
+  const size_t pool =
+      PoolIndex(workload::ClassifyElapsed(actual.elapsed_seconds));
+  const linalg::Vector pv = predicted.ToVector();
+  const linalg::Vector av = actual.ToVector();
+  for (size_t m = 0; m < kNumMetrics; ++m) {
+    const double err = RelativeError(pv[m], av[m]);
+    overall_[m].Update(err, options_.alpha);
+    per_pool_[pool][m].Update(err, options_.alpha);
+  }
+  ++model_obs_;
+  ++since_signal_;
+  if (model_obs_counter_ != nullptr) model_obs_counter_->Inc();
+  ExportLocked();
+
+  const bool warm = model_obs_ >= options_.min_observations;
+  const bool rearmed = since_signal_ >= kDriftRefireInterval;
+  bool over = false;
+  for (size_t m = 0; m < kNumMetrics; ++m) {
+    over = over || overall_[m].value > kDriftThreshold;
+  }
+  if (!(warm && rearmed && over)) return false;
+  since_signal_ = 0;
+  if (signals_counter_ != nullptr) signals_counter_->Inc();
   return true;
 }
 
@@ -138,14 +133,9 @@ bool DriftMonitor::drifted() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (model_obs_ < options_.min_observations) return false;
   for (size_t m = 0; m < kNumMetrics; ++m) {
-    if (overall_[m].value > options_.relative_error_threshold) return true;
+    if (overall_[m].value > kDriftThreshold) return true;
   }
   return false;
-}
-
-void DriftMonitor::set_drift_hook(DriftHook hook) {
-  std::lock_guard<std::mutex> lock(mu_);
-  hook_ = std::move(hook);
 }
 
 void DriftMonitor::ExportLocked() {

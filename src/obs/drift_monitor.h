@@ -19,19 +19,16 @@
 // Outputs:
 //  * gauges in a MetricsRegistry (qpp_drift_relerr_ewma{metric=...,pool=...},
 //    qpp_drift_fallback_share, ...) so /statsz exposes drift;
-//  * a drift hook fired when any model-path metric EWMA crosses the
-//    threshold — wire it to core::SlidingWindowPredictor::Retrain() (or
-//    any retraining trigger) to close the loop:
-//
-//      drift.set_drift_hook([&] { sliding.Retrain(); });
+//  * a drift signal (Observe's return value, qpp_drift_signals_total) when
+//    any model-path metric EWMA crosses kDriftThreshold. Acting on it is
+//    the lifecycle's job: lifecycle::LifecycleManager shadow-scores a
+//    retrained candidate before anything is published (docs/LIFECYCLE.md).
 //
 // Thread safety: Observe() and all readers are safe from any thread (one
-// mutex; observation rates are per-query, not per-instruction). The hook
-// runs on the observing thread, outside the monitor's lock.
+// mutex; observation rates are per-query, not per-instruction).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 
@@ -44,14 +41,15 @@ namespace qpp::obs {
 struct DriftMonitorOptions {
   /// EWMA smoothing: weight of the newest observation.
   double alpha = 0.1;
-  /// Any model-path metric EWMA above this (once warm) signals drift.
-  double relative_error_threshold = 0.5;
   /// Observations before the first signal can fire (EWMA warm-up).
   size_t min_observations = 32;
-  /// Model-path observations between consecutive drift signals, so a
-  /// sustained drift does not fire the retrain hook per query.
-  size_t refire_interval = 32;
 };
+
+/// Any model-path metric EWMA above this (once warm) signals drift.
+inline constexpr double kDriftThreshold = 0.5;
+/// Model-path observations between consecutive drift signals, so a
+/// sustained drift does not signal on every query.
+inline constexpr size_t kDriftRefireInterval = 32;
 
 class DriftMonitor {
  public:
@@ -71,7 +69,7 @@ class DriftMonitor {
   /// Scores one served prediction against the observed metrics. The query
   /// pool is derived from the observed elapsed time (the paper's Fig. 2
   /// boundaries). Returns true when this observation raised a drift
-  /// signal (and fired the hook, if set).
+  /// signal.
   bool Observe(Source source, const engine::QueryMetrics& predicted,
                const engine::QueryMetrics& actual);
 
@@ -90,9 +88,6 @@ class DriftMonitor {
   /// True when any model-path metric EWMA currently exceeds the threshold
   /// (and the monitor is warm).
   bool drifted() const;
-
-  using DriftHook = std::function<void()>;
-  void set_drift_hook(DriftHook hook);
 
   /// Multi-line report block: per-metric EWMAs with pool breakdown, plus
   /// the fallback-vs-model share and error comparison (printed by
@@ -124,7 +119,6 @@ class DriftMonitor {
   uint64_t model_obs_ = 0;
   uint64_t fallback_obs_ = 0;
   uint64_t since_signal_ = 0;
-  DriftHook hook_;
 
   // Gauge/counter pointers resolved once at construction (null without a
   // registry).

@@ -68,9 +68,17 @@ inline VecD Add(VecD a, VecD b) { return {_mm512_add_pd(a.v, b.v)}; }
 inline VecD Sub(VecD a, VecD b) { return {_mm512_sub_pd(a.v, b.v)}; }
 inline VecD Mul(VecD a, VecD b) { return {_mm512_mul_pd(a.v, b.v)}; }
 inline VecD Div(VecD a, VecD b) { return {_mm512_div_pd(a.v, b.v)}; }
-inline VecD Sqrt(VecD a) { return {_mm512_sqrt_pd(a.v)}; }
-inline VecD Min(VecD a, VecD b) { return {_mm512_min_pd(a.v, b.v)}; }
-inline VecD Max(VecD a, VecD b) { return {_mm512_max_pd(a.v, b.v)}; }
+// Sqrt/Min/Max use the zero-masked forms with every lane selected: the
+// same instruction and bits as the unmasked ones, whose GCC 12 bodies
+// pass an _mm512_undefined_pd() source that -Wmaybe-uninitialized flags.
+inline constexpr __mmask8 kAllLanes = 0xFF;
+inline VecD Sqrt(VecD a) { return {_mm512_maskz_sqrt_pd(kAllLanes, a.v)}; }
+inline VecD Min(VecD a, VecD b) {
+  return {_mm512_maskz_min_pd(kAllLanes, a.v, b.v)};
+}
+inline VecD Max(VecD a, VecD b) {
+  return {_mm512_maskz_max_pd(kAllLanes, a.v, b.v)};
+}
 /// Bitmask of lanes where a < b. AVX-512 compares produce a mask register
 /// directly (__mmask8), one bit per lane, same convention as movemask.
 inline unsigned MaskLT(VecD a, VecD b) {

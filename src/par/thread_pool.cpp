@@ -155,7 +155,11 @@ void ThreadPool::Execute(size_t begin, size_t end, size_t grain,
 
 namespace {
 
+// The global pool is owned by GlobalSlot() and published through g_pool:
+// a lookup is one acquire load, and only first-use creation and
+// SetGlobalThreads take g_pool_mu.
 std::mutex g_pool_mu;
+std::atomic<ThreadPool*> g_pool{nullptr};
 std::unique_ptr<ThreadPool>& GlobalSlot() {
   static std::unique_ptr<ThreadPool> pool;
   return pool;
@@ -176,9 +180,15 @@ size_t DefaultThreads() {
 }
 
 ThreadPool& GlobalPool() {
+  if (ThreadPool* pool = g_pool.load(std::memory_order_acquire)) {
+    return *pool;
+  }
   std::lock_guard<std::mutex> lock(g_pool_mu);
   std::unique_ptr<ThreadPool>& slot = GlobalSlot();
-  if (!slot) slot = std::make_unique<ThreadPool>(DefaultThreads());
+  if (!slot) {
+    slot = std::make_unique<ThreadPool>(DefaultThreads());
+    g_pool.store(slot.get(), std::memory_order_release);
+  }
   return *slot;
 }
 
@@ -188,8 +198,10 @@ void SetGlobalThreads(size_t n) {
   QPP_CHECK_MSG(n >= 1, "SetGlobalThreads needs n >= 1");
   std::lock_guard<std::mutex> lock(g_pool_mu);
   std::unique_ptr<ThreadPool>& slot = GlobalSlot();
+  g_pool.store(nullptr, std::memory_order_release);
   slot.reset();  // joins the old workers
   slot = std::make_unique<ThreadPool>(std::min<size_t>(n, 1024));
+  g_pool.store(slot.get(), std::memory_order_release);
 }
 
 void SetObservability(obs::MetricsRegistry* registry,

@@ -104,16 +104,21 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// The process-wide pool, created lazily with DefaultThreads().
+/// The process-wide pool, created lazily with DefaultThreads(). Once it
+/// exists a lookup is one acquire load of the published pointer, with no
+/// lock; only first-use creation (and SetGlobalThreads) take the pool
+/// mutex.
 ThreadPool& GlobalPool();
 
 /// Total compute threads the global pool uses (pool size, not worker
 /// count). Creates the pool on first call.
 size_t EffectiveThreads();
 
-/// Replaces the global pool with one of `n` threads. Joins the old pool's
-/// workers first. Must not be called while any parallel region is in
-/// flight — intended for process startup and the cross-thread-count
+/// Replaces the global pool with one of `n` threads, under the pool mutex.
+/// Joins the old pool's workers first, so a reference an earlier
+/// GlobalPool() returned dangles: call it only while the process is
+/// quiescent — no parallel region in flight and no other thread about to
+/// start one. Intended for process startup and the cross-thread-count
 /// determinism tests.
 void SetGlobalThreads(size_t n);
 

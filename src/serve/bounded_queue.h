@@ -5,8 +5,8 @@
 // Semantics:
 //  * Push blocks while full, returns false once the queue is closed;
 //  * TryPush never blocks, returns false when full or closed;
-//  * Pop/PopBatch block while empty; after Close() they drain whatever is
-//    still queued and then report exhaustion, so no accepted request is
+//  * PopBatch blocks while empty; after Close() it drains whatever is
+//    still queued and then reports exhaustion, so no accepted request is
 //    ever dropped on shutdown.
 #pragma once
 
@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -55,29 +54,6 @@ class BoundedQueue {
     }
     not_empty_.notify_one();
     return true;
-  }
-
-  /// Blocks while empty. Empty optional once closed AND drained.
-  std::optional<T> Pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> TryPop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
   }
 
   /// Micro-batch drain: blocks for the first item, then takes whatever else

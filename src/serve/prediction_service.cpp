@@ -77,17 +77,7 @@ std::future<ServeResponse> PredictionService::Submit(ServeRequest request) {
 }
 
 bool PredictionService::TrySubmit(ServeRequest request,
-                                  std::future<ServeResponse>* out) {
-  QPP_CHECK(out != nullptr);
-  std::promise<ServeResponse> promise;
-  std::future<ServeResponse> future = promise.get_future();
-  if (!TrySubmitWithPromise(std::move(request), &promise)) return false;
-  *out = std::move(future);
-  return true;
-}
-
-bool PredictionService::TrySubmitWithPromise(
-    ServeRequest request, std::promise<ServeResponse>* promise) {
+                                  std::promise<ServeResponse>* promise) {
   QPP_CHECK(promise != nullptr);
   if (config_.faults != nullptr && config_.faults->serve_enabled() &&
       config_.faults->NextSubmitReject()) {
@@ -109,29 +99,24 @@ bool PredictionService::TrySubmitWithPromise(
 }
 
 std::future<ServeResponse> PredictionService::SubmitWithRetry(
-    ServeRequest request) {
-  return SubmitWithRetry(std::move(request), config_.retry);
-}
-
-std::future<ServeResponse> PredictionService::SubmitWithRetry(
     ServeRequest request, const RetryPolicy& policy) {
   QPP_CHECK(policy.max_attempts >= 1);
+  Pending pending;
+  std::future<ServeResponse> future = pending.promise.get_future();
   double backoff = std::max(0.0, policy.initial_backoff_seconds);
   for (int attempt = 0;; ++attempt) {
-    std::future<ServeResponse> future;
-    if (TrySubmit(request, &future)) return future;
+    // A refused attempt leaves the promise with us for the next one.
+    if (TrySubmit(request, &pending.promise)) return future;
     if (attempt + 1 >= policy.max_attempts) break;
     if (backoff > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     }
-    backoff = std::min(backoff * policy.backoff_multiplier,
-                       policy.max_backoff_seconds);
+    backoff = std::min(backoff * kRetryBackoffMultiplier,
+                       kMaxRetryBackoffSeconds);
   }
   // Every attempt refused: degrade inline instead of handing back an error.
-  Pending pending;
   pending.request = std::move(request);
   pending.enqueued_at = std::chrono::steady_clock::now();
-  std::future<ServeResponse> future = pending.promise.get_future();
   stats_.RecordFallbackOverload();
   Respond(&pending,
           FallbackPrediction(calibration_, pending.request.optimizer_cost,
@@ -263,9 +248,7 @@ void PredictionService::ProcessBatch(std::vector<Pending>* batch,
   obs::Span cache_span(trace, "cache_lookup");
   for (size_t i = 0; i < batch->size(); ++i) {
     Pending& p = (*batch)[i];
-    const double deadline = p.request.deadline_seconds > 0.0
-                                ? p.request.deadline_seconds
-                                : config_.queue_deadline_seconds;
+    const double deadline = config_.queue_deadline_seconds;
     if (deadline > 0.0 &&
         SecondsSince(p.enqueued_at, picked_up_at) + virtual_age > deadline) {
       stats_.RecordFallbackDeadline();

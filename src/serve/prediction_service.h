@@ -71,9 +71,6 @@ struct ServeRequest {
   /// The plan's optimizer cost, carried along as the degradation baseline;
   /// negative = unavailable (fallback then predicts zero metrics).
   double optimizer_cost = -1.0;
-  /// Per-request queue deadline override: > 0 replaces the config-wide
-  /// queue_deadline_seconds for this request; 0 (the default) inherits it.
-  double deadline_seconds = 0.0;
   /// Request-scoped correlation context (see obs/request_context.h). The
   /// fabric stamps a deterministic trace id here at its front door;
   /// standalone callers may stamp their own or leave it empty (no
@@ -108,15 +105,14 @@ struct ServeResponse {
 };
 
 /// Backoff schedule for SubmitWithRetry: attempt i sleeps
-/// min(initial * multiplier^i, max) before retrying a refused submit.
-/// The deployment-wide default lives in ServiceConfig::retry; the explicit
-/// SubmitWithRetry(request, policy) overload overrides it per call.
+/// min(initial * kRetryBackoffMultiplier^i, kMaxRetryBackoffSeconds)
+/// before retrying a refused submit.
 struct RetryPolicy {
   int max_attempts = 3;
   double initial_backoff_seconds = 0.0005;
-  double backoff_multiplier = 2.0;
-  double max_backoff_seconds = 0.05;
 };
+inline constexpr double kRetryBackoffMultiplier = 2.0;
+inline constexpr double kMaxRetryBackoffSeconds = 0.05;
 
 struct ServiceConfig {
   size_t num_workers = 2;
@@ -155,10 +151,6 @@ struct ServiceConfig {
   /// default) for a standalone deployment. Fabric replicas use
   /// "group#index" labels (see fabric/fabric.h).
   std::string shard_label;
-  /// Default backoff schedule for SubmitWithRetry; per-call policies
-  /// override it. The defaults here ARE the historical compile-time
-  /// defaults, so existing deployments behave identically.
-  RetryPolicy retry;
   /// Observer invoked on every response (including inline fallbacks) just
   /// before the future resolves, from whichever thread answers. Used by
   /// fabric::AdmissionController to feed its windowed-p99 load signal;
@@ -191,28 +183,21 @@ class PredictionService {
   /// The future resolves once a worker answers.
   std::future<ServeResponse> Submit(ServeRequest request);
 
-  /// Non-blocking submit: false (and a counted rejection) when the queue
-  /// is full or the service is shutting down. Fault injection may refuse
-  /// an attempt here as if the queue were saturated (counted the same).
-  bool TrySubmit(ServeRequest request, std::future<ServeResponse>* out);
+  /// Non-blocking submit that fulfills a caller-owned promise: on success
+  /// the promise is moved into the queue and resolves when a worker
+  /// answers; false (and a counted rejection) when the queue is full or
+  /// the service is shutting down, and the caller keeps the promise. Fault
+  /// injection may refuse an attempt here as if the queue were saturated
+  /// (counted the same). This is how the fabric bridges deferred-admission
+  /// requests: the front door hands out the future at defer time and the
+  /// service fulfills it when the request is finally dispatched.
+  bool TrySubmit(ServeRequest request, std::promise<ServeResponse>* promise);
 
-  /// TrySubmit that fulfills a caller-owned promise instead of minting a
-  /// new future: on success the promise is moved into the queue and will
-  /// resolve when a worker answers; on refusal (queue full, shutdown, or
-  /// injected rejection — counted like TrySubmit) the caller keeps the
-  /// promise. This is how the fabric bridges deferred-admission requests:
-  /// the front door hands out the future at defer time and the service
-  /// fulfills it when the request is finally dispatched.
-  bool TrySubmitWithPromise(ServeRequest request,
-                            std::promise<ServeResponse>* promise);
-
-  /// TrySubmit with exponential backoff under config().retry. Never
-  /// returns a broken future: when every attempt is refused the request is
-  /// answered inline with the labeled "overload" fallback, so callers
-  /// under a rejection storm still get the degradation contract instead of
-  /// an error path to handle.
-  std::future<ServeResponse> SubmitWithRetry(ServeRequest request);
-  /// Same, but with an explicit per-call backoff schedule.
+  /// TrySubmit with exponential backoff under `policy`. Never returns a
+  /// broken future: when every attempt is refused the request is answered
+  /// inline with the labeled "overload" fallback, so callers under a
+  /// rejection storm still get the degradation contract instead of an
+  /// error path to handle.
   std::future<ServeResponse> SubmitWithRetry(ServeRequest request,
                                              const RetryPolicy& policy);
 

@@ -3,7 +3,7 @@
 // thread (ParallelFor then runs on the caller, without a task queue), the
 // serving paths must not touch the heap once their scratch is warm:
 //  * PredictBatchInto, for an ICD and an exact-solver model, at
-//    B in {1, 4, 16, 64, 256};
+//    B in {1, 4, 16, 64, 256}, and as B changes from call to call;
 //  * Classify, on every call after its first on a thread;
 //  * Predict, whose only allocation is the neighbor list it returns.
 #include <gtest/gtest.h>
@@ -116,6 +116,31 @@ TEST_P(AllocTest, WarmPredictBatchIntoAllocatesNothing) {
     for (int i = 0; i < 8; ++i) model.PredictBatchInto(queries, &scratch, &out);
     EXPECT_EQ(Allocs() - before, 0u) << "B = " << b;
   }
+}
+
+TEST_P(AllocTest, WarmPredictBatchIntoAllocatesNothingAsBChanges) {
+  // A serve worker's batch size moves from batch to batch (mostly 1): a
+  // smaller batch must not free what the next larger one needs again.
+  const Predictor& model = Model(GetParam());
+  std::vector<std::vector<linalg::Vector>> batches;
+  for (const size_t b : {1, 2, 1, 4, 1, 16, 1}) {
+    batches.emplace_back(Probes().begin(), Probes().begin() + b);
+  }
+  Predictor::BatchScratch scratch;
+  std::vector<Prediction> out;
+  for (const auto& queries : batches) {
+    model.PredictBatchInto(queries, &scratch, &out);
+  }
+  size_t wrong_sizes = 0;
+  const uint64_t before = Allocs();
+  for (int cycle = 0; cycle < 8; ++cycle) {
+    for (const auto& queries : batches) {
+      model.PredictBatchInto(queries, &scratch, &out);
+      wrong_sizes += out.size() != queries.size();
+    }
+  }
+  EXPECT_EQ(Allocs() - before, 0u);
+  EXPECT_EQ(wrong_sizes, 0u);
 }
 
 TEST_P(AllocTest, ClassifyAllocatesNothingAfterItsFirstCallOnAThread) {

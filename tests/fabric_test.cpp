@@ -733,11 +733,10 @@ TEST(FabricTest, RefusingExpertEscalatesOverloaded) {
 }
 
 /// A 1-replica fabric whose feather replica blows every deadline, so its
-/// breaker trips and stays open under continued failures; every 4th
+/// breaker trips and stays open under continued failures; every 32nd
 /// diverted pick still goes through as a recovery probe.
 FabricConfig SickFeatherConfig() {
   FabricConfig config = TestConfig(1);
-  config.open_probe_every = 4;
   for (ReplicaGroupSpec& spec : config.groups) {
     if (spec.name != "feather") continue;
     spec.service.queue_deadline_seconds = 1e-12;
@@ -777,7 +776,7 @@ TEST(FabricTest, OpenBreakerDivertsButProbesForRecovery) {
   EXPECT_GT(stats.escalations_open, 0u);
   // Diverted traffic is served cleanly by the catch-all...
   EXPECT_EQ(absorbed_clean, stats.escalations_open);
-  // ...while every open_probe_every-th pick still reaches the expert so
+  // ...while every 32nd diverted pick still reaches the expert so
   // its breaker can walk the half-open recovery path.
   EXPECT_GT(feather_answers, 0u);
   EXPECT_EQ(feather_answers + stats.escalations_open, kSubmits);
@@ -855,7 +854,7 @@ TEST(FabricTest, EveryEscalationRungMovesItsLabeledCounters) {
         counter("qpp_fabric_requests_total", kFeather);
     if (c.open_positive) {
       // The breaker trips after its min_samples deadline blowups, then
-      // diverts — but every open_probe_every-th pick still probes the
+      // diverts — but every 32nd diverted pick still probes the
       // expert, so routed traffic lands strictly between 0 and all.
       EXPECT_GT(open, 0u);
       EXPECT_GT(feather_routed, 0u);

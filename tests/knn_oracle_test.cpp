@@ -1,15 +1,11 @@
 // Edge-case battery for ml::FindNearest / ml::FindNearestBatch, plus the
-// executable form of the batch ≡ row-wise contract. This binary sets
-// QPP_VERIFY_KNN=1 before any library call (static initializer below), so
-// EVERY FindNearestBatch in the file re-derives each result through
-// FindNearest inside the library and throws on the first bitwise mismatch —
-// the documented contract running as a live assert, not just an external
-// comparison.
+// executable form of the batch ≡ row-wise contract: every FindNearestBatch
+// row this file makes is compared bitwise against FindNearest on the same
+// query.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -25,13 +21,6 @@
 
 namespace qpp {
 namespace {
-
-// Must run before the library caches the flag (checked once, on first use),
-// i.e. before main() — hence a file-scope static, not a test fixture.
-[[maybe_unused]] const bool kVerifyKnnEnv = [] {
-  setenv("QPP_VERIFY_KNN", "1", 1);
-  return true;
-}();
 
 class ScopedForceScalar {
  public:
@@ -214,8 +203,7 @@ TEST(KnnOracleTest, BatchIsBitIdenticalToRowWiseAcrossDispatchMatrix) {
   // Satellite contract: FindNearestBatch ≡ row-wise FindNearest in bits,
   // under SIMD and forced scalar, at 1/2/8 threads, for both metrics, with
   // n shapes covering the fused path, the 4-way remainders, and the
-  // full-distance fallback (k > kFusedMaxK). QPP_VERIFY_KNN=1 additionally
-  // asserts the same property inside the library on every call here.
+  // full-distance fallback (k > kFusedMaxK).
   Rng rng(0xBAD3ull);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     par::SetGlobalThreads(threads);
@@ -322,6 +310,10 @@ TEST(KnnOracleTest, DuplicateRowsTieByIndexInBothPaths) {
     const auto batch =
         ml::FindNearestBatch(points, queries, k, ml::DistanceKind::kEuclidean);
     for (size_t r = 0; r < queries.rows(); ++r) {
+      EXPECT_TRUE(SameNeighbors(
+          batch[r], ml::FindNearest(points, queries.Row(r), k,
+                                    ml::DistanceKind::kEuclidean)))
+          << "k=" << k << " row=" << r;
       for (size_t i = 1; i < batch[r].size(); ++i) {
         const auto& prev = batch[r][i - 1];
         const auto& cur = batch[r][i];

@@ -2,9 +2,9 @@
 // buckets, exact extremes, snapshot merge, concurrent recording), the
 // labeled metrics registry and its statsz/JSON exports, the Chrome
 // trace_event recorder (valid JSON, monotonic timestamps, span nesting,
-// per-thread tids, zero-cost-when-disabled), the prediction-drift monitor,
-// and the drift -> retrain wiring into core::SlidingWindowPredictor. Ends
-// with an end-to-end traced serve run asserting the pipeline span taxonomy.
+// per-thread tids, zero-cost-when-disabled) and the prediction-drift
+// monitor. Ends with an end-to-end traced serve run asserting the pipeline
+// span taxonomy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/predictor.h"
-#include "core/retraining.h"
 #include "engine/metrics.h"
 #include "obs/drift_monitor.h"
 #include "obs/json_util.h"
@@ -558,7 +557,6 @@ TEST(DriftMonitorTest, AllFallbackWindowNeverReportsModelDrift) {
   // no matter how bad the fallbacks are — drift means MODEL drift.
   DriftMonitorOptions opt;
   opt.min_observations = 4;
-  opt.relative_error_threshold = 0.5;
   DriftMonitor drift(opt);
   const auto actual = MetricsWithElapsed(10.0);
   const auto bad = MetricsWithElapsed(50.0);  // relative error 4.0
@@ -596,31 +594,34 @@ TEST(DriftMonitorTest, SingleSampleEwmaIsTheSampleRegardlessOfAlpha) {
 }
 
 TEST(DriftMonitorTest, SignalFiresAfterWarmupAndRespectsRefireInterval) {
-  DriftMonitorOptions opt;
-  opt.alpha = 0.5;
-  opt.relative_error_threshold = 0.5;
-  opt.min_observations = 4;
-  opt.refire_interval = 3;
-  DriftMonitor drift(opt);
-  int fired = 0;
-  drift.set_drift_hook([&fired] { ++fired; });
+  // Sustained drift: the first signal waits for both the warm-up and one
+  // refire interval, then every kDriftRefireInterval-th observation
+  // re-fires, never the ones in between.
   const auto actual = MetricsWithElapsed(10.0);
   const auto bad = MetricsWithElapsed(30.0);  // relative error 2.0
-  std::vector<bool> signals;
-  for (int i = 0; i < 10; ++i) {
-    signals.push_back(
-        drift.Observe(DriftMonitor::Source::kModel, bad, actual));
+  ASSERT_GT(2.0, kDriftThreshold);
+  for (size_t warmup : {size_t{4}, kDriftRefireInterval + 8}) {
+    DriftMonitorOptions opt;
+    opt.alpha = 0.5;
+    opt.min_observations = warmup;
+    MetricsRegistry reg;
+    DriftMonitor drift(opt, &reg);
+    std::vector<size_t> fired_at;
+    for (size_t i = 0; i < 4 * kDriftRefireInterval; ++i) {
+      if (drift.Observe(DriftMonitor::Source::kModel, bad, actual)) {
+        fired_at.push_back(i);
+      }
+    }
+    std::vector<size_t> want;
+    for (size_t i = std::max(warmup, kDriftRefireInterval) - 1;
+         i < 4 * kDriftRefireInterval; i += kDriftRefireInterval) {
+      want.push_back(i);
+    }
+    EXPECT_EQ(fired_at, want) << "warm-up " << warmup;
+    EXPECT_EQ(reg.GetCounter("qpp_drift_signals_total")->value(),
+              want.size());
+    EXPECT_TRUE(drift.drifted());
   }
-  // Warm-up suppresses the first min_observations-1; then every
-  // refire_interval-th observation re-fires.
-  EXPECT_FALSE(signals[0]);
-  EXPECT_FALSE(signals[2]);
-  EXPECT_TRUE(signals[3]);   // warm (4 obs) and over threshold
-  EXPECT_FALSE(signals[4]);  // inside the refire interval
-  EXPECT_TRUE(signals[6]);   // 3 observations later
-  EXPECT_TRUE(signals[9]);
-  EXPECT_EQ(fired, 3);
-  EXPECT_TRUE(drift.drifted());
 }
 
 TEST(DriftMonitorTest, ExportsGaugesIntoTheRegistry) {
@@ -653,43 +654,6 @@ TEST(DriftMonitorTest, ToStringReportsEwmaAndFallbackShare) {
   EXPECT_NE(s.find("fallback vs KCCA"), std::string::npos);
   EXPECT_NE(s.find("model 50.0% (n=1), fallback 50.0% (n=1)"),
             std::string::npos);
-}
-
-TEST(DriftMonitorTest, DriftSignalTriggersSlidingWindowRetrain) {
-  // The advertised wiring: drift hook -> SlidingWindowPredictor::Retrain.
-  Rng rng(31337);
-  core::SlidingWindowConfig cfg;
-  cfg.retrain_every = 1000000;  // only the drift hook retrains
-  core::SlidingWindowPredictor sliding(cfg);
-  for (int i = 0; i < 80; ++i) {
-    const double a = rng.Uniform(1.0, 10.0);
-    const double b = rng.Uniform(1.0, 10.0);
-    engine::QueryMetrics m;
-    m.elapsed_seconds = a * b;
-    m.records_accessed = 100.0 * a;
-    m.records_used = 10.0 * b;
-    m.message_count = a + b;
-    m.message_bytes = 100.0 * (a + b);
-    sliding.Observe({a, b, a * b}, m);
-  }
-  // An untrained window retrains as soon as it can; everything after that
-  // waits for retrain_every — i.e. forever here, unless the hook fires.
-  const size_t gen0 = sliding.generation();
-
-  DriftMonitorOptions opt;
-  opt.min_observations = 4;
-  opt.refire_interval = 4;
-  DriftMonitor drift(opt);
-  drift.set_drift_hook([&sliding] { sliding.Retrain(); });
-  const auto actual = MetricsWithElapsed(10.0);
-  const auto bad = MetricsWithElapsed(40.0);
-  bool signaled = false;
-  for (int i = 0; i < 8 && !signaled; ++i) {
-    signaled = drift.Observe(DriftMonitor::Source::kModel, bad, actual);
-  }
-  EXPECT_TRUE(signaled);
-  EXPECT_EQ(sliding.generation(), gen0 + 1);
-  EXPECT_TRUE(sliding.trained());
 }
 
 // ------------------------------------------- traced serve, end to end --

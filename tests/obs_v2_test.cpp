@@ -479,7 +479,8 @@ TEST(TraceCapTest, MaxEventsCapDropsAndCounts) {
   TraceRecorder trace(options);
   for (int i = 0; i < 10; ++i) {
     TraceEvent event;
-    event.name = "e" + std::to_string(i);
+    event.name = "e";
+    event.name += std::to_string(i);
     trace.Add(std::move(event));
   }
   EXPECT_EQ(trace.event_count(), 4u);

@@ -1,9 +1,8 @@
 // End-to-end tests for the prediction service: batched prediction is
 // bit-identical to sequential Predict (the serving determinism guarantee),
 // the service answers multi-threaded traffic with exactly those bits,
-// every degraded answer is labeled with its reason, hot-swap switches
-// generations without serving stale cache entries, and the retraining
-// publish hook closes the train → publish → serve loop.
+// every degraded answer is labeled with its reason, and hot-swap switches
+// generations without serving stale cache entries.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +14,6 @@
 
 #include "common/rng.h"
 #include "core/predictor.h"
-#include "core/retraining.h"
 #include "core/two_step.h"
 #include "core/workload_manager.h"
 #include "fabric/fabric.h"
@@ -256,9 +254,11 @@ TEST(PredictionServiceTest, SubmitAfterShutdownAnswersLabeledFallback) {
   EXPECT_EQ(stats.requests, 1u);
   EXPECT_EQ(stats.fallbacks(), 1u);
 
-  std::future<ServeResponse> rejected;
-  EXPECT_FALSE(service.TrySubmit({{1.0, 2.0}, 50.0}, &rejected));
+  std::promise<ServeResponse> refused;
+  EXPECT_FALSE(service.TrySubmit({{1.0, 2.0}, 50.0}, &refused));
   EXPECT_EQ(service.stats().rejected, 1u);
+  // A refusal hands the promise back: the caller can still answer it.
+  EXPECT_NO_THROW(refused.get_future());
 }
 
 TEST(PredictionServiceTest, SubmitWithRetryDegradesToOverloadWhenExhausted) {
@@ -282,38 +282,21 @@ TEST(PredictionServiceTest, SubmitWithRetryDegradesToOverloadWhenExhausted) {
 
 TEST(PredictionServiceTest, RetryAndBreakerDefaultsMatchHistoricalValues) {
   // The retry schedule and breaker thresholds used to be compile-time
-  // constants; they are ServiceConfig knobs now (docs/SERVING.md documents
-  // the table). A default-constructed config must reproduce the historical
-  // behavior exactly — pin the values so a drive-by retune of a default
-  // shows up as a deliberate test change, not a silent fleet-wide one.
+  // constants; the settable ones are knobs now (docs/SERVING.md documents
+  // the table). Defaults must reproduce the historical behavior exactly —
+  // pin the values so a drive-by retune of a default shows up as a
+  // deliberate test change, not a silent fleet-wide one.
+  const RetryPolicy retry;
+  EXPECT_EQ(retry.max_attempts, 3);
+  EXPECT_DOUBLE_EQ(retry.initial_backoff_seconds, 0.0005);
+  EXPECT_DOUBLE_EQ(kRetryBackoffMultiplier, 2.0);
+  EXPECT_DOUBLE_EQ(kMaxRetryBackoffSeconds, 0.05);
   const ServiceConfig config;
-  EXPECT_EQ(config.retry.max_attempts, 3);
-  EXPECT_DOUBLE_EQ(config.retry.initial_backoff_seconds, 0.0005);
-  EXPECT_DOUBLE_EQ(config.retry.backoff_multiplier, 2.0);
-  EXPECT_DOUBLE_EQ(config.retry.max_backoff_seconds, 0.05);
   EXPECT_FALSE(config.breaker.enabled);
   EXPECT_EQ(config.breaker.window, 64u);
   EXPECT_EQ(config.breaker.min_samples, 16u);
   EXPECT_DOUBLE_EQ(config.breaker.trip_ratio, 0.5);
   EXPECT_EQ(config.breaker.open_requests, 32u);
-}
-
-TEST(PredictionServiceTest, NoArgSubmitWithRetryFollowsConfigRetry) {
-  // The no-policy overload must run config.retry, not a hardcoded
-  // schedule: with max_attempts = 2 against a shut-down service, exactly
-  // two refusals are recorded (the historical hardcoded schedule made 3).
-  ModelRegistry registry;
-  ServiceConfig config;
-  config.retry.max_attempts = 2;
-  config.retry.initial_backoff_seconds = 1e-6;
-  const CostCalibration cal = TestCalibration();
-  PredictionService service(&registry, config, cal);
-  service.Shutdown();  // every TrySubmit now refuses
-  const ServeResponse resp =
-      service.SubmitWithRetry({{1.0, 2.0}, 300.0}).get();
-  EXPECT_TRUE(resp.degraded());
-  EXPECT_EQ(resp.degraded_reason, "overload");
-  EXPECT_EQ(service.stats().rejected, 2u);
 }
 
 TEST(PredictionServiceTest, SubmitWithRetrySucceedsWithoutFaults) {
@@ -322,31 +305,11 @@ TEST(PredictionServiceTest, SubmitWithRetrySucceedsWithoutFaults) {
   registry.Publish(pred);
   PredictionService service(&registry, {}, TestCalibration());
   const linalg::Vector probe = fault::ServeExamples(1, 9)[0].query_features;
-  const ServeResponse resp = service.SubmitWithRetry({probe, 100.0}).get();
+  const ServeResponse resp =
+      service.SubmitWithRetry({probe, 100.0}, RetryPolicy{}).get();
   EXPECT_FALSE(resp.degraded());
   ExpectBitIdentical(resp.prediction, pred.Predict(probe));
   EXPECT_EQ(service.stats().rejected, 0u);
-}
-
-TEST(PredictionServiceTest, PerRequestDeadlineOverridesConfigDefault) {
-  const core::Predictor pred = TrainPredictor(48, 5, ml::KccaSolver::kExact);
-  ModelRegistry registry;
-  registry.Publish(pred);
-  ServiceConfig config;
-  config.queue_deadline_seconds = 3600.0;  // config-wide: effectively never
-  const CostCalibration cal = TestCalibration();
-  PredictionService service(&registry, config, cal);
-  const linalg::Vector probe = fault::ServeExamples(1, 8)[0].query_features;
-  ServeRequest strict;
-  strict.features = probe;
-  strict.optimizer_cost = 200.0;
-  strict.deadline_seconds = 1e-12;  // any queue wait exceeds this
-  const ServeResponse resp = service.Submit(std::move(strict)).get();
-  EXPECT_TRUE(resp.degraded());
-  EXPECT_EQ(resp.degraded_reason, "deadline");
-  // Requests without an override still ride the (infinite) config default.
-  const ServeResponse lax = service.Submit({probe, 200.0}).get();
-  EXPECT_FALSE(lax.degraded());
 }
 
 TEST(PredictionServiceTest, HotSwapServesTheNewGenerationNotStaleCache) {
@@ -522,36 +485,6 @@ TEST(TwoStepServingTest, BoundaryQueriesRoundTripThroughShardedServing) {
   EXPECT_GT(misclassified_boundary, 0u);
   EXPECT_GT(base_fallbacks, 0u);
   EXPECT_EQ(fab.stats().escalations_dead, base_fallbacks);
-}
-
-// ---------------------------------------------- retraining publish hook --
-
-TEST(RetrainingPublishHookTest, SlidingWindowRetrainPublishesToRegistry) {
-  ModelRegistry registry;
-  core::SlidingWindowConfig cfg;
-  cfg.retrain_every = 10;
-  cfg.predictor.model = core::ModelKind::kRegression;
-  core::SlidingWindowPredictor sliding(cfg);
-  sliding.set_publish_hook(
-      [&](const core::Predictor& p) { registry.Publish(p); });
-
-  EXPECT_FALSE(registry.has_model());
-  const auto observations = fault::ServeExamples(25, 13);
-  for (const auto& obs : observations) {
-    sliding.Observe(obs.query_features, obs.metrics);
-  }
-  ASSERT_TRUE(sliding.trained());
-  ASSERT_TRUE(registry.has_model());
-  EXPECT_EQ(registry.generation(), sliding.generation());
-
-  // The published snapshot is a faithful copy: the service answers with the
-  // same bits as the registry's model.
-  PredictionService service(&registry, {}, TestCalibration());
-  const linalg::Vector probe = fault::ServeExamples(1, 14)[0].query_features;
-  const ServeResponse resp = service.Submit({probe, 100.0}).get();
-  ASSERT_FALSE(resp.degraded());
-  ExpectBitIdentical(resp.prediction,
-                     registry.Acquire().model->Predict(probe));
 }
 
 // ----------------------------------------------------------- admission --

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,16 +26,25 @@ namespace {
 
 // ---------------------------------------------------------------- queue --
 
+// One item through the workers' drain, PopBatch: blocks while empty;
+// nullopt once the queue is closed and drained.
+template <typename T>
+std::optional<T> PopOne(BoundedQueue<T>* q) {
+  std::vector<T> out;
+  if (q->PopBatch(1, &out) == 0) return std::nullopt;
+  return std::move(out[0]);
+}
+
 TEST(BoundedQueueTest, FifoOrder) {
   BoundedQueue<int> q(8);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.Push(int(i)));
   EXPECT_EQ(q.size(), 5u);
   for (int i = 0; i < 5; ++i) {
-    auto v = q.Pop();
+    auto v = PopOne(&q);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, i);
   }
-  EXPECT_FALSE(q.TryPop().has_value());
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(BoundedQueueTest, TryPushFailsWhenFull) {
@@ -68,17 +78,17 @@ TEST(BoundedQueueTest, PushBlocksWhenFullUntilAPop) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(pushed.load());  // still blocked (backpressure)
-  EXPECT_EQ(q.Pop().value(), 1);
+  EXPECT_EQ(PopOne(&q).value(), 1);
   producer.join();
   EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.Pop().value(), 2);
+  EXPECT_EQ(PopOne(&q).value(), 2);
 }
 
 TEST(BoundedQueueTest, PopBlocksUntilAPush) {
   BoundedQueue<int> q(4);
   std::atomic<bool> popped{false};
   std::thread consumer([&] {
-    auto v = q.Pop();
+    auto v = PopOne(&q);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, 7);
     popped.store(true);
@@ -97,14 +107,14 @@ TEST(BoundedQueueTest, CloseDrainsQueuedItemsThenStops) {
   q.Close();
   EXPECT_TRUE(q.closed());
   EXPECT_FALSE(q.Push(3));  // no new work accepted...
-  EXPECT_EQ(q.Pop().value(), 1);  // ...but accepted work is never dropped
-  EXPECT_EQ(q.Pop().value(), 2);
-  EXPECT_FALSE(q.Pop().has_value());  // drained: poppers stop blocking
+  EXPECT_EQ(PopOne(&q).value(), 1);  // ...but accepted work is never dropped
+  EXPECT_EQ(PopOne(&q).value(), 2);
+  EXPECT_FALSE(PopOne(&q).has_value());  // drained: poppers stop blocking
 }
 
 TEST(BoundedQueueTest, CloseUnblocksAWaitingPopper) {
   BoundedQueue<int> q(4);
-  std::thread consumer([&] { EXPECT_FALSE(q.Pop().has_value()); });
+  std::thread consumer([&] { EXPECT_FALSE(PopOne(&q).has_value()); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   q.Close();
   consumer.join();
@@ -130,7 +140,7 @@ TEST(BoundedQueueTest, ManyProducersManyConsumers) {
   std::vector<std::thread> threads;
   for (int c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&] {
-      while (auto v = q.Pop()) {
+      while (auto v = PopOne(&q)) {
         sum.fetch_add(*v);
         count.fetch_add(1);
       }

@@ -471,11 +471,11 @@ TEST(EigenOracleTest, BaseModelCcaProblemMatchesBitForBit) {
   const linalg::IncompleteCholeskyResult icx = linalg::IncompleteCholesky(
       p.x.rows(),
       GaussianOracle(p.x, ml::GaussianScaleFromNorms(p.x, o.tau_factor_x)),
-      o.icd_max_rank, o.icd_tolerance);
+      o.icd_max_rank, ml::kIcdTolerance);
   const linalg::IncompleteCholeskyResult icy = linalg::IncompleteCholesky(
       p.y.rows(),
       GaussianOracle(p.y, ml::GaussianScaleFromNorms(p.y, o.tau_factor_y)),
-      o.icd_max_rank, o.icd_tolerance);
+      o.icd_max_rank, ml::kIcdTolerance);
   const Matrix s = CcaProblem(icx.g, icy.g, o.kappa);
   ASSERT_EQ(s.rows(), 256u);
   // S is the matrix FitCca decomposes: same correlations, bit for bit.
@@ -567,11 +567,11 @@ TEST(IcdOracleTest, BaseModelKernelsMatchBitForBit) {
   ExpectSameIcd(
       p.x.rows(),
       GaussianOracle(p.x, ml::GaussianScaleFromNorms(p.x, o.tau_factor_x)),
-      o.icd_max_rank, o.icd_tolerance);
+      o.icd_max_rank, ml::kIcdTolerance);
   ExpectSameIcd(
       p.y.rows(),
       GaussianOracle(p.y, ml::GaussianScaleFromNorms(p.y, o.tau_factor_y)),
-      o.icd_max_rank, o.icd_tolerance);
+      o.icd_max_rank, ml::kIcdTolerance);
 }
 
 }  // namespace

@@ -10,7 +10,10 @@ set(cases
   "chaos|--scenario|no-such-run|--save-plan|${refused}=>--save-plan"
   "plan|--sql|SELECT 1|extra=>'extra'"
   "obs|--flight-dump|f.json|--sql|SELECT 1=>--sql"
-  "train|--out=>--out")
+  "train|--out=>--out"
+  "chaos|--requests|abc=>--requests"
+  "chaos|--requests|-1=>--requests"
+  "pools|--seed|99999999999999999999=>--seed")
 file(REMOVE "${refused}")
 foreach(case IN LISTS cases)
   string(REPLACE "=>" ";" parts "${case}")

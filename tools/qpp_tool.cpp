@@ -46,10 +46,12 @@
 //
 // All commands run against the TPC-DS SF-1 catalog on the Neoview-4
 // configuration; this is a demonstration surface, not a kitchen sink. A
-// flag the command does not read, or a stray argument, prints the usage
-// text and exits 2.
+// flag the command does not read, a count or seed that is not an unsigned
+// 64-bit integer, or a stray argument prints the usage text and exits 2.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -87,13 +89,36 @@ namespace {
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
+  /// The numeric flags' values, checked by ParseArgs.
+  std::map<std::string, uint64_t> numbers;
   bool flag(const std::string& name) const { return options.count(name) > 0; }
   std::string get(const std::string& name,
                   const std::string& fallback = "") const {
     auto it = options.find(name);
     return it == options.end() ? fallback : it->second;
   }
+  uint64_t number(const std::string& name, uint64_t fallback) const {
+    auto it = numbers.find(name);
+    return it == numbers.end() ? fallback : it->second;
+  }
 };
+
+/// Flags whose value is a count or a seed, in every command that reads
+/// them.
+bool IsNumericFlag(const std::string& name) {
+  static const std::set<std::string> kNumeric = {
+      "candidates", "seed",     "clients", "requests", "queries",
+      "distinct",   "workers", "batch",   "cache"};
+  return kNumeric.count(name) > 0;
+}
+
+/// An unsigned decimal integer: digits only (no sign, space or prefix)
+/// that fits in 64 bits.
+bool ParseUnsigned(const std::string& text, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 /// The flags one command reads: `values` take the next argument, `switches`
 /// take none.
@@ -129,7 +154,8 @@ FlagSpec FlagsFor(const std::string& command, bool flight_demo) {
 
 /// Parses argv[2..] against the command's flags. Prints what is wrong and
 /// returns false on a flag the command does not read, a value flag with no
-/// value, or a stray positional argument.
+/// value, a numeric flag whose value is not an unsigned integer, or a
+/// stray positional argument.
 bool ParseArgs(int argc, char** argv, Args* args) {
   if (argc >= 2) args->command = argv[1];
   bool flight_demo = false;
@@ -154,7 +180,14 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       std::fprintf(stderr, "error: --%s needs a value\n", key.c_str());
       return false;
     } else {
-      args->options[key] = argv[++i];
+      const std::string value = argv[++i];
+      if (IsNumericFlag(key) && !ParseUnsigned(value, &args->numbers[key])) {
+        std::fprintf(stderr,
+                     "error: --%s needs an unsigned integer, got '%s'\n",
+                     key.c_str(), value.c_str());
+        return false;
+      }
+      args->options[key] = value;
     }
   }
   return true;
@@ -198,9 +231,8 @@ bool WriteTextFile(const std::string& path, const std::string& content) {
 
 core::ExperimentData BuildData(const Args& args) {
   core::ExperimentOptions opt;
-  opt.num_candidates =
-      static_cast<size_t>(std::stoul(args.get("candidates", "3000")));
-  opt.seed = std::stoull(args.get("seed", "42"));
+  opt.num_candidates = args.number("candidates", 3000);
+  opt.seed = args.number("seed", 42);
   return core::BuildTpcdsExperiment(opt);
 }
 
@@ -337,19 +369,13 @@ int CmdExplain(const Args& args) {
 // decisions ride on the responses, and the built-in service stats are
 // printed at the end.
 int CmdServe(const Args& args) {
-  const size_t clients =
-      static_cast<size_t>(std::stoul(args.get("clients", "4")));
-  const size_t requests_per_client =
-      static_cast<size_t>(std::stoul(args.get("requests", "500")));
-  const size_t distinct =
-      static_cast<size_t>(std::stoul(args.get("distinct", "64")));
+  const size_t clients = args.number("clients", 4);
+  const size_t requests_per_client = args.number("requests", 500);
+  const size_t distinct = args.number("distinct", 64);
   serve::ServiceConfig service_config;
-  service_config.num_workers =
-      static_cast<size_t>(std::stoul(args.get("workers", "2")));
-  service_config.max_batch =
-      static_cast<size_t>(std::stoul(args.get("batch", "16")));
-  service_config.cache_capacity =
-      static_cast<size_t>(std::stoul(args.get("cache", "4096")));
+  service_config.num_workers = args.number("workers", 2);
+  service_config.max_batch = args.number("batch", 16);
+  service_config.cache_capacity = args.number("cache", 4096);
   const std::string trace_path = args.get("trace-out");
   const std::string statsz_path = args.get("statsz");
   std::unique_ptr<obs::TraceRecorder> trace;
@@ -510,11 +536,10 @@ int CmdServe(const Args& args) {
 // exactly as the demo produced them, with no tool-added decoration.
 int CmdObsFlightDemo(const Args& args) {
   fault::ChaosOptions opts;
-  opts.seed = std::stoull(args.get("seed", "42"));
+  opts.seed = args.number("seed", 42);
   // The demo needs enough requests for several SLO windows per wave; its
   // floor is 512, so round the chaos-wide default of 400 up.
-  opts.requests = std::max<size_t>(
-      512, static_cast<size_t>(std::stoul(args.get("requests", "2048"))));
+  opts.requests = std::max<size_t>(512, args.number("requests", 2048));
 
   const fault::ObsFlightDemoResult demo = fault::RunObsFlightDemo(opts);
   const fault::ScenarioResult& r = demo.scenario;
@@ -607,10 +632,9 @@ int CmdObs(const Args& args) {
 
 int CmdChaos(const Args& args) {
   fault::ChaosOptions opts;
-  opts.seed = std::stoull(args.get("seed", "42"));
-  opts.requests =
-      static_cast<size_t>(std::stoul(args.get("requests", "400")));
-  opts.queries = static_cast<size_t>(std::stoul(args.get("queries", "24")));
+  opts.seed = args.number("seed", 42);
+  opts.requests = args.number("requests", 400);
+  opts.queries = args.number("queries", 24);
 
   // The selected run; with none, the six scenarios run in table order.
   const std::string run = args.flag("fabric-soak") ? "fabric-soak"
