@@ -1,5 +1,6 @@
 #include "common/serde.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.h"
@@ -61,27 +62,45 @@ double BinaryReader::ReadDouble() {
   return v;
 }
 
+// The length-prefixed reads grow their buffer one chunk at a time as the
+// payload arrives (resize grows capacity geometrically, so a long valid
+// payload is still read in amortized linear time). A corrupt length thus
+// costs at most one chunk before the truncation check fires, instead of an
+// allocation of everything it claims.
+
 std::string BinaryReader::ReadString() {
   const uint64_t n = ReadU64();
   QPP_CHECK_MSG(n < (1ull << 32), "implausible string length");
-  std::string s(n, '\0');
-  if (n > 0) ReadRaw(s.data(), n);
+  std::string s;
+  for (size_t done = 0; done < n;) {
+    const size_t step = std::min<uint64_t>(kReadChunkBytes, n - done);
+    s.resize(done + step);
+    ReadRaw(s.data() + done, step);
+    done += step;
+  }
   return s;
 }
 
 std::vector<double> BinaryReader::ReadDoubles() {
   const uint64_t n = ReadU64();
   QPP_CHECK_MSG(n < (1ull << 32), "implausible vector length");
-  std::vector<double> v(n);
-  if (n > 0) ReadRaw(v.data(), n * sizeof(double));
+  constexpr size_t kChunk = kReadChunkBytes / sizeof(double);
+  std::vector<double> v;
+  for (size_t done = 0; done < n;) {
+    const size_t step = std::min<uint64_t>(kChunk, n - done);
+    v.resize(done + step);
+    ReadRaw(v.data() + done, step * sizeof(double));
+    done += step;
+  }
   return v;
 }
 
 std::vector<size_t> BinaryReader::ReadSizes() {
   const uint64_t n = ReadU64();
   QPP_CHECK_MSG(n < (1ull << 32), "implausible vector length");
-  std::vector<size_t> v(n);
-  for (uint64_t i = 0; i < n; ++i) v[i] = static_cast<size_t>(ReadU64());
+  std::vector<size_t> v;
+  v.reserve(std::min<uint64_t>(n, kReadChunkBytes / sizeof(uint64_t)));
+  for (uint64_t i = 0; i < n; ++i) v.push_back(static_cast<size_t>(ReadU64()));
   return v;
 }
 

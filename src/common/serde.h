@@ -7,6 +7,7 @@
 // length-prefixed strings and vectors.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <istream>
@@ -33,8 +34,15 @@ class BinaryWriter {
   std::ostream& os_;
 };
 
+/// The most a length-prefixed read (ReadString, ReadDoubles, ReadSizes)
+/// allocates ahead of the payload bytes that have arrived.
+inline constexpr size_t kReadChunkBytes = size_t{1} << 20;
+
 /// Mirror image of BinaryWriter. Throws qpp::CheckFailure on truncated or
 /// corrupt input (model files are trusted local artifacts; we fail loudly).
+/// A length prefix is capped below 2^32 elements, and a length the payload
+/// does not back fails as a truncation after at most kReadChunkBytes of
+/// buffer.
 class BinaryReader {
  public:
   explicit BinaryReader(std::istream& is) : is_(is) {}

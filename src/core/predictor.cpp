@@ -24,6 +24,11 @@ double Secs(Clock::time_point a, Clock::time_point z) {
   return std::chrono::duration<double>(z - a).count();
 }
 
+/// The clock, read only for a caller that asked for stage times.
+Clock::time_point StampIf(const Predictor::BatchStageTimes* times) {
+  return times != nullptr ? Clock::now() : Clock::time_point();
+}
+
 /// The scratch Predict and Classify run their B = 1 batch through: one per
 /// thread (see the thread-safety contract in predictor.h).
 Predictor::BatchScratch& ThreadScratch() {
@@ -191,7 +196,7 @@ void Predictor::ProjectAndSearch(const linalg::Vector* queries, size_t b,
                                  BatchScratch* scratch,
                                  obs::TraceRecorder* trace,
                                  BatchStageTimes* times) const {
-  const auto t0 = Clock::now();
+  const auto t0 = StampIf(times);
   {
     obs::Span span(trace, "preprocess", "predict");
     const size_t dims = preprocessor_.dims();
@@ -201,14 +206,14 @@ void Predictor::ProjectAndSearch(const linalg::Vector* queries, size_t b,
       preprocessor_.TransformRowTo(queries[r], base + r * dims);
     }
   }
-  const auto t1 = Clock::now();
+  const auto t1 = StampIf(times);
   ml::KccaProjectTimes ptimes;
   {
     obs::Span span(trace, "kcca_project", "predict");
     kcca_.ProjectXBatchInto(scratch->xp, &scratch->ws, &scratch->projections,
                             times != nullptr ? &ptimes : nullptr);
   }
-  const auto t2 = Clock::now();
+  const auto t2 = StampIf(times);
   {
     obs::Span span(trace, "knn_projection_space", "predict");
     IndexedNeighborsInto(proj_index_, kcca_.x_projection(),
@@ -267,7 +272,7 @@ void Predictor::PredictBatchInto(const std::vector<linalg::Vector>& queries,
   }
 
   ProjectAndSearch(queries.data(), b, scratch, trace, times);
-  const auto t3 = Clock::now();
+  const auto t3 = StampIf(times);
   {
     // Feature-space neighbors, searched independently of the projection
     // ones (see the header: they catch far-away inputs the saturating
@@ -277,7 +282,7 @@ void Predictor::PredictBatchInto(const std::vector<linalg::Vector>& queries,
     IndexedNeighborsInto(feat_index_, train_xp_, scratch->xp,
                          config_.k_neighbors, &scratch->feat_nbrs);
   }
-  const auto t4 = Clock::now();
+  const auto t4 = StampIf(times);
   {
     obs::Span span(trace, "assemble", "predict");
     for (size_t r = 0; r < b; ++r) {
@@ -425,6 +430,12 @@ Predictor Predictor::Load(std::istream* is) {
   const size_t n = p.train_y_.rows();
   QPP_CHECK_MSG(p.train_y_.cols() == engine::QueryMetrics::kNumMetrics,
                 "model file: training metrics are not n x 6");
+  // Train needs more examples than neighbors; a file with k >= n would
+  // average all n rows, or reserve k entries, on every prediction.
+  QPP_CHECK_MSG(cfg.k_neighbors < n, "model file: neighbor count "
+                                         << cfg.k_neighbors
+                                         << " is not below the " << n
+                                         << " training rows");
   p.train_dist_mean_ = r.ReadDouble();
   p.train_dist_p99_ = r.ReadDouble();
   p.train_feat_dist_mean_ = r.ReadDouble();

@@ -46,12 +46,13 @@ struct PredictorConfig {
   double anomaly_factor = 1.5;
   /// Serve both neighbor searches (projection space and preprocessed
   /// feature space) from exact k-d trees (ml::KdTree) instead of the
-  /// brute-force scans. Euclidean only; results are bit-identical either
-  /// way (the tree is pinned to the brute oracle by tests/kdtree_test.cpp),
-  /// so this is purely a latency knob — off is the oracle path the A/B
-  /// benches compare against. Runtime-only: deliberately NOT serialized
-  /// (the model format is unchanged; Load rebuilds the indexes under the
-  /// loading config).
+  /// brute scan. Euclidean only; results are bit-identical either way (the
+  /// tree is pinned to the brute oracle by tests/kdtree_test.cpp), so this
+  /// is purely a latency knob. Off runs ml::FindNearestBatch, every
+  /// distance then the k smallest, the same scan cosine distance always
+  /// uses: the oracle path the tests and A/B benches compare against.
+  /// Runtime-only: deliberately NOT serialized (the model format is
+  /// unchanged; Load rebuilds the indexes under the loading config).
   bool use_knn_index = true;
 };
 

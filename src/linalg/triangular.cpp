@@ -17,12 +17,11 @@ namespace {
 /// anyway, so perf numbers are comparable across hosts.
 constexpr size_t kSolveTile = 32;
 
-/// One solve over both factor layouts: element L(i, j) lives at
-/// l[i*ldr + j*ldc] (row-major: ldr = m, ldc = 1; transposed: ldr = 1,
-/// ldc = m). The factor values are splatted scalars in every kernel, so
-/// the layout changes load addresses only, never values.
-void SolveImpl(const double* l, size_t ldr, size_t ldc, size_t m, double* s,
-               size_t b, size_t stride, bool use_simd) {
+}  // namespace
+
+void ForwardSubstBlocked(const double* l, size_t m, double* s, size_t b,
+                         size_t stride, bool use_simd) {
+  if (m == 0 || b == 0) return;
   for (size_t j0 = 0; j0 < m; j0 += kSolveTile) {
     const size_t j1 = std::min(m, j0 + kSolveTile);
     // Diagonal tile: classic per-pivot forward substitution restricted to
@@ -30,14 +29,14 @@ void SolveImpl(const double* l, size_t ldr, size_t ldc, size_t m, double* s,
     // the rows below it inside the tile, ascending pivot order.
     for (size_t j = j0; j < j1; ++j) {
       double* gj = s + j * stride;
-      const double diag = l[j * ldr + j * ldc];
+      const double diag = l[j * m + j];
       if (use_simd) {
         simd::DivRowBy(gj, diag, b);
       } else {
         for (size_t q = 0; q < b; ++q) gj[q] = gj[q] / diag;
       }
       for (size_t i = j + 1; i < j1; ++i) {
-        const double lij = l[i * ldr + j * ldc];
+        const double lij = l[i * m + j];
         double* si = s + i * stride;
         if (use_simd) {
           simd::AxpyNegRow(si, lij, gj, b);
@@ -52,35 +51,19 @@ void SolveImpl(const double* l, size_t ldr, size_t ldc, size_t m, double* s,
     const size_t nb = j1 - j0;
     const double* g0 = s + j0 * stride;
     for (size_t i = j1; i < m; ++i) {
-      const double* li = l + i * ldr + j0 * ldc;
+      const double* li = l + i * m + j0;
       double* si = s + i * stride;
       if (use_simd) {
-        simd::SolveUpdateRow(si, li, ldc, g0, stride, nb, b);
+        simd::SolveUpdateRow(si, li, g0, stride, nb, b);
       } else {
         for (size_t q = 0; q < b; ++q) {
           double v = si[q];
-          for (size_t j = 0; j < nb; ++j) {
-            v -= li[j * ldc] * g0[j * stride + q];
-          }
+          for (size_t j = 0; j < nb; ++j) v -= li[j] * g0[j * stride + q];
           si[q] = v;
         }
       }
     }
   }
-}
-
-}  // namespace
-
-void ForwardSubstBlocked(const double* l, size_t m, double* s, size_t b,
-                         size_t stride, bool use_simd) {
-  if (m == 0 || b == 0) return;
-  SolveImpl(l, m, 1, m, s, b, stride, use_simd);
-}
-
-void ForwardSubstBlockedT(const double* lt, size_t m, double* s, size_t b,
-                          size_t stride, bool use_simd) {
-  if (m == 0 || b == 0) return;
-  SolveImpl(lt, 1, m, m, s, b, stride, use_simd);
 }
 
 }  // namespace qpp::linalg

@@ -1,6 +1,7 @@
-// Blocked triangular solves for multi-query (multi-right-hand-side)
+// Blocked triangular solve for multi-query (multi-right-hand-side)
 // forward substitution — the batch-prediction form of the per-query
-// `ForwardSubstColumns` chain in ml/kcca.cpp.
+// `ForwardSubstColumns` chain in ml/kcca.cpp, and, with use_simd off, the
+// scalar oracle of every ICD projection's solve.
 //
 // The per-query solve reads the full m×m triangular factor (256 KB at the
 // production ICD rank) once per query, which makes it an L2-bandwidth
@@ -37,12 +38,5 @@ namespace qpp::linalg {
 /// scalar chain bitwise.
 void ForwardSubstBlocked(const double* l, size_t m, double* s, size_t b,
                          size_t stride, bool use_simd);
-
-/// ForwardSubstBlocked with the factor supplied transposed: lt is
-/// row-major m×m with lt[j*m + i] == L(i, j) — the cached-transpose
-/// layout ml::KccaModel keeps for the per-query solve. Same solve, same
-/// bytes; only the factor loads are strided differently.
-void ForwardSubstBlockedT(const double* lt, size_t m, double* s, size_t b,
-                          size_t stride, bool use_simd);
 
 }  // namespace qpp::linalg

@@ -31,15 +31,27 @@ constexpr size_t kProjectGrain = 8;
 /// across hosts.
 constexpr size_t kSolveColGrain = 32;
 
-/// Below this batch size ProjectXBatchInto runs the per-query transposed
-/// solve instead of the blocked one: with only a few right-hand-side
-/// columns the blocked solve's lane dimension (columns) degenerates to
-/// scalar updates, while the transposed per-query substitution vectorizes
-/// over rows regardless of batch size. Both chains are bit-identical per
-/// column (the blocked-solve contract in linalg/triangular.h), so this
-/// dispatch can never change a result — it is purely a crossover point,
-/// sized at two AVX-512 lane widths where the measured curves intersect.
+/// Below this batch size a SIMD ProjectXBatchInto runs the per-query
+/// transposed solve instead of the blocked one: with only a few
+/// right-hand-side columns the blocked solve's lane dimension (columns)
+/// degenerates to scalar updates, while the transposed per-query
+/// substitution vectorizes over rows regardless of batch size. Both chains
+/// are bit-identical per column (the blocked-solve contract in
+/// linalg/triangular.h), so this dispatch can never change a result — it is
+/// purely a crossover point, sized at two AVX-512 lane widths where the
+/// measured curves intersect.
 constexpr size_t kBlockedMinBatch = 16;
+
+using Clock = std::chrono::steady_clock;
+
+/// The clock, read only for a caller that asked for stage times.
+Clock::time_point StampIf(const KccaProjectTimes* times) {
+  return times != nullptr ? Clock::now() : Clock::time_point();
+}
+
+double Seconds(Clock::time_point a, Clock::time_point z) {
+  return std::chrono::duration<double>(z - a).count();
+}
 
 /// exp(-||a - b||^2 / tau) over raw row pointers: the exact
 /// GaussianKernel::operator() chain without the Vector copies. The ICD
@@ -58,9 +70,9 @@ double GaussianRaw(const double* a, const double* b, size_t dims,
 /// cached transpose lt (row j of lt is column j of L): once g[j] is fixed,
 /// one AxpyNegRow folds column j out of every remaining residual. Each
 /// element's subtraction chain still runs in ascending j — identical to
-/// the row-oriented loop in the scalar path — and s -= x is exactly
+/// the scalar linalg::ForwardSubstBlocked — and s -= x is exactly
 /// s += (-x) in IEEE arithmetic, with the division last, so the result is
-/// bit-identical to the scalar substitution.
+/// bit-identical to that scalar oracle.
 void ForwardSubstColumns(const double* lt, size_t m, double* s) {
   for (size_t j = 0; j < m; ++j) {
     const double g = s[j] / lt[j * m + j];
@@ -333,6 +345,16 @@ void KccaModel::ProjectXBatchInto(const linalg::Matrix& xs,
   // the one block serves every pool thread.
   double* s = ws->Alloc(m * b);
 
+  // S(i, q) = k(pivot_i, x_q) lives at s[i * pivot_stride + q * query_stride].
+  // The crossover picks the solve and the layout it needs: SIMD batches
+  // under kBlockedMinBatch rows solve per query (ForwardSubstColumns over a
+  // contiguous vector per query), everything else — the scalar oracle at
+  // every B included — runs the blocked solve over a row-major m×B block.
+  // The kernel and projection phases read S through the two strides, so
+  // they are the same code on both sides.
+  const bool use_simd = simd::Enabled();
+  const bool per_query = use_simd && b < kBlockedMinBatch;
+
   // One context pointer per lambda keeps each phase's std::function inside
   // the small-buffer optimization — a multi-capture closure would heap-
   // allocate per ParallelFor call and fail tests/alloc_test.cpp.
@@ -342,156 +364,51 @@ void KccaModel::ProjectXBatchInto(const linalg::Matrix& xs,
     double* s;
     double* obase;
     size_t dims, b, m, d;
-    bool use_simd;
+    size_t pivot_stride, query_stride;
+    bool use_simd, per_query;
   };
-  Ctx ctx{this,         xs.data().data(), s, out->data().data(),
-          dims,         b,                m, d,
-          simd::Enabled()};
+  const Ctx ctx{this, xs.data().data(), s, out->data().data(), dims, b, m, d,
+                per_query ? 1 : b, per_query ? m : 1, use_simd, per_query};
 
-  using Clock = std::chrono::steady_clock;
-  const auto Sec = [](Clock::time_point a, Clock::time_point bb) {
-    return std::chrono::duration<double>(bb - a).count();
-  };
-
-  if (b < kBlockedMinBatch) {
-    // Small-batch path (ProjectX, Predict and Classify land here): per-query
-    // kernel rows and the transposed per-query substitution, over a
-    // row-major S (query q owns s[q*m .. q*m+m)). Same three phases for
-    // the stage breakdown as the blocked path below, and the same chain
-    // per output element.
-    const auto u0 = Clock::now();
-    par::ParallelFor(
-        0, b, kProjectGrain,
-        [&ctx](size_t q0, size_t q1) {
-          const KccaModel& mo = *ctx.model;
-          const double* pbase = mo.pivot_x_.data().data();
-          for (size_t q = q0; q < q1; ++q) {
-            const double* xq = ctx.xbase + q * ctx.dims;
-            double* srow = ctx.s + q * ctx.m;
-            if (ctx.use_simd) {
-              GaussianKernelTiles(mo.pivot_tiles_.data(), ctx.m, ctx.dims,
-                                  xq, mo.tau_x_, true, srow);
-              continue;
-            }
-            for (size_t i = 0; i < ctx.m; ++i) {
-              const double* pi = pbase + i * ctx.dims;
-              double sq = 0.0;
-              for (size_t j = 0; j < ctx.dims; ++j) {
-                const double diff = pi[j] - xq[j];
-                sq += diff * diff;
-              }
-              srow[i] = std::exp(-sq / mo.tau_x_);
-            }
-          }
-        },
-        "kcca_kernel_batch");
-    const auto u1 = Clock::now();
-    par::ParallelFor(
-        0, b, kProjectGrain,
-        [&ctx](size_t q0, size_t q1) {
-          const KccaModel& mo = *ctx.model;
-          for (size_t q = q0; q < q1; ++q) {
-            double* srow = ctx.s + q * ctx.m;
-            if (ctx.use_simd) {
-              ForwardSubstColumns(mo.lpp_t_.data().data(), ctx.m, srow);
-              continue;
-            }
-            // The literal row-oriented scalar substitution (in place: each
-            // srow[i] is read before it is overwritten).
-            for (size_t i = 0; i < ctx.m; ++i) {
-              double v = srow[i];
-              for (size_t j = 0; j < i; ++j) v -= mo.lpp_(i, j) * srow[j];
-              srow[i] = v / mo.lpp_(i, i);
-            }
-          }
-        },
-        "kcca_solve_batch");
-    const auto u2 = Clock::now();
-    par::ParallelFor(
-        0, b, kProjectGrain,
-        [&ctx](size_t q0, size_t q1) {
-          const KccaModel& mo = *ctx.model;
-          const double* wbase = mo.wx_.data().data();
-          const double* means = mo.gx_means_.data();
-          for (size_t q = q0; q < q1; ++q) {
-            const double* srow = ctx.s + q * ctx.m;
-            double* orow = ctx.obase + q * ctx.d;
-            if (ctx.use_simd) {
-              for (size_t j = 0; j < ctx.m; ++j) {
-                simd::AxpyRow(orow, srow[j] - means[j], wbase + j * ctx.d,
-                              ctx.d);
-              }
-            } else {
-              for (size_t j = 0; j < ctx.m; ++j) {
-                const double gj = srow[j] - means[j];
-                const double* wrow = wbase + j * ctx.d;
-                for (size_t c = 0; c < ctx.d; ++c) orow[c] += gj * wrow[c];
-              }
-            }
-          }
-        },
-        "kcca_project_batch");
-    if (times != nullptr) {
-      const auto u3 = Clock::now();
-      times->kernel_s += Sec(u0, u1);
-      times->solve_s += Sec(u1, u2);
-      times->project_s += Sec(u2, u3);
-    }
-    return;
-  }
-
-  const auto t0 = Clock::now();
-
-  // Phase 1 — pivot-kernel right-hand side: S(i, q) = k(pivot_i, x_q),
-  // query-chunked. The tiled batch form keeps each packed pivot tile hot
-  // across the chunk's queries; each (i, q) value is the exact per-query
-  // chain (strided stores only), so S column q == the gvec the per-query
-  // path would start from.
+  // Phase 1 — pivot-kernel right-hand side, query-chunked. The tiled batch
+  // form keeps each packed pivot tile hot across the chunk's queries.
+  const auto t0 = StampIf(times);
   par::ParallelFor(
       0, b, kProjectGrain,
       [&ctx](size_t q0, size_t q1) {
         const KccaModel& mo = *ctx.model;
-        if (ctx.use_simd) {
-          GaussianKernelTilesBatch(mo.pivot_tiles_.data(), ctx.m, ctx.dims,
-                                   ctx.xbase + q0 * ctx.dims, q1 - q0,
-                                   ctx.dims, mo.tau_x_, true, ctx.s + q0,
-                                   ctx.b);
-          return;
-        }
-        // Scalar oracle: the literal fused kernel loop of the per-query
-        // path, written into S's columns.
-        const double* pbase = mo.pivot_x_.data().data();
-        for (size_t q = q0; q < q1; ++q) {
-          const double* xq = ctx.xbase + q * ctx.dims;
-          for (size_t i = 0; i < ctx.m; ++i) {
-            const double* pi = pbase + i * ctx.dims;
-            double sq = 0.0;
-            for (size_t j = 0; j < ctx.dims; ++j) {
-              const double diff = pi[j] - xq[j];
-              sq += diff * diff;
-            }
-            ctx.s[i * ctx.b + q] = std::exp(-sq / mo.tau_x_);
-          }
-        }
+        GaussianKernelTilesBatch(mo.pivot_tiles_.data(), ctx.m, ctx.dims,
+                                 ctx.xbase + q0 * ctx.dims, q1 - q0, ctx.dims,
+                                 mo.tau_x_, ctx.use_simd,
+                                 ctx.s + q0 * ctx.query_stride,
+                                 ctx.pivot_stride, ctx.query_stride);
       },
       "kcca_kernel_batch");
-  const auto t1 = Clock::now();
 
-  // Phase 2 — blocked forward substitution over disjoint column ranges of
-  // S. The factor is read once per column block instead of once per query;
-  // each column's arithmetic chain is exactly ForwardSubstColumns'.
+  // Phase 2 — forward substitution L g = S. The blocked solve reads the
+  // factor once per column block instead of once per query, over disjoint
+  // column ranges; each column's arithmetic chain is exactly
+  // ForwardSubstColumns'.
+  const auto t1 = StampIf(times);
   par::ParallelFor(
-      0, b, kSolveColGrain,
-      [&ctx](size_t c0, size_t c1) {
-        linalg::ForwardSubstBlocked(ctx.model->lpp_.data().data(), ctx.m,
-                                    ctx.s + c0, c1 - c0, ctx.b,
-                                    ctx.use_simd);
+      0, b, per_query ? kProjectGrain : kSolveColGrain,
+      [&ctx](size_t q0, size_t q1) {
+        const KccaModel& mo = *ctx.model;
+        if (ctx.per_query) {
+          for (size_t q = q0; q < q1; ++q) {
+            ForwardSubstColumns(mo.lpp_t_.data().data(), ctx.m,
+                                ctx.s + q * ctx.query_stride);
+          }
+          return;
+        }
+        linalg::ForwardSubstBlocked(mo.lpp_.data().data(), ctx.m, ctx.s + q0,
+                                    q1 - q0, ctx.b, ctx.use_simd);
       },
       "kcca_solve_batch");
-  const auto t2 = Clock::now();
 
-  // Phase 3 — projection through the CCA directions, query-chunked. Same
-  // ascending-j accumulation per output element as the per-query path.
+  // Phase 3 — projection through the CCA directions, query-chunked: each
+  // output element accumulates in ascending j.
+  const auto t2 = StampIf(times);
   par::ParallelFor(
       0, b, kProjectGrain,
       [&ctx](size_t q0, size_t q1) {
@@ -499,28 +416,26 @@ void KccaModel::ProjectXBatchInto(const linalg::Matrix& xs,
         const double* wbase = mo.wx_.data().data();
         const double* means = mo.gx_means_.data();
         for (size_t q = q0; q < q1; ++q) {
+          const double* sq = ctx.s + q * ctx.query_stride;
           double* orow = ctx.obase + q * ctx.d;
-          if (ctx.use_simd) {
-            for (size_t j = 0; j < ctx.m; ++j) {
-              simd::AxpyRow(orow, ctx.s[j * ctx.b + q] - means[j],
-                            wbase + j * ctx.d, ctx.d);
-            }
-          } else {
-            for (size_t j = 0; j < ctx.m; ++j) {
-              const double gj = ctx.s[j * ctx.b + q] - means[j];
-              const double* wrow = wbase + j * ctx.d;
+          for (size_t j = 0; j < ctx.m; ++j) {
+            const double gj = sq[j * ctx.pivot_stride] - means[j];
+            const double* wrow = wbase + j * ctx.d;
+            if (ctx.use_simd) {
+              simd::AxpyRow(orow, gj, wrow, ctx.d);
+            } else {
               for (size_t c = 0; c < ctx.d; ++c) orow[c] += gj * wrow[c];
             }
           }
         }
       },
       "kcca_project_batch");
-  const auto t3 = Clock::now();
 
   if (times != nullptr) {
-    times->kernel_s += Sec(t0, t1);
-    times->solve_s += Sec(t1, t2);
-    times->project_s += Sec(t2, t3);
+    const auto t3 = Clock::now();
+    times->kernel_s += Seconds(t0, t1);
+    times->solve_s += Seconds(t1, t2);
+    times->project_s += Seconds(t2, t3);
   }
 }
 

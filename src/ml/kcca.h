@@ -37,10 +37,10 @@ namespace qpp::ml {
 
 enum class KccaSolver { kAuto, kExact, kIcd };
 
-/// Wall-clock seconds accumulated per stage of the blocked ICD batch
-/// projection (ProjectXBatchInto): pivot-kernel block, blocked triangular
-/// solve, CCA-direction projection. Purely observational — timing never
-/// affects results.
+/// Wall-clock seconds accumulated per stage of the ICD batch projection
+/// (ProjectXBatchInto): pivot-kernel block, triangular solve, CCA-direction
+/// projection. Purely observational — timing never affects results, and an
+/// untimed call reads no clock.
 struct KccaProjectTimes {
   double kernel_s = 0.0;
   double solve_s = 0.0;
@@ -99,18 +99,18 @@ class KccaModel {
   /// row alone — not on B, the thread count or the blocking.
   ///
   /// For the ICD solver each row's chain is pivot kernel vector → forward
-  /// substitution → CCA directions. Batches under 16 rows run it per
-  /// query (tiled kernel row, transposed substitution); larger ones
-  /// restructure it into three batch-level phases over an m×B
-  /// right-hand-side block carved from `ws`: one multi-query pass over the
-  /// pivot tiles (ml::GaussianKernelTilesBatch), one blocked triangular
-  /// solve (linalg::ForwardSubstBlocked) that reads the 256 KB factor once
-  /// per B-column block instead of once per query, and one projection
-  /// pass. Both keep every output element's scalar chain; blocking only
-  /// reorders which element advances next (pinned by
-  /// tests/simd_kernel_test.cpp and tests/knn_oracle_test.cpp). The exact
-  /// solver projects row chunks in parallel, each row's centered kernel
-  /// vector in its own slice of `ws`.
+  /// substitution → CCA directions, run as three batch-level phases over
+  /// an m×B right-hand-side block carved from `ws`: one multi-query pass
+  /// over the pivot tiles (ml::GaussianKernelTilesBatch), the solve, and
+  /// one projection pass. Only the solve differs across the batch sizes:
+  /// SIMD batches under 16 rows substitute per query over the cached
+  /// transposed factor; larger ones, and the scalar oracle at every B, run
+  /// one blocked triangular solve (linalg::ForwardSubstBlocked) that reads
+  /// the 256 KB factor once per B-column block instead of once per query.
+  /// Every output element keeps its scalar chain; blocking only reorders
+  /// which element advances next (pinned by tests/simd_kernel_test.cpp and
+  /// tests/knn_oracle_test.cpp). The exact solver projects row chunks in
+  /// parallel, each row's centered kernel vector in its own slice of `ws`.
   ///
   /// `ws` and `out` are caller-owned and reused across calls: after one
   /// warmup batch of the steady-state shape the call performs zero heap
@@ -144,9 +144,8 @@ class KccaModel {
   linalg::Matrix lpp_;           ///< m x m lower factor of K[P,P]
   /// Derived: lpp_ transposed, so the column-oriented (vectorized)
   /// per-query forward substitution reads columns of the factor
-  /// contiguously.
-  /// Rebuilt in Train and Load, never serialized (the model format is
-  /// unchanged).
+  /// contiguously. Rebuilt in Train and Load, never serialized (the model
+  /// format is unchanged).
   linalg::Matrix lpp_t_;
   /// Derived: pivot_x_ repacked into the column-major tile layout
   /// (ml::PackRowsToTiles) the tiled Gaussian kernel consumes, so the

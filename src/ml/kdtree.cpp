@@ -36,9 +36,9 @@ double SquaredDistanceTileRow(const double* tile, size_t rows, size_t r,
 
 }  // namespace
 
-/// Top-k state under the strict total order (distance, index). Unlike the
-/// brute-force fused scan — whose ascending-index visit order lets it drop
-/// any tie — the tree visits candidates in arbitrary order, so every
+/// Top-k state under the strict total order (distance, index). The tree
+/// visits candidates in arbitrary index order, so a candidate that ties the
+/// worst kept distance can still win on its smaller index: every
 /// equal-distance case must fall through to the index comparison.
 struct KdTree::Kept {
   double* d;    ///< ascending (distance, index)

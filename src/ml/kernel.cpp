@@ -82,55 +82,17 @@ void PackRowsToTiles(const double* rows, size_t count, size_t dims,
   }
 }
 
-void GaussianKernelTiles(const double* tiles, size_t count, size_t dims,
-                         const double* point, double tau, bool use_simd,
-                         double* out) {
-  for (size_t t0 = 0; t0 < count; t0 += simd::kTileRows) {
-    const size_t rows_in_tile = std::min(simd::kTileRows, count - t0);
-    const double* tile = tiles + t0 * dims;
-    size_t r = 0;
-    if (use_simd) {
-      for (; r + 4 * simd::kLanes <= rows_in_tile; r += 4 * simd::kLanes) {
-        simd::VecD acc[4];
-        simd::SquaredDistanceTile4(tile, rows_in_tile, r, point, dims, acc);
-        double sq[4 * simd::kLanes];
-        for (size_t c = 0; c < 4; ++c) {
-          simd::StoreU(sq + c * simd::kLanes, acc[c]);
-        }
-        for (size_t l = 0; l < 4 * simd::kLanes; ++l) {
-          out[t0 + r + l] = std::exp(-sq[l] / tau);
-        }
-      }
-      for (; r + simd::kLanes <= rows_in_tile; r += simd::kLanes) {
-        double sq[simd::kLanes];
-        simd::StoreU(sq, simd::SquaredDistanceTile(tile, rows_in_tile, r,
-                                                   point, dims));
-        for (size_t l = 0; l < simd::kLanes; ++l) {
-          out[t0 + r + l] = std::exp(-sq[l] / tau);
-        }
-      }
-    }
-    for (; r < rows_in_tile; ++r) {
-      double s = 0.0;
-      for (size_t j = 0; j < dims; ++j) {
-        const double d = tile[j * rows_in_tile + r] - point[j];
-        s += d * d;
-      }
-      out[t0 + r] = std::exp(-s / tau);
-    }
-  }
-}
-
 void GaussianKernelTilesBatch(const double* tiles, size_t count, size_t dims,
                               const double* queries, size_t num_queries,
                               size_t query_stride, double tau, bool use_simd,
-                              double* out, size_t out_stride) {
+                              double* out, size_t out_row_stride,
+                              size_t out_query_stride) {
   for (size_t t0 = 0; t0 < count; t0 += simd::kTileRows) {
     const size_t rows_in_tile = std::min(simd::kTileRows, count - t0);
     const double* tile = tiles + t0 * dims;
     for (size_t q = 0; q < num_queries; ++q) {
       const double* point = queries + q * query_stride;
-      double* col = out + t0 * out_stride + q;
+      double* col = out + t0 * out_row_stride + q * out_query_stride;
       size_t r = 0;
       if (use_simd) {
         for (; r + 4 * simd::kLanes <= rows_in_tile; r += 4 * simd::kLanes) {
@@ -141,7 +103,7 @@ void GaussianKernelTilesBatch(const double* tiles, size_t count, size_t dims,
             simd::StoreU(sq + c * simd::kLanes, acc[c]);
           }
           for (size_t l = 0; l < 4 * simd::kLanes; ++l) {
-            col[(r + l) * out_stride] = std::exp(-sq[l] / tau);
+            col[(r + l) * out_row_stride] = std::exp(-sq[l] / tau);
           }
         }
         for (; r + simd::kLanes <= rows_in_tile; r += simd::kLanes) {
@@ -149,7 +111,7 @@ void GaussianKernelTilesBatch(const double* tiles, size_t count, size_t dims,
           simd::StoreU(sq, simd::SquaredDistanceTile(tile, rows_in_tile, r,
                                                      point, dims));
           for (size_t l = 0; l < simd::kLanes; ++l) {
-            col[(r + l) * out_stride] = std::exp(-sq[l] / tau);
+            col[(r + l) * out_row_stride] = std::exp(-sq[l] / tau);
           }
         }
       }
@@ -159,7 +121,7 @@ void GaussianKernelTilesBatch(const double* tiles, size_t count, size_t dims,
           const double d = tile[j * rows_in_tile + r] - point[j];
           s += d * d;
         }
-        col[r * out_stride] = std::exp(-s / tau);
+        col[r * out_row_stride] = std::exp(-s / tau);
       }
     }
   }

@@ -57,27 +57,23 @@ void GaussianKernelRows(const double* rows, size_t count, size_t stride,
 void PackRowsToTiles(const double* rows, size_t count, size_t dims,
                      double* tiles);
 
-/// GaussianKernelRows over a PackRowsToTiles layout: out[r] =
-/// exp(-||row_r - point||^2 / tau). Bit-identical to the row-major form —
-/// each row keeps its ascending-j chain; only the loads are contiguous
-/// (simd::SquaredDistanceTile4) instead of strided. This is the serving
-/// hot path for the KCCA pivot kernel vector.
-void GaussianKernelTiles(const double* tiles, size_t count, size_t dims,
-                         const double* point, double tau, bool use_simd,
-                         double* out);
-
-/// GaussianKernelTiles for a block of queries: out[r*out_stride + q] =
+/// GaussianKernelRows over a PackRowsToTiles layout, for a block of
+/// queries: out[r*out_row_stride + q*out_query_stride] =
 /// exp(-||row_r - query_q||^2 / tau) for r in [0, count) and q in
 /// [0, num_queries), where query_q starts at queries + q*query_stride.
-/// Iterates tile-major so each packed tile (a few KB) stays hot in L1
-/// across the whole query block instead of streaming all tiles once per
-/// query — the batch-path amortization bench_timing_batch_predict
-/// measures. Each (row, query) value keeps the exact single-query chain,
-/// so the block is bit-identical to num_queries GaussianKernelTiles calls.
+/// Each (row, query) value keeps GaussianKernelRows' ascending-j chain, so
+/// it is bit-identical to the row-major form; only the loads are
+/// contiguous (simd::SquaredDistanceTile4) instead of strided. Iterates
+/// tile-major, so each packed tile (a few KB) stays hot in L1 across the
+/// query block instead of streaming all tiles once per query. The output
+/// strides let a caller lay the block out by row (S(i, q) at i*B + q, the
+/// blocked solve's layout) or by query (at q*m + i, one contiguous vector
+/// per query). This is the serving hot path for the KCCA pivot kernel.
 void GaussianKernelTilesBatch(const double* tiles, size_t count, size_t dims,
                               const double* queries, size_t num_queries,
                               size_t query_stride, double tau, bool use_simd,
-                              double* out, size_t out_stride);
+                              double* out, size_t out_row_stride,
+                              size_t out_query_stride);
 
 /// In-place double centering: K <- H K H with H = I - 11^T/N.
 void CenterKernelMatrix(linalg::Matrix* k);

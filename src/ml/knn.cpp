@@ -55,10 +55,6 @@ constexpr size_t kPointGrain = 512;
 constexpr size_t kParMinDistanceWork = size_t{1} << 17;
 // Queries per parallel chunk in the batch path.
 constexpr size_t kQueryGrain = 4;
-// Largest k served by the fused top-k scan (fixed-size kept arrays). The
-// paper's operating points are k = 3..7; anything larger falls back to the
-// full distance pass + KeepNearestK, which handles any k.
-constexpr size_t kFusedMaxK = 32;
 
 // Distances from one query row to every point row, without materializing
 // row copies. `point_norms` (cosine only) carries the query-independent
@@ -184,109 +180,17 @@ linalg::Vector PointNorms(const linalg::Matrix& points, DistanceKind metric,
   return norms;
 }
 
-// Exact fused top-k for the Euclidean metric. Scans rows in ascending
-// index order keeping the k best (distance, index) pairs insertion-sorted
-// in fixed-size arrays, and gates each candidate on its *squared* distance
-// before paying for the sqrt. The gate only ever rejects: sq > worst.sq
-// implies sqrt(sq) >= worst.distance (sqrt is monotone), and on distance
-// equality the candidate — whose index exceeds every kept index, because
-// the scan is ascending — loses the (distance, index) tie anyway. Kept
-// distances are std::sqrt of the identical squared sum (lane sqrt is
-// correctly rounded), so the surviving set, its order, and every reported
-// distance are bit-identical to DistancesToAll + KeepNearestK.
-void FusedNearestEuclidean(const double* base, size_t n, size_t dims,
-                           const double* query, size_t k,
-                           std::vector<Neighbor>* out) {
-  const size_t kk = std::min(k, n);
-  double kd[kFusedMaxK];   // kept distances, ascending (distance, index)
-  double ksq[kFusedMaxK];  // squared distance of the same kept entries
-  size_t ki[kFusedMaxK];   // their row indices
-  size_t kept = 0;
-  auto insert = [&](size_t idx, double d, double sq) {
-    size_t pos = kept;
-    // Strict > keeps equal-distance entries in index order: the candidate
-    // (largest index so far) lands after them, exactly as KeepNearestK
-    // sorts ties.
-    while (pos > 0 && kd[pos - 1] > d) {
-      kd[pos] = kd[pos - 1];
-      ksq[pos] = ksq[pos - 1];
-      ki[pos] = ki[pos - 1];
-      --pos;
-    }
-    kd[pos] = d;
-    ksq[pos] = sq;
-    ki[pos] = idx;
-    ++kept;
-  };
-  auto consider = [&](size_t idx, double sq) {
-    if (kept == kk) {
-      if (sq > ksq[kept - 1]) return;
-      const double d = std::sqrt(sq);
-      if (d >= kd[kept - 1]) return;
-      --kept;  // drop the current worst
-      insert(idx, d, sq);
-    } else {
-      insert(idx, std::sqrt(sq), sq);
-    }
-  };
-  size_t i = 0;
-  // 4-way interleaved blocks first (the scan is latency-bound on each
-  // accumulator's dependent add chain; see simd::SquaredDistanceRows4),
-  // then single blocks, then the scalar tail — every row's chain is the
-  // same in all three.
-  for (; i + 4 * simd::kLanes <= n; i += 4 * simd::kLanes) {
-    simd::VecD acc[4];
-    simd::SquaredDistanceRows4(base + i * dims, dims, query, dims, acc);
-    if (kept == kk) {
-      // Whole-block reject: when no lane's squared distance is <= the
-      // current worst kept squared distance, every lane fails consider()'s
-      // first gate (sq > worst.sq rejects outright here — on a distance
-      // tie the candidate's larger index loses anyway), so the block
-      // contributes nothing. The worst only improves as candidates are
-      // accepted, so the verdict cannot be invalidated later. This turns
-      // the common no-op block into four compares and one branch.
-      const simd::VecD worst = simd::Splat(ksq[kept - 1]);
-      unsigned any = 0;
-      for (size_t c = 0; c < 4; ++c) any |= simd::MaskLE(acc[c], worst);
-      if (any == 0) continue;
-    }
-    double sq[4 * simd::kLanes];
-    for (size_t c = 0; c < 4; ++c) simd::StoreU(sq + c * simd::kLanes, acc[c]);
-    for (size_t l = 0; l < 4 * simd::kLanes; ++l) consider(i + l, sq[l]);
-  }
-  for (; i + simd::kLanes <= n; i += simd::kLanes) {
-    double sq[simd::kLanes];
-    simd::StoreU(sq, simd::SquaredDistanceRows(base + i * dims, dims, query,
-                                               dims));
-    for (size_t l = 0; l < simd::kLanes; ++l) consider(i + l, sq[l]);
-  }
-  for (; i < n; ++i) consider(i, SquaredDistanceRaw(base + i * dims, query, dims));
-  out->resize(kept);
-  for (size_t j = 0; j < kept; ++j) {
-    (*out)[j].index = ki[j];
-    (*out)[j].distance = kd[j];
-  }
-}
-
 // One query against all points: the shared implementation behind
 // FindNearest and FindNearestBatch (which is what makes the batch ≡
 // row-wise bit-identity hold by construction). `scratch` is the reusable
-// candidate buffer for the full-distance path.
+// candidate buffer.
 std::vector<Neighbor> NearestOne(const linalg::Matrix& points,
                                  const double* query, double query_norm,
                                  size_t k, DistanceKind metric,
                                  const linalg::Vector& point_norms,
                                  bool use_simd,
                                  std::vector<Neighbor>* scratch) {
-  const size_t n = points.rows();
-  const size_t dims = points.cols();
-  if (use_simd && metric == DistanceKind::kEuclidean && k <= kFusedMaxK &&
-      n * dims < kParMinDistanceWork) {
-    std::vector<Neighbor> out;
-    FusedNearestEuclidean(points.data().data(), n, dims, query, k, &out);
-    return out;
-  }
-  scratch->resize(n);
+  scratch->resize(points.rows());
   DistancesToAll(points, query, query_norm, metric, point_norms, use_simd,
                  scratch);
   KeepNearestK(scratch, k);
@@ -344,29 +248,6 @@ std::vector<std::vector<Neighbor>> FindNearestBatch(
   return out;
 }
 
-linalg::Vector NeighborWeights(const std::vector<Neighbor>& neighbors,
-                               NeighborWeighting weighting) {
-  QPP_CHECK(!neighbors.empty());
-  const size_t k = neighbors.size();
-  linalg::Vector w(k, 1.0);
-  switch (weighting) {
-    case NeighborWeighting::kEqual:
-      break;
-    case NeighborWeighting::kRankRatio:
-      for (size_t i = 0; i < k; ++i) w[i] = static_cast<double>(k - i);
-      break;
-    case NeighborWeighting::kInverseDistance: {
-      constexpr double kEps = 1e-9;
-      for (size_t i = 0; i < k; ++i) w[i] = 1.0 / (neighbors[i].distance + kEps);
-      break;
-    }
-  }
-  double total = 0.0;
-  for (double v : w) total += v;
-  for (double& v : w) v /= total;
-  return w;
-}
-
 linalg::Vector WeightedAverage(const std::vector<Neighbor>& neighbors,
                                const linalg::Matrix& values,
                                NeighborWeighting weighting) {
@@ -381,8 +262,8 @@ void WeightedAverageTo(const std::vector<Neighbor>& neighbors,
   QPP_CHECK(!neighbors.empty());
   const size_t k = neighbors.size();
   // Weights on the stack for the practical k range (config default is 3,
-  // paper sweeps 3..7); heap only above kStackK. Same chains as
-  // NeighborWeights: raw weights, ascending-order sum, normalize.
+  // paper sweeps 3..7); heap only above kStackK. Raw weights, then their
+  // ascending-order sum, then normalized.
   constexpr size_t kStackK = 32;
   double wbuf[kStackK];
   std::vector<double> wheap;

@@ -25,7 +25,10 @@ struct Neighbor {
   double distance = 0.0;
 };
 
-/// The k nearest rows of `points` to `query`, ascending by distance.
+/// The k nearest rows of `points` to `query`, ascending by (distance,
+/// index): the exact brute scan, every row's distance (SIMD lanes or the
+/// scalar oracle, bit-identical) followed by a selection of the k
+/// smallest. ml::KdTree returns the same neighbors from its index.
 std::vector<Neighbor> FindNearest(const linalg::Matrix& points,
                                   const linalg::Vector& query, size_t k,
                                   DistanceKind metric);
@@ -44,13 +47,11 @@ std::vector<std::vector<Neighbor>> FindNearestBatch(
     const linalg::Matrix& points, const linalg::Matrix& queries, size_t k,
     DistanceKind metric);
 
-/// Neighbor weights under a scheme, normalized to sum 1. kRankRatio gives
-/// k : k-1 : ... : 1 by nearness (the paper's 3:2:1 for k = 3);
-/// kInverseDistance uses 1/(d + eps).
-linalg::Vector NeighborWeights(const std::vector<Neighbor>& neighbors,
-                               NeighborWeighting weighting);
-
-/// Weighted average of the value rows selected by the neighbors.
+/// Weighted average of the value rows selected by the neighbors, under
+/// weights normalized to sum 1: kEqual gives each neighbor 1/k, kRankRatio
+/// k : k-1 : ... : 1 by nearness (the paper's 3:2:1 for k = 3), and
+/// kInverseDistance 1/(d + eps). Throws qpp::CheckFailure on an empty
+/// neighbor list.
 linalg::Vector WeightedAverage(const std::vector<Neighbor>& neighbors,
                                const linalg::Matrix& values,
                                NeighborWeighting weighting);

@@ -298,27 +298,26 @@ inline void DivRowBy(double* o, double d, size_t n) {
 
 /// The blocked-forward-substitution trailing update:
 ///
-///   srow[q] -= sum over j in [0, nb) of l[j*lstride] * g[j*gstride + q]
+///   srow[q] -= sum over j in [0, nb) of l[j] * g[j*gstride + q]
 ///
 /// applied as nb running subtractions in ascending j per output element —
 /// exactly the scalar per-column chain, never a dot-then-subtract (which
 /// would reassociate). Lane q carries output column q; the accumulator
 /// stays in a register across the j loop, so a tile of nb pivots costs one
 /// load + one store of srow instead of nb round trips through AxpyNegRow.
-inline void SolveUpdateRow(double* srow, const double* l, size_t lstride,
-                           const double* g, size_t gstride, size_t nb,
-                           size_t n) {
+inline void SolveUpdateRow(double* srow, const double* l, const double* g,
+                           size_t gstride, size_t nb, size_t n) {
   size_t q = 0;
   for (; q + kLanes <= n; q += kLanes) {
     VecD acc = LoadU(srow + q);
     for (size_t j = 0; j < nb; ++j) {
-      acc = Sub(acc, Mul(Splat(l[j * lstride]), LoadU(g + j * gstride + q)));
+      acc = Sub(acc, Mul(Splat(l[j]), LoadU(g + j * gstride + q)));
     }
     StoreU(srow + q, acc);
   }
   for (; q < n; ++q) {
     double s = srow[q];
-    for (size_t j = 0; j < nb; ++j) s -= l[j * lstride] * g[j * gstride + q];
+    for (size_t j = 0; j < nb; ++j) s -= l[j] * g[j * gstride + q];
     srow[q] = s;
   }
 }

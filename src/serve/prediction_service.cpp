@@ -297,8 +297,9 @@ void PredictionService::ProcessBatch(std::vector<Pending>* batch,
         continue;
       }
     }
+    // Lent to the batch, not copied: returned right after the prediction.
     miss_indices.push_back(i);
-    miss_features.push_back(p.request.features);
+    miss_features.push_back(std::move(p.request.features));
   }
   }  // cache_span
   if (miss_indices.empty()) return;
@@ -315,6 +316,10 @@ void PredictionService::ProcessBatch(std::vector<Pending>* batch,
     predict_span.AddArg("generation", snap.generation);
     snap.model->PredictBatchInto(miss_features, &scratch->predict,
                                  &predictions, trace);
+  }
+  // The cache key and the shadow lane read each request's features again.
+  for (size_t j = 0; j < miss_indices.size(); ++j) {
+    (*batch)[miss_indices[j]].request.features = std::move(miss_features[j]);
   }
   obs::Span respond_span(trace, "respond");
   for (size_t j = 0; j < miss_indices.size(); ++j) {

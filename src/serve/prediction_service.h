@@ -241,6 +241,8 @@ class PredictionService {
   struct WorkerScratch {
     core::Predictor::BatchScratch predict;
     std::vector<size_t> miss_indices;
+    /// The misses' feature vectors, moved out of their requests for the
+    /// prediction and moved back after it: no copy per miss.
     std::vector<linalg::Vector> miss_features;
     std::vector<core::Prediction> predictions;
   };

@@ -6,6 +6,9 @@
 //    B in {1, 4, 16, 64, 256}, and as B changes from call to call;
 //  * Classify, on every call after its first on a thread;
 //  * Predict, whose only allocation is the neighbor list it returns.
+// The same counter also shows that a serve worker does not copy a missed
+// request's features, and that a corrupt length prefix cannot make a
+// BinaryReader allocate more than one chunk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,27 +16,49 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/check.h"
+#include "common/serde.h"
 #include "core/predictor.h"
 #include "fault/chaos.h"
 #include "par/thread_pool.h"
+#include "serve/model_registry.h"
+#include "serve/prediction_service.h"
 
 namespace {
 std::atomic<uint64_t> g_allocs{0};
+/// The largest single allocation so far.
+std::atomic<std::size_t> g_largest{0};
+/// How many allocations had exactly g_watched_size bytes.
+std::atomic<std::size_t> g_watched_size{0};
+std::atomic<uint64_t> g_watched{0};
+
+void Count(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest.load(std::memory_order_relaxed);
+  while (n > largest && !g_largest.compare_exchange_weak(
+                            largest, n, std::memory_order_relaxed)) {
+  }
+  if (n == g_watched_size.load(std::memory_order_relaxed)) {
+    g_watched.fetch_add(1, std::memory_order_relaxed);
+  }
+}
 }  // namespace
 
 // The plain and the over-aligned forms; the library's default array and
 // nothrow forms forward to these. noinline keeps every caller from seeing
 // a new'd pointer reach free(), which -Wmismatched-new-delete would flag.
 [[gnu::noinline]] void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  Count(n);
   if (void* p = std::malloc(n != 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
 [[gnu::noinline]] void* operator new(std::size_t n, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  Count(n);
   void* p = nullptr;
   if (posix_memalign(&p,
                      std::max(static_cast<std::size_t>(al), sizeof(void*)),
@@ -166,6 +191,87 @@ TEST_P(AllocTest, PredictAllocatesOnlyItsNeighborList) {
       EXPECT_EQ(p.neighbor_indices.size(), model.config().k_neighbors);
     }
   });
+}
+
+/// Rows of the serve fixture widened to kWideDims features, so a feature
+/// vector is 184 bytes: a size no other allocation on the serve path has.
+constexpr size_t kWideDims = 23;
+
+std::vector<ml::TrainingExample> WideExamples(size_t n, uint64_t seed) {
+  std::vector<ml::TrainingExample> out = fault::ServeExamples(n, seed);
+  for (ml::TrainingExample& ex : out) {
+    const linalg::Vector base = ex.query_features;
+    for (size_t j = base.size(); j < kWideDims; ++j) {
+      ex.query_features.push_back(base[j % base.size()] *
+                                  static_cast<double>(j));
+    }
+  }
+  return out;
+}
+
+TEST(ServeAllocTest, WorkerDoesNotCopyAMissedRequestsFeatures) {
+  par::SetGlobalThreads(1);
+  {
+    Predictor model;
+    model.Train(WideExamples(64, 5));
+    serve::ModelRegistry registry;
+    registry.Publish(model);
+    serve::ServiceConfig config;
+    config.num_workers = 1;
+    config.cache_capacity = 0;
+    serve::PredictionService service(&registry, config);
+    constexpr size_t kRequests = 64;
+    std::vector<serve::ServeRequest> requests;
+    for (ml::TrainingExample& ex : WideExamples(kRequests + 8, 77)) {
+      requests.push_back({std::move(ex.query_features)});
+    }
+    // Warm the worker's scratch on the first few.
+    for (size_t i = kRequests; i < requests.size(); ++i) {
+      service.Submit(std::move(requests[i])).get();
+    }
+    g_watched.store(0);
+    g_watched_size.store(kWideDims * sizeof(double));
+    size_t from_model = 0;
+    for (size_t i = 0; i < kRequests; ++i) {
+      const serve::ServeResponse r =
+          service.Submit(std::move(requests[i])).get();
+      from_model += r.source == serve::ResponseSource::kModel;
+    }
+    g_watched_size.store(0);
+    EXPECT_EQ(g_watched.load(), 0u);
+    EXPECT_GT(from_model, 0u);
+  }
+  par::SetGlobalThreads(par::DefaultThreads());
+}
+
+TEST(BoundedReadTest, CorruptLengthAllocatesAtMostOneChunk) {
+  // Each length claims 128 MiB; the payload holds 8 bytes.
+  const auto claim = [](uint64_t n) {
+    std::ostringstream os;
+    BinaryWriter w(os);
+    w.WriteU64(n);
+    w.WriteDouble(1.0);
+    return os.str();
+  };
+  const std::string doubles = claim(uint64_t{1} << 24);
+  const std::string bytes = claim(uint64_t{1} << 27);
+  const auto read = [](const std::string& file, auto member) {
+    std::istringstream is(file);
+    BinaryReader r(is);
+    g_largest.store(0);
+    try {
+      (r.*member)();
+      ADD_FAILURE() << "a truncated payload was read";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+          << e.what();
+    }
+    return g_largest.load();
+  };
+  EXPECT_LE(read(doubles, &BinaryReader::ReadDoubles), kReadChunkBytes);
+  // A string's buffer holds its terminator too.
+  EXPECT_LE(read(bytes, &BinaryReader::ReadString), kReadChunkBytes + 1);
+  EXPECT_LE(read(doubles, &BinaryReader::ReadSizes), kReadChunkBytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Solvers, AllocTest,

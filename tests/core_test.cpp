@@ -291,6 +291,31 @@ TEST(ModelIoTest, MatrixShapeThatWrapsIsAnError) {
       Loads(SpliceMatrix(ss.str(), 120, 6, MatrixSection(big, big, 0))));
 }
 
+TEST(ModelIoTest, NeighborCountNotBelowTheTrainingRowsIsAnError) {
+  Predictor pred;
+  pred.Train(SyntheticExamples(100, 13));
+  std::stringstream ss;
+  pred.Save(&ss);
+  const std::string bytes = ss.str();
+  // A valid file loads, and saving what was loaded gives it back.
+  ASSERT_TRUE(Loads(bytes));
+  std::stringstream in(bytes);
+  std::stringstream again;
+  Predictor::Load(&in).Save(&again);
+  EXPECT_EQ(again.str(), bytes);
+  // k sits at offset 12. Train allows at most n - 1 = 99. With k = n every
+  // prediction would average all rows; with 2^40 the first one would try
+  // to reserve 2^40 neighbor indices. Both fail at load.
+  const auto with_k = [&](uint64_t k) {
+    std::string patched = bytes;
+    std::memcpy(&patched[12], &k, sizeof(k));
+    return patched;
+  };
+  EXPECT_TRUE(Loads(with_k(99)));
+  EXPECT_FALSE(Loads(with_k(100)));
+  EXPECT_FALSE(Loads(with_k(uint64_t{1} << 40)));
+}
+
 /// Whether LoadModelFile accepts a saved `solver` model whose KCCA block is
 /// replaced by one trained on the same rows with a fifth feature: every
 /// section still agrees in shape with the file except the KCCA's input

@@ -202,8 +202,7 @@ TEST(KnnOracleTest, DegenerateVarianceKernelScaleStaysFinitePositive) {
 TEST(KnnOracleTest, BatchIsBitIdenticalToRowWiseAcrossDispatchMatrix) {
   // Satellite contract: FindNearestBatch ≡ row-wise FindNearest in bits,
   // under SIMD and forced scalar, at 1/2/8 threads, for both metrics, with
-  // n shapes covering the fused path, the 4-way remainders, and the
-  // full-distance fallback (k > kFusedMaxK).
+  // n shapes covering the 4-way remainders, and k from 1 to past n.
   Rng rng(0xBAD3ull);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     par::SetGlobalThreads(threads);
@@ -294,8 +293,8 @@ TEST(KnnOracleTest, PredictBatchBitIdenticalToPredictAcrossDispatchMatrix) {
 }
 
 TEST(KnnOracleTest, DuplicateRowsTieByIndexInBothPaths) {
-  // Half the rows are duplicates of the other half: ties everywhere, in
-  // the fused top-k path (small k) and the nth_element path (large k).
+  // Half the rows are duplicates of the other half: ties everywhere, for
+  // a small k and for a k past half the rows.
   Rng rng(0xBAD4ull);
   linalg::Matrix points(64, 5);
   for (size_t i = 0; i < 32; ++i) {
@@ -326,20 +325,24 @@ TEST(KnnOracleTest, DuplicateRowsTieByIndexInBothPaths) {
 }
 
 TEST(KnnOracleTest, WeightingSchemesHandleZeroDistanceNeighbors) {
+  // Averaging the rows of the identity reads each neighbor's normalized
+  // weight back exactly, in the column of its index.
   const std::vector<ml::Neighbor> nbs = {{0, 0.0}, {3, 0.0}, {7, 2.0}};
+  linalg::Matrix identity(8, 8);
+  for (size_t i = 0; i < 8; ++i) identity(i, i) = 1.0;
   for (auto w : {ml::NeighborWeighting::kEqual, ml::NeighborWeighting::kRankRatio,
                  ml::NeighborWeighting::kInverseDistance}) {
-    const linalg::Vector weights = ml::NeighborWeights(nbs, w);
-    ASSERT_EQ(weights.size(), 3u);
+    const linalg::Vector avg = ml::WeightedAverage(nbs, identity, w);
     double total = 0.0;
-    for (double v : weights) {
+    for (const ml::Neighbor& nb : nbs) {
+      const double v = avg[nb.index];
       EXPECT_TRUE(std::isfinite(v));
       EXPECT_GT(v, 0.0);
       total += v;
     }
     EXPECT_NEAR(total, 1.0, 1e-12);
   }
-  EXPECT_THROW(ml::NeighborWeights({}, ml::NeighborWeighting::kEqual),
+  EXPECT_THROW(ml::WeightedAverage({}, identity, ml::NeighborWeighting::kEqual),
                CheckFailure);
 }
 

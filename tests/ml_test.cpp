@@ -400,13 +400,21 @@ TEST(KnnTest, CosineIgnoresMagnitude) {
 }
 
 TEST(KnnTest, WeightSchemes) {
+  // Averaging the rows of the identity reads each neighbor's normalized
+  // weight back exactly: column i holds 1.0 times neighbor i's weight plus
+  // zeros.
   std::vector<Neighbor> nbrs = {{0, 1.0}, {1, 2.0}, {2, 3.0}};
-  const auto equal = NeighborWeights(nbrs, NeighborWeighting::kEqual);
+  linalg::Matrix identity(3, 3);
+  for (size_t i = 0; i < 3; ++i) identity(i, i) = 1.0;
+  const auto equal =
+      WeightedAverage(nbrs, identity, NeighborWeighting::kEqual);
   EXPECT_NEAR(equal[0], 1.0 / 3.0, 1e-12);
-  const auto ratio = NeighborWeights(nbrs, NeighborWeighting::kRankRatio);
+  const auto ratio =
+      WeightedAverage(nbrs, identity, NeighborWeighting::kRankRatio);
   EXPECT_NEAR(ratio[0], 3.0 / 6.0, 1e-12);  // 3:2:1
   EXPECT_NEAR(ratio[2], 1.0 / 6.0, 1e-12);
-  const auto inv = NeighborWeights(nbrs, NeighborWeighting::kInverseDistance);
+  const auto inv =
+      WeightedAverage(nbrs, identity, NeighborWeighting::kInverseDistance);
   EXPECT_GT(inv[0], inv[1]);
   EXPECT_GT(inv[1], inv[2]);
   for (const auto& w : {equal, ratio, inv}) {
