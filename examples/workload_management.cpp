@@ -27,10 +27,9 @@ int main() {
   options.seed = 12;
   const core::ExperimentData today = core::BuildTpcdsExperiment(options);
 
-  core::WorkloadManagerConfig cfg;
-  cfg.offpeak_threshold_seconds = 300.0;    // > 5 min runs off-peak
-  cfg.reject_threshold_seconds = 7200.0;    // > 2 h rejected outright
-  const core::WorkloadManager manager(&predictor, cfg);
+  // > 5 min runs off-peak, > 2 h is rejected outright
+  // (core::kOffPeakThresholdSeconds, core::kRejectThresholdSeconds).
+  const core::WorkloadManager manager(&predictor);
 
   std::map<core::AdmissionDecision, size_t> decisions;
   size_t good_rejects = 0, bad_rejects = 0;
@@ -44,7 +43,7 @@ int main() {
     const double actual = q.metrics.elapsed_seconds;
     switch (outcome.decision) {
       case core::AdmissionDecision::kReject:
-        if (actual > cfg.reject_threshold_seconds * 0.5) {
+        if (actual > core::kRejectThresholdSeconds * 0.5) {
           ++good_rejects;
           avoided_seconds += actual;
         } else {
@@ -57,7 +56,7 @@ int main() {
         break;
       case core::AdmissionDecision::kRunImmediately:
         admitted_seconds += actual;
-        if (actual > cfg.reject_threshold_seconds) ++missed_wrecking;
+        if (actual > core::kRejectThresholdSeconds) ++missed_wrecking;
         break;
       case core::AdmissionDecision::kNeedsReview:
         break;

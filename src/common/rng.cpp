@@ -91,43 +91,7 @@ double Rng::LogNormal(double mu, double sigma) {
   return std::exp(Gaussian(mu, sigma));
 }
 
-int64_t Rng::Zipf(int64_t n, double s) {
-  QPP_CHECK(n >= 1);
-  QPP_CHECK(s > 0.0);
-  // Rejection-inversion (Hörmann & Derflinger) is overkill here: the
-  // simulator only needs modest n for skew choices, so use the classic
-  // inverse-transform on the harmonic CDF with on-the-fly accumulation for
-  // n <= 4096 and an approximate continuous inversion beyond that.
-  if (n <= 4096) {
-    double h = 0.0;
-    for (int64_t i = 1; i <= n; ++i) h += std::pow(static_cast<double>(i), -s);
-    double u = NextDouble() * h;
-    double acc = 0.0;
-    for (int64_t i = 1; i <= n; ++i) {
-      acc += std::pow(static_cast<double>(i), -s);
-      if (acc >= u) return i;
-    }
-    return n;
-  }
-  // Continuous approximation: integral of x^-s from 1 to n.
-  if (std::abs(s - 1.0) < 1e-9) {
-    const double h = std::log(static_cast<double>(n));
-    const double u = NextDouble() * h;
-    const int64_t v = static_cast<int64_t>(std::exp(u));
-    return std::min<int64_t>(std::max<int64_t>(v, 1), n);
-  }
-  const double a = 1.0 - s;
-  const double h = (std::pow(static_cast<double>(n), a) - 1.0) / a;
-  const double u = NextDouble() * h;
-  const int64_t v = static_cast<int64_t>(std::pow(u * a + 1.0, 1.0 / a));
-  return std::min<int64_t>(std::max<int64_t>(v, 1), n);
-}
-
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
-
-Rng Rng::Fork(const std::string& label) {
-  return Rng(SplitMix64(NextU64() ^ HashString64(label)));
-}
 
 std::vector<size_t> Rng::Permutation(size_t n) {
   std::vector<size_t> idx(n);
@@ -138,21 +102,6 @@ std::vector<size_t> Rng::Permutation(size_t n) {
     std::swap(idx[i - 1], idx[j]);
   }
   return idx;
-}
-
-size_t Rng::WeightedPick(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    QPP_CHECK(w >= 0.0);
-    total += w;
-  }
-  QPP_CHECK(total > 0.0);
-  double u = NextDouble() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    u -= weights[i];
-    if (u <= 0.0) return i;
-  }
-  return weights.size() - 1;
 }
 
 }  // namespace qpp

@@ -42,24 +42,11 @@ class Rng {
   /// Log-normal: exp(N(mu, sigma)). Useful for multiplicative error models.
   double LogNormal(double mu, double sigma);
 
-  /// Zipf-distributed integer in [1, n] with exponent `s` (s > 0).
-  /// Implemented by inverse-CDF over precomputed weights for small n and
-  /// rejection-inversion for large n.
-  int64_t Zipf(int64_t n, double s);
-
   /// True with probability p.
   bool Bernoulli(double p);
 
-  /// Returns an Rng derived from this one's stream plus a label; used to give
-  /// independent substreams to subsystems without coupling their draw counts.
-  Rng Fork(const std::string& label);
-
   /// Fisher-Yates shuffle of an index vector [0, n).
   std::vector<size_t> Permutation(size_t n);
-
-  /// Picks one element index from [0, weights.size()) with probability
-  /// proportional to weights[i]. Requires at least one positive weight.
-  size_t WeightedPick(const std::vector<double>& weights);
 
  private:
   uint64_t s_[4];

@@ -27,15 +27,10 @@ void BinaryWriter::WriteDoubles(const std::vector<double>& v) {
   if (!v.empty()) WriteRaw(v.data(), v.size() * sizeof(double));
 }
 
-void BinaryWriter::WriteSizes(const std::vector<size_t>& v) {
-  WriteU64(v.size());
-  for (size_t x : v) WriteU64(static_cast<uint64_t>(x));
-}
-
 void BinaryReader::ReadRaw(void* p, size_t n) {
   is_.read(static_cast<char*>(p), static_cast<std::streamsize>(n));
   QPP_CHECK_MSG(is_.gcount() == static_cast<std::streamsize>(n),
-                "truncated model file");
+                "truncated input");
 }
 
 uint32_t BinaryReader::ReadU32() {
@@ -92,15 +87,6 @@ std::vector<double> BinaryReader::ReadDoubles() {
     ReadRaw(v.data() + done, step * sizeof(double));
     done += step;
   }
-  return v;
-}
-
-std::vector<size_t> BinaryReader::ReadSizes() {
-  const uint64_t n = ReadU64();
-  QPP_CHECK_MSG(n < (1ull << 32), "implausible vector length");
-  std::vector<size_t> v;
-  v.reserve(std::min<uint64_t>(n, kReadChunkBytes / sizeof(uint64_t)));
-  for (uint64_t i = 0; i < n; ++i) v.push_back(static_cast<size_t>(ReadU64()));
   return v;
 }
 

@@ -1,10 +1,11 @@
-// Minimal binary serialization for trained models.
+// Minimal binary serialization for trained models, plans and fault plans.
 //
 // The paper's deployment story ships a trained model from the vendor site to
 // customer sites (Fig. 1); BinaryWriter/BinaryReader implement the on-disk
-// format used by core::Predictor::Save/Load. The format is little-endian,
-// versioned by the caller, and intentionally simple: fixed-width scalars,
-// length-prefixed strings and vectors.
+// format used by core::Predictor::Save/Load, optimizer/plan_serde and
+// fault::FaultPlan. The format is little-endian, versioned by the caller,
+// and intentionally simple: fixed-width scalars, length-prefixed strings and
+// vectors.
 #pragma once
 
 #include <cstddef>
@@ -27,22 +28,22 @@ class BinaryWriter {
   void WriteDouble(double v);
   void WriteString(const std::string& s);
   void WriteDoubles(const std::vector<double>& v);
-  void WriteSizes(const std::vector<size_t>& v);
 
  private:
   void WriteRaw(const void* p, size_t n);
   std::ostream& os_;
 };
 
-/// The most a length-prefixed read (ReadString, ReadDoubles, ReadSizes)
-/// allocates ahead of the payload bytes that have arrived.
+/// The most a length-prefixed read (ReadString, ReadDoubles) allocates
+/// ahead of the payload bytes that have arrived.
 inline constexpr size_t kReadChunkBytes = size_t{1} << 20;
 
 /// Mirror image of BinaryWriter. Throws qpp::CheckFailure on truncated or
-/// corrupt input (model files are trusted local artifacts; we fail loudly).
-/// A length prefix is capped below 2^32 elements, and a length the payload
-/// does not back fails as a truncation after at most kReadChunkBytes of
-/// buffer.
+/// corrupt input; the loaders on top of it (model, plan and fault-plan
+/// files) catch it and validate every value they read, since a file may
+/// arrive from anywhere. A length prefix is capped below 2^32 elements, and
+/// a length the payload does not back fails as a truncation after at most
+/// kReadChunkBytes of buffer.
 class BinaryReader {
  public:
   explicit BinaryReader(std::istream& is) : is_(is) {}
@@ -53,7 +54,6 @@ class BinaryReader {
   double ReadDouble();
   std::string ReadString();
   std::vector<double> ReadDoubles();
-  std::vector<size_t> ReadSizes();
 
  private:
   void ReadRaw(void* p, size_t n);

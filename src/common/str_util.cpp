@@ -44,19 +44,6 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   return out;
 }
 
-std::string Trim(const std::string& s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
-}
-
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -19,12 +19,6 @@ std::string Join(const std::vector<std::string>& parts,
 /// Splits on a single-character separator; keeps empty fields.
 std::vector<std::string> Split(const std::string& s, char sep);
 
-/// Trims ASCII whitespace from both ends.
-std::string Trim(const std::string& s);
-
-/// True if `s` starts with `prefix`.
-bool StartsWith(const std::string& s, const std::string& prefix);
-
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

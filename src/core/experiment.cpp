@@ -27,10 +27,10 @@ ExperimentData BuildTpcdsExperiment(const ExperimentOptions& options) {
       workload::TpcdsTemplates();
   const std::vector<workload::QueryTemplate> problem =
       workload::ProblemTemplates();
-  for (size_t r = 0; r < options.tpcds_template_repeat; ++r) {
+  for (size_t r = 0; r < kTpcdsTemplateRepeat; ++r) {
     mix.insert(mix.end(), tpcds.begin(), tpcds.end());
   }
-  for (size_t r = 0; r < options.problem_template_repeat; ++r) {
+  for (size_t r = 0; r < kProblemTemplateRepeat; ++r) {
     mix.insert(mix.end(), problem.begin(), problem.end());
   }
 
@@ -124,16 +124,6 @@ std::string RiskTable(const std::vector<MetricEvaluation>& evals) {
     os << StrFormat("%-18s %10s %12s %9.0f%%\n", e.metric.c_str(),
                     ml::FormatRisk(e.risk).c_str(),
                     ml::FormatRisk(e.risk_drop1).c_str(), e.within20 * 100.0);
-  }
-  return os.str();
-}
-
-std::string ScatterCsv(const MetricEvaluation& eval) {
-  std::ostringstream os;
-  os << "predicted,actual\n";
-  for (size_t i = 0; i < eval.predicted.size(); ++i) {
-    os << FormatG(eval.predicted[i], 6) << "," << FormatG(eval.actual[i], 6)
-       << "\n";
   }
   return os.str();
 }

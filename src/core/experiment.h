@@ -17,6 +17,13 @@
 
 namespace qpp::core {
 
+/// Weight of problem templates relative to TPC-DS templates in the
+/// candidate mix: each TPC-DS template appears kTpcdsTemplateRepeat times and
+/// each problem template kProblemTemplateRepeat times (the paper needed many
+/// problem-template instantiations to populate the golf/bowling pools).
+inline constexpr size_t kTpcdsTemplateRepeat = 3;
+inline constexpr size_t kProblemTemplateRepeat = 2;
+
 struct ExperimentOptions {
   /// Number of candidate queries instantiated before pooling.
   size_t num_candidates = 3200;
@@ -25,11 +32,6 @@ struct ExperimentOptions {
   uint64_t world_seed = optimizer::kDefaultWorldSeed;
   engine::SystemConfig config = engine::SystemConfig::Neoview4();
   double scale_factor = 1.0;
-  /// Weight of problem templates relative to TPC-DS templates in the
-  /// candidate mix (the paper needed many problem-template instantiations
-  /// to populate the golf/bowling pools).
-  size_t problem_template_repeat = 2;
-  size_t tpcds_template_repeat = 3;
 };
 
 struct ExperimentData {
@@ -74,9 +76,5 @@ std::vector<MetricEvaluation> EvaluatePredictions(
 /// Renders the per-metric risk table (the recurring shape of the paper's
 /// Tables I-III and Fig. 16 rows).
 std::string RiskTable(const std::vector<MetricEvaluation>& evals);
-
-/// Renders a predicted-vs-actual scatter series as CSV text (one figure's
-/// points; enough to re-plot the paper's log-log scatter figures).
-std::string ScatterCsv(const MetricEvaluation& eval);
 
 }  // namespace qpp::core

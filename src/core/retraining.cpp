@@ -7,12 +7,9 @@
 namespace qpp::core {
 
 SlidingWindowPredictor::SlidingWindowPredictor(SlidingWindowConfig config)
-    : config_(config), predictor_(config.predictor), rng_(config.seed) {
+    : config_(config), rng_(kSlidingWindowSeed) {
   QPP_CHECK(config_.window_capacity >= 8);
   QPP_CHECK(config_.retrain_every >= 1);
-  QPP_CHECK(config_.fresh_fraction > 0.0 && config_.fresh_fraction <= 1.0);
-  QPP_CHECK(config_.oldest_keep_probability >= 0.0 &&
-            config_.oldest_keep_probability <= 1.0);
 }
 
 bool SlidingWindowPredictor::Observe(const linalg::Vector& query_features,
@@ -30,13 +27,13 @@ bool SlidingWindowPredictor::Observe(const linalg::Vector& query_features,
 }
 
 bool SlidingWindowPredictor::Retrain() {
-  const size_t min_needed = config_.predictor.k_neighbors + 4;
+  const size_t min_needed = predictor_.config().k_neighbors + 4;
   if (window_.size() < min_needed) return false;
 
   // Age-based down-sampling: window_[0] is the oldest observation.
   const size_t n = window_.size();
   const size_t fresh_start = static_cast<size_t>(
-      static_cast<double>(n) * (1.0 - config_.fresh_fraction));
+      static_cast<double>(n) * (1.0 - kFreshFraction));
   std::vector<ml::TrainingExample> sample;
   sample.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -45,14 +42,13 @@ bool SlidingWindowPredictor::Retrain() {
       continue;
     }
     // Linear interpolation of survival probability over the stale region:
-    // oldest -> oldest_keep_probability, newest-stale -> 1.0.
+    // oldest -> kOldestKeepProbability, newest-stale -> 1.0.
     const double age_frac =
         fresh_start > 0
             ? static_cast<double>(fresh_start - i) /
                   static_cast<double>(fresh_start)
             : 0.0;
-    const double keep =
-        1.0 - age_frac * (1.0 - config_.oldest_keep_probability);
+    const double keep = 1.0 - age_frac * (1.0 - kOldestKeepProbability);
     if (rng_.Bernoulli(keep)) {
       sample.push_back({window_[i].query_features, window_[i].metrics});
     }
@@ -64,7 +60,7 @@ bool SlidingWindowPredictor::Retrain() {
   // spreads across compute threads instead of monopolizing the observing
   // thread; the umbrella span puts the whole retrain on the "par" trace
   // timeline next to the individual region spans.
-  Predictor fresh(config_.predictor);
+  Predictor fresh;
   {
     obs::Span span(par::ObservedTrace(), "retrain", "par");
     span.AddArg("window", static_cast<uint64_t>(n));

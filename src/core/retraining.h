@@ -7,10 +7,11 @@
 // SlidingWindowPredictor keeps a bounded window of the most recent
 // (features, metrics) observations and retrains the underlying Predictor
 // every `retrain_every` new observations. Recency emphasis is implemented
-// by age-based down-sampling: the newest `fresh_fraction` of the window is
+// by age-based down-sampling: the newest kFreshFraction of the window is
 // always used, while older observations are kept with a probability that
 // decays with age — so a regime change (data growth, configuration change,
-// OS upgrade) washes out of the model at a controlled rate.
+// OS upgrade) washes out of the model at a controlled rate. Each retrain
+// trains a default-configured Predictor.
 #pragma once
 
 #include <cstdint>
@@ -20,20 +21,20 @@
 
 namespace qpp::core {
 
+/// Newest fraction of the window always included in training.
+inline constexpr double kFreshFraction = 0.5;
+/// Survival probability of the OLDEST retained observation; observations
+/// between the fresh region and the window tail interpolate linearly.
+inline constexpr double kOldestKeepProbability = 0.25;
+/// Seed for the age-based down-sampling.
+inline constexpr uint64_t kSlidingWindowSeed = 0x51EEDull;
+
 struct SlidingWindowConfig {
   /// Maximum observations retained.
   size_t window_capacity = 2000;
   /// Retrain after this many new observations (training is minutes-scale in
   /// the paper, sub-second here; still not something to do per query).
   size_t retrain_every = 200;
-  /// Newest fraction of the window always included in training.
-  double fresh_fraction = 0.5;
-  /// Survival probability of the OLDEST retained observation; observations
-  /// between the fresh region and the window tail interpolate linearly.
-  double oldest_keep_probability = 0.25;
-  /// Seed for the age-based down-sampling.
-  uint64_t seed = 0x51EEDull;
-  PredictorConfig predictor;
 };
 
 class SlidingWindowPredictor {

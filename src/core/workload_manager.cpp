@@ -16,14 +16,10 @@ const char* AdmissionDecisionName(AdmissionDecision d) {
   return "?";
 }
 
-WorkloadManager::WorkloadManager(const Predictor* predictor,
-                                 WorkloadManagerConfig config)
-    : predictor_(predictor), config_(config) {
-  QPP_CHECK(predictor != nullptr && predictor->trained());
+WorkloadManager::WorkloadManager(const Predictor* predictor)
+    : predictor_(predictor) {
+  QPP_CHECK(predictor == nullptr || predictor->trained());
 }
-
-WorkloadManager::WorkloadManager(WorkloadManagerConfig config)
-    : predictor_(nullptr), config_(config) {}
 
 WorkloadManager::Outcome WorkloadManager::Admit(
     const linalg::Vector& query_features) const {
@@ -38,22 +34,22 @@ WorkloadManager::Outcome WorkloadManager::Admit(
 }
 
 AdmissionDecision WorkloadManager::Decide(const Prediction& p) const {
-  if (config_.review_anomalies && p.anomalous) {
+  if (p.anomalous) {
     return AdmissionDecision::kNeedsReview;
   }
   const double elapsed = p.metrics.elapsed_seconds;
-  if (elapsed > config_.reject_threshold_seconds) {
+  if (elapsed > kRejectThresholdSeconds) {
     return AdmissionDecision::kReject;
   }
-  if (elapsed > config_.offpeak_threshold_seconds) {
+  if (elapsed > kOffPeakThresholdSeconds) {
     return AdmissionDecision::kScheduleOffPeak;
   }
   return AdmissionDecision::kRunImmediately;
 }
 
 double WorkloadManager::KillDeadlineSeconds(const Prediction& p) const {
-  return std::max(config_.kill_floor_seconds,
-                  p.metrics.elapsed_seconds * config_.kill_multiplier);
+  return std::max(kKillFloorSeconds,
+                  p.metrics.elapsed_seconds * kKillMultiplier);
 }
 
 }  // namespace qpp::core

@@ -18,32 +18,29 @@ enum class AdmissionDecision {
 
 const char* AdmissionDecisionName(AdmissionDecision d);
 
-struct WorkloadManagerConfig {
-  /// Queries predicted longer than this run off-peak.
-  double offpeak_threshold_seconds = 300.0;
-  /// Queries predicted longer than this are rejected outright.
-  double reject_threshold_seconds = 7200.0;
-  /// Flag anomalous predictions for human review instead of auto-deciding.
-  bool review_anomalies = true;
-  /// Kill multiplier: a running query is presumed stuck once it exceeds
-  /// predicted elapsed by this factor (the paper's "how long do we wait
-  /// before killing it" question).
-  double kill_multiplier = 3.0;
-  /// Floor so that millisecond predictions do not produce hair-trigger
-  /// kill deadlines.
-  double kill_floor_seconds = 60.0;
-};
+/// Queries predicted longer than this run off-peak (> 5 min).
+inline constexpr double kOffPeakThresholdSeconds = 300.0;
+/// Queries predicted longer than this are rejected outright (> 2 h).
+inline constexpr double kRejectThresholdSeconds = 7200.0;
+/// Kill multiplier: a running query is presumed stuck once it exceeds
+/// predicted elapsed by this factor (the paper's "how long do we wait
+/// before killing it" question).
+inline constexpr double kKillMultiplier = 3.0;
+/// Floor so that millisecond predictions do not produce hair-trigger kill
+/// deadlines.
+inline constexpr double kKillFloorSeconds = 60.0;
 
+/// Admission decisions from predictions. Anomalous predictions always go
+/// to human review instead of being auto-decided.
 class WorkloadManager {
  public:
-  WorkloadManager(const Predictor* predictor, WorkloadManagerConfig config);
-
-  /// Decide-only manager for the serving path: admission decisions ride on
-  /// serve::PredictionService responses (which carry their own Prediction,
-  /// possibly a labeled optimizer-cost fallback), so no Predictor is held.
-  /// Admit() is unavailable in this mode; use Decide()/KillDeadlineSeconds
-  /// or serve::AdmitServed.
-  explicit WorkloadManager(WorkloadManagerConfig config);
+  /// With a trained `predictor`, Admit predicts and decides in one step.
+  /// Without one (the serving path) the manager is decide-only: admission
+  /// decisions ride on serve::PredictionService responses (which carry
+  /// their own Prediction, possibly a labeled optimizer-cost fallback), so
+  /// Admit() is unavailable; use Decide()/KillDeadlineSeconds or
+  /// serve::AdmitServed.
+  explicit WorkloadManager(const Predictor* predictor = nullptr);
 
   /// Predicts and decides in one step.
   struct Outcome {
@@ -61,7 +58,6 @@ class WorkloadManager {
 
  private:
   const Predictor* predictor_;
-  WorkloadManagerConfig config_;
 };
 
 }  // namespace qpp::core

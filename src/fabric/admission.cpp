@@ -34,15 +34,6 @@ obs::SloEngineOptions EngineOptions(obs::MetricsRegistry* registry,
 }
 }  // namespace
 
-const char* AdmissionActionName(AdmissionAction a) {
-  switch (a) {
-    case AdmissionAction::kAdmit: return "admit";
-    case AdmissionAction::kShed: return "shed";
-    case AdmissionAction::kDefer: return "defer";
-  }
-  return "?";
-}
-
 AdmissionController::AdmissionController(AdmissionConfig config,
                                          obs::MetricsRegistry* registry,
                                          obs::FlightRecorder* flight,

@@ -76,7 +76,6 @@ struct LoadSignal {
 };
 
 enum class AdmissionAction { kAdmit, kShed, kDefer };
-const char* AdmissionActionName(AdmissionAction a);
 
 class AdmissionController {
  public:

@@ -505,7 +505,7 @@ void RunFallbackStorm(const FaultPlan& plan, const ChaosOptions& opts,
   config.breaker.open_requests = 6;
   serve::PredictionService service = rig.Serve(config);
 
-  obs::DriftMonitor drift({}, service.metrics());
+  obs::DriftMonitor drift(service.metrics());
   uint64_t drift_signals = 0;
 
   const auto probes = MakeProbes(opts.requests, opts.seed ^ 0xD81F7ull);

@@ -1,7 +1,9 @@
 #include "fault/fault_plan.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/check.h"
 #include "common/str_util.h"
@@ -62,7 +64,12 @@ FaultPlan FaultPlan::Read(BinaryReader* r) {
   p.engine.node_slowdown_probability = r->ReadDouble();
   p.engine.node_slowdown_multiplier = r->ReadDouble();
   p.engine.node_failure_probability = r->ReadDouble();
-  p.engine.max_failed_nodes = static_cast<int>(r->ReadI64());
+  const int64_t max_failed_nodes = r->ReadI64();
+  QPP_CHECK_MSG(max_failed_nodes >= std::numeric_limits<int>::min() &&
+                    max_failed_nodes <= std::numeric_limits<int>::max(),
+                "fault plan max_failed_nodes " << max_failed_nodes
+                                               << " is outside int");
+  p.engine.max_failed_nodes = static_cast<int>(max_failed_nodes);
   p.engine.repartition_seconds = r->ReadDouble();
   p.engine.buffer_pressure_probability = r->ReadDouble();
   p.engine.work_mem_multiplier = r->ReadDouble();
@@ -155,7 +162,11 @@ Result<FaultPlan> LoadFaultPlanFile(const std::string& path) {
   if (!is.good()) return Status::Error("cannot open for read: " + path);
   try {
     BinaryReader r(is);
-    return FaultPlan::Read(&r);
+    FaultPlan plan = FaultPlan::Read(&r);
+    if (is.peek() != std::char_traits<char>::eof()) {
+      return Status::Error("fault plan read failed: bytes after the plan");
+    }
+    return plan;
   } catch (const CheckFailure& e) {
     return Status::Error(std::string("fault plan read failed: ") + e.what());
   }

@@ -144,6 +144,9 @@ struct FaultPlan {
 };
 
 Status SaveFaultPlanFile(const FaultPlan& plan, const std::string& path);
+/// Loads a file written by SaveFaultPlanFile: the file must hold exactly
+/// one plan. Fails on a bad magic or version, a v2-v4 shard target, a
+/// max_failed_nodes outside int, truncation, or bytes after the plan.
 Result<FaultPlan> LoadFaultPlanFile(const std::string& path);
 
 }  // namespace qpp::fault

@@ -22,21 +22,9 @@ double RiskWindow::risk() const {
   return worst;
 }
 
-namespace {
-
-obs::DriftMonitorOptions ScorerOptions(double alpha) {
-  obs::DriftMonitorOptions o;
-  o.alpha = alpha;
-  return o;
-}
-
-}  // namespace
-
 ShadowScorer::ShadowScorer(std::shared_ptr<const core::Predictor> model,
-                           double alpha, double poison_multiplier)
-    : model_(std::move(model)),
-      poison_multiplier_(poison_multiplier),
-      monitor_(ScorerOptions(alpha), /*registry=*/nullptr) {}
+                           double poison_multiplier)
+    : model_(std::move(model)), poison_multiplier_(poison_multiplier) {}
 
 engine::QueryMetrics ShadowScorer::Predict(
     const linalg::Vector& features) const {
@@ -123,8 +111,7 @@ LifecycleManager::LifecycleManager(serve::ModelRegistry* registry,
   const serve::ModelRegistry::Snapshot snap = registry_->Acquire();
   champion_model_ = snap.model;
   champion_generation_ = snap.generation;
-  champion_scorer_ =
-      std::make_unique<ShadowScorer>(nullptr, config_.alpha);
+  champion_scorer_ = std::make_unique<ShadowScorer>(nullptr);
   if (config_.registry != nullptr) {
     obs::MetricsRegistry* r = config_.registry;
     shadow_predictions_counter_ =
@@ -158,8 +145,7 @@ size_t LifecycleManager::RegisterCandidate(
   const size_t index = candidates_.size();
   Candidate c;
   c.label = std::move(label);
-  c.scorer =
-      std::make_unique<ShadowScorer>(std::move(model), config_.alpha, poison);
+  c.scorer = std::make_unique<ShadowScorer>(std::move(model), poison);
   const bool poisoned = c.scorer->poisoned();
   candidates_.push_back(std::move(c));
   ++tallies_.candidates;
@@ -189,7 +175,7 @@ void LifecycleManager::OnServedPrediction(const linalg::Vector& features,
                                           uint64_t trace_id) {
   (void)trace_id;  // correlation flows via the installed RequestContext
   std::lock_guard<std::mutex> lock(mu_);
-  if (pending_.size() >= config_.max_pending &&
+  if (pending_.size() >= kMaxPendingPairs &&
       pending_.find(features) == pending_.end()) {
     ++tallies_.pending_dropped;
     if (pending_dropped_counter_ != nullptr) pending_dropped_counter_->Inc();
@@ -349,7 +335,7 @@ void LifecycleManager::PromoteLocked(size_t index,
 
   // Fresh champion window: the new champion is judged on its own serving
   // errors, not the shadow EWMAs it was promoted on.
-  champion_scorer_ = std::make_unique<ShadowScorer>(nullptr, config_.alpha);
+  champion_scorer_ = std::make_unique<ShadowScorer>(nullptr);
   InvalidatePendingLocked();
   window_tick_ = 0;
 
@@ -404,7 +390,7 @@ void LifecycleManager::RollbackLocked(double breached_risk) {
   promoted_candidate_ = kNoActive;
   in_probation_ = false;
   probation_slo_.reset();
-  champion_scorer_ = std::make_unique<ShadowScorer>(nullptr, config_.alpha);
+  champion_scorer_ = std::make_unique<ShadowScorer>(nullptr);
   InvalidatePendingLocked();
   window_tick_ = 0;
 
@@ -535,11 +521,6 @@ std::shared_ptr<const core::Predictor> LifecycleManager::champion_model()
     const {
   std::lock_guard<std::mutex> lock(mu_);
   return champion_model_;
-}
-
-RiskWindow LifecycleManager::ChampionWindow() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ChampionWindowLocked();
 }
 
 bool LifecycleManager::in_probation() const {

@@ -86,8 +86,9 @@ class ShadowScorer {
  public:
   /// `model` may be null for score-only use. `poison_multiplier` != 1
   /// scales every shadow prediction (the model_poison fault); 1 = clean.
-  ShadowScorer(std::shared_ptr<const core::Predictor> model, double alpha,
-               double poison_multiplier = 1.0);
+  /// The window EWMAs smooth with obs::kDriftAlpha.
+  explicit ShadowScorer(std::shared_ptr<const core::Predictor> model,
+                        double poison_multiplier = 1.0);
 
   ShadowScorer(const ShadowScorer&) = delete;
   ShadowScorer& operator=(const ShadowScorer&) = delete;
@@ -171,9 +172,14 @@ enum class CandidateState {
 
 const char* CandidateStateName(CandidateState s);
 
+/// Bound on unscored (served, shadow) pairs held for ScoreActual; excess
+/// pairs are dropped (counted), never blocked on.
+inline constexpr size_t kMaxPendingPairs = 4096;
+
+/// The lifecycle's settings. Fixed, not settable: both scorers smooth
+/// their window EWMAs with obs::kDriftAlpha, and at most kMaxPendingPairs
+/// unscored pairs wait for ScoreActual.
 struct LifecycleConfig {
-  /// EWMA smoothing for both scorers (DriftMonitor's alpha).
-  double alpha = 0.1;
   /// Scored observations per decision window: the gate evaluates (and the
   /// probation watchdog's SLO window closes) every this-many scores.
   uint64_t window_observations = 32;
@@ -187,9 +193,6 @@ struct LifecycleConfig {
   /// max(rollback_min_risk, promotion_risk * (1 + rollback_margin)).
   double rollback_margin = 0.5;
   double rollback_min_risk = 0.05;
-  /// Bound on unscored (served, shadow) pairs held for ScoreActual;
-  /// excess pairs are dropped (counted), never blocked on.
-  size_t max_pending = 4096;
   /// Optional sinks; all must outlive the manager. `registry` receives
   /// the qpp_lifecycle_* metrics, `flight` one event per decision,
   /// `trace` one "lifecycle"-category instant per decision.
@@ -220,7 +223,7 @@ struct LifecycleStats {
   uint64_t rejections = 0;
   uint64_t rollbacks = 0;
   uint64_t confirmations = 0;
-  uint64_t pending_dropped = 0;      ///< max_pending overflow
+  uint64_t pending_dropped = 0;      ///< kMaxPendingPairs overflow
   uint64_t pending_invalidated = 0;  ///< cleared by promote/rollback
 };
 
@@ -268,7 +271,6 @@ class LifecycleManager : public serve::ShadowObserver {
 
   uint64_t champion_generation() const;
   std::shared_ptr<const core::Predictor> champion_model() const;
-  RiskWindow ChampionWindow() const;
   bool in_probation() const;
 
   LifecycleStats stats() const;

@@ -121,11 +121,4 @@ Matrix Cholesky::SolveLowerMatrix(const Matrix& b) const {
   return y;
 }
 
-double Cholesky::LogDet() const {
-  QPP_CHECK(ok_);
-  double s = 0.0;
-  for (size_t i = 0; i < l_.rows(); ++i) s += std::log(l_(i, i));
-  return 2.0 * s;
-}
-
 }  // namespace qpp::linalg

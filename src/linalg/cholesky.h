@@ -38,9 +38,6 @@ class Cholesky {
   /// Computes L^{-1} B, i.e. forward-substitution applied to each column.
   Matrix SolveLowerMatrix(const Matrix& b) const;
 
-  /// log-determinant of A (2 * sum log diag(L)). Requires ok().
-  double LogDet() const;
-
  private:
   bool Factorize(const Matrix& a, double jitter);
 

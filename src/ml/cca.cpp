@@ -126,10 +126,6 @@ linalg::Vector CcaModel::ProjectX(const linalg::Vector& x) const {
   return ProjectXAll(linalg::Matrix::FromRows({x})).Row(0);
 }
 
-linalg::Vector CcaModel::ProjectY(const linalg::Vector& y) const {
-  return ProjectYAll(linalg::Matrix::FromRows({y})).Row(0);
-}
-
 linalg::Matrix CcaModel::ProjectXAll(const linalg::Matrix& x) const {
   return ProjectRows(x, mean_x, wx);
 }

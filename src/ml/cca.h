@@ -20,7 +20,6 @@ struct CcaModel {
 
   /// Projects a (raw, uncentered) X-row into the canonical space.
   linalg::Vector ProjectX(const linalg::Vector& x) const;
-  linalg::Vector ProjectY(const linalg::Vector& y) const;
 
   /// Projects all rows (n x d).
   linalg::Matrix ProjectXAll(const linalg::Matrix& x) const;

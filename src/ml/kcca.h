@@ -80,7 +80,6 @@ class KccaModel {
   const linalg::Vector& correlations() const { return correlations_; }
   /// Which solver actually ran.
   KccaSolver solver_used() const { return solver_used_; }
-  size_t num_training_points() const { return px_.rows(); }
   /// Width p of the feature rows the model projects: the training rows'
   /// for the exact solver, the pivot rows' for ICD.
   size_t input_dims() const {

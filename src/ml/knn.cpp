@@ -10,23 +10,6 @@
 
 namespace qpp::ml {
 
-const char* DistanceKindName(DistanceKind d) {
-  switch (d) {
-    case DistanceKind::kEuclidean: return "euclidean";
-    case DistanceKind::kCosine: return "cosine";
-  }
-  return "?";
-}
-
-const char* NeighborWeightingName(NeighborWeighting w) {
-  switch (w) {
-    case NeighborWeighting::kEqual: return "equal";
-    case NeighborWeighting::kRankRatio: return "rank-ratio";
-    case NeighborWeighting::kInverseDistance: return "inverse-distance";
-  }
-  return "?";
-}
-
 namespace {
 
 // Row-pointer forms of linalg::SquaredDistance / Dot with the same

@@ -17,9 +17,6 @@ namespace qpp::ml {
 enum class DistanceKind { kEuclidean, kCosine };
 enum class NeighborWeighting { kEqual, kRankRatio, kInverseDistance };
 
-const char* DistanceKindName(DistanceKind d);
-const char* NeighborWeightingName(NeighborWeighting w);
-
 struct Neighbor {
   size_t index = 0;
   double distance = 0.0;

@@ -47,12 +47,6 @@ double LinearRegression::Predict(const linalg::Vector& x) const {
   return intercept_ + linalg::Dot(beta_, x);
 }
 
-linalg::Vector LinearRegression::PredictAll(const linalg::Matrix& x) const {
-  linalg::Vector out(x.rows());
-  for (size_t i = 0; i < x.rows(); ++i) out[i] = Predict(x.Row(i));
-  return out;
-}
-
 void LinearRegression::Save(BinaryWriter* w) const {
   w->WriteU32(fitted_ ? 1 : 0);
   w->WriteDouble(intercept_);

@@ -20,7 +20,6 @@ class LinearRegression {
            double ridge = 0.0);
 
   double Predict(const linalg::Vector& x) const;
-  linalg::Vector PredictAll(const linalg::Matrix& x) const;
 
   const linalg::Vector& coefficients() const { return beta_; }
   double intercept() const { return intercept_; }

@@ -29,8 +29,7 @@ std::string PoolLabel(workload::QueryType t) {
 
 }  // namespace
 
-DriftMonitor::DriftMonitor(Options options, MetricsRegistry* registry)
-    : options_(options), registry_(registry) {
+DriftMonitor::DriftMonitor(MetricsRegistry* registry) : registry_(registry) {
   if (registry_ == nullptr) return;
   const auto names = engine::QueryMetrics::MetricNames();
   for (size_t m = 0; m < kNumMetrics; ++m) {
@@ -61,8 +60,7 @@ bool DriftMonitor::Observe(Source source,
     // The fallback only estimates elapsed time (the other five metrics are
     // "unknown", reported as zero); score what it actually claims.
     fallback_elapsed_.Update(
-        RelativeError(predicted.elapsed_seconds, actual.elapsed_seconds),
-        options_.alpha);
+        RelativeError(predicted.elapsed_seconds, actual.elapsed_seconds));
     ++fallback_obs_;
     if (fallback_obs_counter_ != nullptr) fallback_obs_counter_->Inc();
     ExportLocked();
@@ -75,15 +73,15 @@ bool DriftMonitor::Observe(Source source,
   const linalg::Vector av = actual.ToVector();
   for (size_t m = 0; m < kNumMetrics; ++m) {
     const double err = RelativeError(pv[m], av[m]);
-    overall_[m].Update(err, options_.alpha);
-    per_pool_[pool][m].Update(err, options_.alpha);
+    overall_[m].Update(err);
+    per_pool_[pool][m].Update(err);
   }
   ++model_obs_;
   ++since_signal_;
   if (model_obs_counter_ != nullptr) model_obs_counter_->Inc();
   ExportLocked();
 
-  const bool warm = model_obs_ >= options_.min_observations;
+  const bool warm = model_obs_ >= kDriftWarmupObservations;
   const bool rearmed = since_signal_ >= kDriftRefireInterval;
   bool over = false;
   for (size_t m = 0; m < kNumMetrics; ++m) {
@@ -131,7 +129,7 @@ double DriftMonitor::fallback_share() const {
 
 bool DriftMonitor::drifted() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (model_obs_ < options_.min_observations) return false;
+  if (model_obs_ < kDriftWarmupObservations) return false;
   for (size_t m = 0; m < kNumMetrics; ++m) {
     if (overall_[m].value > kDriftThreshold) return true;
   }

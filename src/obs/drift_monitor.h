@@ -38,13 +38,11 @@
 
 namespace qpp::obs {
 
-struct DriftMonitorOptions {
-  /// EWMA smoothing: weight of the newest observation.
-  double alpha = 0.1;
-  /// Observations before the first signal can fire (EWMA warm-up).
-  size_t min_observations = 32;
-};
-
+/// EWMA smoothing: weight of the newest observation.
+inline constexpr double kDriftAlpha = 0.1;
+/// Model-path observations before the first signal can fire (EWMA
+/// warm-up).
+inline constexpr uint64_t kDriftWarmupObservations = 32;
 /// Any model-path metric EWMA above this (once warm) signals drift.
 inline constexpr double kDriftThreshold = 0.5;
 /// Model-path observations between consecutive drift signals, so a
@@ -59,12 +57,9 @@ class DriftMonitor {
     kFallback,  ///< calibrated optimizer-cost estimate
   };
 
-  using Options = DriftMonitorOptions;
-
   /// `registry` (optional) receives drift gauges, updated on every
   /// Observe; it must outlive the monitor.
-  explicit DriftMonitor(Options options = {},
-                        MetricsRegistry* registry = nullptr);
+  explicit DriftMonitor(MetricsRegistry* registry = nullptr);
 
   /// Scores one served prediction against the observed metrics. The query
   /// pool is derived from the observed elapsed time (the paper's Fig. 2
@@ -98,8 +93,8 @@ class DriftMonitor {
   struct Ewma {
     double value = 0.0;
     uint64_t n = 0;
-    void Update(double x, double alpha) {
-      value = n == 0 ? x : alpha * x + (1.0 - alpha) * value;
+    void Update(double x) {
+      value = n == 0 ? x : kDriftAlpha * x + (1.0 - kDriftAlpha) * value;
       ++n;
     }
   };
@@ -109,7 +104,6 @@ class DriftMonitor {
 
   void ExportLocked();
 
-  const Options options_;
   MetricsRegistry* const registry_;
 
   mutable std::mutex mu_;

@@ -68,33 +68,6 @@ HistogramSnapshot::QuantileBracket HistogramSnapshot::QuantileBounds(
                              (static_cast<double>(bucket) + 1.0) / denom)};
 }
 
-void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
-  QPP_CHECK_MSG(options == other.options,
-                "cannot merge histograms with different bucket layouts");
-  if (other.count() == 0) return;
-  const bool was_empty = count() == 0;
-  for (size_t i = 0; i < buckets.size(); ++i) buckets[i] += other.buckets[i];
-  underflow += other.underflow;
-  overflow += other.overflow;
-  sum += other.sum;
-  min = was_empty ? other.min : std::min(min, other.min);
-  max = was_empty ? other.max : std::max(max, other.max);
-  // Adopt the other side's exemplar for buckets where we have none (an
-  // exemplar is a pointer to *a* representative sample, not a statistic).
-  for (const HistogramExemplar& e : other.exemplars) {
-    const auto it =
-        std::find_if(exemplars.begin(), exemplars.end(),
-                     [&](const HistogramExemplar& m) {
-                       return m.bucket == e.bucket;
-                     });
-    if (it == exemplars.end()) exemplars.push_back(e);
-  }
-  std::sort(exemplars.begin(), exemplars.end(),
-            [](const HistogramExemplar& a, const HistogramExemplar& b) {
-              return a.bucket < b.bucket;
-            });
-}
-
 void HistogramSnapshot::Subtract(const HistogramSnapshot& earlier) {
   QPP_CHECK_MSG(options == earlier.options,
                 "cannot subtract histograms with different bucket layouts");

@@ -1,8 +1,6 @@
 // Metric primitives: counters, gauges, and log-bucketed histograms with
 // lock-free hot-path recording.
 //
-// These generalize the one-off latency histogram the serving layer started
-// with (PR 1's serve::LatencyHistogram is now an alias of obs::Histogram).
 // Everything on the record path is a relaxed std::atomic operation — the
 // values are monotonic tallies or last-write-wins gauges, not
 // synchronization, and a snapshot taken under traffic may be a few events
@@ -115,9 +113,6 @@ struct HistogramSnapshot {
   };
   QuantileBracket QuantileBounds(double q) const;
 
-  /// Accumulates `other` into this snapshot. Layouts must match.
-  void Merge(const HistogramSnapshot& other);
-
   /// Rewinds this snapshot by an `earlier` snapshot of the SAME histogram,
   /// leaving the tumbling-window delta the SLO engine evaluates (counts
   /// and sum subtract; layouts must match). min/max describe the full
@@ -146,8 +141,7 @@ class Histogram {
   HistogramSnapshot Snapshot() const;
   const HistogramOptions& options() const { return options_; }
 
-  // Conveniences over a fresh snapshot (the shape of the original
-  // serve::LatencyHistogram API, kept so existing call sites read the same).
+  // Conveniences over a fresh snapshot.
   uint64_t count() const { return Snapshot().count(); }
   double Quantile(double q) const { return Snapshot().Quantile(q); }
 

@@ -169,11 +169,6 @@ std::optional<SloEvaluation> SloEngine::Tick() {
   return eval;
 }
 
-SloEvaluation SloEngine::EvaluateNow() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return EvaluateLocked(/*eager=*/true, windows_closed_ + 1);
-}
-
 bool SloEngine::burning() const {
   std::lock_guard<std::mutex> lock(mu_);
   return burning_;

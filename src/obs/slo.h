@@ -119,10 +119,6 @@ class SloEngine {
   /// otherwise. Thread-safe; under sequential driving fully deterministic.
   std::optional<SloEvaluation> Tick();
 
-  /// Evaluates all rules against the current partial window without
-  /// advancing anything (tools, tests, dump triggers).
-  SloEvaluation EvaluateNow() const;
-
   /// True while the latest evaluation had at least one breaching rule.
   bool burning() const;
   /// Latest computed value of `rule` (0 before its first evaluation).

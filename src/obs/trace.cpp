@@ -52,7 +52,6 @@ void TraceRecorder::Add(TraceEvent event) {
     }
   }
   dropped_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.dropped_counter != nullptr) options_.dropped_counter->Inc();
 }
 
 size_t TraceRecorder::event_count() const {

@@ -24,8 +24,7 @@
 // takes a mutex (one lock per span *end*, never on the disabled path).
 //
 // Capacity: the recorder keeps at most TraceRecorderOptions::max_events
-// events; later Adds are counted (dropped_count, plus the optional
-// qpp_trace_dropped_events_total counter) and discarded, so a
+// events; later Adds are counted (dropped_count) and discarded, so a
 // tracing-enabled million-request soak degrades to a truncated trace
 // instead of an OOM. Request-scoped correlation: every span recorded while
 // an obs::RequestContext scope is installed is auto-tagged with a
@@ -42,8 +41,6 @@
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include "obs/metrics.h"
 
 namespace qpp::obs {
 
@@ -68,9 +65,6 @@ struct TraceRecorderOptions {
   /// The default holds ~100 MB of traced soak comfortably while bounding
   /// the worst case; tests use small caps to pin the drop behavior.
   size_t max_events = 1u << 20;
-  /// Optional registry counter (qpp_trace_dropped_events_total by
-  /// convention) bumped once per dropped event; must outlive the recorder.
-  Counter* dropped_counter = nullptr;
 };
 
 class TraceRecorder {

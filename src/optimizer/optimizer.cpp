@@ -187,8 +187,7 @@ Optimizer::Fragment Optimizer::PlanLogical(const LogicalPlan& plan) const {
     // whichever input is smaller; swapping is legal except for semi joins
     // (their filtered side must stay on the outer/left).
     PhysOp join_op;
-    const double broadcast_limit =
-        options_.broadcast_row_budget / options_.nodes_used;
+    const double broadcast_limit = kBroadcastRowBudget / options_.nodes_used;
     const bool can_swap = !any_semi;
     const double small_side =
         can_swap ? std::min(acc.est_rows, inner.est_rows) : inner.est_rows;

@@ -27,13 +27,14 @@ namespace qpp::optimizer {
 /// predicate is "true" the same way everywhere.
 constexpr uint64_t kDefaultWorldSeed = 0x5EEDF00DCAFEBEEFull;
 
+/// Base row budget for broadcasting a nested-join inner; divided by
+/// OptimizerOptions::nodes_used, so bigger systems broadcast less eagerly.
+inline constexpr double kBroadcastRowBudget = 50000.0;
+
 struct OptimizerOptions {
   uint64_t world_seed = kDefaultWorldSeed;
   /// Number of processors the plan will run on (operator choice input).
   int nodes_used = 4;
-  /// Base row budget for broadcasting a nested-join inner; divided by
-  /// nodes_used, so bigger systems broadcast less eagerly.
-  double broadcast_row_budget = 50000.0;
 };
 
 class Optimizer {
@@ -48,7 +49,6 @@ class Optimizer {
   Result<PhysicalPlan> Plan(const sql::SelectStmt& stmt,
                             const std::string& sql_text) const;
 
-  const CardinalityModel& cardinality_model() const { return cards_; }
   const OptimizerOptions& options() const { return options_; }
 
  private:

@@ -1,8 +1,10 @@
 #include "optimizer/plan_serde.h"
 
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "common/serde.h"
 
@@ -13,6 +15,7 @@ namespace {
 constexpr uint32_t kMagic = 0x4E4C5051;  // "QPLN"
 constexpr uint32_t kVersion = 1;
 constexpr uint64_t kMaxNodes = 1 << 20;  // sanity bound on corrupt input
+constexpr uint32_t kKnownFlags = 1u | 2u;  // semi | broadcast
 
 void WriteNode(const PhysicalNode& node, BinaryWriter* w) {
   w->WriteU32(static_cast<uint32_t>(node.op));
@@ -31,21 +34,33 @@ void WriteNode(const PhysicalNode& node, BinaryWriter* w) {
   for (const auto& child : node.children) WriteNode(*child, w);
 }
 
-std::unique_ptr<PhysicalNode> ReadNode(BinaryReader* r, size_t* budget) {
+/// Reads a cardinality, width or cost: finite and non-negative.
+double ReadQuantity(BinaryReader* r, const char* what) {
+  const double v = r->ReadDouble();
+  QPP_CHECK_MSG(std::isfinite(v) && v >= 0.0,
+                "plan file " << what << " is negative or not finite");
+  return v;
+}
+
+std::unique_ptr<PhysicalNode> ReadNode(BinaryReader* r, size_t* budget,
+                                       size_t depth) {
   QPP_CHECK_MSG(*budget > 0, "plan node count exceeds sanity bound");
+  QPP_CHECK_MSG(depth <= kMaxPlanDepth,
+                "plan tree deeper than " << kMaxPlanDepth << " levels");
   --*budget;
   auto node = std::make_unique<PhysicalNode>();
   const uint32_t op = r->ReadU32();
   QPP_CHECK_MSG(op < kNumPhysOps, "unknown operator id in plan file");
   node->op = static_cast<PhysOp>(op);
-  node->est_rows = r->ReadDouble();
-  node->true_rows = r->ReadDouble();
-  node->est_input_rows = r->ReadDouble();
-  node->true_input_rows = r->ReadDouble();
-  node->row_width = r->ReadDouble();
+  node->est_rows = ReadQuantity(r, "est_rows");
+  node->true_rows = ReadQuantity(r, "true_rows");
+  node->est_input_rows = ReadQuantity(r, "est_input_rows");
+  node->true_input_rows = ReadQuantity(r, "true_input_rows");
+  node->row_width = ReadQuantity(r, "row_width");
   node->table = r->ReadString();
   node->detail = r->ReadString();
   const uint32_t flags = r->ReadU32();
+  QPP_CHECK_MSG((flags & ~kKnownFlags) == 0, "unknown flag bits in plan file");
   node->semi = (flags & 1u) != 0;
   node->broadcast = (flags & 2u) != 0;
   node->num_predicates = static_cast<size_t>(r->ReadU64());
@@ -53,9 +68,10 @@ std::unique_ptr<PhysicalNode> ReadNode(BinaryReader* r, size_t* budget) {
   node->num_aggs = static_cast<size_t>(r->ReadU64());
   const uint64_t n_children = r->ReadU64();
   QPP_CHECK_MSG(n_children <= kMaxNodes, "implausible child count");
-  node->children.reserve(n_children);
+  // No reserve: the claimed count is not backed by any bytes yet, so the
+  // vector grows only as children actually arrive.
   for (uint64_t i = 0; i < n_children; ++i) {
-    node->children.push_back(ReadNode(r, budget));
+    node->children.push_back(ReadNode(r, budget, depth + 1));
   }
   return node;
 }
@@ -83,9 +99,12 @@ Result<PhysicalPlan> ReadPlan(std::istream* is) {
     PhysicalPlan plan;
     plan.sql = r.ReadString();
     plan.query_hash = r.ReadU64();
-    plan.optimizer_cost = r.ReadDouble();
+    plan.optimizer_cost = ReadQuantity(&r, "optimizer_cost");
     size_t budget = kMaxNodes;
-    plan.root = ReadNode(&r, &budget);
+    plan.root = ReadNode(&r, &budget, /*depth=*/1);
+    if (is->peek() != std::char_traits<char>::eof()) {
+      return Status::Error("plan read failed: bytes after the root node");
+    }
     return plan;
   } catch (const CheckFailure& e) {
     return Status::Error(std::string("plan read failed: ") + e.what());

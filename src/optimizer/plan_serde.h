@@ -16,10 +16,20 @@
 
 namespace qpp::optimizer {
 
+/// The deepest plan tree ReadPlan accepts, counting the root as level 1.
+/// The optimizer's deepest plan over the TPC-DS and retailbank template
+/// sets has 15 levels; the bound keeps the recursive readers and walkers
+/// far inside the stack, sanitizer frames included.
+inline constexpr size_t kMaxPlanDepth = 1024;
+
 /// Writes a plan (tree, cardinalities, annotations, cost) to a stream.
 void WritePlan(const PhysicalPlan& plan, std::ostream* os);
 
-/// Reads a plan written by WritePlan. Fails on malformed input.
+/// Reads a plan written by WritePlan: the stream must hold exactly one
+/// plan. Fails on malformed input: a bad magic or version, an unknown
+/// operator or flag bit, a non-finite or negative cardinality, width or
+/// cost, a tree deeper than kMaxPlanDepth, truncation, or bytes after the
+/// root node.
 Result<PhysicalPlan> ReadPlan(std::istream* is);
 
 /// File-level convenience wrappers.

@@ -19,11 +19,6 @@
 
 namespace qpp::serve {
 
-/// Log-spaced latency histogram: 8 buckets per decade across 1e-7s..1e2s,
-/// with explicit underflow/overflow buckets and exact observed min/max
-/// (obs::Histogram's defaults are exactly this layout).
-using LatencyHistogram = obs::Histogram;
-
 /// One consistent-enough read of the service counters.
 struct ServiceStatsSnapshot {
   uint64_t requests = 0;           ///< responses delivered

@@ -6,19 +6,6 @@
 
 namespace qpp::sql {
 
-const char* TokenTypeName(TokenType t) {
-  switch (t) {
-    case TokenType::kIdentifier: return "identifier";
-    case TokenType::kKeyword: return "keyword";
-    case TokenType::kInteger: return "integer";
-    case TokenType::kNumber: return "number";
-    case TokenType::kString: return "string";
-    case TokenType::kSymbol: return "symbol";
-    case TokenType::kEnd: return "end-of-input";
-  }
-  return "?";
-}
-
 bool Token::IsKeyword(const char* kw) const {
   return type == TokenType::kKeyword && text == kw;
 }

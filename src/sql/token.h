@@ -16,8 +16,6 @@ enum class TokenType {
   kEnd,          // end of input
 };
 
-const char* TokenTypeName(TokenType t);
-
 struct Token {
   TokenType type = TokenType::kEnd;
   std::string text;       // keyword (upper-cased), identifier, symbol, or raw literal

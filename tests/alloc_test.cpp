@@ -7,8 +7,9 @@
 //  * Classify, on every call after its first on a thread;
 //  * Predict, whose only allocation is the neighbor list it returns.
 // The same counter also shows that a serve worker does not copy a missed
-// request's features, and that a corrupt length prefix cannot make a
-// BinaryReader allocate more than one chunk.
+// request's features, that a corrupt length prefix cannot make a
+// BinaryReader allocate more than one chunk, and that a plan file's claimed
+// child count allocates nothing its bytes do not back.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include "common/serde.h"
 #include "core/predictor.h"
 #include "fault/chaos.h"
+#include "optimizer/plan_serde.h"
 #include "par/thread_pool.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
@@ -271,7 +273,40 @@ TEST(BoundedReadTest, CorruptLengthAllocatesAtMostOneChunk) {
   EXPECT_LE(read(doubles, &BinaryReader::ReadDoubles), kReadChunkBytes);
   // A string's buffer holds its terminator too.
   EXPECT_LE(read(bytes, &BinaryReader::ReadString), kReadChunkBytes + 1);
-  EXPECT_LE(read(doubles, &BinaryReader::ReadSizes), kReadChunkBytes);
+}
+
+TEST(BoundedReadTest, MillionChildClaimAllocatesNoMoreThanItsBytes) {
+  // A plan whose root claims `claimed` children and holds three leaves;
+  // returns the largest allocation reading it makes.
+  const auto largest_reading = [](uint64_t claimed) {
+    std::ostringstream os;
+    BinaryWriter w(os);
+    w.WriteU32(0x4E4C5051);  // "QPLN"
+    w.WriteU32(1);
+    w.WriteString("");
+    w.WriteU64(0);
+    w.WriteDouble(1.0);
+    for (int node = 0; node < 4; ++node) {
+      w.WriteU32(0);
+      for (int d = 0; d < 5; ++d) w.WriteDouble(1.0);
+      w.WriteString("");
+      w.WriteString("");
+      w.WriteU32(0);
+      for (int c = 0; c < 3; ++c) w.WriteU64(0);
+      w.WriteU64(node == 0 ? claimed : 0);
+    }
+    std::istringstream is(os.str());
+    g_largest.store(0);
+    const auto plan = optimizer::ReadPlan(&is);
+    const std::size_t largest = g_largest.load();
+    EXPECT_FALSE(plan.ok());
+    EXPECT_NE(plan.status().message().find("truncated"), std::string::npos)
+        << plan.status().message();
+    return largest;
+  };
+  // The same bytes with an honest count one past the leaves present fail
+  // the same way; the million-child claim may cost no more than that.
+  EXPECT_LE(largest_reading(uint64_t{1} << 20), largest_reading(4));
 }
 
 INSTANTIATE_TEST_SUITE_P(Solvers, AllocTest,

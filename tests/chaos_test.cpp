@@ -307,13 +307,41 @@ TEST(FaultPlanTest, LegacyShardTargetIsAnErrorNotASilentDrop) {
 }
 
 TEST(FaultPlanTest, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/chaos_garbage.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a fault plan";
+  EXPECT_FALSE(LoadPlanBytes("this is not a fault plan", "garbage.bin").ok());
+  EXPECT_FALSE(
+      LoadFaultPlanFile(::testing::TempDir() + "/does-not-exist.bin").ok());
+
+  const FaultPlan plan = RandomFaultPlan(0xC0FFEEull);
+  const std::string bytes = CurrentPlanBytes(plan);
+  ASSERT_TRUE(LoadPlanBytes(bytes, "valid.bin").ok());
+  EXPECT_FALSE(LoadPlanBytes(bytes + "x", "trailing.bin").ok());
+  FaultPlan wide = plan;
+  wide.engine.max_failed_nodes = 7;
+  std::string wide_bytes = CurrentPlanBytes(wide);
+  // max_failed_nodes is the eighth 8-byte field after magic and version;
+  // set its high half so the value no longer fits an int.
+  const size_t max_failed_at = 8 + 8 * 8;
+  ASSERT_EQ(wide_bytes[max_failed_at], 7);
+  wide_bytes[max_failed_at + 4] = 1;
+  EXPECT_FALSE(LoadPlanBytes(wide_bytes, "wide.bin").ok());
+
+  // Every truncation fails; at every offset the byte set to 0x00, to 0xFF
+  // and with its top bit flipped either fails or loads a plan that writes
+  // back exactly the corrupted bytes.
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    EXPECT_FALSE(LoadPlanBytes(bytes.substr(0, n), "cut.bin").ok())
+        << "cut at " << n;
   }
-  EXPECT_FALSE(LoadFaultPlanFile(path).ok());
-  EXPECT_FALSE(LoadFaultPlanFile(path + ".does-not-exist").ok());
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    const auto b = static_cast<unsigned char>(bytes[i]);
+    for (const unsigned char v : {0x00, 0xFF, b ^ 0x80}) {
+      std::string corrupt = bytes;
+      corrupt[i] = static_cast<char>(v);
+      const auto loaded = LoadPlanBytes(corrupt, "corrupt.bin");
+      if (!loaded.ok()) continue;
+      EXPECT_EQ(CurrentPlanBytes(loaded.value()), corrupt) << "offset " << i;
+    }
+  }
 }
 
 // ------------------------------------------------------------- the soak --

@@ -399,20 +399,34 @@ TEST(TwoStepTest, FallsBackWhenCategoryTooSmall) {
   EXPECT_GT(p.metrics.elapsed_seconds, 0.0);
 }
 
+/// SyntheticExamples with elapsed time scaled so its regimes straddle the
+/// WorkloadManager thresholds: the heavy regime (3,000 s) lands at 1.5x
+/// kRejectThresholdSeconds, the medium one (400 s) between the off-peak
+/// and reject thresholds, the light one (1 s) under both.
+std::vector<ml::TrainingExample> AdmissionExamples(size_t n, uint64_t seed) {
+  auto train = SyntheticExamples(n, seed);
+  const double scale = 1.5 * kRejectThresholdSeconds / 3000.0;
+  for (auto& ex : train) ex.metrics.elapsed_seconds *= scale;
+  return train;
+}
+
 TEST(WorkloadManagerTest, DecisionsFollowThresholds) {
-  const auto train = SyntheticExamples(300, 11);
+  const auto train = AdmissionExamples(300, 11);
   Predictor pred;
   pred.Train(train);
-  WorkloadManagerConfig cfg;
-  cfg.offpeak_threshold_seconds = 100.0;
-  cfg.reject_threshold_seconds = 2000.0;
-  const WorkloadManager manager(&pred, cfg);
+  const WorkloadManager manager(&pred);
 
   const auto fast = manager.Admit({0.0, 1.0, 1.0, 0.5});
+  EXPECT_LT(fast.prediction.metrics.elapsed_seconds, kOffPeakThresholdSeconds);
   EXPECT_EQ(fast.decision, AdmissionDecision::kRunImmediately);
   const auto medium = manager.Admit({1.0, 400.0, 160000.0, 0.5});
+  EXPECT_GT(medium.prediction.metrics.elapsed_seconds,
+            kOffPeakThresholdSeconds);
+  EXPECT_LT(medium.prediction.metrics.elapsed_seconds,
+            kRejectThresholdSeconds);
   EXPECT_EQ(medium.decision, AdmissionDecision::kScheduleOffPeak);
   const auto heavy = manager.Admit({2.0, 3000.0, 9e6, 0.5});
+  EXPECT_GT(heavy.prediction.metrics.elapsed_seconds, kRejectThresholdSeconds);
   EXPECT_EQ(heavy.decision, AdmissionDecision::kReject);
 }
 
@@ -420,24 +434,25 @@ TEST(WorkloadManagerTest, AnomaliesRoutedToReview) {
   const auto train = SyntheticExamples(300, 12);
   Predictor pred;
   pred.Train(train);
-  const WorkloadManager manager(&pred, {});
+  const WorkloadManager manager(&pred);
   const auto weird = manager.Admit({9.0, 1e9, 1e18, 0.5});
   EXPECT_EQ(weird.decision, AdmissionDecision::kNeedsReview);
 }
 
 TEST(WorkloadManagerTest, KillDeadlineScalesWithPrediction) {
-  const auto train = SyntheticExamples(300, 13);
+  const auto train = AdmissionExamples(300, 13);
   Predictor pred;
   pred.Train(train);
-  WorkloadManagerConfig cfg;
-  cfg.kill_multiplier = 3.0;
-  cfg.kill_floor_seconds = 60.0;
-  const WorkloadManager manager(&pred, cfg);
+  const WorkloadManager manager(&pred);
   const auto fast = manager.Admit({0.0, 1.0, 1.0, 0.5});
-  EXPECT_EQ(fast.kill_deadline_seconds, 60.0);  // floor
+  ASSERT_LT(kKillMultiplier * fast.prediction.metrics.elapsed_seconds,
+            kKillFloorSeconds);
+  EXPECT_EQ(fast.kill_deadline_seconds, kKillFloorSeconds);
   const auto slow = manager.Admit({2.0, 3000.0, 9e6, 0.5});
+  ASSERT_GT(kKillMultiplier * slow.prediction.metrics.elapsed_seconds,
+            kKillFloorSeconds);
   EXPECT_NEAR(slow.kill_deadline_seconds,
-              3.0 * slow.prediction.metrics.elapsed_seconds, 1e-9);
+              kKillMultiplier * slow.prediction.metrics.elapsed_seconds, 1e-9);
 }
 
 TEST(CapacityPlannerTest, RecommendsCheapestConfigMeetingDeadline) {
@@ -526,9 +541,6 @@ TEST(ExperimentTest, RiskTableAndScatterRender) {
   const std::string table = RiskTable({eval});
   EXPECT_NE(table.find("elapsed_time"), std::string::npos);
   EXPECT_NE(table.find("0.90"), std::string::npos);
-  const std::string csv = ScatterCsv(eval);
-  EXPECT_NE(csv.find("predicted,actual"), std::string::npos);
-  EXPECT_NE(csv.find("1,1.1"), std::string::npos);
 }
 
 }  // namespace

@@ -61,8 +61,6 @@ TEST(SlidingWindowTest, AdaptsToRegimeChange) {
   SlidingWindowConfig cfg;
   cfg.window_capacity = 200;
   cfg.retrain_every = 50;
-  cfg.fresh_fraction = 0.5;
-  cfg.oldest_keep_probability = 0.1;
   SlidingWindowPredictor sw(cfg);
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
@@ -82,18 +80,30 @@ TEST(SlidingWindowTest, AdaptsToRegimeChange) {
 }
 
 TEST(SlidingWindowTest, RecencySamplingKeepsAllFreshExamples) {
+  // The newest kFreshFraction of the window always trains; the stale part
+  // is down-sampled, its oldest end kept with kOldestKeepProbability.
   SlidingWindowConfig cfg;
   cfg.window_capacity = 100;
   cfg.retrain_every = 1000;
-  cfg.fresh_fraction = 1.0;  // keep everything: deterministic training set
   SlidingWindowPredictor sw(cfg);
   Rng rng(4);
+  std::vector<double> elapsed;
   for (int i = 0; i < 100; ++i) {
     const auto obs = MakeObservation(rng.Uniform(1.0, 50.0), 2.0);
+    elapsed.push_back(obs.metrics.elapsed_seconds);
     sw.Observe(obs.query_features, obs.metrics);
   }
   EXPECT_TRUE(sw.Retrain());
-  EXPECT_EQ(sw.predictor().num_training_examples(), 100u);
+  const linalg::Matrix& trained = sw.predictor().training_metrics();
+  EXPECT_LT(trained.rows(), 100u);  // some stale examples dropped
+  const size_t fresh_start = static_cast<size_t>(100 * (1.0 - kFreshFraction));
+  for (size_t i = fresh_start; i < elapsed.size(); ++i) {
+    bool found = false;
+    for (size_t r = 0; r < trained.rows(); ++r) {
+      found = found || trained(r, 0) == elapsed[i];
+    }
+    EXPECT_TRUE(found) << "fresh observation " << i;
+  }
 }
 
 TEST(SlidingWindowTest, RetrainRefusesTinyWindow) {

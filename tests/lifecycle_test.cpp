@@ -282,13 +282,14 @@ TEST(LifecycleManagerTest, StaleAndUnknownPairsAreNotScored) {
 TEST(LifecycleManagerTest, PendingIsBoundedByMaxPending) {
   serve::ModelRegistry registry;
   registry.Publish(TinyModel(1));
-  LifecycleConfig cfg = FastConfig();
-  cfg.max_pending = 4;
-  LifecycleManager mgr(&registry, cfg);
+  LifecycleManager mgr(&registry, FastConfig());
   core::Prediction served;
   served.metrics.elapsed_seconds = 1.0;
-  for (uint64_t i = 0; i < 10; ++i) {
-    mgr.OnServedPrediction(Feat(i), served, registry.generation(), 0);
+  // Distinct features per pair (Feat repeats after 97): pending is keyed
+  // by features, so a repeat would replace its pair instead of adding one.
+  for (uint64_t i = 0; i < kMaxPendingPairs + 6; ++i) {
+    const linalg::Vector features = {static_cast<double>(i), 0.5};
+    mgr.OnServedPrediction(features, served, registry.generation(), 0);
   }
   EXPECT_EQ(mgr.stats().pending_dropped, 6u);
 }
@@ -332,8 +333,8 @@ TEST(LifecycleManagerTest, PoisonedCandidateIsNeverPromoted) {
 
 TEST(ShadowScorerTest, PoisonMultiplierScalesEveryMetric) {
   const auto model = TinyModel(5);
-  ShadowScorer clean(model, 0.1);
-  ShadowScorer poisoned(model, 0.1, 100.0);
+  ShadowScorer clean(model);
+  ShadowScorer poisoned(model, 100.0);
   EXPECT_FALSE(clean.poisoned());
   EXPECT_TRUE(poisoned.poisoned());
   const linalg::Vector f = Feat(3);

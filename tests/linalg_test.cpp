@@ -130,14 +130,6 @@ TEST(CholeskyTest, NearSingularGetsJitter) {
   EXPECT_GT(chol.jitter(), 0.0);
 }
 
-TEST(CholeskyTest, LogDetMatchesIdentityScaling) {
-  Matrix a = Matrix::Identity(4);
-  a.AddToDiagonal(1.0);  // 2I: logdet = 4 log 2
-  const Cholesky chol(a);
-  ASSERT_TRUE(chol.ok());
-  EXPECT_NEAR(chol.LogDet(), 4.0 * std::log(2.0), 1e-12);
-}
-
 class EigenParamTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(EigenParamTest, ReconstructsRandomSymmetric) {

@@ -1,5 +1,6 @@
-// Coverage for corner paths not exercised elsewhere: large-domain Zipf,
-// formatting helpers, degenerate model configurations, and guard rails.
+// Coverage for corner paths not exercised elsewhere: formatting helpers,
+// degenerate model configurations, guard rails, and the pinned values of
+// the library's fixed settings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,32 +9,19 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/str_util.h"
+#include "core/experiment.h"
+#include "core/retraining.h"
+#include "core/workload_manager.h"
+#include "lifecycle/lifecycle.h"
 #include "linalg/matrix.h"
 #include "ml/kcca.h"
 #include "ml/kernel.h"
 #include "ml/preprocess.h"
+#include "obs/drift_monitor.h"
+#include "optimizer/optimizer.h"
 
 namespace qpp {
 namespace {
-
-TEST(RngCoverageTest, ZipfLargeDomainUsesContinuousApproximation) {
-  Rng rng(1);
-  // n > 4096 takes the continuous-inversion path; check range + skew.
-  int low_decile = 0;
-  for (int i = 0; i < 5000; ++i) {
-    const int64_t v = rng.Zipf(100000, 1.1);
-    ASSERT_GE(v, 1);
-    ASSERT_LE(v, 100000);
-    if (v <= 10000) ++low_decile;
-  }
-  EXPECT_GT(low_decile, 4000);  // heavy head
-  // s == 1 branch of the approximation.
-  for (int i = 0; i < 200; ++i) {
-    const int64_t v = rng.Zipf(50000, 1.0);
-    ASSERT_GE(v, 1);
-    ASSERT_LE(v, 50000);
-  }
-}
 
 TEST(StrUtilCoverageTest, FormatG) {
   EXPECT_EQ(FormatG(1234.5678, 4), "1235");
@@ -112,6 +100,39 @@ TEST(KccaCoverageTest, ConstantFeatureColumnsSurvive) {
   opts.solver = ml::KccaSolver::kExact;
   const ml::KccaModel model = ml::KccaModel::Train(x, y, opts);
   EXPECT_GT(model.correlations()[0], 0.9);
+}
+
+TEST(FixedSettingsTest, ConstantsMatchTheirHistoricalDefaults) {
+  // Each of these was a config field that nothing but tests set to anything
+  // but its default; it is a constant now. Pin each at that default so a
+  // retune shows up as a deliberate test change, not a silent one.
+  const struct {
+    const char* name;
+    double value;
+    double historical;
+  } pins[] = {
+      {"core::kOffPeakThresholdSeconds", core::kOffPeakThresholdSeconds,
+       300.0},
+      {"core::kRejectThresholdSeconds", core::kRejectThresholdSeconds, 7200.0},
+      {"core::kKillMultiplier", core::kKillMultiplier, 3.0},
+      {"core::kKillFloorSeconds", core::kKillFloorSeconds, 60.0},
+      {"core::kFreshFraction", core::kFreshFraction, 0.5},
+      {"core::kOldestKeepProbability", core::kOldestKeepProbability, 0.25},
+      {"core::kSlidingWindowSeed",
+       static_cast<double>(core::kSlidingWindowSeed), 0x51EED},
+      {"core::kTpcdsTemplateRepeat",
+       static_cast<double>(core::kTpcdsTemplateRepeat), 3},
+      {"core::kProblemTemplateRepeat",
+       static_cast<double>(core::kProblemTemplateRepeat), 2},
+      {"obs::kDriftAlpha", obs::kDriftAlpha, 0.1},
+      {"obs::kDriftWarmupObservations",
+       static_cast<double>(obs::kDriftWarmupObservations), 32},
+      {"lifecycle::kMaxPendingPairs",
+       static_cast<double>(lifecycle::kMaxPendingPairs), 4096},
+      {"optimizer::kBroadcastRowBudget", optimizer::kBroadcastRowBudget,
+       50000.0},
+  };
+  for (const auto& pin : pins) EXPECT_EQ(pin.value, pin.historical) << pin.name;
 }
 
 }  // namespace

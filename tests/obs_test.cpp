@@ -239,30 +239,6 @@ TEST(HistogramTest, QuantilesBracketTheBruteForceSortedOracle) {
   }
 }
 
-TEST(HistogramTest, SnapshotMergeAccumulates) {
-  Histogram a, b;
-  a.Record(1e-3);
-  a.Record(1e9);
-  b.Record(5e-3);
-  b.Record(0.0);
-  HistogramSnapshot s = a.Snapshot();
-  s.Merge(b.Snapshot());
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_EQ(s.underflow, 1u);
-  EXPECT_EQ(s.overflow, 1u);
-  EXPECT_DOUBLE_EQ(s.min, 0.0);
-  EXPECT_DOUBLE_EQ(s.max, 1e9);
-}
-
-TEST(HistogramTest, MergeRejectsMismatchedLayouts) {
-  Histogram a;
-  HistogramOptions narrow;
-  narrow.min_exponent = -3;
-  Histogram b(narrow);
-  HistogramSnapshot s = a.Snapshot();
-  EXPECT_THROW(s.Merge(b.Snapshot()), CheckFailure);
-}
-
 TEST(HistogramTest, ConcurrentRecordingLosesNothing) {
   // Run under TSan in CI: exercises the relaxed-atomic record path and the
   // CAS min/max loop from many threads at once.
@@ -477,18 +453,17 @@ engine::QueryMetrics MetricsWithElapsed(double elapsed, double scale = 1.0) {
 }
 
 TEST(DriftMonitorTest, EwmaFollowsTheDefiningRecurrence) {
-  DriftMonitorOptions opt;
-  opt.alpha = 0.5;
-  DriftMonitor drift(opt);
+  DriftMonitor drift;
   const auto actual = MetricsWithElapsed(10.0);
   // First observation: relative error 0.2 on elapsed; EWMA = first sample.
   drift.Observe(DriftMonitor::Source::kModel, MetricsWithElapsed(12.0),
                 actual);
   EXPECT_NEAR(drift.MetricEwma(0), 0.2, 1e-12);
-  // Second: error 0.4; EWMA = 0.5*0.4 + 0.5*0.2 = 0.3.
+  // Second: error 0.4; EWMA = alpha*0.4 + (1-alpha)*0.2.
   drift.Observe(DriftMonitor::Source::kModel, MetricsWithElapsed(6.0),
                 actual);
-  EXPECT_NEAR(drift.MetricEwma(0), 0.3, 1e-12);
+  EXPECT_NEAR(drift.MetricEwma(0), kDriftAlpha * 0.4 + (1 - kDriftAlpha) * 0.2,
+              1e-12);
   EXPECT_EQ(drift.model_observations(), 2u);
 }
 
@@ -555,16 +530,15 @@ TEST(DriftMonitorTest, AllFallbackWindowNeverReportsModelDrift) {
   // share pegs at 1.0, the fallback elapsed EWMA tracks the (terrible)
   // errors, but the model-path EWMAs stay zero and drifted() stays false
   // no matter how bad the fallbacks are — drift means MODEL drift.
-  DriftMonitorOptions opt;
-  opt.min_observations = 4;
-  DriftMonitor drift(opt);
+  DriftMonitor drift;
   const auto actual = MetricsWithElapsed(10.0);
   const auto bad = MetricsWithElapsed(50.0);  // relative error 4.0
-  for (int i = 0; i < 16; ++i) {
+  const uint64_t n = 2 * kDriftWarmupObservations;  // past the warm-up
+  for (uint64_t i = 0; i < n; ++i) {
     EXPECT_FALSE(drift.Observe(DriftMonitor::Source::kFallback, bad, actual));
   }
   EXPECT_EQ(drift.model_observations(), 0u);
-  EXPECT_EQ(drift.fallback_observations(), 16u);
+  EXPECT_EQ(drift.fallback_observations(), n);
   EXPECT_DOUBLE_EQ(drift.fallback_share(), 1.0);
   EXPECT_NEAR(drift.FallbackElapsedEwma(), 4.0, 1e-12);
   EXPECT_FALSE(drift.drifted());
@@ -575,22 +549,17 @@ TEST(DriftMonitorTest, AllFallbackWindowNeverReportsModelDrift) {
 
 TEST(DriftMonitorTest, SingleSampleEwmaIsTheSampleRegardlessOfAlpha) {
   // The first observation SETS the EWMA (n == 0 case of the recurrence);
-  // alpha must play no part, or a tiny alpha would make a fresh lifecycle
-  // window nearly blind to its first window of errors.
-  for (double alpha : {0.01, 0.1, 0.5, 0.99}) {
-    DriftMonitorOptions opt;
-    opt.alpha = alpha;
-    DriftMonitor drift(opt);
-    drift.Observe(DriftMonitor::Source::kModel, MetricsWithElapsed(13.0),
-                  MetricsWithElapsed(10.0));
-    EXPECT_NEAR(drift.MetricEwma(0), 0.3, 1e-12) << "alpha " << alpha;
-    // The second observation must then follow the recurrence from that
-    // seeded value, not from zero.
-    drift.Observe(DriftMonitor::Source::kModel, MetricsWithElapsed(10.0),
-                  MetricsWithElapsed(10.0));
-    EXPECT_NEAR(drift.MetricEwma(0), (1.0 - alpha) * 0.3, 1e-12)
-        << "alpha " << alpha;
-  }
+  // alpha must play no part, or the small kDriftAlpha would make a fresh
+  // lifecycle window nearly blind to its first window of errors.
+  DriftMonitor drift;
+  drift.Observe(DriftMonitor::Source::kModel, MetricsWithElapsed(13.0),
+                MetricsWithElapsed(10.0));
+  EXPECT_NEAR(drift.MetricEwma(0), 0.3, 1e-12);
+  // The second observation must then follow the recurrence from that
+  // seeded value, not from zero.
+  drift.Observe(DriftMonitor::Source::kModel, MetricsWithElapsed(10.0),
+                MetricsWithElapsed(10.0));
+  EXPECT_NEAR(drift.MetricEwma(0), (1.0 - kDriftAlpha) * 0.3, 1e-12);
 }
 
 TEST(DriftMonitorTest, SignalFiresAfterWarmupAndRespectsRefireInterval) {
@@ -600,33 +569,30 @@ TEST(DriftMonitorTest, SignalFiresAfterWarmupAndRespectsRefireInterval) {
   const auto actual = MetricsWithElapsed(10.0);
   const auto bad = MetricsWithElapsed(30.0);  // relative error 2.0
   ASSERT_GT(2.0, kDriftThreshold);
-  for (size_t warmup : {size_t{4}, kDriftRefireInterval + 8}) {
-    DriftMonitorOptions opt;
-    opt.alpha = 0.5;
-    opt.min_observations = warmup;
-    MetricsRegistry reg;
-    DriftMonitor drift(opt, &reg);
-    std::vector<size_t> fired_at;
-    for (size_t i = 0; i < 4 * kDriftRefireInterval; ++i) {
-      if (drift.Observe(DriftMonitor::Source::kModel, bad, actual)) {
-        fired_at.push_back(i);
-      }
+  MetricsRegistry reg;
+  DriftMonitor drift(&reg);
+  std::vector<size_t> fired_at;
+  for (size_t i = 0; i < 4 * kDriftRefireInterval; ++i) {
+    if (drift.Observe(DriftMonitor::Source::kModel, bad, actual)) {
+      fired_at.push_back(i);
     }
-    std::vector<size_t> want;
-    for (size_t i = std::max(warmup, kDriftRefireInterval) - 1;
-         i < 4 * kDriftRefireInterval; i += kDriftRefireInterval) {
-      want.push_back(i);
-    }
-    EXPECT_EQ(fired_at, want) << "warm-up " << warmup;
-    EXPECT_EQ(reg.GetCounter("qpp_drift_signals_total")->value(),
-              want.size());
-    EXPECT_TRUE(drift.drifted());
+    // Not drifted before the warm-up, however large the errors.
+    EXPECT_EQ(drift.drifted(), i + 1 >= kDriftWarmupObservations) << i;
   }
+  const size_t first =
+      std::max<size_t>(kDriftWarmupObservations, kDriftRefireInterval) - 1;
+  std::vector<size_t> want;
+  for (size_t i = first; i < 4 * kDriftRefireInterval;
+       i += kDriftRefireInterval) {
+    want.push_back(i);
+  }
+  EXPECT_EQ(fired_at, want);
+  EXPECT_EQ(reg.GetCounter("qpp_drift_signals_total")->value(), want.size());
 }
 
 TEST(DriftMonitorTest, ExportsGaugesIntoTheRegistry) {
   MetricsRegistry reg;
-  DriftMonitor drift({}, &reg);
+  DriftMonitor drift(&reg);
   const auto actual = MetricsWithElapsed(10.0);
   drift.Observe(DriftMonitor::Source::kModel, MetricsWithElapsed(12.0),
                 actual);

@@ -313,11 +313,10 @@ TEST_F(OptimizerTest, SmallDimensionBroadcastsThroughNestedJoin) {
 
 TEST_F(OptimizerTest, ColocatedKeysUseMergeJoin) {
   // store_sales is partitioned on ss_item_sk and item on i_item_sk; the
-  // first join on exactly those keys is co-located. The optimizer must see
-  // item as too large to broadcast, so shrink the broadcast budget.
+  // first join on exactly those keys is co-located. At 4 nodes item's
+  // estimate exceeds kBroadcastRowBudget / 4 rows, so it is not broadcast.
   OptimizerOptions opts;
   opts.nodes_used = 4;
-  opts.broadcast_row_budget = 100.0;
   Optimizer opt(&catalog_, opts);
   const auto plan = opt.Plan(
       "SELECT COUNT(*) FROM store_sales, item WHERE ss_item_sk = i_item_sk");

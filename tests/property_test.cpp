@@ -466,8 +466,8 @@ TEST(LifecyclePropertyTest, WorseErrorStreamNeverUnlocksPromotion) {
   }
 
   // Score-only scorers (null model): predictions fed directly.
-  lifecycle::ShadowScorer good(nullptr, 0.1);
-  lifecycle::ShadowScorer bad(nullptr, 0.1);
+  lifecycle::ShadowScorer good(nullptr);
+  lifecycle::ShadowScorer bad(nullptr);
   for (int i = 0; i < 64; ++i) {
     engine::QueryMetrics predicted;
     predicted.elapsed_seconds = 10.0;

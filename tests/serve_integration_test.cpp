@@ -490,27 +490,26 @@ TEST(TwoStepServingTest, BoundaryQueriesRoundTripThroughShardedServing) {
 // ----------------------------------------------------------- admission --
 
 TEST(AdmitServedTest, DecisionsRideOnServedResponses) {
-  core::WorkloadManagerConfig cfg;
-  cfg.offpeak_threshold_seconds = 10.0;
-  cfg.reject_threshold_seconds = 100.0;
-  cfg.review_anomalies = true;
-  cfg.kill_multiplier = 3.0;
-  cfg.kill_floor_seconds = 60.0;
-  const core::WorkloadManager wm(cfg);  // decide-only: no predictor held
+  const core::WorkloadManager wm;  // decide-only: no predictor held
 
   ServeResponse cheap;
   cheap.prediction.metrics.elapsed_seconds = 1.0;
   EXPECT_EQ(AdmitServed(wm, cheap).decision,
             core::AdmissionDecision::kRunImmediately);
+  EXPECT_DOUBLE_EQ(AdmitServed(wm, cheap).kill_deadline_seconds,
+                   core::kKillFloorSeconds);
 
   ServeResponse heavy;
-  heavy.prediction.metrics.elapsed_seconds = 50.0;
+  const double heavy_seconds = 2.0 * core::kOffPeakThresholdSeconds;
+  heavy.prediction.metrics.elapsed_seconds = heavy_seconds;
   EXPECT_EQ(AdmitServed(wm, heavy).decision,
             core::AdmissionDecision::kScheduleOffPeak);
-  EXPECT_DOUBLE_EQ(AdmitServed(wm, heavy).kill_deadline_seconds, 150.0);
+  EXPECT_DOUBLE_EQ(AdmitServed(wm, heavy).kill_deadline_seconds,
+                   core::kKillMultiplier * heavy_seconds);
 
   ServeResponse monster;
-  monster.prediction.metrics.elapsed_seconds = 5000.0;
+  monster.prediction.metrics.elapsed_seconds =
+      2.0 * core::kRejectThresholdSeconds;
   EXPECT_EQ(AdmitServed(wm, monster).decision,
             core::AdmissionDecision::kReject);
 

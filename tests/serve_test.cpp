@@ -211,13 +211,13 @@ TEST(LruCacheTest, ZeroCapacityDisablesCaching) {
 // ------------------------------------------------------------ histogram --
 
 TEST(LatencyHistogramTest, EmptyReportsZero) {
-  LatencyHistogram h;
+  obs::Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.Quantile(0.5), 0.0);
 }
 
 TEST(LatencyHistogramTest, QuantilesLandInTheRightBucket) {
-  LatencyHistogram h;
+  obs::Histogram h;
   for (int i = 0; i < 900; ++i) h.Record(1e-3);
   for (int i = 0; i < 100; ++i) h.Record(1.0);
   EXPECT_EQ(h.count(), 1000u);
@@ -232,7 +232,7 @@ TEST(LatencyHistogramTest, QuantilesLandInTheRightBucket) {
 }
 
 TEST(LatencyHistogramTest, OutOfRangeValuesClampToEdgeBuckets) {
-  LatencyHistogram h;
+  obs::Histogram h;
   h.Record(0.0);     // below range
   h.Record(1e9);     // above range
   EXPECT_EQ(h.count(), 2u);

@@ -424,7 +424,7 @@ int CmdServe(const Args& args) {
   // parallel regions show up under trace category "par", next to the
   // serve-pipeline spans. Detached before the registry/trace die.
   par::SetObservability(service.metrics(), trace.get());
-  const core::WorkloadManager manager{core::WorkloadManagerConfig{}};
+  const core::WorkloadManager manager;
 
   // The distinct request pool every client draws from, plus each entry's
   // simulator-observed metrics — the "actuals" the drift monitor scores
@@ -443,7 +443,7 @@ int CmdServe(const Args& args) {
   // Online drift monitoring: every response is compared against the
   // simulator's observed metrics for its query; EWMAs land in the
   // service's own registry (so --statsz exposes them too).
-  obs::DriftMonitor drift({}, service.metrics());
+  obs::DriftMonitor drift(service.metrics());
 
   std::printf("serving %zu clients x %zu requests (%zu distinct queries, "
               "%zu workers, batch <= %zu)...\n",
