@@ -22,26 +22,24 @@ double Table::RowWidthBytes() const {
 }
 
 const Column* Table::FindColumn(const std::string& name) const {
-  const std::string want = ToLowerAscii(name);
   for (const Column& c : columns) {
-    if (ToLowerAscii(c.name) == want) return &c;
+    if (EqualsIgnoreCaseAscii(c.name, name)) return &c;
   }
   return nullptr;
 }
 
 void Catalog::AddTable(Table table) {
-  const std::string key = ToLowerAscii(table.name);
-  auto it = index_.find(key);
+  auto it = index_.find(table.name);
   if (it != index_.end()) {
     tables_[it->second] = std::move(table);
     return;
   }
-  index_[key] = tables_.size();
+  index_.emplace(table.name, tables_.size());
   tables_.push_back(std::move(table));
 }
 
 const Table* Catalog::FindTable(const std::string& name) const {
-  auto it = index_.find(ToLowerAscii(name));
+  auto it = index_.find(name);
   if (it == index_.end()) return nullptr;
   return &tables_[it->second];
 }

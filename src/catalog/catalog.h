@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "common/str_util.h"
+
 namespace qpp::catalog {
 
 /// Supported column value domains. The simulator never materializes values;
@@ -80,7 +82,8 @@ class Catalog {
  private:
   std::string name_;
   std::vector<Table> tables_;
-  std::map<std::string, size_t> index_;  // lower-cased name -> position
+  // name -> position; finds compare case-folded in place, allocating nothing
+  std::map<std::string, size_t, LessIgnoreCaseAscii> index_;
 };
 
 /// Helper to build a column with one call (keeps catalog definitions terse).

@@ -19,6 +19,33 @@ std::string ToLowerAscii(const std::string& s) {
   return out;
 }
 
+namespace {
+/// One character as ToLowerAscii folds it.
+unsigned char FoldAscii(char c) {
+  return static_cast<unsigned char>(
+      std::tolower(static_cast<unsigned char>(c)));
+}
+}  // namespace
+
+bool EqualsIgnoreCaseAscii(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (FoldAscii(a[i]) != FoldAscii(b[i])) return false;
+  }
+  return true;
+}
+
+bool LessIgnoreCaseAscii::operator()(std::string_view a,
+                                     std::string_view b) const {
+  const size_t n = a.size() < b.size() ? a.size() : b.size();
+  for (size_t i = 0; i < n; ++i) {
+    const unsigned char fa = FoldAscii(a[i]);
+    const unsigned char fb = FoldAscii(b[i]);
+    if (fa != fb) return fa < fb;
+  }
+  return a.size() < b.size();
+}
+
 std::string Join(const std::vector<std::string>& parts,
                  const std::string& sep) {
   std::string out;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qpp {
@@ -11,6 +12,16 @@ std::string ToUpperAscii(const std::string& s);
 
 /// Lowercases ASCII letters.
 std::string ToLowerAscii(const std::string& s);
+
+/// ToLowerAscii(a) == ToLowerAscii(b), compared in place.
+bool EqualsIgnoreCaseAscii(std::string_view a, std::string_view b);
+
+/// Orders strings as their ToLowerAscii forms order, compared in place: a
+/// transparent comparator for maps looked up case-insensitively.
+struct LessIgnoreCaseAscii {
+  using is_transparent = void;
+  bool operator()(std::string_view a, std::string_view b) const;
+};
 
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts,

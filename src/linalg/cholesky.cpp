@@ -3,7 +3,10 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "linalg/triangular.h"
 #include "par/parallel_for.h"
+#include "par/simd.h"
+#include "par/simd_lanes.h"
 
 namespace qpp::linalg {
 
@@ -36,20 +39,41 @@ Cholesky::Cholesky(const Matrix& a, double max_jitter) {
   ok_ = false;
 }
 
+// Left-looking, one column at a time. The diagonal keeps its dot-product
+// chain over row j of L. The rows below it are independent lanes: column j
+// starts as a(i, j), absorbs one AxpyNegRow per previous column k over the
+// column-major mirror `lt` (row k of lt is column k of L), and is divided by
+// l(j, j) last — per element exactly a(i, j) - l(i, 0) l(j, 0) - ... -
+// l(i, j-1) l(j, j-1), then / l(j, j), the row-at-a-time chain.
 bool Cholesky::Factorize(const Matrix& a, double jitter) {
   const size_t n = a.rows();
   l_ = Matrix(n, n);
+  Matrix lt(n, n);
+  const bool use_simd = simd::Enabled();
   for (size_t j = 0; j < n; ++j) {
+    const double* lj = &l_.data()[j * n];
     double d = a(j, j) + jitter;
-    for (size_t k = 0; k < j; ++k) d -= l_(j, k) * l_(j, k);
+    for (size_t k = 0; k < j; ++k) d -= lj[k] * lj[k];
     if (!(d > 0.0) || !std::isfinite(d)) return false;
     const double ljj = std::sqrt(d);
     l_(j, j) = ljj;
-    for (size_t i = j + 1; i < n; ++i) {
-      double s = a(i, j);
-      for (size_t k = 0; k < j; ++k) s -= l_(i, k) * l_(j, k);
-      l_(i, j) = s / ljj;
+    const size_t rows = n - j - 1;
+    double* s = &lt.data()[j * n + j + 1];  // column j below the diagonal
+    for (size_t r = 0; r < rows; ++r) s[r] = a(j + 1 + r, j);
+    for (size_t k = 0; k < j; ++k) {
+      const double* lk = &lt.data()[k * n + j + 1];
+      if (use_simd) {
+        simd::AxpyNegRow(s, lj[k], lk, rows);
+      } else {
+        for (size_t r = 0; r < rows; ++r) s[r] -= lk[r] * lj[k];
+      }
     }
+    if (use_simd) {
+      simd::DivRowBy(s, ljj, rows);
+    } else {
+      for (size_t r = 0; r < rows; ++r) s[r] = s[r] / ljj;
+    }
+    for (size_t r = 0; r < rows; ++r) l_(j + 1 + r, j) = s[r];
   }
   return true;
 }
@@ -83,40 +107,26 @@ Vector Cholesky::Solve(const Vector& b) const {
   return SolveLowerTranspose(SolveLower(b));
 }
 
-// Each right-hand-side column solves independently with the same per-column
-// arithmetic as before, so parallelizing the column loop is bit-identical
-// at every thread count. These are the N^3/2-flop triangular solves of the
-// exact KCCA solver (Lx^{-1} C with N columns).
-Matrix Cholesky::Solve(const Matrix& b) const {
-  QPP_CHECK(ok_ && b.rows() == l_.rows());
-  Matrix x(b.rows(), b.cols());
-  auto solve_cols = [&](size_t c0, size_t c1) {
-    for (size_t c = c0; c < c1; ++c) {
-      const Vector col = Solve(b.Col(c));
-      for (size_t r = 0; r < b.rows(); ++r) x(r, c) = col[r];
-    }
-  };
-  if (b.rows() * b.rows() * b.cols() < kParMinWork) {
-    solve_cols(0, b.cols());
-  } else {
-    par::ParallelFor(0, b.cols(), kColGrain, solve_cols, "chol_solve");
-  }
-  return x;
-}
-
+// Columns never interact in forward substitution, so disjoint column ranges
+// solve concurrently, and every column keeps SolveLower's chain (the
+// contract in linalg/triangular.h): bit-identical at every thread count and
+// lane width. These are the triangular solves of FitCca's whitening and
+// the exact KCCA solver's Lx^{-1} C with N columns.
 Matrix Cholesky::SolveLowerMatrix(const Matrix& b) const {
   QPP_CHECK(ok_ && b.rows() == l_.rows());
-  Matrix y(b.rows(), b.cols());
+  Matrix y = b;
+  const size_t n = b.rows();
+  const size_t cols = b.cols();
+  const double* l = l_.data().data();
+  double* s = y.data().data();
+  const bool use_simd = simd::Enabled();
   auto solve_cols = [&](size_t c0, size_t c1) {
-    for (size_t c = c0; c < c1; ++c) {
-      const Vector col = SolveLower(b.Col(c));
-      for (size_t r = 0; r < b.rows(); ++r) y(r, c) = col[r];
-    }
+    ForwardSubstBlocked(l, n, s + c0, c1 - c0, cols, use_simd);
   };
-  if (b.rows() * b.rows() * b.cols() < kParMinWork) {
-    solve_cols(0, b.cols());
+  if (n * n * cols < kParMinWork) {
+    solve_cols(0, cols);
   } else {
-    par::ParallelFor(0, b.cols(), kColGrain, solve_cols, "chol_solve_lower");
+    par::ParallelFor(0, cols, kColGrain, solve_cols, "chol_solve_lower");
   }
   return y;
 }

@@ -26,16 +26,15 @@ class Cholesky {
   /// Solves A x = b. Requires ok().
   Vector Solve(const Vector& b) const;
 
-  /// Solves A X = B columnwise. Requires ok().
-  Matrix Solve(const Matrix& b) const;
-
   /// Solves L y = b (forward substitution).
   Vector SolveLower(const Vector& b) const;
 
   /// Solves L^T x = b (backward substitution).
   Vector SolveLowerTranspose(const Vector& b) const;
 
-  /// Computes L^{-1} B, i.e. forward-substitution applied to each column.
+  /// Computes L^{-1} B, i.e. forward-substitution applied to each column:
+  /// the blocked linalg::ForwardSubstBlocked over column ranges, each
+  /// column bit-identical to SolveLower of that column.
   Matrix SolveLowerMatrix(const Matrix& b) const;
 
  private:

@@ -7,23 +7,24 @@
 
 namespace qpp::linalg {
 
-IncompleteCholeskyResult IncompleteCholesky(size_t n, const KernelFn& kernel,
-                                            size_t max_rank, double tol) {
-  QPP_CHECK(max_rank >= 1);
-  IncompleteCholeskyResult out;
-  if (n == 0) return out;
+void IncompleteCholesky(const Vector& diag, const KernelColumnFn& column,
+                        size_t max_rank, double tol, double* cols,
+                        IncompleteCholeskyResult* out) {
+  QPP_CHECK(max_rank >= 1 && out != nullptr);
+  const size_t n = diag.size();
+  std::vector<size_t>& pivots = out->pivots;
+  pivots.clear();
+  out->residual = 0.0;
+  if (n == 0) {
+    out->g.Reshape(0, 0);
+    return;
+  }
 
   const size_t m_cap = std::min(max_rank, n);
-  // Column-major storage of G while building (each step appends a column).
-  std::vector<Vector> cols;
-  cols.reserve(m_cap);
+  QPP_CHECK(cols != nullptr);  // column c of G at cols + c * n
 
-  Vector d(n);  // residual diagonal
-  for (size_t i = 0; i < n; ++i) d[i] = kernel(i, i);
-
-  std::vector<size_t> pivots;
+  Vector d = diag;  // residual diagonal
   pivots.reserve(m_cap);
-  std::vector<bool> pivoted(n, false);
 
   while (pivots.size() < m_cap) {
     // Select the pivot with the largest residual diagonal.
@@ -39,16 +40,15 @@ IncompleteCholeskyResult IncompleteCholesky(size_t n, const KernelFn& kernel,
 
     // New column: (K(i, p) - sum_c G(i, c) G(p, c)) / lpp, built one
     // previous column at a time so every pass runs down contiguous
-    // vectors; each row's subtraction chain runs in ascending column
-    // order. The kernel is evaluated only on rows that are neither the
-    // pivot nor already pivoted; those rows are set afterwards: lpp on the
-    // pivot row, 0 on pivoted rows, whose residual is exactly zero.
+    // columns; each row's subtraction chain runs in ascending column
+    // order. The oracle fills the whole kernel column; the pivot row and
+    // the already pivoted rows are set afterwards: lpp on the pivot row, 0
+    // on pivoted rows, whose residual is exactly zero.
     const double lpp = std::sqrt(best);
-    Vector col(n, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      if (i != p && !pivoted[i]) col[i] = kernel(i, p);
-    }
-    for (const Vector& prev : cols) {
+    double* col = cols + pivots.size() * n;
+    column(p, col);
+    for (size_t c = 0; c < pivots.size(); ++c) {
+      const double* prev = cols + c * n;
       const double gp = prev[p];
       for (size_t i = 0; i < n; ++i) col[i] -= prev[i] * gp;
     }
@@ -60,18 +60,14 @@ IncompleteCholeskyResult IncompleteCholesky(size_t n, const KernelFn& kernel,
       if (d[i] < 0.0) d[i] = 0.0;  // clamp round-off
     }
     d[p] = 0.0;
-    cols.push_back(std::move(col));
     pivots.push_back(p);
-    pivoted[p] = true;
   }
 
-  const size_t m = cols.size();
-  out.g = Matrix(n, m);
-  for (size_t c = 0; c < m; ++c)
-    for (size_t r = 0; r < n; ++r) out.g(r, c) = cols[c][r];
-  out.pivots = std::move(pivots);
-  out.residual = *std::max_element(d.begin(), d.end());
-  return out;
+  const size_t m = pivots.size();
+  out->g.Reshape(n, m);
+  for (size_t r = 0; r < n; ++r)
+    for (size_t c = 0; c < m; ++c) out->g(r, c) = cols[c * n + r];
+  out->residual = *std::max_element(d.begin(), d.end());
 }
 
 Matrix PivotFactor(const IncompleteCholeskyResult& icd) {

@@ -20,8 +20,10 @@
 
 namespace qpp::linalg {
 
-/// Kernel entry oracle: returns K(i, j) for data indices i, j.
-using KernelFn = std::function<double(size_t, size_t)>;
+/// Kernel column oracle: writes K(i, p) to out[i] for every data index i in
+/// [0, n) — the whole pivot column at once, so a caller can fill it with a
+/// vectorized row kernel.
+using KernelColumnFn = std::function<void(size_t p, double* out)>;
 
 struct IncompleteCholeskyResult {
   /// N-by-m feature matrix with K ≈ g g^T.
@@ -33,11 +35,18 @@ struct IncompleteCholeskyResult {
   double residual = 0.0;
 };
 
-/// Runs pivoted incomplete Cholesky on the n-by-n kernel defined by
-/// `kernel`, stopping when either `max_rank` columns were produced or the
-/// largest residual diagonal falls below `tol`.
-IncompleteCholeskyResult IncompleteCholesky(size_t n, const KernelFn& kernel,
-                                            size_t max_rank, double tol);
+/// Runs pivoted incomplete Cholesky on the n-by-n kernel with diagonal
+/// `diag` (n = diag.size()) and columns from `column`, stopping when either
+/// `max_rank` columns were produced or the largest residual diagonal falls
+/// below `tol`, and writes the factorization to `out`. It builds in the
+/// caller's storage: `cols` points at n * min(max_rank, n) doubles, which
+/// need no initial values (column c of G is built at cols[c*n, c*n+n)), and
+/// `out->g` is reshaped to n-by-m within its capacity when that suffices.
+/// A caller running factorizations on pool threads allocates both before
+/// the parallel region, so the pool threads allocate nothing sizable.
+void IncompleteCholesky(const Vector& diag, const KernelColumnFn& column,
+                        size_t max_rank, double tol, double* cols,
+                        IncompleteCholeskyResult* out);
 
 /// Extracts the m-by-m lower-triangular factor L = G[P, :] (rows of `g` at
 /// the pivot positions). Satisfies K[P,P] = L L^T exactly.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -51,19 +52,6 @@ Clock::time_point StampIf(const KccaProjectTimes* times) {
 
 double Seconds(Clock::time_point a, Clock::time_point z) {
   return std::chrono::duration<double>(z - a).count();
-}
-
-/// exp(-||a - b||^2 / tau) over raw row pointers: the exact
-/// GaussianKernel::operator() chain without the Vector copies. The ICD
-/// kernel oracles call this ~rank * n times per factorization.
-double GaussianRaw(const double* a, const double* b, size_t dims,
-                   double tau) {
-  double s = 0.0;
-  for (size_t j = 0; j < dims; ++j) {
-    const double d = a[j] - b[j];
-    s += d * d;
-  }
-  return std::exp(-s / tau);
 }
 
 /// In-place forward substitution L g = rhs, column-oriented over the
@@ -193,27 +181,51 @@ KccaModel KccaModel::Train(const linalg::Matrix& x, const linalg::Matrix& y,
 
   // --- Incomplete-Cholesky path ------------------------------------------
   model.solver_used_ = KccaSolver::kIcd;
-  // Raw-pointer oracles: same value as kx_fn(x.Row(i), x.Row(j)) without
-  // materializing two Vector copies per evaluated entry (the factorization
-  // probes ~rank * n entries).
-  const double* xbase = x.data().data();
-  const double* ybase = y.data().data();
-  const size_t xc = x.cols();
-  const size_t yc = y.cols();
-  const auto kx_oracle = [&](size_t i, size_t j) {
-    return i == j ? 1.0
-                  : GaussianRaw(xbase + i * xc, xbase + j * xc, xc,
-                                kx_fn.tau);
-  };
-  const auto ky_oracle = [&](size_t i, size_t j) {
-    return i == j ? 1.0
-                  : GaussianRaw(ybase + i * yc, ybase + j * yc, yc,
-                                ky_fn.tau);
-  };
-  const linalg::IncompleteCholeskyResult icx = linalg::IncompleteCholesky(
-      n, kx_oracle, options.icd_max_rank, kIcdTolerance);
-  const linalg::IncompleteCholeskyResult icy = linalg::IncompleteCholesky(
-      n, ky_oracle, options.icd_max_rank, kIcdTolerance);
+  // The x and y factorizations are independent: they run as the two chunks
+  // of one region (inline, x then y, on a one-thread pool). Each fills its
+  // pivot columns with GaussianKernelRows — the value of kx_fn(x.Row(i),
+  // x.Row(p)) on every row, bit for bit. This thread allocates both
+  // factorizations' storage before the region: memory a pool thread
+  // allocates stays in that thread's malloc arena and raised the offline
+  // build's peak RSS. The storage is allocated uninitialized and the
+  // results' only reserved, so pages are touched as far as the rank each
+  // factorization reaches, and each chunk frees its column storage as soon
+  // as its factorization is done.
+  linalg::IncompleteCholeskyResult icd[2];
+  {
+    const linalg::Vector unit_diag(n, 1.0);
+    const size_t rank_cap = std::min(options.icd_max_rank, n);
+    std::unique_ptr<double[]> cols[2] = {
+        std::make_unique_for_overwrite<double[]>(n * rank_cap),
+        std::make_unique_for_overwrite<double[]>(n * rank_cap)};
+    for (linalg::IncompleteCholeskyResult& r : icd) {
+      r.g.data().reserve(n * rank_cap);
+      r.pivots.reserve(rank_cap);
+    }
+    const linalg::Matrix* points[2] = {&x, &y};
+    const double taus[2] = {kx_fn.tau, ky_fn.tau};
+    const bool use_simd = simd::Enabled();
+    par::ParallelFor(
+        0, 2, 1,
+        [&](size_t f0, size_t f1) {
+          for (size_t f = f0; f < f1; ++f) {
+            const double* base = points[f]->data().data();
+            const size_t dims = points[f]->cols();
+            const double tau = taus[f];
+            linalg::IncompleteCholesky(
+                unit_diag,
+                [&](size_t p, double* out) {
+                  GaussianKernelRows(base, n, dims, base + p * dims, dims,
+                                     tau, use_simd, out);
+                },
+                options.icd_max_rank, kIcdTolerance, cols[f].get(), &icd[f]);
+            cols[f].reset();
+          }
+        },
+        "kcca_icd");
+  }
+  const linalg::IncompleteCholeskyResult& icx = icd[0];
+  const linalg::IncompleteCholeskyResult& icy = icd[1];
   QPP_CHECK(icx.pivots.size() >= 1 && icy.pivots.size() >= 1);
 
   // CCA in the induced feature spaces (FitCca centers internally).

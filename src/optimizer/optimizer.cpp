@@ -202,11 +202,10 @@ Optimizer::Fragment Optimizer::PlanLogical(const LogicalPlan& plan) const {
           plan.relations[e.right_rel].IsDerived()
               ? ""
               : plan.relations[e.right_rel].table);
-      use_merge = lt != nullptr && rt != nullptr &&
-                  ToLowerAscii(e.left_column) ==
-                      ToLowerAscii(lt->partitioning_column) &&
-                  ToLowerAscii(e.right_column) ==
-                      ToLowerAscii(rt->partitioning_column);
+      use_merge =
+          lt != nullptr && rt != nullptr &&
+          EqualsIgnoreCaseAscii(e.left_column, lt->partitioning_column) &&
+          EqualsIgnoreCaseAscii(e.right_column, rt->partitioning_column);
     }
     if (!all_equi) {
       join_op = PhysOp::kNestedJoin;

@@ -18,7 +18,11 @@ TEST(CatalogTest, AddAndLookupCaseInsensitive) {
   EXPECT_NE(cat.FindTable("orders"), nullptr);
   EXPECT_NE(cat.FindTable("ORDERS"), nullptr);
   EXPECT_EQ(cat.FindTable("nope"), nullptr);
+  EXPECT_EQ(cat.FindTable("order"), nullptr);
+  EXPECT_EQ(cat.FindTable("ordersx"), nullptr);
   EXPECT_NE(cat.GetTable("orders").FindColumn("O_ID"), nullptr);
+  EXPECT_EQ(cat.GetTable("orders").FindColumn("o_i"), nullptr);
+  EXPECT_EQ(cat.GetTable("orders").FindColumn("o_idx"), nullptr);
 }
 
 TEST(CatalogTest, ReplaceKeepsSingleEntry) {
@@ -31,6 +35,11 @@ TEST(CatalogTest, ReplaceKeepsSingleEntry) {
   cat.AddTable(t);
   EXPECT_EQ(cat.tables().size(), 1u);
   EXPECT_EQ(cat.GetTable("t").row_count, 99.0);
+  t.name = "T";  // the same table in another case
+  t.row_count = 7;
+  cat.AddTable(t);
+  EXPECT_EQ(cat.tables().size(), 1u);
+  EXPECT_EQ(cat.GetTable("t").row_count, 7.0);
 }
 
 TEST(CatalogTest, RowWidthSumsColumns) {

@@ -100,6 +100,21 @@ TEST(StrUtilTest, CaseConversion) {
   EXPECT_EQ(ToLowerAscii("Select"), "select");
 }
 
+TEST(StrUtilTest, CaseFoldedCompareMatchesToLowerAscii) {
+  const std::vector<std::string> words = {
+      "", "a", "A", "ab", "aB", "b", "Orders", "ORDERS", "order", "orders_",
+      "o_id", "O_ID9"};
+  const LessIgnoreCaseAscii less;
+  for (const std::string& a : words) {
+    for (const std::string& b : words) {
+      const std::string la = ToLowerAscii(a);
+      const std::string lb = ToLowerAscii(b);
+      EXPECT_EQ(EqualsIgnoreCaseAscii(a, b), la == lb) << a << " " << b;
+      EXPECT_EQ(less(a, b), la < lb) << a << " " << b;
+    }
+  }
+}
+
 TEST(StrUtilTest, JoinAndSplit) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({}, ","), "");

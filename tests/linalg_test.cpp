@@ -2,7 +2,9 @@
 // eigendecomposition, pivoted incomplete Cholesky.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/rng.h"
 #include "linalg/cholesky.h"
@@ -191,6 +193,24 @@ TEST(EigenTest, DegenerateRepeatedEigenvalues) {
   for (double v : eig.values) EXPECT_NEAR(v, 4.0, 1e-12);
 }
 
+/// IncompleteCholesky over a per-entry kernel: the diagonal and each pivot
+/// column are filled from `kernel(i, j)`.
+IncompleteCholeskyResult Icd(
+    size_t n, const std::function<double(size_t, size_t)>& kernel,
+    size_t max_rank, double tol) {
+  Vector diag(n);
+  for (size_t i = 0; i < n; ++i) diag[i] = kernel(i, i);
+  Vector cols(n * std::min(max_rank, n));
+  IncompleteCholeskyResult icd;
+  IncompleteCholesky(
+      diag,
+      [&](size_t p, double* out) {
+        for (size_t i = 0; i < n; ++i) out[i] = kernel(i, p);
+      },
+      max_rank, tol, cols.data(), &icd);
+  return icd;
+}
+
 class IcdParamTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(IcdParamTest, ApproximatesGaussianKernel) {
@@ -200,7 +220,7 @@ TEST_P(IcdParamTest, ApproximatesGaussianKernel) {
     return std::exp(-SquaredDistance(x.Row(i), x.Row(j)) / 5.0);
   };
   const IncompleteCholeskyResult icd =
-      IncompleteCholesky(n, kernel, /*max_rank=*/n, /*tol=*/1e-10);
+      Icd(n, kernel, /*max_rank=*/n, /*tol=*/1e-10);
   const Matrix approx = icd.g.MultiplyTranspose(icd.g);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < n; ++j) {
@@ -220,7 +240,7 @@ TEST(IcdTest, TruncatedRankBoundsResidual) {
     return std::exp(-SquaredDistance(x.Row(i), x.Row(j)) / 2.0);
   };
   const IncompleteCholeskyResult icd =
-      IncompleteCholesky(n, kernel, /*max_rank=*/10, /*tol=*/0.0);
+      Icd(n, kernel, /*max_rank=*/10, /*tol=*/0.0);
   EXPECT_EQ(icd.pivots.size(), 10u);
   EXPECT_GE(icd.residual, 0.0);
   // Diagonal of the residual should match the reported bound.
@@ -239,7 +259,7 @@ TEST(IcdTest, PivotFactorIsExactCholeskyOfPivotBlock) {
     return std::exp(-SquaredDistance(x.Row(i), x.Row(j)) / 3.0);
   };
   const IncompleteCholeskyResult icd =
-      IncompleteCholesky(n, kernel, /*max_rank=*/12, /*tol=*/1e-12);
+      Icd(n, kernel, /*max_rank=*/12, /*tol=*/1e-12);
   const Matrix l = PivotFactor(icd);
   const Matrix kpp_rec = l.MultiplyTranspose(l);
   for (size_t r = 0; r < icd.pivots.size(); ++r) {

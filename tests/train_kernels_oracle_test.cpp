@@ -1,16 +1,22 @@
 // Bitwise oracle for the training kernels. EigenSymmetric's Householder
 // reduction and QL iteration, and IncompleteCholesky, walk memory in row
-// order; the references below are the column-order loops they replaced,
-// kept verbatim (Numerical Recipes' tred2/tqli as this library had them,
-// and the row-at-a-time pivoted incomplete Cholesky). Every output must
-// match its reference bit for bit (memcmp) — on random and structured
-// matrices, and on the matrices the paper's models are trained from.
+// order; Cholesky factorizes with its rows as independent lanes and solves
+// many right-hand sides blocked; IncompleteCholesky fills whole kernel
+// columns. The references below are the loops they replaced, kept verbatim
+// (Numerical Recipes' tred2/tqli as this library had them, the row-at-a-time
+// pivoted incomplete Cholesky over a per-entry kernel, and the row-at-a-time
+// Cholesky). Every output must match its reference bit for bit (memcmp) —
+// on random and structured matrices, and on the matrices the paper's models
+// are trained from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -25,6 +31,8 @@
 #include "ml/kcca.h"
 #include "ml/kernel.h"
 #include "ml/preprocess.h"
+#include "par/simd.h"
+#include "par/thread_pool.h"
 #include "workload/pools.h"
 
 namespace qpp {
@@ -33,7 +41,7 @@ namespace {
 using linalg::Matrix;
 using linalg::Vector;
 
-// --- The column-order references -------------------------------------------
+// --- The references ---------------------------------------------------------
 namespace reference {
 
 double Hypot(double a, double b) { return std::hypot(a, b); }
@@ -182,8 +190,26 @@ linalg::SymmetricEigen EigenSymmetric(const Matrix& a) {
   return out;
 }
 
+/// Kernel entry oracle: returns K(i, j) for data indices i, j.
+using KernelFn = std::function<double(size_t, size_t)>;
+
+/// exp(-||x_i - x_j||^2 / tau), with an exact 1 on the diagonal: the
+/// per-entry oracle KccaModel::Train handed IncompleteCholesky.
+KernelFn GaussianOracle(const Matrix& x, double tau) {
+  return [&x, tau](size_t i, size_t j) {
+    if (i == j) return 1.0;
+    const size_t dims = x.cols();
+    double s = 0.0;
+    for (size_t c = 0; c < dims; ++c) {
+      const double d = x(i, c) - x(j, c);
+      s += d * d;
+    }
+    return std::exp(-s / tau);
+  };
+}
+
 linalg::IncompleteCholeskyResult IncompleteCholesky(
-    size_t n, const linalg::KernelFn& kernel, size_t max_rank, double tol) {
+    size_t n, const KernelFn& kernel, size_t max_rank, double tol) {
   linalg::IncompleteCholeskyResult out;
   if (n == 0) return out;
 
@@ -240,6 +266,54 @@ linalg::IncompleteCholeskyResult IncompleteCholesky(
   return out;
 }
 
+/// The row-at-a-time Cholesky factorization, jitter escalation included.
+struct Cholesky {
+  Matrix l;
+  bool ok = false;
+  double jitter = 0.0;
+};
+
+bool Factorize(const Matrix& a, double jitter, Matrix* out) {
+  const size_t n = a.rows();
+  Matrix& l_ = *out;
+  l_ = Matrix(n, n);
+  for (size_t j = 0; j < n; ++j) {
+    double d = a(j, j) + jitter;
+    for (size_t k = 0; k < j; ++k) d -= l_(j, k) * l_(j, k);
+    if (!(d > 0.0) || !std::isfinite(d)) return false;
+    const double ljj = std::sqrt(d);
+    l_(j, j) = ljj;
+    for (size_t i = j + 1; i < n; ++i) {
+      double s = a(i, j);
+      for (size_t k = 0; k < j; ++k) s -= l_(i, k) * l_(j, k);
+      l_(i, j) = s / ljj;
+    }
+  }
+  return true;
+}
+
+Cholesky Factor(const Matrix& a, double max_jitter) {
+  Cholesky out;
+  const size_t n = a.rows();
+  double mean_diag = 0.0;
+  for (size_t i = 0; i < n; ++i) mean_diag += std::abs(a(i, i));
+  mean_diag = n > 0 ? mean_diag / static_cast<double>(n) : 0.0;
+  if (mean_diag == 0.0) mean_diag = 1.0;
+
+  double rel = 0.0;
+  while (true) {
+    if (Factorize(a, rel * mean_diag, &out.l)) {
+      out.ok = true;
+      out.jitter = rel * mean_diag;
+      return out;
+    }
+    rel = (rel == 0.0) ? 1e-12 : rel * 100.0;
+    if (rel > max_jitter) break;
+  }
+  out.ok = false;
+  return out;
+}
+
 }  // namespace reference
 
 // --- Comparisons ------------------------------------------------------------
@@ -278,17 +352,69 @@ void ExpectSameEigen(const Matrix& a) {
   EXPECT_TRUE(SameBits(top.vectors, want_vectors)) << "top-k vectors differ";
 }
 
-/// IncompleteCholesky against the reference, bit for bit.
-void ExpectSameIcd(size_t n, const linalg::KernelFn& kernel, size_t max_rank,
-                   double tol) {
-  const linalg::IncompleteCholeskyResult want =
-      reference::IncompleteCholesky(n, kernel, max_rank, tol);
-  const linalg::IncompleteCholeskyResult got =
-      linalg::IncompleteCholesky(n, kernel, max_rank, tol);
-  EXPECT_EQ(got.pivots, want.pivots);
-  EXPECT_TRUE(SameBits(got.g, want.g)) << "factor differs";
-  EXPECT_TRUE(SameBits(Vector{got.residual}, Vector{want.residual}))
-      << "residual differs";
+/// Forces the scalar oracle path (or re-allows SIMD) for one scope.
+class ScopedForceScalar {
+ public:
+  explicit ScopedForceScalar(bool force)
+      : prev_(simd::SetForceScalar(force)) {}
+  ~ScopedForceScalar() { simd::SetForceScalar(prev_); }
+
+ private:
+  bool prev_;
+};
+
+/// IncompleteCholesky over the Gaussian kernel of x's rows, its columns
+/// filled by ml::GaussianKernelRows as KccaModel::Train fills them.
+linalg::IncompleteCholeskyResult WholeColumnIcd(const Matrix& x, double tau,
+                                                size_t max_rank, double tol) {
+  const size_t n = x.rows();
+  const size_t dims = x.cols();
+  const double* base = x.data().data();
+  const bool use_simd = simd::Enabled();
+  Vector cols(n * std::min(max_rank, n));
+  linalg::IncompleteCholeskyResult icd;
+  linalg::IncompleteCholesky(
+      Vector(n, 1.0),
+      [&](size_t p, double* out) {
+        ml::GaussianKernelRows(base, n, dims, base + p * dims, dims, tau,
+                               use_simd, out);
+      },
+      max_rank, tol, cols.data(), &icd);
+  return icd;
+}
+
+/// The whole-column IncompleteCholesky against the per-entry reference on
+/// the Gaussian kernel of x's rows, bit for bit, with the columns filled by
+/// the SIMD and by the scalar GaussianKernelRows.
+void ExpectSameIcd(const Matrix& x, double tau, size_t max_rank, double tol) {
+  const linalg::IncompleteCholeskyResult want = reference::IncompleteCholesky(
+      x.rows(), reference::GaussianOracle(x, tau), max_rank, tol);
+  for (const bool force_scalar : {false, true}) {
+    const ScopedForceScalar scope(force_scalar);
+    const linalg::IncompleteCholeskyResult got =
+        WholeColumnIcd(x, tau, max_rank, tol);
+    EXPECT_EQ(got.pivots, want.pivots) << "scalar " << force_scalar;
+    EXPECT_TRUE(SameBits(got.g, want.g))
+        << "factor differs, scalar " << force_scalar;
+    EXPECT_TRUE(SameBits(Vector{got.residual}, Vector{want.residual}))
+        << "residual differs, scalar " << force_scalar;
+  }
+}
+
+/// Cholesky against the reference: the same verdict and, when it factors,
+/// the same jitter and L, bit for bit, on the SIMD and the scalar path.
+void ExpectSameCholesky(const Matrix& a, double max_jitter) {
+  const reference::Cholesky want = reference::Factor(a, max_jitter);
+  for (const bool force_scalar : {false, true}) {
+    const ScopedForceScalar scope(force_scalar);
+    const linalg::Cholesky got(a, max_jitter);
+    ASSERT_EQ(got.ok(), want.ok) << "scalar " << force_scalar;
+    if (!want.ok) continue;
+    EXPECT_TRUE(SameBits(Vector{got.jitter()}, Vector{want.jitter}))
+        << "jitter differs, scalar " << force_scalar;
+    EXPECT_TRUE(SameBits(got.L(), want.l))
+        << "factor differs, scalar " << force_scalar;
+  }
 }
 
 // --- Inputs -------------------------------------------------------------------
@@ -306,21 +432,6 @@ Matrix RandomPoints(size_t n, size_t dims, uint64_t seed) {
   Matrix x(n, dims);
   for (double& v : x.data()) v = rng.Gaussian();
   return x;
-}
-
-/// exp(-||x_i - x_j||^2 / tau), with an exact 1 on the diagonal: the
-/// oracle KccaModel::Train hands IncompleteCholesky.
-linalg::KernelFn GaussianOracle(const Matrix& x, double tau) {
-  return [&x, tau](size_t i, size_t j) {
-    if (i == j) return 1.0;
-    const size_t dims = x.cols();
-    double s = 0.0;
-    for (size_t c = 0; c < dims; ++c) {
-      const double d = x(i, c) - x(j, c);
-      s += d * d;
-    }
-    return std::exp(-s / tau);
-  };
 }
 
 const bench::PaperExperiment& Exp() {
@@ -344,36 +455,44 @@ Preprocessed Preprocess(const std::vector<ml::TrainingExample>& examples) {
   return {x_prep.Transform(mats.x), y_prep.Transform(mats.y)};
 }
 
+/// m with its column means subtracted, as FitCca centers.
+Matrix Centered(const Matrix& m) {
+  Vector mean(m.cols(), 0.0);
+  for (size_t j = 0; j < m.cols(); ++j) {
+    double s = 0.0;
+    for (size_t i = 0; i < m.rows(); ++i) s += m(i, j);
+    mean[j] = s / static_cast<double>(m.rows());
+  }
+  Matrix out(m.rows(), m.cols());
+  for (size_t i = 0; i < m.rows(); ++i)
+    for (size_t j = 0; j < m.cols(); ++j) out(i, j) = m(i, j) - mean[j];
+  return out;
+}
+
+/// The covariance xc^T xc / (n - 1) of centered columns, with FitCca's
+/// relative ridge on its diagonal.
+Matrix RidgedCovariance(const Matrix& xc, const Matrix& yc, double reg,
+                        bool ridge) {
+  const double inv_n = 1.0 / static_cast<double>(xc.rows() - 1);
+  Matrix c = xc.TransposeMultiply(yc).Scale(inv_n);
+  if (ridge) {
+    double mean_diag = 0.0;
+    for (size_t i = 0; i < c.rows(); ++i) mean_diag += c(i, i);
+    mean_diag /= std::max<double>(static_cast<double>(c.rows()), 1.0);
+    if (mean_diag <= 0.0) mean_diag = 1.0;
+    c.AddToDiagonal(reg * mean_diag + 1e-12);
+  }
+  return c;
+}
+
 /// FitCca's reduced problem S = M M^T, M = Lx^{-1} Cxy Ly^{-T}, step by
 /// step as FitCca computes it.
 Matrix CcaProblem(const Matrix& x, const Matrix& y, double reg) {
-  const auto center = [](const Matrix& m) {
-    Vector mean(m.cols(), 0.0);
-    for (size_t j = 0; j < m.cols(); ++j) {
-      double s = 0.0;
-      for (size_t i = 0; i < m.rows(); ++i) s += m(i, j);
-      mean[j] = s / static_cast<double>(m.rows());
-    }
-    Matrix out(m.rows(), m.cols());
-    for (size_t i = 0; i < m.rows(); ++i)
-      for (size_t j = 0; j < m.cols(); ++j) out(i, j) = m(i, j) - mean[j];
-    return out;
-  };
-  const auto ridge = [reg](Matrix* c) {
-    double mean_diag = 0.0;
-    for (size_t i = 0; i < c->rows(); ++i) mean_diag += (*c)(i, i);
-    mean_diag /= std::max<double>(static_cast<double>(c->rows()), 1.0);
-    if (mean_diag <= 0.0) mean_diag = 1.0;
-    c->AddToDiagonal(reg * mean_diag + 1e-12);
-  };
-  const Matrix xc = center(x);
-  const Matrix yc = center(y);
-  const double inv_n = 1.0 / static_cast<double>(x.rows() - 1);
-  Matrix cxx = xc.TransposeMultiply(xc).Scale(inv_n);
-  Matrix cyy = yc.TransposeMultiply(yc).Scale(inv_n);
-  const Matrix cxy = xc.TransposeMultiply(yc).Scale(inv_n);
-  ridge(&cxx);
-  ridge(&cyy);
+  const Matrix xc = Centered(x);
+  const Matrix yc = Centered(y);
+  const Matrix cxx = RidgedCovariance(xc, xc, reg, true);
+  const Matrix cyy = RidgedCovariance(yc, yc, reg, true);
+  const Matrix cxy = RidgedCovariance(xc, yc, reg, false);
   const linalg::Cholesky lx(cxx, 1e-3);
   const linalg::Cholesky ly(cyy, 1e-3);
   const Matrix u1 = lx.SolveLowerMatrix(cxy);
@@ -468,14 +587,12 @@ TEST(EigenOracleTest, BaseModelCcaProblemMatchesBitForBit) {
   // The 256 x 256 S of the seed-42 Experiment-1 base model.
   const Preprocessed p = Preprocess(Exp().train);
   const ml::KccaOptions o;
-  const linalg::IncompleteCholeskyResult icx = linalg::IncompleteCholesky(
-      p.x.rows(),
-      GaussianOracle(p.x, ml::GaussianScaleFromNorms(p.x, o.tau_factor_x)),
-      o.icd_max_rank, ml::kIcdTolerance);
-  const linalg::IncompleteCholeskyResult icy = linalg::IncompleteCholesky(
-      p.y.rows(),
-      GaussianOracle(p.y, ml::GaussianScaleFromNorms(p.y, o.tau_factor_y)),
-      o.icd_max_rank, ml::kIcdTolerance);
+  const linalg::IncompleteCholeskyResult icx = WholeColumnIcd(
+      p.x, ml::GaussianScaleFromNorms(p.x, o.tau_factor_x), o.icd_max_rank,
+      ml::kIcdTolerance);
+  const linalg::IncompleteCholeskyResult icy = WholeColumnIcd(
+      p.y, ml::GaussianScaleFromNorms(p.y, o.tau_factor_y), o.icd_max_rank,
+      ml::kIcdTolerance);
   const Matrix s = CcaProblem(icx.g, icy.g, o.kappa);
   ASSERT_EQ(s.rows(), 256u);
   // S is the matrix FitCca decomposes: same correlations, bit for bit.
@@ -535,7 +652,7 @@ TEST(IcdOracleTest, DuplicateRowsMatchBitForBit) {
   Matrix x = RandomPoints(50, 4, 21);
   for (size_t i = 25; i < 50; ++i)
     for (size_t c = 0; c < 4; ++c) x(i, c) = x(i - 25, c);
-  ExpectSameIcd(50, GaussianOracle(x, 4.0), 50, 1e-12);
+  ExpectSameIcd(x, 4.0, 50, 1e-12);
 }
 
 TEST(IcdOracleTest, RankBelowMaxRankMatchesBitForBit) {
@@ -544,19 +661,17 @@ TEST(IcdOracleTest, RankBelowMaxRankMatchesBitForBit) {
   Matrix x(36, 3);
   for (size_t i = 0; i < 36; ++i)
     for (size_t c = 0; c < 3; ++c) x(i, c) = base(i % 6, c);
-  const linalg::IncompleteCholeskyResult icd =
-      linalg::IncompleteCholesky(36, GaussianOracle(x, 3.0), 20, 1e-12);
-  EXPECT_EQ(icd.pivots.size(), 6u);
-  ExpectSameIcd(36, GaussianOracle(x, 3.0), 20, 1e-12);
+  EXPECT_EQ(WholeColumnIcd(x, 3.0, 20, 1e-12).pivots.size(), 6u);
+  ExpectSameIcd(x, 3.0, 20, 1e-12);
 }
 
 TEST(IcdOracleTest, StopsOnTolAndMatchesBitForBit) {
   const Matrix x = RandomPoints(80, 5, 23);
   const linalg::IncompleteCholeskyResult icd =
-      linalg::IncompleteCholesky(80, GaussianOracle(x, 20.0), 80, 1e-3);
+      WholeColumnIcd(x, 20.0, 80, 1e-3);
   EXPECT_LT(icd.pivots.size(), 80u);
   EXPECT_LE(icd.residual, 1e-3);
-  ExpectSameIcd(80, GaussianOracle(x, 20.0), 80, 1e-3);
+  ExpectSameIcd(x, 20.0, 80, 1e-3);
 }
 
 TEST(IcdOracleTest, BaseModelKernelsMatchBitForBit) {
@@ -564,14 +679,120 @@ TEST(IcdOracleTest, BaseModelKernelsMatchBitForBit) {
   // max_rank, y on the tolerance.
   const Preprocessed p = Preprocess(Exp().train);
   const ml::KccaOptions o;
-  ExpectSameIcd(
-      p.x.rows(),
-      GaussianOracle(p.x, ml::GaussianScaleFromNorms(p.x, o.tau_factor_x)),
-      o.icd_max_rank, ml::kIcdTolerance);
-  ExpectSameIcd(
-      p.y.rows(),
-      GaussianOracle(p.y, ml::GaussianScaleFromNorms(p.y, o.tau_factor_y)),
-      o.icd_max_rank, ml::kIcdTolerance);
+  ExpectSameIcd(p.x, ml::GaussianScaleFromNorms(p.x, o.tau_factor_x),
+                o.icd_max_rank, ml::kIcdTolerance);
+  ExpectSameIcd(p.y, ml::GaussianScaleFromNorms(p.y, o.tau_factor_y),
+                o.icd_max_rank, ml::kIcdTolerance);
+}
+
+// --- Cholesky -----------------------------------------------------------------
+
+/// B B^T + n I, with the strict upper triangle then perturbed: the
+/// factorization reads a's lower triangle only, so both sides must ignore it.
+Matrix RandomSpd(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Matrix b(n, n);
+  for (double& v : b.data()) v = rng.Gaussian();
+  Matrix a = b.MultiplyTranspose(b);
+  a.AddToDiagonal(static_cast<double>(n));
+  for (size_t i = 0; i < n; ++i)
+    for (size_t j = i + 1; j < n; ++j) a(i, j) += rng.Uniform(-1e-3, 1e-3);
+  return a;
+}
+
+class CholeskyOracleTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(CholeskyOracleTest, SpdMatchesRowAtATimeBitForBit) {
+  ExpectSameCholesky(RandomSpd(GetParam(), 500 + GetParam()), 1e-6);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyOracleTest,
+                         ::testing::Values(1, 2, 3, 17, 64, 256));
+
+TEST(CholeskyOracleTest, RankDeficientGramNeedsJitterAndMatches) {
+  // A 40 x 40 Gram matrix of rank 5: the unjittered attempt fails.
+  const Matrix x = RandomPoints(40, 5, 31);
+  const Matrix a = x.MultiplyTranspose(x);
+  const reference::Cholesky want = reference::Factor(a, 1e-2);
+  ASSERT_TRUE(want.ok);
+  EXPECT_GT(want.jitter, 0.0);
+  ExpectSameCholesky(a, 1e-2);
+}
+
+TEST(CholeskyOracleTest, IndefiniteMatrixFailsOnBothSides) {
+  Matrix a = RandomSpd(9, 32);
+  a(6, 6) = -50.0;
+  EXPECT_FALSE(reference::Factor(a, 1e-6).ok);
+  ExpectSameCholesky(a, 1e-6);
+}
+
+TEST(CholeskyOracleTest, BaseModelCovarianceMatchesBitForBit) {
+  // FitCca's ridged 256 x 256 Cxx of the seed-42 Experiment-1 base model.
+  const Preprocessed p = Preprocess(Exp().train);
+  const ml::KccaOptions o;
+  const linalg::IncompleteCholeskyResult icx = WholeColumnIcd(
+      p.x, ml::GaussianScaleFromNorms(p.x, o.tau_factor_x), o.icd_max_rank,
+      ml::kIcdTolerance);
+  const Matrix gc = Centered(icx.g);
+  const Matrix cxx = RidgedCovariance(gc, gc, o.kappa, true);
+  ASSERT_EQ(cxx.rows(), 256u);
+  ExpectSameCholesky(cxx, 1e-3);
+}
+
+/// SolveLowerMatrix against SolveLower one column at a time, bit for bit, on
+/// the SIMD and the scalar path.
+void ExpectSameSolve(const linalg::Cholesky& chol, const Matrix& b) {
+  Matrix want(b.rows(), b.cols());
+  for (size_t c = 0; c < b.cols(); ++c) {
+    const Vector col = chol.SolveLower(b.Col(c));
+    for (size_t r = 0; r < b.rows(); ++r) want(r, c) = col[r];
+  }
+  for (const bool force_scalar : {false, true}) {
+    const ScopedForceScalar scope(force_scalar);
+    EXPECT_TRUE(SameBits(chol.SolveLowerMatrix(b), want))
+        << b.rows() << " x " << b.cols() << ", scalar " << force_scalar;
+  }
+}
+
+TEST(CholeskyOracleTest, SolveLowerMatrixMatchesColumnAtATime) {
+  // Column counts over every residue mod the lane width, on both sides of
+  // the inline/parallel split at n * n * cols = 2^15: at n = 17 every count
+  // here runs inline, at n = 64 every count (8 or more) in parallel chunks.
+  const size_t lanes = simd::CompiledLanes();
+  for (const size_t n : {17u, 64u}) {
+    const linalg::Cholesky chol(RandomSpd(n, 600 + n));
+    ASSERT_TRUE(chol.ok());
+    const size_t first = n == 17 ? 1 : 8;
+    for (size_t cols = first; cols <= first + 2 * lanes + 1; ++cols) {
+      ExpectSameSolve(chol, RandomPoints(n, cols, 700 + cols));
+    }
+  }
+  // The base model's shape: a 256 x 256 factor against 256 columns.
+  const linalg::Cholesky chol(RandomSpd(256, 601));
+  ASSERT_TRUE(chol.ok());
+  ExpectSameSolve(chol, RandomPoints(256, 256, 702));
+}
+
+// --- KccaModel::Train --------------------------------------------------------
+
+TEST(KccaTrainOracleTest, IcdPairSavesTheSameBytesAtEveryPoolSize) {
+  // The base model's x and y factorizations run as one two-chunk region:
+  // inline at one thread, side by side at two and four.
+  const Preprocessed p = Preprocess(Exp().train);
+  const ml::KccaOptions o;
+  std::vector<std::string> bytes;
+  for (const size_t threads : {1u, 2u, 4u}) {
+    par::SetGlobalThreads(threads);
+    const ml::KccaModel model = ml::KccaModel::Train(p.x, p.y, o);
+    ASSERT_EQ(model.solver_used(), ml::KccaSolver::kIcd);
+    std::ostringstream os;
+    BinaryWriter w(os);
+    model.Save(&w);
+    bytes.push_back(os.str());
+  }
+  par::SetGlobalThreads(par::DefaultThreads());
+  EXPECT_EQ(bytes[1], bytes[0]) << "2 threads";
+  EXPECT_EQ(bytes[2], bytes[0]) << "4 threads";
 }
 
 }  // namespace

@@ -1,9 +1,22 @@
 # Runs qpp_tool with bad arguments and checks each is refused with exit
-# code 2, the offending name on stderr, and the usage text, and that a
-# refused chaos run saves no plan.
+# code 2, every expected string on stderr (a case lists them after "=>"),
+# and the usage text, and that a refused chaos run saves no plan.
 #   cmake -DQPP_TOOL=path/to/qpp_tool -P check_bad_arguments.cmake
 set(refused "${CMAKE_CURRENT_BINARY_DIR}/refused.plan")
+# A fabric-soak plan sized for 1000 requests (kill after 50 picks), which a
+# 2000-request replay (kill after 100) must refuse. The saving run itself
+# reports violations (a soak that short is below its 10k floor), but it
+# saves the plan first.
+set(soak_plan "${CMAKE_CURRENT_BINARY_DIR}/soak-1000.plan")
+file(REMOVE "${soak_plan}")
+execute_process(COMMAND ${QPP_TOOL} chaos --fabric-soak --requests 1000
+                        --save-plan ${soak_plan}
+                OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT EXISTS "${soak_plan}")
+  message(FATAL_ERROR "qpp_tool chaos --fabric-soak saved no plan\n${err}")
+endif()
 set(cases
+  "chaos|--fabric-soak|--requests|2000|--plan|${soak_plan}=>after 50 picks=>kills after 100"
   "pools|--candidates|300|--seed|3|--candidatez|5=>--candidatez"
   "chaos|--seed|42|--soak|1=>'1'"
   "chaos|--seed|7|--save-plan|${refused}=>--save-plan"
@@ -17,23 +30,25 @@ set(cases
 file(REMOVE "${refused}")
 foreach(case IN LISTS cases)
   string(REPLACE "=>" ";" parts "${case}")
-  list(GET parts 0 argv)
-  list(GET parts 1 want)
+  list(POP_FRONT parts argv)
   string(REPLACE "|" ";" argv "${argv}")
   execute_process(COMMAND ${QPP_TOOL} ${argv}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 2)
     message(FATAL_ERROR "qpp_tool ${argv}: exit ${rc}, want 2\n${out}${err}")
   endif()
-  string(FIND "${err}" "${want}" at)
-  if(at EQUAL -1)
-    message(FATAL_ERROR "qpp_tool ${argv}: stderr does not name ${want}\n${err}")
-  endif()
+  foreach(want IN LISTS parts)
+    string(FIND "${err}" "${want}" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "qpp_tool ${argv}: stderr does not name ${want}\n${err}")
+    endif()
+  endforeach()
   string(FIND "${err}" "usage:" at)
   if(at EQUAL -1)
     message(FATAL_ERROR "qpp_tool ${argv}: no usage text\n${err}")
   endif()
 endforeach()
+file(REMOVE "${soak_plan}")
 if(EXISTS "${refused}")
   message(FATAL_ERROR "a refused chaos run saved ${refused}")
 endif()

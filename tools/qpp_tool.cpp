@@ -666,6 +666,24 @@ int CmdChaos(const Args& args) {
       return 1;
     }
     opts.plan = loaded.value();
+    // The fabric soak sizes its counted replica kill to --requests, which
+    // the plan file does not record: a plan saved at another size would
+    // never fire its kill, so refuse it instead of running a failing soak.
+    if (run == "fabric-soak") {
+      const uint64_t saved = opts.plan->serve.replica_kill_after_picks;
+      const uint64_t sized =
+          fault::ChaosScenarioPlan(run, opts)->serve.replica_kill_after_picks;
+      if (saved != sized) {
+        std::fprintf(stderr,
+                     "error: --plan %s kills its replica after %llu picks, "
+                     "but a fabric soak of --requests %llu kills after %llu; "
+                     "replay it at the --requests it was saved with\n",
+                     plan_path.c_str(), static_cast<unsigned long long>(saved),
+                     static_cast<unsigned long long>(opts.requests),
+                     static_cast<unsigned long long>(sized));
+        return Usage();
+      }
+    }
   } else if (!save_path.empty()) {
     opts.plan = fault::ChaosScenarioPlan(run, opts);
   }
