@@ -5,16 +5,6 @@
 
 namespace qpp::catalog {
 
-const char* ColumnTypeName(ColumnType t) {
-  switch (t) {
-    case ColumnType::kInt: return "INT";
-    case ColumnType::kDouble: return "DOUBLE";
-    case ColumnType::kString: return "STRING";
-    case ColumnType::kDate: return "DATE";
-  }
-  return "?";
-}
-
 double Table::RowWidthBytes() const {
   double w = 0.0;
   for (const Column& c : columns) w += c.avg_width_bytes;
@@ -48,12 +38,6 @@ const Table& Catalog::GetTable(const std::string& name) const {
   const Table* t = FindTable(name);
   QPP_CHECK_MSG(t != nullptr, "unknown table: " << name);
   return *t;
-}
-
-double Catalog::TotalBytes() const {
-  double total = 0.0;
-  for (const Table& t : tables_) total += t.row_count * t.RowWidthBytes();
-  return total;
 }
 
 Column MakeColumn(std::string name, ColumnType type, double ndv,

@@ -24,8 +24,6 @@ namespace qpp::catalog {
 /// types matter only for statistics and predicate selectivity modeling.
 enum class ColumnType { kInt, kDouble, kString, kDate };
 
-const char* ColumnTypeName(ColumnType t);
-
 /// Per-column statistics, the optimizer's only knowledge about data.
 struct Column {
   std::string name;
@@ -75,9 +73,6 @@ class Catalog {
 
   /// All tables in registration order.
   const std::vector<Table>& tables() const { return tables_; }
-
-  /// Total data volume in bytes across all tables.
-  double TotalBytes() const;
 
  private:
   std::string name_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
 
 #include "common/check.h"
 
@@ -88,6 +89,37 @@ std::vector<double> BinaryReader::ReadDoubles() {
     done += step;
   }
   return v;
+}
+
+Status WriteFile(const std::string& path, const char* what,
+                 const std::function<void(std::ostream&)>& write) {
+  std::ofstream os(path, std::ios::binary);
+  if (!os.good()) return Status::Error("cannot open for write: " + path);
+  try {
+    write(os);
+  } catch (const CheckFailure& e) {
+    return Status::Error(std::string(what) + " write failed: " + e.what());
+  }
+  os.flush();
+  if (!os.good()) return Status::Error("write failed: " + path);
+  return Status::Ok();
+}
+
+Status ReadFileWith(const std::string& path, const char* what,
+                    const std::function<Status(std::istream&)>& read) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is.good()) return Status::Error("cannot open for read: " + path);
+  try {
+    const Status st = read(is);
+    if (!st.ok()) return st;
+  } catch (const CheckFailure& e) {
+    return Status::Error(std::string(what) + " read failed: " + e.what());
+  }
+  if (is.peek() != std::char_traits<char>::eof()) {
+    return Status::Error(std::string(what) + " read failed: trailing bytes "
+                         "after the " + what);
+  }
+  return Status::Ok();
 }
 
 }  // namespace qpp

@@ -10,10 +10,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <ostream>
+#include <functional>
 #include <istream>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
+
+#include "common/status.h"
 
 namespace qpp {
 
@@ -59,5 +63,28 @@ class BinaryReader {
   void ReadRaw(void* p, size_t n);
   std::istream& is_;
 };
+
+// The file boundary of the binary formats (models, plans, fault plans).
+// WriteFile opens `path`, runs `write` on the stream and flushes it.
+// ReadFile opens `path` and runs `read`, which must consume the whole file.
+// An open or stream failure, a CheckFailure thrown by the callback, an
+// error the callback returns, and bytes after what it read all come back
+// as an error Status; `what` names the format in the message.
+Status WriteFile(const std::string& path, const char* what,
+                 const std::function<void(std::ostream&)>& write);
+Status ReadFileWith(const std::string& path, const char* what,
+                    const std::function<Status(std::istream&)>& read);
+
+template <typename T>
+Result<T> ReadFile(const std::string& path, const char* what,
+                   const std::function<Result<T>(std::istream&)>& read) {
+  std::optional<Result<T>> out;
+  const Status st = ReadFileWith(path, what, [&](std::istream& is) {
+    out.emplace(read(is));
+    return out->status();
+  });
+  if (!st.ok()) return st;
+  return std::move(*out);
+}
 
 }  // namespace qpp

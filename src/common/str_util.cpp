@@ -46,31 +46,6 @@ bool LessIgnoreCaseAscii::operator()(std::string_view a,
   return a.size() < b.size();
 }
 
-std::string Join(const std::vector<std::string>& parts,
-                 const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

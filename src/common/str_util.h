@@ -23,13 +23,6 @@ struct LessIgnoreCaseAscii {
   bool operator()(std::string_view a, std::string_view b) const;
 };
 
-/// Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts,
-                 const std::string& sep);
-
-/// Splits on a single-character separator; keeps empty fields.
-std::vector<std::string> Split(const std::string& s, char sep);
-
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -1,30 +1,18 @@
 #include "core/model_io.h"
 
-#include <fstream>
+#include "common/serde.h"
 
 namespace qpp::core {
 
 Status SaveModelFile(const Predictor& predictor, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os.good()) return Status::Error("cannot open for write: " + path);
-  try {
-    predictor.Save(&os);
-  } catch (const CheckFailure& e) {
-    return Status::Error(std::string("model write failed: ") + e.what());
-  }
-  os.flush();
-  if (!os.good()) return Status::Error("write failed: " + path);
-  return Status::Ok();
+  return WriteFile(path, "model",
+                   [&](std::ostream& os) { predictor.Save(&os); });
 }
 
 Result<Predictor> LoadModelFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return Status::Error("cannot open for read: " + path);
-  try {
+  return ReadFile<Predictor>(path, "model", [](std::istream& is) {
     return Predictor::Load(&is);
-  } catch (const CheckFailure& e) {
-    return Status::Error(std::string("model read failed: ") + e.what());
-  }
+  });
 }
 
 }  // namespace qpp::core

@@ -11,7 +11,7 @@ namespace qpp::core {
 /// Writes a trained predictor to `path` (binary format, versioned).
 Status SaveModelFile(const Predictor& predictor, const std::string& path);
 
-/// Loads a predictor from `path`.
+/// Loads a predictor from `path`: the file must hold exactly one model.
 Result<Predictor> LoadModelFile(const std::string& path);
 
 }  // namespace qpp::core

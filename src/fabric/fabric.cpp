@@ -9,22 +9,11 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/str_util.h"
-#include "serve/cost_fallback.h"
+#include "obs/json_util.h"
 
 namespace qpp::fabric {
 
 namespace {
-
-obs::TraceEvent InstantEvent(obs::TraceRecorder* trace, const char* name) {
-  obs::TraceEvent e;
-  e.phase = 'i';
-  e.name = name;
-  e.category = "fabric";
-  e.pid = obs::TraceRecorder::kServicePid;
-  e.tid = trace->CurrentThreadTid();
-  e.ts_us = trace->NowMicros();
-  return e;
-}
 
 size_t PoolIndex(workload::QueryType pool) {
   return static_cast<size_t>(pool);
@@ -225,23 +214,6 @@ Fabric::Fabric(FabricConfig config, serve::CostCalibration calibration)
     // the injector outlives the fabric per the config contract.
     faults_->set_flight_recorder(&flight_);
   }
-  if (faults_ != nullptr && faults_->plan().serve.replica_targeted()) {
-    // Default kill semantics: the targeted replica drops dead and loses
-    // its model — the rest of its group absorbs the traffic. The harness
-    // may overwrite this hook with its own.
-    const std::string& target = faults_->plan().serve.target_replica_label;
-    for (auto& group : groups_) {
-      for (size_t i = 0; i < group->replicas.size(); ++i) {
-        if (group->replicas[i]->label != target) continue;
-        Replica* replica = group->replicas[i].get();
-        faults_->set_replica_kill_hook([replica] {
-          replica->health.store(ReplicaHealth::kDead,
-                                std::memory_order_relaxed);
-          replica->registry->Unpublish();
-        });
-      }
-    }
-  }
 }
 
 Fabric::~Fabric() {
@@ -276,51 +248,45 @@ void Fabric::Shutdown() {
   });
 }
 
-serve::ModelRegistry* Fabric::registry(const std::string& group,
-                                       size_t replica) {
-  for (auto& g : groups_) {
-    if (g->spec.name != group) continue;
-    if (replica >= g->replicas.size()) return nullptr;
-    return g->replicas[replica]->registry.get();
+Fabric::Group* Fabric::FindGroup(const std::string& name) const {
+  for (const auto& g : groups_) {
+    if (g->spec.name == name) return g.get();
   }
   return nullptr;
+}
+
+serve::ModelRegistry* Fabric::registry(const std::string& group,
+                                       size_t replica) {
+  const Group* g = FindGroup(group);
+  if (g == nullptr || replica >= g->replicas.size()) return nullptr;
+  return g->replicas[replica]->registry.get();
 }
 
 serve::PredictionService* Fabric::service(const std::string& group,
                                           size_t replica) {
-  for (auto& g : groups_) {
-    if (g->spec.name != group) continue;
-    if (replica >= g->replicas.size()) return nullptr;
-    return g->replicas[replica]->service.get();
-  }
-  return nullptr;
+  const Group* g = FindGroup(group);
+  if (g == nullptr || replica >= g->replicas.size()) return nullptr;
+  return g->replicas[replica]->service.get();
 }
 
 ReplicaHealth Fabric::health(const std::string& group, size_t replica) const {
-  for (const auto& g : groups_) {
-    if (g->spec.name != group) continue;
-    QPP_CHECK(replica < g->replicas.size());
-    return g->replicas[replica]->health.load(std::memory_order_relaxed);
-  }
-  QPP_CHECK_MSG(false, "unknown group: " << group);
-  return ReplicaHealth::kDead;
+  const Group* g = FindGroup(group);
+  QPP_CHECK_MSG(g != nullptr, "unknown group: " << group);
+  QPP_CHECK(replica < g->replicas.size());
+  return g->replicas[replica]->health.load(std::memory_order_relaxed);
 }
 
 void Fabric::SetReplicaHealth(const std::string& group, size_t replica,
                               ReplicaHealth health) {
-  for (auto& g : groups_) {
-    if (g->spec.name != group) continue;
-    QPP_CHECK(replica < g->replicas.size());
-    g->replicas[replica]->health.store(health, std::memory_order_relaxed);
-    flight_.Record(obs::FlightEventKind::kHealthChange, /*trace_id=*/0,
-                   static_cast<int32_t>(health), 0.0,
-                   g->replicas[replica]->label);
-    TraceInstant("health", "replica",
-                 g->replicas[replica]->label + "=" +
-                     ReplicaHealthName(health));
-    return;
-  }
-  QPP_CHECK_MSG(false, "unknown group: " << group);
+  const Group* g = FindGroup(group);
+  QPP_CHECK_MSG(g != nullptr, "unknown group: " << group);
+  QPP_CHECK(replica < g->replicas.size());
+  Replica* r = g->replicas[replica].get();
+  r->health.store(health, std::memory_order_relaxed);
+  flight_.Record(obs::FlightEventKind::kHealthChange, /*trace_id=*/0,
+                 static_cast<int32_t>(health), 0.0, r->label);
+  TraceInstant("health", "replica",
+               r->label + "=" + ReplicaHealthName(health));
 }
 
 bool Fabric::DrainSwapRevive(const std::string& group, size_t replica,
@@ -347,10 +313,8 @@ bool Fabric::DrainSwapRevive(const std::string& group, size_t replica,
 }
 
 size_t Fabric::replica_count(const std::string& group) const {
-  for (const auto& g : groups_) {
-    if (g->spec.name == group) return g->replicas.size();
-  }
-  return 0;
+  const Group* g = FindGroup(group);
+  return g == nullptr ? 0 : g->replicas.size();
 }
 
 const std::string& Fabric::catch_all_name() const {
@@ -468,17 +432,10 @@ Fabric::Replica* Fabric::PickReplica(Group* group, bool require_model,
   return (draw_b >> 63) != 0 ? b : a;
 }
 
-void Fabric::TraceInstant(const char* name, const std::string& detail_key,
+void Fabric::TraceInstant(const char* name, const char* detail_key,
                           const std::string& detail) {
   if (trace_ == nullptr) return;
-  obs::TraceEvent e = InstantEvent(trace_, name);
-  e.args.emplace_back(detail_key, std::string("\"") + detail + "\"");
-  const obs::RequestContext& ctx = obs::CurrentRequestContext();
-  if (ctx.valid()) {
-    e.args.emplace_back("trace_id",
-                        "\"" + obs::TraceIdHex(ctx.trace_id) + "\"");
-  }
-  trace_->Add(std::move(e));
+  trace_->Instant(name, "fabric", {{detail_key, obs::JsonString(detail)}});
 }
 
 void Fabric::RespondShed(const serve::ServeRequest& request,
@@ -488,35 +445,19 @@ void Fabric::RespondShed(const serve::ServeRequest& request,
   TraceInstant("admission-shed", "pool", workload::QueryTypeName(pool));
   flight_.Record(obs::FlightEventKind::kFallback, request.ctx.trace_id,
                  static_cast<int32_t>(pool), 0.0, "admission-shed");
-  serve::ServeResponse response;
-  response.prediction = serve::FallbackPrediction(
-      calibration_, request.optimizer_cost, /*anomalous=*/false);
-  response.source = serve::ResponseSource::kOptimizerFallback;
-  response.degraded_reason = "admission-shed";
-  response.trace_id = request.ctx.trace_id;
-  promise->set_value(std::move(response));
+  promise->set_value(
+      serve::FallbackResponse(calibration_, request, "admission-shed"));
 }
 
 void Fabric::RespondExhausted(const serve::ServeRequest& request,
                               std::promise<serve::ServeResponse>* promise) {
   fallback_exhausted_->Inc();
-  if (trace_ != nullptr) {
-    obs::TraceEvent e = InstantEvent(trace_, "exhausted");
-    if (request.ctx.valid()) {
-      e.args.emplace_back(
-          "trace_id", "\"" + obs::TraceIdHex(request.ctx.trace_id) + "\"");
-    }
-    trace_->Add(std::move(e));
-  }
+  // Dispatch installed the request's context, so the event carries its id.
+  if (trace_ != nullptr) trace_->Instant("exhausted", "fabric");
   flight_.Record(obs::FlightEventKind::kFallback, request.ctx.trace_id,
                  /*code=*/0, 0.0, "fabric-exhausted");
-  serve::ServeResponse response;
-  response.prediction = serve::FallbackPrediction(
-      calibration_, request.optimizer_cost, /*anomalous=*/false);
-  response.source = serve::ResponseSource::kOptimizerFallback;
-  response.degraded_reason = "fabric-exhausted";
-  response.trace_id = request.ctx.trace_id;
-  promise->set_value(std::move(response));
+  promise->set_value(
+      serve::FallbackResponse(calibration_, request, "fabric-exhausted"));
 }
 
 void Fabric::Dispatch(const serve::ServeRequest& request,
@@ -536,12 +477,9 @@ void Fabric::Dispatch(const serve::ServeRequest& request,
       replica->picks->Inc();
       flight_.Record(obs::FlightEventKind::kPick, request.ctx.trace_id,
                      /*code=*/0, 0.0, replica->label);
-      if (faults_ != nullptr && faults_->serve_enabled() &&
-          faults_->NextReplicaKill(replica->label)) {
-        // Fires before the dispatch below so the Nth pick is also the
-        // first one the dead replica forces to re-route.
-        faults_->FireReplicaKill();
-      }
+      // Fires before the dispatch below so the Nth pick is also the first
+      // one the dead replica forces to re-route.
+      MaybeKill(replica);
       if (replica->health.load(std::memory_order_relaxed) ==
               ReplicaHealth::kUp &&
           replica->registry->has_model() &&
@@ -576,10 +514,7 @@ void Fabric::Dispatch(const serve::ServeRequest& request,
     replica->picks->Inc();
     flight_.Record(obs::FlightEventKind::kPick, request.ctx.trace_id,
                    /*code=*/0, 0.0, replica->label);
-    if (faults_ != nullptr && faults_->serve_enabled() &&
-        faults_->NextReplicaKill(replica->label)) {
-      faults_->FireReplicaKill();
-    }
+    MaybeKill(replica);
     if (replica->health.load(std::memory_order_relaxed) !=
             ReplicaHealth::kDead &&
         replica->service->TrySubmit(request, promise)) {
@@ -588,6 +523,18 @@ void Fabric::Dispatch(const serve::ServeRequest& request,
   }
   // Bottom of the ladder: no catch-all replica could take it.
   RespondExhausted(request, promise);
+}
+
+void Fabric::MaybeKill(Replica* replica) {
+  if (faults_ == nullptr || !faults_->serve_enabled() ||
+      !faults_->NextReplicaKill(replica->label)) {
+    return;
+  }
+  // The injected kill: the replica drops dead and loses its model (its
+  // registry keeps the generation count); its group peers absorb the
+  // traffic.
+  replica->health.store(ReplicaHealth::kDead, std::memory_order_relaxed);
+  replica->registry->Unpublish();
 }
 
 void Fabric::DrainDeferred() {

@@ -176,8 +176,8 @@ class Fabric {
  public:
   /// The calibration backs the admission-shed response and the final
   /// fallback rung. If `config.faults` carries a replica-targeted plan
-  /// naming one of our replicas, a default kill hook (mark it dead and
-  /// unpublish its registry) is installed unless the harness set its own.
+  /// naming one of our replicas, the pick its counted kill names marks
+  /// that replica dead and unpublishes its registry.
   explicit Fabric(FabricConfig config,
                   serve::CostCalibration calibration = {});
   ~Fabric();
@@ -274,6 +274,8 @@ class Fabric {
 
   RouteVerdict Classify(const serve::ServeRequest& request);
   Group* GroupFor(workload::QueryType pool);
+  /// The group named `name`, or null.
+  Group* FindGroup(const std::string& name) const;
   /// P2C pick among eligible replicas; null (with `reason` = "dead" or
   /// "circuit-open") when none is eligible. `require_model` is false for
   /// the catch-all, whose replicas answer the labeled no-model fallback
@@ -289,8 +291,11 @@ class Fabric {
                    workload::QueryType pool);
   void RespondExhausted(const serve::ServeRequest& request,
                         std::promise<serve::ServeResponse>* promise);
+  /// Applies the fault plan's replica kill when `replica`'s pick is the
+  /// one NextReplicaKill names.
+  void MaybeKill(Replica* replica);
   void DrainDeferred();
-  void TraceInstant(const char* name, const std::string& detail_key,
+  void TraceInstant(const char* name, const char* detail_key,
                     const std::string& detail);
 
   const AdmissionConfig admission_config_;

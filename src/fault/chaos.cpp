@@ -220,7 +220,7 @@ fabric::FabricConfig RigFabricConfig(size_t replicas, size_t cache_capacity,
   service.fallback_on_anomalous = false;  // bit-compare healthy paths
   fabric::FabricConfig config =
       fabric::MakePerPoolFabricConfig(replicas, service);
-  config.faults = faults;  // installs the default replica-kill hook
+  config.faults = faults;  // the fabric applies the plan's replica kill
   config.p2c_seed = SplitMix64(seed ^ 0xFAB51Cull);
   return config;
 }
@@ -1049,7 +1049,7 @@ void RunFabricSoak(const FaultPlan& plan, const ChaosOptions& opts,
                    ScenarioResult* result) {
   Violations v(result);
   const size_t requests = opts.requests;
-  v.Check(requests >= 10000,
+  v.Check(requests >= kFabricSoakMinRequests,
           "fabric soak needs >= 10k requests for its fault schedule");
   FaultInjector injector(plan);
   fabric::FabricConfig config =

@@ -130,11 +130,14 @@ std::optional<FaultPlan> ChaosScenarioPlan(const std::string& name,
 /// row's plan).
 FaultPlan RandomFaultPlan(uint64_t seed);
 
+/// The fabric soak's request floor: with fewer requests its counted replica
+/// kill never fires, so a shorter run can only fail.
+inline constexpr size_t kFabricSoakMinRequests = 10000;
+
 /// Runs one row — a scenario, "soak" or "fabric-soak" — under
 /// options.plan, or the row's own plan when that is unset. An unknown name
 /// yields a result with a violation (never a crash), so the CLI can report
-/// it uniformly. The fabric soak needs at least 10k requests for its
-/// counted replica kill to fire; fewer is a violation.
+/// it uniformly. A fabric soak below kFabricSoakMinRequests is a violation.
 ScenarioResult RunChaosScenario(const std::string& name,
                                 const ChaosOptions& options);
 

@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "obs/json_util.h"
-#include "obs/request_context.h"
 
 namespace qpp::fault {
 
@@ -57,22 +56,9 @@ void FaultInjector::Record(KindIndex kind, const char* detail) const {
                                      : std::string_view(kinds_[kind].name));
   }
   if (trace_ != nullptr) {
-    obs::TraceEvent e;
-    e.phase = 'i';
-    e.name = kinds_[kind].name;
-    e.category = "fault";
-    e.pid = obs::TraceRecorder::kServicePid;
-    e.tid = trace_->CurrentThreadTid();
-    e.ts_us = trace_->NowMicros();
-    if (detail != nullptr) {
-      e.args.emplace_back("detail", std::string("\"") + detail + "\"");
-    }
-    const obs::RequestContext& ctx = obs::CurrentRequestContext();
-    if (ctx.valid()) {
-      e.args.emplace_back("trace_id",
-                          obs::JsonString(obs::TraceIdHex(ctx.trace_id)));
-    }
-    trace_->Add(std::move(e));
+    obs::TraceArgs args;
+    if (detail != nullptr) args.emplace_back("detail", obs::JsonString(detail));
+    trace_->Instant(kinds_[kind].name, "fault", std::move(args));
   }
 }
 
@@ -184,25 +170,12 @@ bool FaultInjector::NextReplicaKill(const std::string& label) {
   }
   // Counted, not sampled: the (spec.replica_kill_after_picks)-th pick of
   // the target replica is the one that kills it.
-  return replica_pick_seq_.fetch_add(1, std::memory_order_relaxed) + 1 ==
-         spec.replica_kill_after_picks;
-}
-
-void FaultInjector::FireReplicaKill() {
-  std::function<void()> hook;
-  {
-    std::lock_guard<std::mutex> lock(hook_mu_);
-    hook = replica_kill_hook_;
+  if (replica_pick_seq_.fetch_add(1, std::memory_order_relaxed) + 1 !=
+      spec.replica_kill_after_picks) {
+    return false;
   }
-  if (hook) {
-    Record(kReplicaKill, plan_.serve.target_replica_label.c_str());
-    hook();
-  }
-}
-
-void FaultInjector::set_replica_kill_hook(std::function<void()> hook) {
-  std::lock_guard<std::mutex> lock(hook_mu_);
-  replica_kill_hook_ = std::move(hook);
+  Record(kReplicaKill, spec.target_replica_label.c_str());
+  return true;
 }
 
 FaultInjector::BatchFaults FaultInjector::NextReplicaBatchFaults(

@@ -116,16 +116,11 @@ class FaultInjector {
   /// One decision per fabric pick of the replica labeled `label`
   /// ("group#index"): true exactly once, when the plan's target replica
   /// has been picked its configured Nth time (a counted decision —
-  /// deterministic under sequential driving, and independent of the seed).
-  /// Calls for non-target replicas return false without consuming the
-  /// counter.
+  /// deterministic under sequential driving, and independent of the seed),
+  /// and then records the replica_kill injection; the fabric marks the
+  /// replica dead and unpublishes its model. Calls for non-target replicas
+  /// return false without consuming the counter.
   bool NextReplicaKill(const std::string& label);
-
-  /// Called by the fabric when NextReplicaKill said kill; invokes the hook
-  /// (typically Fabric's default hook: mark the replica dead and unpublish
-  /// its registry) and records the injection.
-  void FireReplicaKill();
-  void set_replica_kill_hook(std::function<void()> hook);
 
   /// One decision per micro-batch picked up by the replica labeled
   /// `label`; only the plan's target replica ever stalls. Consumes the
@@ -201,7 +196,6 @@ class FaultInjector {
   std::atomic<uint64_t> candidate_seq_{0};
   std::mutex hook_mu_;
   std::function<void()> swap_hook_;
-  std::function<void()> replica_kill_hook_;
 };
 
 }  // namespace qpp::fault

@@ -1,6 +1,5 @@
 #include "fault/fault_plan.h"
 
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -144,32 +143,17 @@ std::string FaultPlan::ToString() const {
 }
 
 Status SaveFaultPlanFile(const FaultPlan& plan, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os.good()) return Status::Error("cannot open for write: " + path);
-  try {
+  return WriteFile(path, "fault plan", [&](std::ostream& os) {
     BinaryWriter w(os);
     plan.Write(&w);
-  } catch (const CheckFailure& e) {
-    return Status::Error(std::string("fault plan write failed: ") + e.what());
-  }
-  os.flush();
-  if (!os.good()) return Status::Error("write failed: " + path);
-  return Status::Ok();
+  });
 }
 
 Result<FaultPlan> LoadFaultPlanFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return Status::Error("cannot open for read: " + path);
-  try {
+  return ReadFile<FaultPlan>(path, "fault plan", [](std::istream& is) {
     BinaryReader r(is);
-    FaultPlan plan = FaultPlan::Read(&r);
-    if (is.peek() != std::char_traits<char>::eof()) {
-      return Status::Error("fault plan read failed: bytes after the plan");
-    }
-    return plan;
-  } catch (const CheckFailure& e) {
-    return Status::Error(std::string("fault plan read failed: ") + e.what());
-  }
+    return FaultPlan::Read(&r);
+  });
 }
 
 }  // namespace qpp::fault

@@ -90,9 +90,9 @@ struct ServeFaultSpec {
 
   /// Replica whose registry/workers the faults below aim at.
   std::string target_replica_label;
-  /// Kill the target replica (fire the replica-kill hook: health -> dead,
-  /// registry unpublished) when the fabric picks it for the Nth time — a
-  /// counted, not sampled, decision, so the kill lands on the same pick
+  /// Kill the target replica (the fabric sets its health to dead and
+  /// unpublishes its registry) when the fabric picks it for the Nth time —
+  /// a counted, not sampled, decision, so the kill lands on the same pick
   /// under any seed. 0 disables.
   uint64_t replica_kill_after_picks = 0;
   /// Per-batch probability that a target-replica worker stalls; same

@@ -12,16 +12,6 @@ void DecisionLog::Append(Decision d) {
   entries_.push_back(std::move(d));
 }
 
-std::vector<Decision> DecisionLog::Entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_;
-}
-
-size_t DecisionLog::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
 uint64_t DecisionLog::CountEvent(const std::string& event) const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t n = 0;

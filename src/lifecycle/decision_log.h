@@ -37,9 +37,6 @@ class DecisionLog {
   /// Appends one entry; `sequence` is assigned here (1, 2, ...).
   void Append(Decision d);
 
-  std::vector<Decision> Entries() const;
-  size_t size() const;
-
   /// Counts entries with the given event name ("promote", "rollback", ...).
   uint64_t CountEvent(const std::string& event) const;
 

@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/str_util.h"
 #include "obs/json_util.h"
-#include "obs/request_context.h"
 #include "workload/pools.h"
 
 namespace qpp::lifecycle {
@@ -54,10 +53,6 @@ RiskWindow ShadowScorer::Window() const {
     }
   }
   return w;
-}
-
-uint64_t ShadowScorer::observations() const {
-  return monitor_.model_observations();
 }
 
 PromotionGate::PromotionGate(PromotionGateConfig config)
@@ -460,22 +455,9 @@ void LifecycleManager::Flight(obs::FlightEventKind kind, int32_t code,
 void LifecycleManager::TraceInstant(const char* name,
                                     const std::string& detail) {
   if (config_.trace == nullptr) return;
-  obs::TraceEvent e;
-  e.phase = 'i';
-  e.name = name;
-  e.category = "lifecycle";
-  e.pid = obs::TraceRecorder::kServicePid;
-  e.tid = config_.trace->CurrentThreadTid();
-  e.ts_us = config_.trace->NowMicros();
-  if (!detail.empty()) {
-    e.args.emplace_back("detail", "\"" + detail + "\"");
-  }
-  const obs::RequestContext& ctx = obs::CurrentRequestContext();
-  if (ctx.valid()) {
-    e.args.emplace_back("trace_id",
-                        obs::JsonString(obs::TraceIdHex(ctx.trace_id)));
-  }
-  config_.trace->Add(std::move(e));
+  obs::TraceArgs args;
+  if (!detail.empty()) args.emplace_back("detail", obs::JsonString(detail));
+  config_.trace->Instant(name, "lifecycle", std::move(args));
 }
 
 CandidateState LifecycleManager::candidate_state(size_t index) const {
@@ -505,11 +487,6 @@ std::vector<CandidateInfo> LifecycleManager::Candidates() const {
     out.push_back(std::move(info));
   }
   return out;
-}
-
-size_t LifecycleManager::num_candidates() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return candidates_.size();
 }
 
 uint64_t LifecycleManager::champion_generation() const {

@@ -110,7 +110,6 @@ class ShadowScorer {
              const engine::QueryMetrics& actual);
 
   RiskWindow Window() const;
-  uint64_t observations() const;
 
  private:
   std::shared_ptr<const core::Predictor> model_;
@@ -267,7 +266,6 @@ class LifecycleManager : public serve::ShadowObserver {
   CandidateState candidate_state(size_t index) const;
   bool candidate_poisoned(size_t index) const;
   std::vector<CandidateInfo> Candidates() const;
-  size_t num_candidates() const;
 
   uint64_t champion_generation() const;
   std::shared_ptr<const core::Predictor> champion_model() const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/check.h"
 #include "par/parallel_for.h"
@@ -264,20 +263,6 @@ double Matrix::FrobeniusNorm() const {
   return std::sqrt(s);
 }
 
-std::string Matrix::ToString(int precision) const {
-  std::ostringstream os;
-  os.precision(precision);
-  for (size_t r = 0; r < rows_; ++r) {
-    os << "[";
-    for (size_t c = 0; c < cols_; ++c) {
-      if (c > 0) os << ", ";
-      os << (*this)(r, c);
-    }
-    os << "]\n";
-  }
-  return os.str();
-}
-
 double Dot(const Vector& a, const Vector& b) {
   QPP_CHECK(a.size() == b.size());
   double s = 0.0;
@@ -296,13 +281,6 @@ double SquaredDistance(const Vector& a, const Vector& b) {
 }
 
 double Norm(const Vector& a) { return std::sqrt(Dot(a, a)); }
-
-double CosineDistance(const Vector& a, const Vector& b) {
-  const double na = Norm(a);
-  const double nb = Norm(b);
-  if (na == 0.0 || nb == 0.0) return 1.0;
-  return 1.0 - Dot(a, b) / (na * nb);
-}
 
 Vector AddVec(const Vector& a, const Vector& b) {
   QPP_CHECK(a.size() == b.size());

@@ -85,9 +85,6 @@ class Matrix {
   /// Frobenius norm.
   double FrobeniusNorm() const;
 
-  /// Human-readable dump for debugging/tests.
-  std::string ToString(int precision = 4) const;
-
  private:
   size_t rows_, cols_;
   std::vector<double> data_;
@@ -101,9 +98,6 @@ double SquaredDistance(const Vector& a, const Vector& b);
 
 /// Euclidean norm.
 double Norm(const Vector& a);
-
-/// Cosine distance: 1 - cos(a, b). Returns 1 if either vector is zero.
-double CosineDistance(const Vector& a, const Vector& b);
 
 /// a + b elementwise.
 Vector AddVec(const Vector& a, const Vector& b);

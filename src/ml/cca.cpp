@@ -134,39 +134,4 @@ linalg::Matrix CcaModel::ProjectYAll(const linalg::Matrix& y) const {
   return ProjectRows(y, mean_y, wy);
 }
 
-namespace {
-void SaveMatrix(BinaryWriter* w, const linalg::Matrix& m) {
-  w->WriteU64(m.rows());
-  w->WriteU64(m.cols());
-  w->WriteDoubles(m.data());
-}
-
-linalg::Matrix LoadMatrix(BinaryReader* r) {
-  const size_t rows = static_cast<size_t>(r->ReadU64());
-  const size_t cols = static_cast<size_t>(r->ReadU64());
-  linalg::Matrix m(rows, cols);
-  m.data() = r->ReadDoubles();
-  QPP_CHECK(m.data().size() == rows * cols);
-  return m;
-}
-}  // namespace
-
-void CcaModel::Save(BinaryWriter* w) const {
-  w->WriteDoubles(mean_x);
-  w->WriteDoubles(mean_y);
-  SaveMatrix(w, wx);
-  SaveMatrix(w, wy);
-  w->WriteDoubles(correlations);
-}
-
-CcaModel CcaModel::Load(BinaryReader* r) {
-  CcaModel m;
-  m.mean_x = r->ReadDoubles();
-  m.mean_y = r->ReadDoubles();
-  m.wx = LoadMatrix(r);
-  m.wy = LoadMatrix(r);
-  m.correlations = r->ReadDoubles();
-  return m;
-}
-
 }  // namespace qpp::ml

@@ -6,7 +6,6 @@
 // feature maps.
 #pragma once
 
-#include "common/serde.h"
 #include "linalg/matrix.h"
 
 namespace qpp::ml {
@@ -24,9 +23,6 @@ struct CcaModel {
   /// Projects all rows (n x d).
   linalg::Matrix ProjectXAll(const linalg::Matrix& x) const;
   linalg::Matrix ProjectYAll(const linalg::Matrix& y) const;
-
-  void Save(BinaryWriter* w) const;
-  static CcaModel Load(BinaryReader* r);
 };
 
 /// Fits CCA between the rows of x (n x p) and y (n x q), keeping

@@ -104,8 +104,8 @@ void DistancesToAll(const linalg::Matrix& points, const double* query,
       if (metric == DistanceKind::kEuclidean) {
         (*all)[i].distance = std::sqrt(SquaredDistanceRaw(row, query, dims));
       } else {
-        // Mirrors linalg::CosineDistance(row, query) exactly, with both
-        // norms hoisted out of the pairwise loop.
+        // Cosine distance 1 - cos(row, query), 1 when either norm is 0,
+        // with both norms hoisted out of the pairwise loop.
         const double na = point_norms[i];
         (*all)[i].distance = na == 0.0 || query_norm == 0.0
                                  ? 1.0

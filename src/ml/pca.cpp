@@ -11,15 +11,15 @@ void Pca::Fit(const linalg::Matrix& x, size_t num_components) {
   QPP_CHECK(n >= 2 && num_components >= 1);
   const size_t k = std::min(num_components, p);
 
-  mean_.assign(p, 0.0);
+  linalg::Vector mean(p, 0.0);
   for (size_t j = 0; j < p; ++j) {
     double s = 0.0;
     for (size_t i = 0; i < n; ++i) s += x(i, j);
-    mean_[j] = s / static_cast<double>(n);
+    mean[j] = s / static_cast<double>(n);
   }
   linalg::Matrix xc(n, p);
   for (size_t i = 0; i < n; ++i)
-    for (size_t j = 0; j < p; ++j) xc(i, j) = x(i, j) - mean_[j];
+    for (size_t j = 0; j < p; ++j) xc(i, j) = x(i, j) - mean[j];
 
   linalg::Matrix cov = xc.TransposeMultiply(xc).Scale(
       1.0 / static_cast<double>(n - 1));
@@ -32,29 +32,6 @@ void Pca::Fit(const linalg::Matrix& x, size_t num_components) {
   variance_ = top.values;
   for (double& v : variance_) v = std::max(v, 0.0);
   fitted_ = true;
-}
-
-linalg::Matrix Pca::Transform(const linalg::Matrix& x) const {
-  QPP_CHECK(fitted_ && x.cols() == mean_.size());
-  linalg::Matrix out(x.rows(), components_.cols());
-  for (size_t i = 0; i < x.rows(); ++i) {
-    const linalg::Vector row = TransformRow(x.Row(i));
-    out.SetRow(i, row);
-  }
-  return out;
-}
-
-linalg::Vector Pca::TransformRow(const linalg::Vector& v) const {
-  QPP_CHECK(fitted_ && v.size() == mean_.size());
-  linalg::Vector centered(v.size());
-  for (size_t j = 0; j < v.size(); ++j) centered[j] = v[j] - mean_[j];
-  linalg::Vector out(components_.cols(), 0.0);
-  for (size_t c = 0; c < components_.cols(); ++c) {
-    double s = 0.0;
-    for (size_t j = 0; j < v.size(); ++j) s += centered[j] * components_(j, c);
-    out[c] = s;
-  }
-  return out;
 }
 
 double Pca::ExplainedVarianceRatio() const {

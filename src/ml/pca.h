@@ -14,10 +14,6 @@ class Pca {
   /// Fits on the rows of x, keeping `num_components` directions.
   void Fit(const linalg::Matrix& x, size_t num_components);
 
-  /// Projects rows onto the principal subspace (n x k).
-  linalg::Matrix Transform(const linalg::Matrix& x) const;
-  linalg::Vector TransformRow(const linalg::Vector& v) const;
-
   /// p x k matrix of principal directions (columns, unit length).
   const linalg::Matrix& components() const { return components_; }
   /// Variance captured by each kept component, descending.
@@ -26,7 +22,6 @@ class Pca {
   double ExplainedVarianceRatio() const;
 
  private:
-  linalg::Vector mean_;
   linalg::Matrix components_;
   linalg::Vector variance_;
   double total_variance_ = 0.0;

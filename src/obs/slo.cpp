@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "obs/json_util.h"
-#include "obs/request_context.h"
 
 namespace qpp::obs {
 
@@ -115,22 +114,10 @@ void SloEngine::PublishLocked(const SloEvaluation& eval) {
                               out.rule);
     }
     if (options_.trace != nullptr) {
-      TraceEvent e;
-      e.phase = 'i';
-      e.name = "slo_alert";
-      e.category = "slo";
-      e.pid = TraceRecorder::kServicePid;
-      e.tid = options_.trace->CurrentThreadTid();
-      e.ts_us = options_.trace->NowMicros();
-      e.args.emplace_back("rule", JsonString(out.rule));
-      e.args.emplace_back("value", JsonNumber(out.value));
-      e.args.emplace_back("threshold", JsonNumber(out.threshold));
-      const RequestContext& ctx = CurrentRequestContext();
-      if (ctx.valid()) {
-        e.args.emplace_back("trace_id",
-                            JsonString(TraceIdHex(ctx.trace_id)));
-      }
-      options_.trace->Add(std::move(e));
+      options_.trace->Instant("slo_alert", "slo",
+                              {{"rule", JsonString(out.rule)},
+                               {"value", JsonNumber(out.value)},
+                               {"threshold", JsonNumber(out.threshold)}});
     }
   }
   if (!eval.eager && options_.flight != nullptr) {

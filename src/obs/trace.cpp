@@ -1,12 +1,24 @@
 #include "obs/trace.h"
 
-#include <ostream>
-#include <sstream>
-
 #include "obs/json_util.h"
 #include "obs/request_context.h"
 
 namespace qpp::obs {
+
+namespace {
+
+// Appends the installed RequestContext's trace id to `args`, unless there
+// is none or `args` already names one.
+void TagCurrentTraceId(TraceArgs* args) {
+  const RequestContext& ctx = CurrentRequestContext();
+  if (!ctx.valid()) return;
+  for (const auto& [k, v] : *args) {
+    if (k == "trace_id") return;
+  }
+  args->emplace_back("trace_id", JsonString(TraceIdHex(ctx.trace_id)));
+}
+
+}  // namespace
 
 TraceRecorder::TraceRecorder(TraceRecorderOptions options)
     : options_(options), origin_(std::chrono::steady_clock::now()) {}
@@ -52,6 +64,20 @@ void TraceRecorder::Add(TraceEvent event) {
     }
   }
   dropped_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void TraceRecorder::Instant(const char* name, const char* category,
+                            TraceArgs args) {
+  TraceEvent e;
+  e.phase = 'i';
+  e.name = name;
+  e.category = category;
+  e.pid = kServicePid;
+  e.tid = CurrentThreadTid();
+  e.ts_us = NowMicros();
+  e.args = std::move(args);
+  TagCurrentTraceId(&e.args);
+  Add(std::move(e));
 }
 
 size_t TraceRecorder::event_count() const {
@@ -100,10 +126,6 @@ std::string TraceRecorder::ToJson() const {
   return out;
 }
 
-void TraceRecorder::WriteChromeTrace(std::ostream* os) const {
-  *os << ToJson();
-}
-
 Span::Span(TraceRecorder* recorder, const char* name, const char* category)
     : recorder_(recorder), name_(name), category_(category) {
   if (recorder_ == nullptr) return;
@@ -121,19 +143,7 @@ Span::~Span() {
   e.ts_us = start_us_;
   e.dur_us = recorder_->NowMicros() - start_us_;
   e.args = std::move(args_);
-  const RequestContext& ctx = CurrentRequestContext();
-  if (ctx.valid()) {
-    bool tagged = false;
-    for (const auto& [k, v] : e.args) {
-      if (k == "trace_id") {
-        tagged = true;
-        break;
-      }
-    }
-    if (!tagged) {
-      e.args.emplace_back("trace_id", JsonString(TraceIdHex(ctx.trace_id)));
-    }
-  }
+  TagCurrentTraceId(&e.args);
   recorder_->Add(std::move(e));
 }
 

@@ -1,7 +1,7 @@
 // Per-request span tracing with Chrome trace_event JSON export.
 //
 // A TraceRecorder collects timestamped spans from any number of threads;
-// WriteChromeTrace() emits a file loadable in chrome://tracing or
+// ToJson() emits a document loadable in chrome://tracing or
 // https://ui.perfetto.dev. Two kinds of producers feed it:
 //
 //  * RAII spans (obs::Span) measured against the wall clock — the serve
@@ -34,7 +34,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <mutex>
 #include <string>
@@ -44,8 +43,11 @@
 
 namespace qpp::obs {
 
-/// One Chrome trace_event. `args` values are pre-encoded JSON tokens
+/// Event args as (key, value) pairs; values are pre-encoded JSON tokens
 /// (quoted strings or bare numbers) — see Span::AddArg.
+using TraceArgs = std::vector<std::pair<std::string, std::string>>;
+
+/// One Chrome trace_event.
 struct TraceEvent {
   /// 'X' = complete span, 'b'/'e' = async begin/end (overlap-safe, used
   /// for queue waits), 'M' = metadata, 'i' = instant.
@@ -57,7 +59,7 @@ struct TraceEvent {
   uint64_t ts_us = 0;
   uint64_t dur_us = 0;  ///< complete events only
   uint64_t id = 0;      ///< async events only
-  std::vector<std::pair<std::string, std::string>> args;
+  TraceArgs args;
 };
 
 struct TraceRecorderOptions {
@@ -99,6 +101,11 @@ class TraceRecorder {
   /// Appends `event`, or drops it (counted) once max_events is buffered.
   void Add(TraceEvent event);
 
+  /// Appends an instant event ('i') on the calling thread's track, now.
+  /// Like a Span, it is tagged with the installed RequestContext's trace
+  /// id unless `args` already carries a "trace_id".
+  void Instant(const char* name, const char* category, TraceArgs args = {});
+
   size_t event_count() const;
   /// Events discarded by the max_events cap so far.
   uint64_t dropped_count() const {
@@ -110,7 +117,6 @@ class TraceRecorder {
   /// The full Chrome trace JSON document:
   /// {"displayTimeUnit":"ms","traceEvents":[...]}.
   std::string ToJson() const;
-  void WriteChromeTrace(std::ostream* os) const;
 
  private:
   const TraceRecorderOptions options_;
@@ -153,7 +159,7 @@ class Span {
   const char* const name_;
   const char* const category_;
   uint64_t start_us_ = 0;
-  std::vector<std::pair<std::string, std::string>> args_;
+  TraceArgs args_;
 };
 
 }  // namespace qpp::obs

@@ -116,15 +116,6 @@ const Expr* FirstColumnRef(const Expr& e) {
   return nullptr;
 }
 
-bool IsLiteralish(const Expr* e) {
-  if (e == nullptr) return false;
-  if (e->kind == ExprKind::kLiteral) return true;
-  if (e->kind == ExprKind::kArith) {
-    return IsLiteralish(e->left.get()) && IsLiteralish(e->right.get());
-  }
-  return false;
-}
-
 size_t CountAggregates(const Expr& e) {
   if (e.kind == ExprKind::kAgg) return 1;
   size_t n = 0;

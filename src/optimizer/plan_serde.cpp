@@ -1,7 +1,6 @@
 #include "optimizer/plan_serde.h"
 
 #include <cmath>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -112,18 +111,13 @@ Result<PhysicalPlan> ReadPlan(std::istream* is) {
 }
 
 Status SavePlanFile(const PhysicalPlan& plan, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os.good()) return Status::Error("cannot open for write: " + path);
-  WritePlan(plan, &os);
-  os.flush();
-  if (!os.good()) return Status::Error("write failed: " + path);
-  return Status::Ok();
+  return WriteFile(path, "plan",
+                   [&](std::ostream& os) { WritePlan(plan, &os); });
 }
 
 Result<PhysicalPlan> LoadPlanFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return Status::Error("cannot open for read: " + path);
-  return ReadPlan(&is);
+  return ReadFile<PhysicalPlan>(
+      path, "plan", [](std::istream& is) { return ReadPlan(&is); });
 }
 
 }  // namespace qpp::optimizer

@@ -19,9 +19,7 @@
 // NEON, and forced-scalar builds all produce the same bytes, which is what
 // lets the golden suite, the cross-thread-count byte-identity tests, and
 // the serve/fabric bit-identity contracts stay pinned while the
-// kernels get faster. The only reassociating helpers (horizontal
-// reductions, simd_lanes.h ReduceAdd) are not used on any pinned path and
-// are gated by tolerance-based differential tests instead.
+// kernels get faster. No lane primitive reduces across lanes.
 #pragma once
 
 #include <cstddef>

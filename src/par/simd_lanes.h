@@ -4,16 +4,10 @@
 // AVX-512 (8 lanes) > AVX2 (4) > SSE2 (2) > NEON (2) > a plain-array
 // fallback (2 lanes, written so the compiler may — but need not —
 // vectorize it). Every
-// operation here is IEEE-exact per lane (add/sub/mul/div/sqrt/min/max are
+// operation here is IEEE-exact per lane (add/sub/mul/div/sqrt are
 // correctly rounded on all three ISAs, and hardware sqrt matches
 // std::sqrt), so a kernel that assigns one *independent* output chain per
-// lane is bit-identical to its scalar form at any lane width. The two
-// deliberate exceptions, ReduceAdd and ReduceMax, collapse lanes
-// horizontally: ReduceMax is still exact (max is associative), but
-// ReduceAdd reassociates the sum and may differ from a sequential scalar
-// sum in the final ulps — it must never be used on a path whose bytes are
-// pinned (see par/simd.h), and tests/simd_kernel_test.cpp gates it with a
-// relative-tolerance differential check instead of a bitwise one.
+// lane is bit-identical to its scalar form at any lane width.
 //
 // This header is internal to the kernel .cpp files in libqpp (which are
 // all compiled with one consistent set of ISA flags); public call sites
@@ -68,23 +62,13 @@ inline VecD Add(VecD a, VecD b) { return {_mm512_add_pd(a.v, b.v)}; }
 inline VecD Sub(VecD a, VecD b) { return {_mm512_sub_pd(a.v, b.v)}; }
 inline VecD Mul(VecD a, VecD b) { return {_mm512_mul_pd(a.v, b.v)}; }
 inline VecD Div(VecD a, VecD b) { return {_mm512_div_pd(a.v, b.v)}; }
-// Sqrt/Min/Max use the zero-masked forms with every lane selected: the
-// same instruction and bits as the unmasked ones, whose GCC 12 bodies
-// pass an _mm512_undefined_pd() source that -Wmaybe-uninitialized flags.
+// Sqrt uses the zero-masked form with every lane selected: the same
+// instruction and bits as the unmasked one, whose GCC 12 body passes an
+// _mm512_undefined_pd() source that -Wmaybe-uninitialized flags.
 inline constexpr __mmask8 kAllLanes = 0xFF;
 inline VecD Sqrt(VecD a) { return {_mm512_maskz_sqrt_pd(kAllLanes, a.v)}; }
-inline VecD Min(VecD a, VecD b) {
-  return {_mm512_maskz_min_pd(kAllLanes, a.v, b.v)};
-}
-inline VecD Max(VecD a, VecD b) {
-  return {_mm512_maskz_max_pd(kAllLanes, a.v, b.v)};
-}
-/// Bitmask of lanes where a < b. AVX-512 compares produce a mask register
+/// Bitmask of lanes where a <= b. AVX-512 compares produce a mask register
 /// directly (__mmask8), one bit per lane, same convention as movemask.
-inline unsigned MaskLT(VecD a, VecD b) {
-  return static_cast<unsigned>(_mm512_cmp_pd_mask(a.v, b.v, _CMP_LT_OQ));
-}
-/// Bitmask of lanes where a <= b.
 inline unsigned MaskLE(VecD a, VecD b) {
   return static_cast<unsigned>(_mm512_cmp_pd_mask(a.v, b.v, _CMP_LE_OQ));
 }
@@ -112,13 +96,6 @@ inline VecD Sub(VecD a, VecD b) { return {_mm256_sub_pd(a.v, b.v)}; }
 inline VecD Mul(VecD a, VecD b) { return {_mm256_mul_pd(a.v, b.v)}; }
 inline VecD Div(VecD a, VecD b) { return {_mm256_div_pd(a.v, b.v)}; }
 inline VecD Sqrt(VecD a) { return {_mm256_sqrt_pd(a.v)}; }
-inline VecD Min(VecD a, VecD b) { return {_mm256_min_pd(a.v, b.v)}; }
-inline VecD Max(VecD a, VecD b) { return {_mm256_max_pd(a.v, b.v)}; }
-/// Bitmask of lanes where a < b.
-inline unsigned MaskLT(VecD a, VecD b) {
-  return static_cast<unsigned>(
-      _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)));
-}
 /// Bitmask of lanes where a <= b.
 inline unsigned MaskLE(VecD a, VecD b) {
   return static_cast<unsigned>(
@@ -146,11 +123,6 @@ inline VecD Sub(VecD a, VecD b) { return {_mm_sub_pd(a.v, b.v)}; }
 inline VecD Mul(VecD a, VecD b) { return {_mm_mul_pd(a.v, b.v)}; }
 inline VecD Div(VecD a, VecD b) { return {_mm_div_pd(a.v, b.v)}; }
 inline VecD Sqrt(VecD a) { return {_mm_sqrt_pd(a.v)}; }
-inline VecD Min(VecD a, VecD b) { return {_mm_min_pd(a.v, b.v)}; }
-inline VecD Max(VecD a, VecD b) { return {_mm_max_pd(a.v, b.v)}; }
-inline unsigned MaskLT(VecD a, VecD b) {
-  return static_cast<unsigned>(_mm_movemask_pd(_mm_cmplt_pd(a.v, b.v)));
-}
 inline unsigned MaskLE(VecD a, VecD b) {
   return static_cast<unsigned>(_mm_movemask_pd(_mm_cmple_pd(a.v, b.v)));
 }
@@ -178,13 +150,6 @@ inline VecD Sub(VecD a, VecD b) { return {vsubq_f64(a.v, b.v)}; }
 inline VecD Mul(VecD a, VecD b) { return {vmulq_f64(a.v, b.v)}; }
 inline VecD Div(VecD a, VecD b) { return {vdivq_f64(a.v, b.v)}; }
 inline VecD Sqrt(VecD a) { return {vsqrtq_f64(a.v)}; }
-inline VecD Min(VecD a, VecD b) { return {vminq_f64(a.v, b.v)}; }
-inline VecD Max(VecD a, VecD b) { return {vmaxq_f64(a.v, b.v)}; }
-inline unsigned MaskLT(VecD a, VecD b) {
-  const uint64x2_t m = vcltq_f64(a.v, b.v);
-  return static_cast<unsigned>((vgetq_lane_u64(m, 0) & 1) |
-                               ((vgetq_lane_u64(m, 1) & 1) << 1));
-}
 inline unsigned MaskLE(VecD a, VecD b) {
   const uint64x2_t m = vcleq_f64(a.v, b.v);
   return static_cast<unsigned>((vgetq_lane_u64(m, 0) & 1) |
@@ -215,17 +180,6 @@ inline VecD Sub(VecD a, VecD b) { return {{a.v[0] - b.v[0], a.v[1] - b.v[1]}}; }
 inline VecD Mul(VecD a, VecD b) { return {{a.v[0] * b.v[0], a.v[1] * b.v[1]}}; }
 inline VecD Div(VecD a, VecD b) { return {{a.v[0] / b.v[0], a.v[1] / b.v[1]}}; }
 inline VecD Sqrt(VecD a) { return {{std::sqrt(a.v[0]), std::sqrt(a.v[1])}}; }
-inline VecD Min(VecD a, VecD b) {
-  return {{a.v[0] < b.v[0] ? a.v[0] : b.v[0],
-           a.v[1] < b.v[1] ? a.v[1] : b.v[1]}};
-}
-inline VecD Max(VecD a, VecD b) {
-  return {{a.v[0] > b.v[0] ? a.v[0] : b.v[0],
-           a.v[1] > b.v[1] ? a.v[1] : b.v[1]}};
-}
-inline unsigned MaskLT(VecD a, VecD b) {
-  return (a.v[0] < b.v[0] ? 1u : 0u) | (a.v[1] < b.v[1] ? 2u : 0u);
-}
 inline unsigned MaskLE(VecD a, VecD b) {
   return (a.v[0] <= b.v[0] ? 1u : 0u) | (a.v[1] <= b.v[1] ? 2u : 0u);
 }
@@ -237,28 +191,6 @@ inline double Lane(VecD a, size_t i) {
   double tmp[kLanes];
   StoreU(tmp, a);
   return tmp[i];
-}
-
-/// Horizontal sum of the lanes, combined in ascending lane order. NOTE:
-/// using this after a lane-parallel accumulation *reassociates* the overall
-/// sum — see the header comment. Exact per-lane order is still fixed, so
-/// the result is deterministic, just not bitwise equal to a scalar loop.
-inline double ReduceAdd(VecD a) {
-  double tmp[kLanes];
-  StoreU(tmp, a);
-  double s = tmp[0];
-  for (size_t i = 1; i < kLanes; ++i) s += tmp[i];
-  return s;
-}
-
-/// Horizontal max of the lanes. Max is associative and commutative over
-/// non-NaN doubles, so unlike ReduceAdd this is bit-exact.
-inline double ReduceMax(VecD a) {
-  double tmp[kLanes];
-  StoreU(tmp, a);
-  double m = tmp[0];
-  for (size_t i = 1; i < kLanes; ++i) m = m > tmp[i] ? m : tmp[i];
-  return m;
 }
 
 // ---------------------------------------------------------------------------

@@ -27,6 +27,18 @@ const char* ResponseSourceName(ResponseSource s) {
   return "?";
 }
 
+ServeResponse FallbackResponse(const CostCalibration& calibration,
+                               const ServeRequest& request, const char* reason,
+                               bool anomalous) {
+  ServeResponse response;
+  response.prediction =
+      FallbackPrediction(calibration, request.optimizer_cost, anomalous);
+  response.source = ResponseSource::kOptimizerFallback;
+  response.degraded_reason = reason;
+  response.trace_id = request.ctx.trace_id;
+  return response;
+}
+
 size_t PredictionService::FeatureHash::operator()(
     const linalg::Vector& v) const {
   // FNV-1a over the raw double bit patterns: exact-match semantics, and
@@ -66,12 +78,7 @@ std::future<ServeResponse> PredictionService::Submit(ServeRequest request) {
   std::future<ServeResponse> future = pending.promise.get_future();
   if (!queue_.Push(std::move(pending))) {
     // Lost the race with Shutdown(): answer directly instead of dropping.
-    stats_.RecordFallbackShutdown();
-    Respond(&pending,
-            FallbackPrediction(calibration_, pending.request.optimizer_cost,
-                               /*anomalous=*/false),
-            ResponseSource::kOptimizerFallback, "shutdown",
-            /*generation=*/0);
+    RespondFallback(&pending, "shutdown", /*generation=*/0);
   }
   return future;
 }
@@ -117,12 +124,7 @@ std::future<ServeResponse> PredictionService::SubmitWithRetry(
   // Every attempt refused: degrade inline instead of handing back an error.
   pending.request = std::move(request);
   pending.enqueued_at = std::chrono::steady_clock::now();
-  stats_.RecordFallbackOverload();
-  Respond(&pending,
-          FallbackPrediction(calibration_, pending.request.optimizer_cost,
-                             /*anomalous=*/false),
-          ResponseSource::kOptimizerFallback, "overload",
-          /*generation=*/0);
+  RespondFallback(&pending, "overload", /*generation=*/0);
   return future;
 }
 
@@ -251,33 +253,18 @@ void PredictionService::ProcessBatch(std::vector<Pending>* batch,
     const double deadline = config_.queue_deadline_seconds;
     if (deadline > 0.0 &&
         SecondsSince(p.enqueued_at, picked_up_at) + virtual_age > deadline) {
-      stats_.RecordFallbackDeadline();
       // A blown deadline is the predictor path failing its budget — this
       // is what the breaker watches.
       if (config_.breaker.enabled) breaker_.RecordFailure();
-      Respond(&p,
-              FallbackPrediction(calibration_, p.request.optimizer_cost,
-                                 /*anomalous=*/false),
-              ResponseSource::kOptimizerFallback, "deadline",
-              snap.generation);
+      RespondFallback(&p, "deadline", snap.generation);
       continue;
     }
     if (!snap.valid()) {
-      stats_.RecordFallbackNoModel();
-      Respond(&p,
-              FallbackPrediction(calibration_, p.request.optimizer_cost,
-                                 /*anomalous=*/false),
-              ResponseSource::kOptimizerFallback, "no-model",
-              /*generation=*/0);
+      RespondFallback(&p, "no-model", /*generation=*/0);
       continue;
     }
     if (config_.breaker.enabled && !breaker_.AllowRequest()) {
-      stats_.RecordFallbackCircuitOpen();
-      Respond(&p,
-              FallbackPrediction(calibration_, p.request.optimizer_cost,
-                                 /*anomalous=*/false),
-              ResponseSource::kOptimizerFallback, "circuit-open",
-              snap.generation);
+      RespondFallback(&p, "circuit-open", snap.generation);
       continue;
     }
     if (config_.cache_capacity > 0) {
@@ -292,8 +279,10 @@ void PredictionService::ProcessBatch(std::vector<Pending>* batch,
       if (hit && cached.generation == snap.generation) {
         stats_.RecordCacheHit();
         if (config_.breaker.enabled) breaker_.RecordSuccess();
-        Respond(&p, std::move(cached.prediction), ResponseSource::kCache,
-                "", snap.generation);
+        ServeResponse response;
+        response.prediction = std::move(cached.prediction);
+        response.source = ResponseSource::kCache;
+        Respond(&p, std::move(response), snap.generation);
         continue;
       }
     }
@@ -331,12 +320,7 @@ void PredictionService::ProcessBatch(std::vector<Pending>* batch,
       // with a number the paper shows is untrustworthy there. Anomalous
       // predictions are not cached: they are rare, and the cache only
       // holds what was actually served as a model answer.
-      stats_.RecordFallbackAnomalous();
-      Respond(&p,
-              FallbackPrediction(calibration_, p.request.optimizer_cost,
-                                 /*anomalous=*/true),
-              ResponseSource::kOptimizerFallback, "anomalous",
-              snap.generation);
+      RespondFallback(&p, "anomalous", snap.generation, /*anomalous=*/true);
       continue;
     }
     if (config_.cache_capacity > 0) {
@@ -345,19 +329,22 @@ void PredictionService::ProcessBatch(std::vector<Pending>* batch,
     }
     stats_.RecordModelPrediction();
     if (config_.breaker.enabled) breaker_.RecordSuccess();
-    Respond(&p, prediction, ResponseSource::kModel, "", snap.generation);
+    ServeResponse response;
+    response.prediction = prediction;
+    Respond(&p, std::move(response), snap.generation);
   }
 }
 
-void PredictionService::Respond(Pending* pending,
-                                core::Prediction prediction,
-                                ResponseSource source,
-                                std::string degraded_reason,
+void PredictionService::RespondFallback(Pending* pending, const char* reason,
+                                        uint64_t generation, bool anomalous) {
+  stats_.RecordFallback(reason);
+  Respond(pending,
+          FallbackResponse(calibration_, pending->request, reason, anomalous),
+          generation);
+}
+
+void PredictionService::Respond(Pending* pending, ServeResponse response,
                                 uint64_t generation) {
-  ServeResponse response;
-  response.prediction = std::move(prediction);
-  response.source = source;
-  response.degraded_reason = std::move(degraded_reason);
   response.model_generation = generation;
   response.shard = config_.shard_label;
   response.trace_id = pending->request.ctx.trace_id;
@@ -368,8 +355,7 @@ void PredictionService::Respond(Pending* pending,
   // SLO engine, its flight recorder) attribute to *this* request.
   obs::ScopedRequestContext respond_ctx(pending->request.ctx);
   stats_.RecordResponse(response.latency_seconds, response.trace_id);
-  if (config_.shadow != nullptr &&
-      source != ResponseSource::kOptimizerFallback) {
+  if (config_.shadow != nullptr && !response.degraded()) {
     // The shadow lane observes, never writes: it gets the served bits (and
     // the features that produced them) but the response object is already
     // built, so nothing the observer does can change what the client sees.

@@ -104,6 +104,13 @@ struct ServeResponse {
   bool degraded() const { return source == ResponseSource::kOptimizerFallback; }
 };
 
+/// The labeled optimizer-cost answer every degraded path gives `request`:
+/// FallbackPrediction at the request's cost, source kOptimizerFallback,
+/// `reason` as the degraded_reason, and the request's trace id.
+ServeResponse FallbackResponse(const CostCalibration& calibration,
+                               const ServeRequest& request, const char* reason,
+                               bool anomalous = false);
+
 /// Backoff schedule for SubmitWithRetry: attempt i sleeps
 /// min(initial * kRetryBackoffMultiplier^i, kMaxRetryBackoffSeconds)
 /// before retrying a refused submit.
@@ -249,9 +256,12 @@ class PredictionService {
 
   void WorkerLoop();
   void ProcessBatch(std::vector<Pending>* batch, WorkerScratch* scratch);
-  void Respond(Pending* pending, core::Prediction prediction,
-               ResponseSource source, std::string degraded_reason,
-               uint64_t generation);
+  /// Stamps `response` with the serving generation, this replica's label,
+  /// the request's trace id and its latency, then resolves the future.
+  void Respond(Pending* pending, ServeResponse response, uint64_t generation);
+  /// Counts a fallback under `reason` and responds with FallbackResponse.
+  void RespondFallback(Pending* pending, const char* reason,
+                       uint64_t generation, bool anomalous = false);
 
   // Cached entries are tagged with the model generation that produced
   // them; a hot-swap makes older entries miss (and get overwritten) rather

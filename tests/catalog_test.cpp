@@ -108,13 +108,6 @@ TEST(TpcdsTest, PartitioningColumnsExist) {
   }
 }
 
-TEST(TpcdsTest, TotalBytesPositiveAndScaleSensitive) {
-  const Catalog sf1 = MakeTpcdsCatalog(1.0);
-  const Catalog sf2 = MakeTpcdsCatalog(2.0);
-  EXPECT_GT(sf1.TotalBytes(), 1e8);   // ~1 GB at SF 1
-  EXPECT_GT(sf2.TotalBytes(), sf1.TotalBytes());
-}
-
 TEST(RetailBankTest, SchemaDiffersFromTpcds) {
   const Catalog bank = MakeRetailBankCatalog();
   EXPECT_EQ(bank.name(), "retailbank");
@@ -134,11 +127,6 @@ TEST(RetailBankTest, ColumnStatsSane) {
       EXPECT_GT(c.avg_width_bytes, 0.0) << t.name << "." << c.name;
     }
   }
-}
-
-TEST(ColumnTypeTest, Names) {
-  EXPECT_STREQ(ColumnTypeName(ColumnType::kInt), "INT");
-  EXPECT_STREQ(ColumnTypeName(ColumnType::kDate), "DATE");
 }
 
 }  // namespace

@@ -108,20 +108,6 @@ TEST(CcaTest, InvariantToAffineScalingOfFeatures) {
   EXPECT_NEAR(m1.correlations[0], m2.correlations[0], 1e-6);
 }
 
-TEST(CcaTest, SaveLoadRoundTrip) {
-  const Linked data = MakeLinked(100, 3, 3, 0.3, 5);
-  const CcaModel model = FitCca(data.x, data.y, 2);
-  std::stringstream ss;
-  {
-    BinaryWriter w(ss);
-    model.Save(&w);
-  }
-  BinaryReader r(ss);
-  const CcaModel back = CcaModel::Load(&r);
-  EXPECT_EQ(back.ProjectX(data.x.Row(3)), model.ProjectX(data.x.Row(3)));
-  EXPECT_EQ(back.correlations, model.correlations);
-}
-
 // --- KCCA -----------------------------------------------------------------
 
 /// Clustered linked data: cluster identity drives both views nonlinearly —

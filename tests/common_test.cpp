@@ -115,14 +115,6 @@ TEST(StrUtilTest, CaseFoldedCompareMatchesToLowerAscii) {
   }
 }
 
-TEST(StrUtilTest, JoinAndSplit) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({}, ","), "");
-  const auto parts = Split("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[2], "");
-}
-
 TEST(StrUtilTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(StrFormat("%.2f", 3.14159), "3.14");

@@ -150,6 +150,26 @@ TEST(ModelIoTest, FileRoundTripAndErrors) {
   EXPECT_FALSE(LoadModelFile("/nonexistent/dir/model.bin").ok());
 }
 
+TEST(ModelIoTest, TrailingBytesAreAnError) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "qpp_trailing_model.bin")
+          .string();
+  Predictor pred;
+  pred.Train(SyntheticExamples(100, 8));
+  ASSERT_TRUE(SaveModelFile(pred, path).ok());
+  ASSERT_TRUE(LoadModelFile(path).ok());
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::app);
+    os.put('\0');
+  }
+  const auto loaded = LoadModelFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("trailing bytes"),
+            std::string::npos)
+      << loaded.status().message();
+  std::remove(path.c_str());
+}
+
 TEST(ModelIoTest, CorruptFileReportsError) {
   const auto path =
       (std::filesystem::temp_directory_path() / "qpp_corrupt.bin").string();

@@ -626,6 +626,8 @@ TEST(FabricTest, CountedReplicaKillFiresOnTheNthPickAndPeersAbsorb) {
   config.faults = &injector;
   Fabric fabric(std::move(config), TestCalibration());
   PublishTwoStep(f.ts, &fabric);
+  const uint64_t generation = fabric.registry("feather", 1)->generation();
+  ASSERT_GT(generation, 0u);
 
   const linalg::Vector feather = f.probe(QueryType::kFeather, 0);
   size_t in_group = 0, absorbed = 0;
@@ -633,6 +635,10 @@ TEST(FabricTest, CountedReplicaKillFiresOnTheNthPickAndPeersAbsorb) {
     const bool killed = injector.injected("replica_kill") > 0;
     const serve::ServeResponse resp = fabric.Submit({feather, 100.0}).get();
     ASSERT_FALSE(resp.degraded()) << resp.degraded_reason;
+    // The injection is recorded on the pick that kills, not before it.
+    EXPECT_EQ(injector.injected("replica_kill") > 0,
+              fabric.health("feather", 1) == ReplicaHealth::kDead)
+        << "request " << i;
     if (resp.shard.rfind("feather#", 0) == 0) {
       ++in_group;
       // The target serves its first picks normally; once the counted kill
@@ -649,10 +655,12 @@ TEST(FabricTest, CountedReplicaKillFiresOnTheNthPickAndPeersAbsorb) {
       ExpectBitIdentical(resp.prediction, f.ts.base().Predict(feather));
     }
   }
-  // The default kill hook marked the target dead and took its model.
+  // One injection; the fabric marked the target dead and took its model,
+  // and the registry kept its generation count.
   EXPECT_EQ(injector.injected("replica_kill"), 1u);
   EXPECT_EQ(fabric.health("feather", 1), ReplicaHealth::kDead);
   EXPECT_FALSE(fabric.registry("feather", 1)->has_model());
+  EXPECT_EQ(fabric.registry("feather", 1)->generation(), generation);
   EXPECT_EQ(absorbed, 1u);
   EXPECT_EQ(in_group, 59u);
   EXPECT_EQ(fabric.stats().escalations_dead, 1u);

@@ -3,7 +3,6 @@
 // the library's fixed settings.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -27,16 +26,6 @@ TEST(StrUtilCoverageTest, FormatG) {
   EXPECT_EQ(FormatG(1234.5678, 4), "1235");
   EXPECT_EQ(FormatG(0.000123456, 3), "0.000123");
   EXPECT_EQ(FormatG(1e9, 4), "1e+09");
-}
-
-TEST(MatrixCoverageTest, ToStringRendersRows) {
-  linalg::Matrix m(2, 2);
-  m(0, 0) = 1.5;
-  m(1, 1) = -2.0;
-  const std::string s = m.ToString();
-  EXPECT_NE(s.find("1.5"), std::string::npos);
-  EXPECT_NE(s.find("-2"), std::string::npos);
-  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 2);
 }
 
 TEST(MatrixCoverageTest, EmptyMatrixOperations) {

@@ -453,6 +453,29 @@ TEST(SloEngineTest, PublishesSelfMetricsAlertsFlightEventsAndTraceInstants) {
 
 // -------------------------------------------------------- trace event cap --
 
+TEST(TraceInstantTest, TagsTheCurrentTraceIdUnlessGivenOneOrNoneInstalled) {
+  TraceRecorder trace;
+  trace.Instant("bare", "test");  // no context installed: no tag
+  {
+    ScopedRequestContext scope(RequestContext{0xBEEF});
+    trace.Instant("tagged", "test", {{"detail", "\"x\""}});
+    trace.Instant("explicit", "test", {{"trace_id", "\"given\""}});
+  }
+  const std::vector<TraceEvent> events = trace.Events();
+  ASSERT_EQ(events.size(), 3u);
+  for (const TraceEvent& e : events) {
+    EXPECT_EQ(e.phase, 'i') << e.name;
+    EXPECT_EQ(e.category, "test") << e.name;
+    EXPECT_EQ(e.pid, TraceRecorder::kServicePid) << e.name;
+  }
+  EXPECT_TRUE(events[0].args.empty());
+  const TraceArgs tagged = {{"detail", "\"x\""},
+                            {"trace_id", "\"" + TraceIdHex(0xBEEF) + "\""}};
+  EXPECT_EQ(events[1].args, tagged);
+  const TraceArgs given = {{"trace_id", "\"given\""}};
+  EXPECT_EQ(events[2].args, given);
+}
+
 TEST(TraceCapTest, MaxEventsCapDropsAndCounts) {
   TraceRecorderOptions options;
   options.max_events = 4;

@@ -3,15 +3,42 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/str_util.h"
 #include "sql/parser.h"
 #include "workload/tpcds_templates.h"
 
 namespace qpp::sql {
 namespace {
+
+// Splits on a single-character separator, keeping empty fields.
+std::vector<std::string> Split(const std::string& s, char sep) {
+  std::vector<std::string> out;
+  std::string cur;
+  for (char c : s) {
+    if (c == sep) {
+      out.push_back(cur);
+      cur.clear();
+    } else {
+      cur.push_back(c);
+    }
+  }
+  out.push_back(cur);
+  return out;
+}
+
+// Joins `parts` with `sep`.
+std::string Join(const std::vector<std::string>& parts,
+                 const std::string& sep) {
+  std::string out;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) out += sep;
+    out += parts[i];
+  }
+  return out;
+}
 
 TEST(ParserFuzzTest, RandomPrintableSoupNeverCrashes) {
   Rng rng(0xF00Dull);

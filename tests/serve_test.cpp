@@ -11,8 +11,10 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "serve/bounded_queue.h"
 #include "serve/circuit_breaker.h"
@@ -418,7 +420,7 @@ TEST(ServiceStatsTest, SnapshotReflectsRecordedEvents) {
   stats.RecordBatch(3);
   stats.RecordCacheHit();
   stats.RecordModelPrediction();
-  stats.RecordFallbackAnomalous();
+  stats.RecordFallback("anomalous");
   stats.RecordRejected();
   for (int i = 0; i < 3; ++i) stats.RecordResponse(1e-3);
   const ServiceStatsSnapshot snap = stats.Snapshot();
@@ -438,20 +440,28 @@ TEST(ServiceStatsTest, SnapshotReflectsRecordedEvents) {
 
 TEST(ServiceStatsTest, EveryFallbackReasonHasItsOwnCounter) {
   ServiceStats stats;
-  stats.RecordFallbackNoModel();
-  stats.RecordFallbackAnomalous();
-  stats.RecordFallbackDeadline();
-  stats.RecordFallbackShutdown();
-  stats.RecordFallbackOverload();
-  stats.RecordFallbackCircuitOpen();
+  // A distinct count per reason, so a reason landing in another's field
+  // shows up.
+  const std::pair<const char*, uint64_t> reasons[] = {
+      {"no-model", 1}, {"anomalous", 2}, {"deadline", 3},
+      {"shutdown", 4}, {"overload", 5},  {"circuit-open", 6}};
+  for (const auto& [reason, n] : reasons) {
+    for (uint64_t i = 0; i < n; ++i) stats.RecordFallback(reason);
+    EXPECT_EQ(stats.registry()
+                  ->GetCounter("qpp_serve_fallbacks_total", {{"reason", reason}})
+                  ->value(),
+              n)
+        << reason;
+  }
+  EXPECT_THROW(stats.RecordFallback("admission-shed"), CheckFailure);
   const ServiceStatsSnapshot snap = stats.Snapshot();
   EXPECT_EQ(snap.fallback_no_model, 1u);
-  EXPECT_EQ(snap.fallback_anomalous, 1u);
-  EXPECT_EQ(snap.fallback_deadline, 1u);
-  EXPECT_EQ(snap.fallback_shutdown, 1u);
-  EXPECT_EQ(snap.fallback_overload, 1u);
-  EXPECT_EQ(snap.fallback_circuit_open, 1u);
-  EXPECT_EQ(snap.fallbacks(), 6u);
+  EXPECT_EQ(snap.fallback_anomalous, 2u);
+  EXPECT_EQ(snap.fallback_deadline, 3u);
+  EXPECT_EQ(snap.fallback_shutdown, 4u);
+  EXPECT_EQ(snap.fallback_overload, 5u);
+  EXPECT_EQ(snap.fallback_circuit_open, 6u);
+  EXPECT_EQ(snap.fallbacks(), 21u);
   const std::string report = snap.ToString();
   EXPECT_NE(report.find("shutdown"), std::string::npos);
   EXPECT_NE(report.find("overload"), std::string::npos);

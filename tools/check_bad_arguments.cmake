@@ -3,20 +3,20 @@
 # and the usage text, and that a refused chaos run saves no plan.
 #   cmake -DQPP_TOOL=path/to/qpp_tool -P check_bad_arguments.cmake
 set(refused "${CMAKE_CURRENT_BINARY_DIR}/refused.plan")
-# A fabric-soak plan sized for 1000 requests (kill after 50 picks), which a
-# 2000-request replay (kill after 100) must refuse. The saving run itself
-# reports violations (a soak that short is below its 10k floor), but it
-# saves the plan first.
-set(soak_plan "${CMAKE_CURRENT_BINARY_DIR}/soak-1000.plan")
+# A fabric-soak plan sized for 10000 requests, the soak's floor (kill after
+# 500 picks), which a 20000-request replay (kill after 1000) must refuse.
+set(soak_plan "${CMAKE_CURRENT_BINARY_DIR}/soak-10000.plan")
 file(REMOVE "${soak_plan}")
-execute_process(COMMAND ${QPP_TOOL} chaos --fabric-soak --requests 1000
+execute_process(COMMAND ${QPP_TOOL} chaos --fabric-soak --requests 10000
                         --save-plan ${soak_plan}
-                OUTPUT_QUIET ERROR_VARIABLE err)
-if(NOT EXISTS "${soak_plan}")
-  message(FATAL_ERROR "qpp_tool chaos --fabric-soak saved no plan\n${err}")
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT EXISTS "${soak_plan}")
+  message(FATAL_ERROR "qpp_tool chaos --fabric-soak: exit ${rc}, plan "
+                      "${soak_plan}\n${err}")
 endif()
 set(cases
-  "chaos|--fabric-soak|--requests|2000|--plan|${soak_plan}=>after 50 picks=>kills after 100"
+  "chaos|--fabric-soak|--requests|20000|--plan|${soak_plan}=>after 500 picks=>kills after 1000"
+  "chaos|--fabric-soak|--requests|1000|--save-plan|${refused}=>--requests >= 10000=>got 1000"
   "pools|--candidates|300|--seed|3|--candidatez|5=>--candidatez"
   "chaos|--seed|42|--soak|1=>'1'"
   "chaos|--seed|7|--save-plan|${refused}=>--save-plan"

@@ -644,6 +644,13 @@ int CmdChaos(const Args& args) {
   const std::vector<std::string> runs =
       run == "all" ? fault::ChaosScenarioNames()
                    : std::vector<std::string>{run};
+  if (run == "fabric-soak" && opts.requests < fault::kFabricSoakMinRequests) {
+    std::fprintf(stderr,
+                 "error: --fabric-soak needs --requests >= %zu for its "
+                 "replica kill to fire, got %zu\n",
+                 fault::kFabricSoakMinRequests, opts.requests);
+    return Usage();
+  }
 
   // A plan belongs to one run: saving or replaying one needs that run
   // named, so a replay injects exactly the schedule that was saved.
