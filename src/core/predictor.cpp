@@ -340,17 +340,17 @@ void Predictor::AssembleKccaPredictionInto(
 workload::QueryType Predictor::VoteCategory(
     const std::vector<ml::Neighbor>& projection_neighbors) const {
   // A fixed tally array: no allocation on the classify path.
-  size_t votes[4] = {0, 0, 0, 0};
+  size_t votes[workload::kNumQueryTypes] = {};
   for (const ml::Neighbor& nb : projection_neighbors) {
     const double elapsed = train_y_(nb.index, 0);
-    votes[static_cast<size_t>(workload::ClassifyElapsed(elapsed))] += 1;
+    votes[workload::QueryTypeIndex(workload::ClassifyElapsed(elapsed))] += 1;
   }
   workload::QueryType type = workload::QueryType::kFeather;
   size_t best = 0;
-  for (size_t t = 0; t < 4; ++t) {
+  for (size_t t = 0; t < workload::kNumQueryTypes; ++t) {
     if (votes[t] > best) {
       best = votes[t];
-      type = static_cast<workload::QueryType>(t);
+      type = workload::kQueryTypes[t];
     }
   }
   return type;

@@ -1,6 +1,5 @@
 #include "fabric/fabric.h"
 
-#include <algorithm>
 #include <chrono>
 #include <string_view>
 #include <thread>
@@ -15,10 +14,6 @@ namespace qpp::fabric {
 
 namespace {
 
-size_t PoolIndex(workload::QueryType pool) {
-  return static_cast<size_t>(pool);
-}
-
 // Step-1 verdict memo entries (exact feature match, classifier-generation
 // tagged): the classifier runs once per distinct plan per generation, not
 // once per request.
@@ -29,6 +24,9 @@ constexpr size_t kRouteCacheCapacity = 4096;
 constexpr size_t kOpenProbeEvery = 32;
 // Ring capacity of the always-on flight recorder (obs/flight_recorder.h).
 constexpr size_t kFlightCapacity = 4096;
+// The catch-all group: it serves the base model, which is also the step-1
+// classifier.
+constexpr const char* kCatchAllGroup = "one-model";
 
 }  // namespace
 
@@ -47,24 +45,9 @@ std::string ReplicaLabel(const std::string& group, size_t replica) {
 
 FabricConfig MakePerPoolFabricConfig(size_t replicas_per_group,
                                      serve::ServiceConfig base) {
-  QPP_CHECK(replicas_per_group >= 1);
   FabricConfig config;
-  for (const workload::QueryType type :
-       {workload::QueryType::kFeather, workload::QueryType::kGolfBall,
-        workload::QueryType::kBowlingBall,
-        workload::QueryType::kWreckingBall}) {
-    ReplicaGroupSpec spec;
-    spec.name = workload::QueryTypeName(type);
-    spec.pools = {type};
-    spec.replicas = replicas_per_group;
-    spec.service = base;
-    config.groups.push_back(std::move(spec));
-  }
-  ReplicaGroupSpec catch_all;
-  catch_all.name = "one-model";
-  catch_all.replicas = replicas_per_group;
-  catch_all.service = base;
-  config.groups.push_back(std::move(catch_all));
+  config.replicas_per_group = replicas_per_group;
+  config.service = std::move(base);
   return config;
 }
 
@@ -118,16 +101,14 @@ Fabric::Fabric(FabricConfig config, serve::CostCalibration calibration)
       trace_ids_(config.trace_seed),
       admission_(config.admission, &metrics_, &flight_, config.trace),
       route_cache_(kRouteCacheCapacity) {
-  QPP_CHECK_MSG(!config.groups.empty(), "fabric needs at least one group");
+  QPP_CHECK_MSG(config.replicas_per_group >= 1,
+                "every group needs at least one replica");
   classified_ = metrics_.GetCounter("qpp_fabric_classified_total");
   route_cache_hits_ =
       metrics_.GetCounter("qpp_fabric_route_cache_hits_total");
   admitted_ = metrics_.GetCounter("qpp_fabric_admitted_total");
-  for (const workload::QueryType type :
-       {workload::QueryType::kFeather, workload::QueryType::kGolfBall,
-        workload::QueryType::kBowlingBall,
-        workload::QueryType::kWreckingBall}) {
-    shed_by_pool_[PoolIndex(type)] = metrics_.GetCounter(
+  for (const workload::QueryType type : workload::kQueryTypes) {
+    shed_by_pool_[workload::QueryTypeIndex(type)] = metrics_.GetCounter(
         "qpp_fabric_shed_total", {{"pool", workload::QueryTypeName(type)}});
   }
   deferred_ = metrics_.GetCounter("qpp_fabric_deferred_total");
@@ -139,38 +120,36 @@ Fabric::Fabric(FabricConfig config, serve::CostCalibration calibration)
       metrics_.GetCounter("qpp_fabric_fallback_exhausted_total");
   deferred_pending_ = metrics_.GetGauge("qpp_fabric_deferred_pending");
 
-  for (ReplicaGroupSpec& spec : config.groups) {
-    QPP_CHECK_MSG(spec.replicas >= 1,
-                  "group " << spec.name << " needs at least one replica");
+  std::vector<std::string> names;
+  for (const workload::QueryType type : workload::kQueryTypes) {
+    names.push_back(workload::QueryTypeName(type));
+  }
+  names.push_back(kCatchAllGroup);
+  for (const std::string& name : names) {
     auto group = std::make_unique<Group>();
-    group->spec = std::move(spec);
-    for (const auto& other : groups_) {
-      QPP_CHECK_MSG(other->spec.name != group->spec.name,
-                    "duplicate group name: " << group->spec.name);
-    }
-    const obs::Labels group_labels = {{"group", group->spec.name}};
+    group->name = name;
+    const obs::Labels group_labels = {{"group", name}};
     group->routed =
         metrics_.GetCounter("qpp_fabric_requests_total", group_labels);
     group->absorbed =
         metrics_.GetCounter("qpp_fabric_absorbed_total", group_labels);
     group->escalated_dead = metrics_.GetCounter(
-        "qpp_fabric_escalations_total",
-        {{"group", group->spec.name}, {"reason", "dead"}});
+        "qpp_fabric_escalations_total", {{"group", name}, {"reason", "dead"}});
     group->escalated_open = metrics_.GetCounter(
         "qpp_fabric_escalations_total",
-        {{"group", group->spec.name}, {"reason", "circuit-open"}});
+        {{"group", name}, {"reason", "circuit-open"}});
     group->escalated_overloaded = metrics_.GetCounter(
         "qpp_fabric_escalations_total",
-        {{"group", group->spec.name}, {"reason", "overloaded"}});
-    for (size_t i = 0; i < group->spec.replicas; ++i) {
+        {{"group", name}, {"reason", "overloaded"}});
+    for (size_t i = 0; i < config.replicas_per_group; ++i) {
       auto replica = std::make_unique<Replica>();
-      replica->label = ReplicaLabel(group->spec.name, i);
+      replica->label = ReplicaLabel(name, i);
       replica->registry = std::make_unique<serve::ModelRegistry>();
-      serve::ServiceConfig service_config = group->spec.service;
+      serve::ServiceConfig service_config = config.service;
       service_config.shard_label = replica->label;
-      if (service_config.trace == nullptr) service_config.trace = trace_;
-      if (service_config.faults == nullptr) service_config.faults = faults_;
-      if (admission_config_.enabled && !service_config.on_response) {
+      service_config.trace = trace_;
+      service_config.faults = faults_;
+      if (admission_config_.enabled) {
         // Every replica feeds the front door's windowed-p99 signal.
         AdmissionController* admission = &admission_;
         service_config.on_response =
@@ -194,20 +173,12 @@ Fabric::Fabric(FabricConfig config, serve::CostCalibration calibration)
       }
       replica->picks = metrics_.GetCounter(
           "qpp_fabric_replica_picks_total",
-          {{"group", group->spec.name}, {"replica", std::to_string(i)}});
+          {{"group", name}, {"replica", std::to_string(i)}});
       group->replicas.push_back(std::move(replica));
-    }
-    if (group->spec.pools.empty()) {
-      QPP_CHECK_MSG(catch_all_ == nullptr,
-                    "more than one catch-all group configured");
-      catch_all_ = group.get();
-    } else {
-      experts_.push_back(group.get());
     }
     groups_.push_back(std::move(group));
   }
-  QPP_CHECK_MSG(catch_all_ != nullptr,
-                "fabric needs a catch-all group (one spec with empty pools)");
+  catch_all_ = groups_.back().get();
 
   if (faults_ != nullptr) {
     // Injected faults go into our black box too; detached in ~Fabric —
@@ -235,13 +206,7 @@ void Fabric::Shutdown() {
       }
       deferred_pending_->Set(0.0);
     }
-    for (DeferredRequest& d : leftovers) {
-      defer_drained_->Inc();
-      obs::ScopedRequestContext scope(d.request.ctx);
-      flight_.Record(obs::FlightEventKind::kDeferDrained,
-                     d.request.ctx.trace_id);
-      Dispatch(d.request, &d.promise, Classify(d.request));
-    }
+    for (DeferredRequest& d : leftovers) DispatchDeferred(&d);
     for (auto& group : groups_) {
       for (auto& replica : group->replicas) replica->service->Shutdown();
     }
@@ -250,65 +215,68 @@ void Fabric::Shutdown() {
 
 Fabric::Group* Fabric::FindGroup(const std::string& name) const {
   for (const auto& g : groups_) {
-    if (g->spec.name == name) return g.get();
+    if (g->name == name) return g.get();
   }
   return nullptr;
 }
 
-serve::ModelRegistry* Fabric::registry(const std::string& group,
-                                       size_t replica) {
+Fabric::Replica* Fabric::FindReplica(const std::string& group,
+                                     size_t replica) const {
   const Group* g = FindGroup(group);
   if (g == nullptr || replica >= g->replicas.size()) return nullptr;
-  return g->replicas[replica]->registry.get();
+  return g->replicas[replica].get();
+}
+
+serve::ModelRegistry* Fabric::registry(const std::string& group,
+                                       size_t replica) {
+  Replica* r = FindReplica(group, replica);
+  return r == nullptr ? nullptr : r->registry.get();
 }
 
 serve::PredictionService* Fabric::service(const std::string& group,
                                           size_t replica) {
-  const Group* g = FindGroup(group);
-  if (g == nullptr || replica >= g->replicas.size()) return nullptr;
-  return g->replicas[replica]->service.get();
+  Replica* r = FindReplica(group, replica);
+  return r == nullptr ? nullptr : r->service.get();
 }
 
 ReplicaHealth Fabric::health(const std::string& group, size_t replica) const {
-  const Group* g = FindGroup(group);
-  QPP_CHECK_MSG(g != nullptr, "unknown group: " << group);
-  QPP_CHECK(replica < g->replicas.size());
-  return g->replicas[replica]->health.load(std::memory_order_relaxed);
+  const Replica* r = FindReplica(group, replica);
+  QPP_CHECK_MSG(r != nullptr, "unknown replica: " << group << "#" << replica);
+  return r->health.load(std::memory_order_relaxed);
 }
 
 void Fabric::SetReplicaHealth(const std::string& group, size_t replica,
                               ReplicaHealth health) {
-  const Group* g = FindGroup(group);
-  QPP_CHECK_MSG(g != nullptr, "unknown group: " << group);
-  QPP_CHECK(replica < g->replicas.size());
-  Replica* r = g->replicas[replica].get();
+  Replica* r = FindReplica(group, replica);
+  QPP_CHECK_MSG(r != nullptr, "unknown replica: " << group << "#" << replica);
   r->health.store(health, std::memory_order_relaxed);
   flight_.Record(obs::FlightEventKind::kHealthChange, /*trace_id=*/0,
                  static_cast<int32_t>(health), 0.0, r->label);
-  TraceInstant("health", "replica",
-               r->label + "=" + ReplicaHealthName(health));
+  if (trace_ != nullptr) {
+    TraceInstant("health", "replica",
+                 r->label + "=" + ReplicaHealthName(health));
+  }
 }
 
 bool Fabric::DrainSwapRevive(const std::string& group, size_t replica,
                              std::shared_ptr<const core::Predictor> model) {
-  serve::PredictionService* svc = service(group, replica);
-  serve::ModelRegistry* reg = registry(group, replica);
-  if (svc == nullptr || reg == nullptr) return false;
+  Replica* r = FindReplica(group, replica);
+  if (r == nullptr) return false;
   SetReplicaHealth(group, replica, ReplicaHealth::kDraining);
   // The replica takes no new picks now; wait (bounded) for what it
   // already queued. Sequential harnesses see an empty queue immediately.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (svc->queue_depth() > 0) {
+  while (r->service->queue_depth() > 0) {
     if (std::chrono::steady_clock::now() > deadline) return false;
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-  reg->Publish(std::move(model));
+  r->registry->Publish(std::move(model));
   SetReplicaHealth(group, replica, ReplicaHealth::kUp);
   drains_->Inc();
   flight_.Record(obs::FlightEventKind::kSwap, /*trace_id=*/0, /*code=*/0,
-                 0.0, ReplicaLabel(group, replica));
-  TraceInstant("drain-swap-revive", "replica", ReplicaLabel(group, replica));
+                 0.0, r->label);
+  TraceInstant("drain-swap-revive", "replica", r->label);
   return true;
 }
 
@@ -318,7 +286,7 @@ size_t Fabric::replica_count(const std::string& group) const {
 }
 
 const std::string& Fabric::catch_all_name() const {
-  return catch_all_->spec.name;
+  return catch_all_->name;
 }
 
 size_t Fabric::TotalQueueDepth() const {
@@ -375,15 +343,6 @@ Fabric::RouteVerdict Fabric::Classify(const serve::ServeRequest& request) {
   return verdict;
 }
 
-Fabric::Group* Fabric::GroupFor(workload::QueryType pool) {
-  for (Group* expert : experts_) {
-    for (const workload::QueryType p : expert->spec.pools) {
-      if (p == pool) return expert;
-    }
-  }
-  return nullptr;
-}
-
 Fabric::Replica* Fabric::PickReplica(Group* group, bool require_model,
                                      const char** reason) {
   // Eligible = up, serving a model (experts only), breaker not open — but
@@ -399,7 +358,7 @@ Fabric::Replica* Fabric::PickReplica(Group* group, bool require_model,
       continue;
     }
     if (require_model && !replica->registry->has_model()) continue;
-    if (group->spec.service.breaker.enabled &&
+    if (replica->service->config().breaker.enabled &&
         replica->service->breaker().state() ==
             serve::CircuitBreaker::State::kOpen &&
         replica->open_diversions.fetch_add(1, std::memory_order_relaxed) %
@@ -433,7 +392,7 @@ Fabric::Replica* Fabric::PickReplica(Group* group, bool require_model,
 }
 
 void Fabric::TraceInstant(const char* name, const char* detail_key,
-                          const std::string& detail) {
+                          std::string_view detail) {
   if (trace_ == nullptr) return;
   trace_->Instant(name, "fabric", {{detail_key, obs::JsonString(detail)}});
 }
@@ -441,7 +400,7 @@ void Fabric::TraceInstant(const char* name, const char* detail_key,
 void Fabric::RespondShed(const serve::ServeRequest& request,
                          std::promise<serve::ServeResponse>* promise,
                          workload::QueryType pool) {
-  shed_by_pool_[PoolIndex(pool)]->Inc();
+  shed_by_pool_[workload::QueryTypeIndex(pool)]->Inc();
   TraceInstant("admission-shed", "pool", workload::QueryTypeName(pool));
   flight_.Record(obs::FlightEventKind::kFallback, request.ctx.trace_id,
                  static_cast<int32_t>(pool), 0.0, "admission-shed");
@@ -468,8 +427,8 @@ void Fabric::Dispatch(const serve::ServeRequest& request,
   obs::ScopedRequestContext scope(request.ctx);
   // No classifier: the catch-all owns the request (and answers with its
   // own labeled no-model fallback) rather than an expert it never voted.
-  Group* expert = verdict.classified() ? GroupFor(verdict.pool) : nullptr;
-  if (expert != nullptr) {
+  if (verdict.classified()) {
+    Group* expert = GroupFor(verdict.pool);
     const char* escalation = nullptr;
     Replica* replica = PickReplica(expert, /*require_model=*/true,
                                    &escalation);
@@ -491,7 +450,6 @@ void Fabric::Dispatch(const serve::ServeRequest& request,
       // refused: either way the group could not take it.
       escalation = replica->registry->has_model() ? "overloaded" : "dead";
     }
-    if (escalation == nullptr) escalation = "dead";
     if (std::string_view(escalation) == "dead") {
       expert->escalated_dead->Inc();
     } else if (std::string_view(escalation) == "circuit-open") {
@@ -499,10 +457,11 @@ void Fabric::Dispatch(const serve::ServeRequest& request,
     } else {
       expert->escalated_overloaded->Inc();
     }
-    TraceInstant("escalate", "group",
-                 expert->spec.name + ":" + escalation);
+    if (trace_ != nullptr) {
+      TraceInstant("escalate", "group", expert->name + ":" + escalation);
+    }
     flight_.Record(obs::FlightEventKind::kEscalation, request.ctx.trace_id,
-                   /*code=*/0, 0.0, expert->spec.name + "/" + escalation);
+                   /*code=*/0, 0.0, expert->name + "/" + escalation);
     catch_all_->absorbed->Inc();
   } else {
     catch_all_->routed->Inc();
@@ -549,12 +508,17 @@ void Fabric::DrainDeferred() {
       deferred_queue_.pop_front();
       deferred_pending_->Set(static_cast<double>(deferred_queue_.size()));
     }
-    defer_drained_->Inc();
-    obs::ScopedRequestContext scope(d.request.ctx);
-    flight_.Record(obs::FlightEventKind::kDeferDrained,
-                   d.request.ctx.trace_id);
-    Dispatch(d.request, &d.promise, Classify(d.request));
+    DispatchDeferred(&d);
   }
+}
+
+void Fabric::DispatchDeferred(DeferredRequest* deferred) {
+  defer_drained_->Inc();
+  obs::ScopedRequestContext scope(deferred->request.ctx);
+  flight_.Record(obs::FlightEventKind::kDeferDrained,
+                 deferred->request.ctx.trace_id);
+  Dispatch(deferred->request, &deferred->promise,
+           Classify(deferred->request));
 }
 
 std::future<serve::ServeResponse> Fabric::Submit(serve::ServeRequest request) {
@@ -645,7 +609,7 @@ FabricStatsSnapshot Fabric::stats() const {
   out.fallback_exhausted = fallback_exhausted_->value();
   for (const auto& group : groups_) {
     FabricStatsSnapshot::PerGroup g;
-    g.name = group->spec.name;
+    g.name = group->name;
     g.catch_all = group.get() == catch_all_;
     g.routed = group->routed->value();
     g.absorbed = group->absorbed->value();
@@ -670,30 +634,18 @@ size_t PublishTwoStep(const core::TwoStepPredictor& two_step,
                       Fabric* fabric) {
   QPP_CHECK(fabric != nullptr && two_step.trained());
   size_t published = 0;
-  const auto base = std::make_shared<const core::Predictor>(two_step.base());
-  const std::string catch_all = fabric->catch_all_name();
-  for (size_t i = 0; i < fabric->replica_count(catch_all); ++i) {
-    fabric->registry(catch_all, i)->Publish(base);
-    ++published;
-  }
-  for (const workload::QueryType type :
-       {workload::QueryType::kFeather, workload::QueryType::kGolfBall,
-        workload::QueryType::kBowlingBall,
-        workload::QueryType::kWreckingBall}) {
-    const core::Predictor* expert = two_step.CategoryModel(type);
-    if (expert == nullptr) continue;
-    const auto model = std::make_shared<const core::Predictor>(*expert);
-    for (size_t g = 0; g < fabric->num_groups(); ++g) {
-      const ReplicaGroupSpec& spec = fabric->group_spec(g);
-      if (std::find(spec.pools.begin(), spec.pools.end(), type) ==
-          spec.pools.end()) {
-        continue;
-      }
-      for (size_t i = 0; i < spec.replicas; ++i) {
-        fabric->registry(spec.name, i)->Publish(model);
-        ++published;
-      }
+  const auto publish = [&](const std::string& group,
+                           const core::Predictor& model) {
+    const auto shared = std::make_shared<const core::Predictor>(model);
+    for (size_t i = 0; i < fabric->replica_count(group); ++i) {
+      fabric->registry(group, i)->Publish(shared);
+      ++published;
     }
+  };
+  publish(fabric->catch_all_name(), two_step.base());
+  for (const workload::QueryType type : workload::kQueryTypes) {
+    const core::Predictor* expert = two_step.CategoryModel(type);
+    if (expert != nullptr) publish(workload::QueryTypeName(type), *expert);
   }
   return published;
 }

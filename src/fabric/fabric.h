@@ -21,17 +21,20 @@
 // published anywhere there is no verdict to route by, so the catch-all
 // owns the request and answers with its own labeled no-model fallback.
 //
+// The shape is the pool set's (workload/pools.h), by construction: one
+// expert group per workload::QueryType, then the "one-model" catch-all.
 // Each group is N independent serve::PredictionService instances behind
-// one name ("feather#0", "feather#1", ...). Replicas of a group serve the
-// same model bits, so replica choice never changes an answer — it only
-// spreads load. The spread is power-of-two-choices: draw two candidate
-// replicas from a keyed RNG stream (seeded by FabricConfig::p2c_seed and
-// a per-group pick sequence number), dispatch to the one with the
-// shallower queue, break ties with a keyed coin from the same draw. Under
-// sequential driving the whole pick sequence — candidates, depths (all
-// zero), tie-breaks — replays bit-for-bit; under concurrent traffic the
-// draw sequence is still fixed, only which request consumes which draw
-// varies (the same contract fault injection gives).
+// one name ("feather#0", "feather#1", ...), all built from one
+// ServiceConfig. Replicas of a group serve the same model bits, so
+// replica choice never changes an answer — it only spreads load. The
+// spread is power-of-two-choices: draw two candidate replicas from a
+// keyed RNG stream (seeded by FabricConfig::p2c_seed and a per-group pick
+// sequence number), dispatch to the one with the shallower queue, break
+// ties with a keyed coin from the same draw. Under sequential driving the
+// whole pick sequence — candidates, depths (all zero), tie-breaks —
+// replays bit-for-bit; under concurrent traffic the draw sequence is
+// still fixed, only which request consumes which draw varies (the same
+// contract fault injection gives).
 //
 // Per-replica health (up / draining / dead) turns hot-swaps and chaos
 // kills into rolling operations: a draining replica takes no new picks
@@ -64,6 +67,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/two_step.h"
@@ -92,25 +96,16 @@ const char* ReplicaHealthName(ReplicaHealth h);
 /// fault-plan target key (ServeFaultSpec::target_replica_label).
 std::string ReplicaLabel(const std::string& group, size_t replica);
 
-struct ReplicaGroupSpec {
-  std::string name;
-  /// Pools this group's experts serve; empty marks the catch-all group
-  /// (exactly one per fabric).
-  std::vector<workload::QueryType> pools;
-  /// Replicas in the group (independent services behind one name).
-  size_t replicas = 2;
-  /// Per-replica queue/batch/cache/breaker settings. `trace`, `faults`,
-  /// `shard_label`, and `on_response` are stamped by the fabric; leave
-  /// them unset.
-  serve::ServiceConfig service;
-};
-
 struct FabricConfig {
-  /// Must contain exactly one catch-all spec (empty `pools`).
-  std::vector<ReplicaGroupSpec> groups;
+  /// Replicas in each group (independent services behind one name).
+  size_t replicas_per_group = 2;
+  /// Every replica's queue/batch/cache/breaker settings. `trace`,
+  /// `faults`, `shard_label`, and `on_response` are stamped by the
+  /// fabric; leave them unset.
+  serve::ServiceConfig service;
   AdmissionConfig admission;
   /// Key for the power-of-two-choices draw stream. Two fabrics with the
-  /// same seed, groups, and (sequential) request sequence make identical
+  /// same seed, shape, and (sequential) request sequence make identical
   /// picks.
   uint64_t p2c_seed = 0xFAB51Cull;
   /// Deterministic-harness mode: P2C skips the live queue-depth comparison
@@ -130,9 +125,8 @@ struct FabricConfig {
   fault::FaultInjector* faults = nullptr;
 };
 
-/// The paper's pool layout as a fabric: one replica group per Fig. 2
-/// category plus the "one-model" catch-all group, every group
-/// `replicas_per_group` wide, all using `base` as their service config.
+/// A FabricConfig with `replicas_per_group` replicas per group, each
+/// running `base`, and every other field at its default.
 FabricConfig MakePerPoolFabricConfig(size_t replicas_per_group,
                                      serve::ServiceConfig base = {});
 
@@ -208,10 +202,6 @@ class Fabric {
   bool DrainSwapRevive(const std::string& group, size_t replica,
                        std::shared_ptr<const core::Predictor> model);
 
-  size_t num_groups() const { return groups_.size(); }
-  const ReplicaGroupSpec& group_spec(size_t index) const {
-    return groups_[index]->spec;
-  }
   size_t replica_count(const std::string& group) const;
   const std::string& catch_all_name() const;
 
@@ -246,7 +236,7 @@ class Fabric {
   };
 
   struct Group {
-    ReplicaGroupSpec spec;
+    std::string name;
     std::vector<std::unique_ptr<Replica>> replicas;
     std::atomic<uint64_t> pick_seq{0};  ///< consumes the P2C draw stream
     obs::Counter* routed = nullptr;
@@ -273,9 +263,14 @@ class Fabric {
   };
 
   RouteVerdict Classify(const serve::ServeRequest& request);
-  Group* GroupFor(workload::QueryType pool);
+  /// The expert group serving `pool`.
+  Group* GroupFor(workload::QueryType pool) {
+    return groups_[workload::QueryTypeIndex(pool)].get();
+  }
   /// The group named `name`, or null.
   Group* FindGroup(const std::string& name) const;
+  /// Replica `replica` of the group named `group`, or null.
+  Replica* FindReplica(const std::string& group, size_t replica) const;
   /// P2C pick among eligible replicas; null (with `reason` = "dead" or
   /// "circuit-open") when none is eligible. `require_model` is false for
   /// the catch-all, whose replicas answer the labeled no-model fallback
@@ -295,8 +290,12 @@ class Fabric {
   /// one NextReplicaKill names.
   void MaybeKill(Replica* replica);
   void DrainDeferred();
+  /// Dispatches a request a defer decision parked, under its own context.
+  void DispatchDeferred(DeferredRequest* deferred);
+  /// A "fabric"-category instant event. A caller that builds `detail`
+  /// tests `trace_` first, so an untraced fabric builds no string.
   void TraceInstant(const char* name, const char* detail_key,
-                    const std::string& detail);
+                    std::string_view detail);
 
   const AdmissionConfig admission_config_;
   const uint64_t p2c_seed_;
@@ -309,15 +308,16 @@ class Fabric {
   obs::MetricsRegistry metrics_;
   obs::FlightRecorder flight_;
   obs::TraceIdGenerator trace_ids_;
+  /// One expert group per workload::QueryType, in kQueryTypes order (so
+  /// GroupFor indexes it), then the catch-all.
   std::vector<std::unique_ptr<Group>> groups_;
-  std::vector<Group*> experts_;  ///< groups_ minus the catch-all
   Group* catch_all_ = nullptr;
   AdmissionController admission_;
   obs::Counter* classified_ = nullptr;
   obs::Counter* route_cache_hits_ = nullptr;
   obs::Counter* admitted_ = nullptr;
-  /// qpp_fabric_shed_total{pool=...}, indexed by workload::QueryType.
-  obs::Counter* shed_by_pool_[4] = {nullptr, nullptr, nullptr, nullptr};
+  /// qpp_fabric_shed_total{pool=...}, indexed by workload::QueryTypeIndex.
+  obs::Counter* shed_by_pool_[workload::kNumQueryTypes] = {};
   obs::Counter* deferred_ = nullptr;
   obs::Counter* defer_drained_ = nullptr;
   obs::Counter* defer_overflow_ = nullptr;
@@ -336,11 +336,11 @@ class Fabric {
 
 /// Publishes a trained TwoStepPredictor across the fabric: the base model
 /// into every catch-all replica (where it doubles as the step-1
-/// classifier) and each per-category expert into every replica of every
-/// group listing that pool. Pools whose category fell back to the base
-/// model publish nothing — their groups stay dead and the fabric
-/// escalates to the catch-all, exactly TwoStepPredictor's own fallback.
-/// Returns the number of publishes performed.
+/// classifier) and each per-category expert into every replica of its
+/// pool's group. Pools whose category fell back to the base model publish
+/// nothing — their groups stay dead and the fabric escalates to the
+/// catch-all, exactly TwoStepPredictor's own fallback. Returns the number
+/// of publishes performed.
 size_t PublishTwoStep(const core::TwoStepPredictor& two_step, Fabric* fabric);
 
 }  // namespace qpp::fabric

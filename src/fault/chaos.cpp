@@ -243,7 +243,7 @@ class FabricRig {
     const auto examples = PoolExamples(pools, 40, train_seed);
     two_step.Train(examples);
     for (size_t p = 0; p < pools; ++p) {
-      const auto type = static_cast<workload::QueryType>(p);
+      const workload::QueryType type = workload::kQueryTypes[p];
       v.Check(two_step.HasCategoryModel(type),
               std::string("no expert trained for pool ") +
                   workload::QueryTypeName(type));
@@ -251,7 +251,7 @@ class FabricRig {
     fabric::PublishTwoStep(two_step, &fab);
     catch_prefix = fab.catch_all_name() + "#";
 
-    bool pool_covered[4] = {false, false, false, false};
+    bool pool_covered[workload::kNumQueryTypes] = {};
     for (size_t j = 0; j < pools * probes_per_pool; ++j) {
       probes.push_back(examples[(j % pools) * 40 + j / pools].query_features);
       const workload::QueryType verdict =
@@ -259,15 +259,14 @@ class FabricRig {
       probe_pool.push_back(verdict);
       probe_prefix.push_back(std::string(workload::QueryTypeName(verdict)) +
                              "#");
-      pool_covered[static_cast<size_t>(verdict)] = true;
+      pool_covered[workload::QueryTypeIndex(verdict)] = true;
       expect_expert.push_back(two_step.Predict(probes.back()));
       expect_base.push_back(two_step.base().Predict(probes.back()));
     }
     for (size_t p = 0; p < pools; ++p) {
       v.Check(pool_covered[p],
               std::string("probe mix never classifies into pool ") +
-                  workload::QueryTypeName(
-                      static_cast<workload::QueryType>(p)));
+                  workload::QueryTypeName(workload::kQueryTypes[p]));
     }
   }
 
@@ -773,7 +772,7 @@ void RunModelLifecycle(const FaultPlan& plan, const ChaosOptions& opts,
   lcfg.gate.margin = 0.05;
   // Above the clean challengers' intrinsic ~1.6 error, far below the
   // poisoned candidates' ~99: tolerance alone rejects every poison.
-  lcfg.gate.tolerance = lifecycle::UniformTolerance(3.0);
+  lcfg.gate.tolerance = 3.0;
   lcfg.max_shadow_windows = 3;
   lcfg.probation_windows = 2;
   // The watchdog threshold is max(2.5, 2x the promoted risk): a clean

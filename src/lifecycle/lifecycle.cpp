@@ -14,7 +14,7 @@ double RiskWindow::risk() const {
   double worst = 0.0;
   for (size_t m = 0; m < kNumMetrics; ++m) {
     worst = std::max(worst, metric_ewma[m]);
-    for (size_t p = 0; p < kNumPools; ++p) {
+    for (size_t p = 0; p < workload::kNumQueryTypes; ++p) {
       worst = std::max(worst, pool_ewma[p][m]);
     }
   }
@@ -47,9 +47,9 @@ RiskWindow ShadowScorer::Window() const {
   w.observations = monitor_.model_observations();
   for (size_t m = 0; m < RiskWindow::kNumMetrics; ++m) {
     w.metric_ewma[m] = monitor_.MetricEwma(m);
-    for (size_t p = 0; p < RiskWindow::kNumPools; ++p) {
-      w.pool_ewma[p][m] =
-          monitor_.PoolMetricEwma(static_cast<workload::QueryType>(p), m);
+    for (const workload::QueryType t : workload::kQueryTypes) {
+      w.pool_ewma[workload::QueryTypeIndex(t)][m] =
+          monitor_.PoolMetricEwma(t, m);
     }
   }
   return w;
@@ -73,7 +73,7 @@ GateDecision PromotionGate::Evaluate(const RiskWindow& champion,
   }
   const auto names = engine::QueryMetrics::MetricNames();
   for (size_t m = 0; m < RiskWindow::kNumMetrics; ++m) {
-    if (challenger.metric_ewma[m] > config_.tolerance[m]) {
+    if (challenger.metric_ewma[m] > config_.tolerance) {
       d.reason = "tolerance:" + names[m];
       return d;
     }

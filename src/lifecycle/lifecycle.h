@@ -18,11 +18,11 @@
 //    computed, scored, and discarded — they can never reach a client by
 //    construction.
 //  * PromotionGate — promotes a challenger only when both windows are
-//    warm, every challenger metric EWMA passes its golden-metrics-style
-//    tolerance, AND the challenger's risk beats the champion's by a
-//    configured margin. The gate is monotone: worsening a challenger's
-//    scored errors can only raise its EWMAs, so it can never flip a
-//    reject into a promote (pinned by tests/property_test.cpp).
+//    warm, every challenger metric EWMA stays within one
+//    golden-metrics-style tolerance, AND the challenger's risk beats the
+//    champion's by a configured margin. The gate is monotone: worsening a
+//    challenger's scored errors can only raise its EWMAs, so it can never
+//    flip a reject into a promote (pinned by tests/property_test.cpp).
 //  * AutoRollback — at promotion the previous champion (bits +
 //    generation) is retained and a fresh obs::SloEngine watchdog watches
 //    the new champion's risk gauge; a gauge-threshold breach within the
@@ -41,7 +41,6 @@
 // See docs/LIFECYCLE.md for the knobs and the full determinism contract.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -61,6 +60,7 @@
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
 #include "serve/shadow_observer.h"
+#include "workload/pools.h"
 
 namespace qpp::lifecycle {
 
@@ -68,11 +68,10 @@ namespace qpp::lifecycle {
 /// per query pool (the DriftMonitor internals the gate reuses).
 struct RiskWindow {
   static constexpr size_t kNumMetrics = engine::QueryMetrics::kNumMetrics;
-  static constexpr size_t kNumPools = 4;  // feather/golf/bowling/wrecking
 
   uint64_t observations = 0;
   double metric_ewma[kNumMetrics] = {};
-  double pool_ewma[kNumPools][kNumMetrics] = {};
+  double pool_ewma[workload::kNumQueryTypes][kNumMetrics] = {};
 
   /// Scalar risk: the worst relative-error EWMA across all metrics,
   /// overall and per pool. Monotone in every entry.
@@ -117,23 +116,14 @@ class ShadowScorer {
   obs::DriftMonitor monitor_;
 };
 
-/// Fills a per-metric tolerance array with one value (paper metric order).
-constexpr std::array<double, RiskWindow::kNumMetrics> UniformTolerance(
-    double t) {
-  std::array<double, RiskWindow::kNumMetrics> a{};
-  for (size_t i = 0; i < a.size(); ++i) a[i] = t;
-  return a;
-}
-
 struct PromotionGateConfig {
   /// Both windows need at least this many scored observations.
   uint64_t min_observations = 32;
   /// Promote only when challenger risk <= champion risk * (1 - margin).
   double margin = 0.1;
-  /// Golden-metrics-style per-metric ceiling: every challenger metric EWMA
-  /// must stay at or under its tolerance, whatever the champion does.
-  std::array<double, RiskWindow::kNumMetrics> tolerance =
-      UniformTolerance(0.5);
+  /// Golden-metrics-style ceiling: every challenger metric EWMA must stay
+  /// at or under it, whatever the champion does.
+  double tolerance = 0.5;
 };
 
 struct GateDecision {
@@ -227,8 +217,8 @@ struct LifecycleStats {
 };
 
 /// The closed loop. Install as ServiceConfig::shadow (for a fabric, on
-/// each group's service config) so every model-answered response flows
-/// through OnServedPrediction; feed observed actuals back through
+/// the fabric's one service config) so every model-answered response
+/// flows through OnServedPrediction; feed observed actuals back through
 /// ScoreActual.
 /// One candidate is active at a time; further registrations queue behind
 /// it in registration order.

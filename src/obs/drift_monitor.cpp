@@ -18,8 +18,6 @@ double RelativeError(double predicted, double actual) {
   return std::min(err, 1e6);
 }
 
-size_t PoolIndex(workload::QueryType t) { return static_cast<size_t>(t); }
-
 /// "golf ball" -> "golf_ball" for label values.
 std::string PoolLabel(workload::QueryType t) {
   std::string s = workload::QueryTypeName(t);
@@ -35,11 +33,11 @@ DriftMonitor::DriftMonitor(MetricsRegistry* registry) : registry_(registry) {
   for (size_t m = 0; m < kNumMetrics; ++m) {
     overall_gauges_[m] =
         registry_->GetGauge("qpp_drift_relerr_ewma", {{"metric", names[m]}});
-    for (size_t p = 0; p < kNumPools; ++p) {
+    for (size_t p = 0; p < workload::kNumQueryTypes; ++p) {
       pool_gauges_[p][m] = registry_->GetGauge(
           "qpp_drift_relerr_ewma",
           {{"metric", names[m]},
-           {"pool", PoolLabel(static_cast<workload::QueryType>(p))}});
+           {"pool", PoolLabel(workload::kQueryTypes[p])}});
     }
   }
   fallback_share_gauge_ = registry_->GetGauge("qpp_drift_fallback_share");
@@ -67,8 +65,8 @@ bool DriftMonitor::Observe(Source source,
     return false;
   }
 
-  const size_t pool =
-      PoolIndex(workload::ClassifyElapsed(actual.elapsed_seconds));
+  const size_t pool = workload::QueryTypeIndex(
+      workload::ClassifyElapsed(actual.elapsed_seconds));
   const linalg::Vector pv = predicted.ToVector();
   const linalg::Vector av = actual.ToVector();
   for (size_t m = 0; m < kNumMetrics; ++m) {
@@ -101,7 +99,7 @@ double DriftMonitor::MetricEwma(size_t m) const {
 double DriftMonitor::PoolMetricEwma(workload::QueryType pool,
                                     size_t m) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return per_pool_[PoolIndex(pool)][m].value;
+  return per_pool_[workload::QueryTypeIndex(pool)][m].value;
 }
 
 double DriftMonitor::FallbackElapsedEwma() const {
@@ -140,7 +138,7 @@ void DriftMonitor::ExportLocked() {
   if (registry_ == nullptr) return;
   for (size_t m = 0; m < kNumMetrics; ++m) {
     overall_gauges_[m]->Set(overall_[m].value);
-    for (size_t p = 0; p < kNumPools; ++p) {
+    for (size_t p = 0; p < workload::kNumQueryTypes; ++p) {
       pool_gauges_[p][m]->Set(per_pool_[p][m].value);
     }
   }
@@ -163,13 +161,12 @@ std::string DriftMonitor::ToString() const {
   for (size_t m = 0; m < kNumMetrics && model_obs_ > 0; ++m) {
     out += StrFormat("  %-18s %.3f", names[m].c_str(), overall_[m].value);
     std::string pools;
-    for (size_t p = 0; p < kNumPools; ++p) {
+    for (size_t p = 0; p < workload::kNumQueryTypes; ++p) {
       if (per_pool_[p][m].n == 0) continue;
       if (!pools.empty()) pools += ", ";
-      pools += StrFormat(
-          "%s %.3f",
-          workload::QueryTypeName(static_cast<workload::QueryType>(p)),
-          per_pool_[p][m].value);
+      pools += StrFormat("%s %.3f",
+                         workload::QueryTypeName(workload::kQueryTypes[p]),
+                         per_pool_[p][m].value);
     }
     if (!pools.empty()) out += "  [" + pools + "]";
     out += '\n';

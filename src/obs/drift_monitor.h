@@ -100,7 +100,6 @@ class DriftMonitor {
   };
 
   static constexpr size_t kNumMetrics = engine::QueryMetrics::kNumMetrics;
-  static constexpr size_t kNumPools = 4;  // feather/golf/bowling/wrecking
 
   void ExportLocked();
 
@@ -108,7 +107,7 @@ class DriftMonitor {
 
   mutable std::mutex mu_;
   Ewma overall_[kNumMetrics];
-  Ewma per_pool_[kNumPools][kNumMetrics];
+  Ewma per_pool_[workload::kNumQueryTypes][kNumMetrics];
   Ewma fallback_elapsed_;
   uint64_t model_obs_ = 0;
   uint64_t fallback_obs_ = 0;
@@ -117,7 +116,7 @@ class DriftMonitor {
   // Gauge/counter pointers resolved once at construction (null without a
   // registry).
   Gauge* overall_gauges_[kNumMetrics] = {};
-  Gauge* pool_gauges_[kNumPools][kNumMetrics] = {};
+  Gauge* pool_gauges_[workload::kNumQueryTypes][kNumMetrics] = {};
   Gauge* fallback_share_gauge_ = nullptr;
   Gauge* fallback_elapsed_gauge_ = nullptr;
   Counter* model_obs_counter_ = nullptr;

@@ -36,8 +36,7 @@ std::vector<const PooledQuery*> QueryPools::OfType(QueryType t) const {
 
 std::vector<PoolSummary> QueryPools::Summaries() const {
   std::vector<PoolSummary> out;
-  for (QueryType t : {QueryType::kFeather, QueryType::kGolfBall,
-                      QueryType::kBowlingBall, QueryType::kWreckingBall}) {
+  for (const QueryType t : kQueryTypes) {
     PoolSummary s;
     s.type = t;
     s.min_elapsed = std::numeric_limits<double>::infinity();

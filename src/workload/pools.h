@@ -11,6 +11,8 @@
 // something the approach depends on; we keep them for report parity.
 #pragma once
 
+#include <cstddef>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,15 @@
 namespace qpp::workload {
 
 enum class QueryType { kFeather, kGolfBall, kBowlingBall, kWreckingBall };
+
+/// The pool set, in enum order: Fig. 2's rows, the fabric's expert groups
+/// and every per-pool array follow it.
+inline constexpr QueryType kQueryTypes[] = {
+    QueryType::kFeather, QueryType::kGolfBall, QueryType::kBowlingBall,
+    QueryType::kWreckingBall};
+inline constexpr size_t kNumQueryTypes = std::size(kQueryTypes);
+/// `t`'s position in kQueryTypes, for arrays indexed by pool.
+constexpr size_t QueryTypeIndex(QueryType t) { return static_cast<size_t>(t); }
 
 const char* QueryTypeName(QueryType t);
 

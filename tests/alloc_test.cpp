@@ -7,9 +7,10 @@
 //  * Classify, on every call after its first on a thread;
 //  * Predict, whose only allocation is the neighbor list it returns.
 // The same counter also shows that a serve worker does not copy a missed
-// request's features, that a corrupt length prefix cannot make a
-// BinaryReader allocate more than one chunk, and that a plan file's claimed
-// child count allocates nothing its bytes do not back.
+// request's features, that a fabric without a tracer builds no trace
+// detail string on a health change, that a corrupt length prefix cannot
+// make a BinaryReader allocate more than one chunk, and that a plan file's
+// claimed child count allocates nothing its bytes do not back.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include "common/check.h"
 #include "common/serde.h"
 #include "core/predictor.h"
+#include "fabric/fabric.h"
 #include "fault/chaos.h"
 #include "optimizer/plan_serde.h"
 #include "par/thread_pool.h"
@@ -244,6 +246,20 @@ TEST(ServeAllocTest, WorkerDoesNotCopyAMissedRequestsFeatures) {
     EXPECT_GT(from_model, 0u);
   }
   par::SetGlobalThreads(par::DefaultThreads());
+}
+
+TEST(FabricAllocTest, UntracedHealthChangeAllocatesNothing) {
+  serve::ServiceConfig service;
+  service.num_workers = 1;
+  fabric::Fabric fab(fabric::MakePerPoolFabricConfig(1, service));
+  // "one-model#0=draining" would outgrow the inline string buffer.
+  const std::string group = "one-model";
+  fab.SetReplicaHealth(group, 0, fabric::ReplicaHealth::kDraining);
+  fab.SetReplicaHealth(group, 0, fabric::ReplicaHealth::kUp);
+  const uint64_t before = Allocs();
+  fab.SetReplicaHealth(group, 0, fabric::ReplicaHealth::kDraining);
+  EXPECT_EQ(Allocs() - before, 0u);
+  EXPECT_EQ(fab.health(group, 0), fabric::ReplicaHealth::kDraining);
 }
 
 TEST(BoundedReadTest, CorruptLengthAllocatesAtMostOneChunk) {

@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "core/two_step.h"
 #include "fabric/admission.h"
 #include "fabric/fabric.h"
@@ -109,21 +110,19 @@ AdmissionConfig TestAdmission() {
 // ---------------------------------------------------------------- shape --
 
 TEST(MakePerPoolFabricConfigTest, OneGroupPerPoolPlusCatchAll) {
-  const FabricConfig config = MakePerPoolFabricConfig(3);
-  ASSERT_EQ(config.groups.size(), 5u);
-  EXPECT_EQ(config.groups[0].name, "feather");
-  EXPECT_EQ(config.groups[1].name, "golf ball");
-  EXPECT_EQ(config.groups[2].name, "bowling ball");
-  EXPECT_EQ(config.groups[3].name, "wrecking ball");
-  EXPECT_EQ(config.groups[4].name, "one-model");
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(config.groups[i].pools.size(), 1u);
-    EXPECT_EQ(config.groups[i].replicas, 3u);
-  }
-  EXPECT_TRUE(config.groups[4].pools.empty());
-
   Fabric fabric(MakePerPoolFabricConfig(3), TestCalibration());
-  EXPECT_EQ(fabric.num_groups(), 5u);
+  const char* const kNames[] = {"feather", "golf ball", "bowling ball",
+                                "wrecking ball", "one-model"};
+  const FabricStatsSnapshot stats = fabric.stats();
+  ASSERT_EQ(stats.groups.size(), 5u);
+  for (size_t g = 0; g < 5; ++g) {
+    EXPECT_EQ(stats.groups[g].name, kNames[g]);
+    EXPECT_EQ(stats.groups[g].catch_all, g == 4);
+    ASSERT_EQ(stats.groups[g].replicas.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(stats.groups[g].replicas[i].label, ReplicaLabel(kNames[g], i));
+    }
+  }
   EXPECT_EQ(fabric.catch_all_name(), "one-model");
   EXPECT_EQ(fabric.replica_count("feather"), 3u);
   EXPECT_EQ(fabric.replica_count("no-such-group"), 0u);
@@ -134,6 +133,7 @@ TEST(MakePerPoolFabricConfigTest, OneGroupPerPoolPlusCatchAll) {
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(fabric.health("one-model", i), ReplicaHealth::kUp);
   }
+  EXPECT_THROW(Fabric(MakePerPoolFabricConfig(0)), CheckFailure);
 }
 
 TEST(ReplicaLabelTest, GroupHashIndexAndHealthNames) {
@@ -740,26 +740,38 @@ TEST(FabricTest, RefusingExpertEscalatesOverloaded) {
   EXPECT_EQ(fabric.stats().escalations_dead, 0u);
 }
 
+/// Stalls every batch feather#0 picks up for a virtual 60 s.
+fault::FaultPlan SickFeatherPlan() {
+  fault::FaultPlan plan;
+  plan.serve.target_replica_label = "feather#0";
+  plan.serve.replica_stall_probability = 1.0;
+  plan.serve.replica_stall_seconds = 60.0;
+  return plan;
+}
+
 /// A 1-replica fabric whose feather replica blows every deadline, so its
 /// breaker trips and stays open under continued failures; every 32nd
-/// diverted pick still goes through as a recovery probe.
-FabricConfig SickFeatherConfig() {
-  FabricConfig config = TestConfig(1);
-  for (ReplicaGroupSpec& spec : config.groups) {
-    if (spec.name != "feather") continue;
-    spec.service.queue_deadline_seconds = 1e-12;
-    spec.service.breaker.enabled = true;
-    spec.service.breaker.window = 8;
-    spec.service.breaker.min_samples = 4;
-    spec.service.breaker.trip_ratio = 0.5;
-    spec.service.breaker.open_requests = 64;
-  }
+/// diverted pick still goes through as a recovery probe. Every replica
+/// runs one service config, so the breaker is on in all of them; only
+/// feather#0 fails, through `injector`'s SickFeatherPlan stalls against a
+/// 5 s deadline. The injector must outlive the fabric.
+FabricConfig SickFeatherConfig(fault::FaultInjector* injector) {
+  serve::ServiceConfig service = PlainConfig();
+  service.queue_deadline_seconds = 5.0;
+  service.breaker.enabled = true;
+  service.breaker.window = 8;
+  service.breaker.min_samples = 4;
+  service.breaker.trip_ratio = 0.5;
+  service.breaker.open_requests = 64;
+  FabricConfig config = MakePerPoolFabricConfig(1, service);
+  config.faults = injector;
   return config;
 }
 
 TEST(FabricTest, OpenBreakerDivertsButProbesForRecovery) {
   const TrainedFixture& f = F();
-  Fabric fabric(SickFeatherConfig(), TestCalibration());
+  fault::FaultInjector injector(SickFeatherPlan());
+  Fabric fabric(SickFeatherConfig(&injector), TestCalibration());
   PublishTwoStep(f.ts, &fabric);
 
   const linalg::Vector feather = f.probe(QueryType::kFeather, 0);
@@ -825,7 +837,8 @@ TEST(FabricTest, EveryEscalationRungMovesItsLabeledCounters) {
 
   for (const RungCase& c : kCases) {
     SCOPED_TRACE(c.rung);
-    Fabric fabric(c.sick ? SickFeatherConfig() : TestConfig(1),
+    fault::FaultInjector injector(SickFeatherPlan());
+    Fabric fabric(c.sick ? SickFeatherConfig(&injector) : TestConfig(1),
                   TestCalibration());
     PublishTwoStep(f.ts, &fabric);
     c.induce(fabric);

@@ -24,6 +24,7 @@
 #include "ml/knn.h"
 #include "par/simd.h"
 #include "par/thread_pool.h"
+#include "fixtures.h"
 
 namespace qpp {
 namespace {
@@ -249,26 +250,6 @@ TEST(KdTreeOracleTest, RebuildAfterClearMatchesFreshTree) {
 // ---------------------------------------------------------------------------
 // End-to-end: the indexes inside core::Predictor.
 
-std::vector<ml::TrainingExample> SyntheticExamples(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<ml::TrainingExample> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    ml::TrainingExample ex;
-    ex.query_features.resize(ml::kPlanFeatureDims);
-    for (double& v : ex.query_features) {
-      v = rng.Bernoulli(0.3) ? rng.LogNormal(5.0, 2.0) : 0.0;
-    }
-    ex.metrics.elapsed_seconds = rng.LogNormal(1.0, 2.0);
-    ex.metrics.records_accessed = rng.LogNormal(12.0, 2.0);
-    ex.metrics.records_used = rng.LogNormal(10.0, 2.0);
-    ex.metrics.message_count = rng.LogNormal(6.0, 2.0);
-    ex.metrics.message_bytes = rng.LogNormal(14.0, 2.0);
-    out.push_back(std::move(ex));
-  }
-  return out;
-}
-
 ::testing::AssertionResult SamePrediction(const core::Prediction& a,
                                           const core::Prediction& b) {
   const auto av = a.metrics.ToVector();
@@ -289,7 +270,7 @@ std::vector<ml::TrainingExample> SyntheticExamples(size_t n, uint64_t seed) {
 }
 
 TEST(KdTreePredictorTest, IndexedPredictorIsBitIdenticalToBruteForce) {
-  const auto examples = SyntheticExamples(160, 0x9D1Cull);
+  const auto examples = fixtures::PlanShapedExamples(160, 0x9D1Cull, 5.0, 2.0);
   core::PredictorConfig brute_cfg;
   brute_cfg.use_knn_index = false;
   core::Predictor indexed, brute(brute_cfg);
@@ -325,7 +306,7 @@ TEST(KdTreePredictorTest, TrainAndPredictBytesStableAcrossThreadsAndSimd) {
   // predictions. This is the product of the qpp::par determinism contract
   // and the SIMD oracle contract, end to end through the k-d tree serving
   // path.
-  const auto examples = SyntheticExamples(120, 0xCD15ull);
+  const auto examples = fixtures::PlanShapedExamples(120, 0xCD15ull, 5.0, 2.0);
   std::vector<linalg::Vector> probes;
   for (size_t i = 0; i < 12; ++i) {
     probes.push_back(examples[(i * 13 + 1) % examples.size()].query_features);
@@ -367,7 +348,7 @@ TEST(KdTreePredictorTest, TrainAndPredictBytesStableAcrossThreadsAndSimd) {
 }
 
 TEST(KdTreePredictorTest, LoadRebuildsIndexesAndAnswersIdentically) {
-  const auto examples = SyntheticExamples(100, 0x10ADull);
+  const auto examples = fixtures::PlanShapedExamples(100, 0x10ADull, 5.0, 2.0);
   core::Predictor pred;
   pred.Train(examples);
   std::ostringstream os;

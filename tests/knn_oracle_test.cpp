@@ -18,6 +18,7 @@
 #include "par/simd.h"
 #include "par/simd_lanes.h"
 #include "par/thread_pool.h"
+#include "fixtures.h"
 
 namespace qpp {
 namespace {
@@ -239,21 +240,8 @@ TEST(KnnOracleTest, PredictBatchBitIdenticalToPredictAcrossDispatchMatrix) {
   // 1/2/8 threads. This is the property that lets the serve micro-batcher
   // answer from the blocked path without forfeiting its determinism
   // guarantee.
-  Rng rng(0xBAD7ull);
-  std::vector<ml::TrainingExample> examples;
-  for (size_t i = 0; i < 80; ++i) {
-    ml::TrainingExample ex;
-    ex.query_features.resize(ml::kPlanFeatureDims);
-    for (double& v : ex.query_features) {
-      v = rng.Bernoulli(0.3) ? rng.LogNormal(5.0, 2.0) : 0.0;
-    }
-    ex.metrics.elapsed_seconds = rng.LogNormal(1.0, 2.0);
-    ex.metrics.records_accessed = rng.LogNormal(12.0, 2.0);
-    ex.metrics.records_used = rng.LogNormal(10.0, 2.0);
-    ex.metrics.message_count = rng.LogNormal(6.0, 2.0);
-    ex.metrics.message_bytes = rng.LogNormal(14.0, 2.0);
-    examples.push_back(std::move(ex));
-  }
+  const std::vector<ml::TrainingExample> examples =
+      fixtures::PlanShapedExamples(80, 0xBAD7ull, 5.0, 2.0);
   core::Predictor pred;
   pred.Train(examples);
   const size_t max_b =

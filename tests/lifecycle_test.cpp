@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/predictor.h"
 #include "fault/chaos.h"
 #include "fault/fault_injector.h"
@@ -18,27 +17,12 @@
 #include "lifecycle/lifecycle.h"
 #include "obs/registry.h"
 #include "serve/model_registry.h"
+#include "fixtures.h"
 
 namespace qpp::lifecycle {
 namespace {
 
-std::shared_ptr<const core::Predictor> TinyModel(uint64_t seed) {
-  Rng rng(seed);
-  std::vector<ml::TrainingExample> examples;
-  for (int i = 0; i < 40; ++i) {
-    ml::TrainingExample ex;
-    const double x = rng.Uniform(1.0, 10.0);
-    ex.query_features = {x, x * x, rng.Uniform(0.0, 1.0)};
-    ex.metrics.elapsed_seconds = 2.0 * x;
-    ex.metrics.records_accessed = 100.0 * x;
-    examples.push_back(std::move(ex));
-  }
-  core::PredictorConfig cfg;
-  cfg.model = core::ModelKind::kRegression;  // instant to train
-  auto model = std::make_shared<core::Predictor>(cfg);
-  model->Train(examples);
-  return model;
-}
+using fixtures::TinyModel;
 
 linalg::Vector Feat(uint64_t i) {
   const double x = 1.0 + static_cast<double>(i % 97) * 0.1;
@@ -57,7 +41,7 @@ LifecycleConfig FastConfig() {
   cfg.window_observations = 8;
   cfg.gate.min_observations = 8;
   cfg.gate.margin = 0.1;
-  cfg.gate.tolerance = UniformTolerance(0.5);
+  cfg.gate.tolerance = 0.5;
   cfg.max_shadow_windows = 2;
   cfg.probation_windows = 2;
   cfg.rollback_margin = 0.5;
@@ -108,7 +92,7 @@ TEST(PromotionGateTest, WarmupThenToleranceThenMarginThenPromote) {
   PromotionGateConfig cfg;
   cfg.min_observations = 8;
   cfg.margin = 0.1;
-  cfg.tolerance = UniformTolerance(0.5);
+  cfg.tolerance = 0.5;
   const PromotionGate gate(cfg);
 
   RiskWindow champion, challenger;
@@ -119,7 +103,7 @@ TEST(PromotionGateTest, WarmupThenToleranceThenMarginThenPromote) {
   EXPECT_EQ(gate.Evaluate(champion, challenger).reason, "warmup");
 
   challenger.observations = 8;
-  challenger.metric_ewma[1] = 0.6;  // over the per-metric tolerance
+  challenger.metric_ewma[1] = 0.6;  // over the tolerance
   const GateDecision tol = gate.Evaluate(champion, challenger);
   EXPECT_FALSE(tol.promote);
   EXPECT_EQ(tol.reason,

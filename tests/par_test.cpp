@@ -22,6 +22,7 @@
 #include "par/thread_pool.h"
 #include "par/workspace.h"
 #include "linalg_reference.h"
+#include "fixtures.h"
 
 namespace qpp::par {
 namespace {
@@ -189,26 +190,6 @@ TEST_F(ParTest, GaussianScaleBitIdenticalAcrossThreadCounts) {
 // {1, 2, 8} gives byte-identical model serialization and predictions, for
 // both solver paths.
 
-std::vector<ml::TrainingExample> SyntheticExamples(size_t n) {
-  Rng rng(1234);
-  std::vector<ml::TrainingExample> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    ml::TrainingExample ex;
-    ex.query_features.resize(ml::kPlanFeatureDims);
-    for (double& v : ex.query_features) {
-      v = rng.Bernoulli(0.3) ? rng.LogNormal(6.0, 3.0) : 0.0;
-    }
-    ex.metrics.elapsed_seconds = rng.LogNormal(1.0, 2.0);
-    ex.metrics.records_accessed = rng.LogNormal(12.0, 2.0);
-    ex.metrics.records_used = rng.LogNormal(10.0, 2.0);
-    ex.metrics.message_count = rng.LogNormal(6.0, 2.0);
-    ex.metrics.message_bytes = rng.LogNormal(14.0, 2.0);
-    out.push_back(std::move(ex));
-  }
-  return out;
-}
-
 struct TrainArtifacts {
   std::string model_bytes;
   std::vector<double> predictions;
@@ -219,7 +200,7 @@ TrainArtifacts TrainAndPredictAt(size_t threads, ml::KccaSolver solver) {
   core::PredictorConfig cfg;
   cfg.kcca.solver = solver;
   const size_t n = solver == ml::KccaSolver::kExact ? 96 : 420;
-  const auto examples = SyntheticExamples(n);
+  const auto examples = fixtures::PlanShapedExamples(n, 1234, 6.0, 3.0);
   core::Predictor pred(cfg);
   pred.Train(examples);
 

@@ -27,6 +27,7 @@
 #include "par/simd.h"
 #include "sql/parser.h"
 #include "workload/generator.h"
+#include "workload/pools.h"
 #include "workload/problem_templates.h"
 #include "workload/retailbank_templates.h"
 #include "workload/tpcds_templates.h"
@@ -411,7 +412,7 @@ TEST(LifecyclePropertyTest, PromotionGateIsMonotoneInChallengerErrors) {
     lifecycle::PromotionGateConfig cfg;
     cfg.min_observations = 4;
     cfg.margin = rng.Uniform(0.0, 0.5);
-    cfg.tolerance = lifecycle::UniformTolerance(rng.Uniform(0.1, 2.0));
+    cfg.tolerance = rng.Uniform(0.1, 2.0);
     const lifecycle::PromotionGate gate(cfg);
 
     lifecycle::RiskWindow champion, challenger;
@@ -421,7 +422,7 @@ TEST(LifecyclePropertyTest, PromotionGateIsMonotoneInChallengerErrors) {
     for (size_t m = 0; m < lifecycle::RiskWindow::kNumMetrics; ++m) {
       champion.metric_ewma[m] = rng.Uniform(0.0, 2.0);
       challenger.metric_ewma[m] = rng.Uniform(0.0, 2.0);
-      for (size_t p = 0; p < lifecycle::RiskWindow::kNumPools; ++p) {
+      for (size_t p = 0; p < workload::kNumQueryTypes; ++p) {
         champion.pool_ewma[p][m] = rng.Uniform(0.0, 2.0);
         challenger.pool_ewma[p][m] = rng.Uniform(0.0, 2.0);
       }
@@ -433,7 +434,7 @@ TEST(LifecyclePropertyTest, PromotionGateIsMonotoneInChallengerErrors) {
     lifecycle::RiskWindow worse = challenger;
     for (size_t m = 0; m < lifecycle::RiskWindow::kNumMetrics; ++m) {
       worse.metric_ewma[m] *= rng.Uniform(1.0, 4.0);
-      for (size_t p = 0; p < lifecycle::RiskWindow::kNumPools; ++p) {
+      for (size_t p = 0; p < workload::kNumQueryTypes; ++p) {
         worse.pool_ewma[p][m] *= rng.Uniform(1.0, 4.0);
       }
     }
@@ -456,7 +457,7 @@ TEST(LifecyclePropertyTest, WorseErrorStreamNeverUnlocksPromotion) {
   lifecycle::PromotionGateConfig cfg;
   cfg.min_observations = 4;
   cfg.margin = 0.1;
-  cfg.tolerance = lifecycle::UniformTolerance(0.8);
+  cfg.tolerance = 0.8;
   const lifecycle::PromotionGate gate(cfg);
 
   lifecycle::RiskWindow champion;

@@ -15,13 +15,13 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/rng.h"
 #include "serve/bounded_queue.h"
 #include "serve/circuit_breaker.h"
 #include "serve/cost_fallback.h"
 #include "serve/lru_cache.h"
 #include "serve/model_registry.h"
 #include "serve/service_stats.h"
+#include "fixtures.h"
 
 namespace qpp::serve {
 namespace {
@@ -286,23 +286,7 @@ TEST(CostCalibrationTest, FallbackPredictionIsLabeledUntrusted) {
 
 // ------------------------------------------------------------- registry --
 
-std::shared_ptr<const core::Predictor> TinyModel(uint64_t seed) {
-  Rng rng(seed);
-  std::vector<ml::TrainingExample> examples;
-  for (int i = 0; i < 40; ++i) {
-    ml::TrainingExample ex;
-    const double x = rng.Uniform(1.0, 10.0);
-    ex.query_features = {x, x * x, rng.Uniform(0.0, 1.0)};
-    ex.metrics.elapsed_seconds = 2.0 * x;
-    ex.metrics.records_accessed = 100.0 * x;
-    examples.push_back(std::move(ex));
-  }
-  core::PredictorConfig cfg;
-  cfg.model = core::ModelKind::kRegression;  // instant to train
-  auto model = std::make_shared<core::Predictor>(cfg);
-  model->Train(examples);
-  return model;
-}
+using fixtures::TinyModel;
 
 TEST(ModelRegistryTest, EmptyUntilFirstPublish) {
   ModelRegistry registry;

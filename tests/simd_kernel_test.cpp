@@ -26,6 +26,7 @@
 #include "par/simd.h"
 #include "par/simd_lanes.h"
 #include "linalg_reference.h"
+#include "fixtures.h"
 
 namespace qpp {
 namespace {
@@ -568,21 +569,8 @@ TEST(SimdDifferentialTest, TrainedModelAndPredictionsBytesMatchScalarOracle) {
   // End-to-end: the full Train + Save + Predict pipeline produces the same
   // bytes with the vector kernels on and forced off. This is the property
   // that lets the golden suite stay pinned across ISA changes.
-  Rng rng(0x6A59ull);
-  std::vector<ml::TrainingExample> examples;
-  for (size_t i = 0; i < 96; ++i) {
-    ml::TrainingExample ex;
-    ex.query_features.resize(ml::kPlanFeatureDims);
-    for (double& v : ex.query_features) {
-      v = rng.Bernoulli(0.3) ? rng.LogNormal(5.0, 2.0) : 0.0;
-    }
-    ex.metrics.elapsed_seconds = rng.LogNormal(1.0, 2.0);
-    ex.metrics.records_accessed = rng.LogNormal(12.0, 2.0);
-    ex.metrics.records_used = rng.LogNormal(10.0, 2.0);
-    ex.metrics.message_count = rng.LogNormal(6.0, 2.0);
-    ex.metrics.message_bytes = rng.LogNormal(14.0, 2.0);
-    examples.push_back(std::move(ex));
-  }
+  const std::vector<ml::TrainingExample> examples =
+      fixtures::PlanShapedExamples(96, 0x6A59ull, 5.0, 2.0);
   std::string bytes[2];
   std::vector<linalg::Vector> probes;
   for (size_t i = 0; i < 8; ++i) {
