@@ -54,13 +54,9 @@ struct Table {
   const Column* FindColumn(const std::string& name) const;
 };
 
-/// A named collection of tables. Lookups are case-insensitive.
+/// A collection of tables. Lookups are case-insensitive.
 class Catalog {
  public:
-  explicit Catalog(std::string name) : name_(std::move(name)) {}
-
-  const std::string& name() const { return name_; }
-
   /// Registers a table; replaces an existing table with the same name.
   void AddTable(Table table);
 
@@ -75,7 +71,6 @@ class Catalog {
   const std::vector<Table>& tables() const { return tables_; }
 
  private:
-  std::string name_;
   std::vector<Table> tables_;
   // name -> position; finds compare case-folded in place, allocating nothing
   std::map<std::string, size_t, LessIgnoreCaseAscii> index_;

@@ -9,7 +9,7 @@ Catalog MakeRetailBankCatalog(double scale) {
   const double sf = std::max(scale, 0.01);
   const auto lin = [&](double r) { return std::round(r * sf); };
 
-  Catalog cat("retailbank");
+  Catalog cat;
 
   {
     Table t;

@@ -60,7 +60,7 @@ Catalog MakeTpcdsCatalog(double scale_factor) {
   const double n_reason = 35;
   const double n_income_band = 20;
 
-  Catalog cat("tpcds");
+  Catalog cat;
 
   {
     Table t;

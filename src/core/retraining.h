@@ -50,7 +50,6 @@ class SlidingWindowPredictor {
   /// small to train).
   bool Retrain();
 
-  bool trained() const { return predictor_.trained(); }
   Prediction Predict(const linalg::Vector& query_features) const {
     return predictor_.Predict(query_features);
   }

@@ -56,8 +56,6 @@ class ExecutionSimulator {
                        obs::TraceRecorder* trace = nullptr,
                        const fault::FaultInjector* faults = nullptr) const;
 
-  const SystemConfig& config() const { return config_; }
-
  private:
   struct OpCosts {
     double cpu_seconds = 0.0;   // total across nodes

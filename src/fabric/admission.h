@@ -89,8 +89,6 @@ class AdmissionController {
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
 
-  const AdmissionConfig& config() const { return config_; }
-
   /// Feeds the windowed-p99 signal; called from whichever worker thread
   /// answers a request (the fabric wires this into every replica's
   /// on_response hook). Records into the latency histogram and advances
@@ -116,10 +114,6 @@ class AdmissionController {
   /// this regardless of live load (and RecordLatency is a no-op).
   /// nullopt restores live signals.
   void SetVirtualLoad(std::optional<LoadSignal> signal);
-
-  /// The SLO engine behind the p99 signal (alert counts, rule values);
-  /// read-only — the controller owns the ticking.
-  const obs::SloEngine& slo() const { return slo_; }
 
  private:
   const AdmissionConfig config_;

@@ -27,6 +27,9 @@ constexpr size_t kFlightCapacity = 4096;
 // The catch-all group: it serves the base model, which is also the step-1
 // classifier.
 constexpr const char* kCatchAllGroup = "one-model";
+// The `reason` label of each Fabric::Escalation, in its order.
+constexpr const char* kEscalationReasons[] = {"dead", "circuit-open",
+                                              "overloaded"};
 
 }  // namespace
 
@@ -133,14 +136,11 @@ Fabric::Fabric(FabricConfig config, serve::CostCalibration calibration)
         metrics_.GetCounter("qpp_fabric_requests_total", group_labels);
     group->absorbed =
         metrics_.GetCounter("qpp_fabric_absorbed_total", group_labels);
-    group->escalated_dead = metrics_.GetCounter(
-        "qpp_fabric_escalations_total", {{"group", name}, {"reason", "dead"}});
-    group->escalated_open = metrics_.GetCounter(
-        "qpp_fabric_escalations_total",
-        {{"group", name}, {"reason", "circuit-open"}});
-    group->escalated_overloaded = metrics_.GetCounter(
-        "qpp_fabric_escalations_total",
-        {{"group", name}, {"reason", "overloaded"}});
+    for (int reason = 0; reason < kNumEscalations; ++reason) {
+      group->escalated[reason] = metrics_.GetCounter(
+          "qpp_fabric_escalations_total",
+          {{"group", name}, {"reason", kEscalationReasons[reason]}});
+    }
     for (size_t i = 0; i < config.replicas_per_group; ++i) {
       auto replica = std::make_unique<Replica>();
       replica->label = ReplicaLabel(name, i);
@@ -344,7 +344,7 @@ Fabric::RouteVerdict Fabric::Classify(const serve::ServeRequest& request) {
 }
 
 Fabric::Replica* Fabric::PickReplica(Group* group, bool require_model,
-                                     const char** reason) {
+                                     Escalation* reason) {
   // Eligible = up, serving a model (experts only), breaker not open — but
   // every kOpenProbeEvery-th pick of an open-breaker replica goes through
   // anyway as a recovery probe, so its breaker can walk the half-open path
@@ -370,7 +370,7 @@ Fabric::Replica* Fabric::PickReplica(Group* group, bool require_model,
     ups.push_back(replica.get());
   }
   if (ups.empty()) {
-    *reason = open_excluded > 0 ? "circuit-open" : "dead";
+    *reason = open_excluded > 0 ? kCircuitOpen : kDead;
     return nullptr;
   }
   if (ups.size() == 1) return ups[0];
@@ -429,7 +429,7 @@ void Fabric::Dispatch(const serve::ServeRequest& request,
   // own labeled no-model fallback) rather than an expert it never voted.
   if (verdict.classified()) {
     Group* expert = GroupFor(verdict.pool);
-    const char* escalation = nullptr;
+    Escalation escalation = kDead;
     Replica* replica = PickReplica(expert, /*require_model=*/true,
                                    &escalation);
     if (replica != nullptr) {
@@ -448,25 +448,20 @@ void Fabric::Dispatch(const serve::ServeRequest& request,
       }
       // The pick went stale under us (killed mid-flight) or its queue
       // refused: either way the group could not take it.
-      escalation = replica->registry->has_model() ? "overloaded" : "dead";
+      escalation = replica->registry->has_model() ? kOverloaded : kDead;
     }
-    if (std::string_view(escalation) == "dead") {
-      expert->escalated_dead->Inc();
-    } else if (std::string_view(escalation) == "circuit-open") {
-      expert->escalated_open->Inc();
-    } else {
-      expert->escalated_overloaded->Inc();
-    }
+    expert->escalated[escalation]->Inc();
     if (trace_ != nullptr) {
-      TraceInstant("escalate", "group", expert->name + ":" + escalation);
+      TraceInstant("escalate", "group",
+                   expert->name + ":" + kEscalationReasons[escalation]);
     }
     flight_.Record(obs::FlightEventKind::kEscalation, request.ctx.trace_id,
-                   /*code=*/0, 0.0, expert->name + "/" + escalation);
+                   escalation, 0.0, expert->name);
     catch_all_->absorbed->Inc();
   } else {
     catch_all_->routed->Inc();
   }
-  const char* unused = nullptr;
+  Escalation unused = kDead;
   Replica* replica = PickReplica(catch_all_, /*require_model=*/false,
                                  &unused);
   if (replica != nullptr) {
@@ -623,9 +618,9 @@ FabricStatsSnapshot Fabric::stats() const {
       g.replicas.push_back(std::move(r));
     }
     out.groups.push_back(std::move(g));
-    out.escalations_dead += group->escalated_dead->value();
-    out.escalations_open += group->escalated_open->value();
-    out.escalations_overloaded += group->escalated_overloaded->value();
+    out.escalations_dead += group->escalated[kDead]->value();
+    out.escalations_open += group->escalated[kCircuitOpen]->value();
+    out.escalations_overloaded += group->escalated[kOverloaded]->value();
   }
   return out;
 }

@@ -218,12 +218,21 @@ class Fabric {
   /// swap, health change, breaker flip, SLO alert, and injected fault of
   /// this fabric's life, newest few thousand retained. Dump it on failure.
   obs::FlightRecorder* flight() { return &flight_; }
-  const obs::FlightRecorder& flight() const { return flight_; }
   /// Trace ids stamped so far (the next request gets sequence number
   /// issued(); tests replay ids with DeriveTraceId(trace_seed, n)).
   uint64_t trace_ids_issued() const { return trace_ids_.issued(); }
 
  private:
+  /// Why a request left its expert group for the catch-all: the index of
+  /// the group's qpp_fabric_escalations_total counter and the `code` of
+  /// its kEscalation flight event.
+  enum Escalation : int32_t {
+    kDead,
+    kCircuitOpen,
+    kOverloaded,
+    kNumEscalations
+  };
+
   struct Replica {
     std::string label;
     // Registry declared before the service: workers acquire snapshots
@@ -241,9 +250,7 @@ class Fabric {
     std::atomic<uint64_t> pick_seq{0};  ///< consumes the P2C draw stream
     obs::Counter* routed = nullptr;
     obs::Counter* absorbed = nullptr;
-    obs::Counter* escalated_dead = nullptr;
-    obs::Counter* escalated_open = nullptr;
-    obs::Counter* escalated_overloaded = nullptr;
+    obs::Counter* escalated[kNumEscalations] = {};  ///< by Escalation
   };
 
   /// Step-1 verdict. Generation 0 means no classifier was published
@@ -271,11 +278,11 @@ class Fabric {
   Group* FindGroup(const std::string& name) const;
   /// Replica `replica` of the group named `group`, or null.
   Replica* FindReplica(const std::string& group, size_t replica) const;
-  /// P2C pick among eligible replicas; null (with `reason` = "dead" or
-  /// "circuit-open") when none is eligible. `require_model` is false for
-  /// the catch-all, whose replicas answer the labeled no-model fallback
+  /// P2C pick among eligible replicas; null (with `reason` = kDead or
+  /// kCircuitOpen) when none is eligible. `require_model` is false for the
+  /// catch-all, whose replicas answer the labeled no-model fallback
   /// themselves.
-  Replica* PickReplica(Group* group, bool require_model, const char** reason);
+  Replica* PickReplica(Group* group, bool require_model, Escalation* reason);
   /// Routes `request` down the group → catch-all → inline ladder and
   /// fulfills `promise` (moved from on dispatch or answered inline).
   void Dispatch(const serve::ServeRequest& request,

@@ -18,8 +18,8 @@
 // (qpp_fault_injected_total{layer=...,kind=...}) in the registry passed at
 // construction, and emits an instant event (category "fault") into the
 // trace recorder — tagged with the current request's trace id when a
-// RequestContext scope is installed — so chaos runs show up in statsz and
-// Perfetto exactly like organic behavior. A flight recorder can be
+// RequestContext scope is installed — so chaos runs show up in the
+// Prometheus text and Perfetto exactly like organic behavior. A flight recorder can be
 // attached (set_flight_recorder) to also put every injection into the
 // black box. All sinks are optional and null-tested once.
 #pragma once
@@ -69,10 +69,6 @@ class FaultInjector {
     double repartition_seconds = 0.0; ///< one-time failover cost
     double work_mem_multiplier = 1.0; ///< buffer-pool pressure
     uint64_t op_seed = 0;             ///< stream seed for per-op decisions
-    bool any() const {
-      return cpu_multiplier != 1.0 || failed_nodes > 0 ||
-             work_mem_multiplier != 1.0;
-    }
   };
 
   /// Operator-level faults within a query, keyed by the operator's visit

@@ -96,7 +96,6 @@ class ShadowScorer {
     return model_;
   }
   bool poisoned() const { return poison_multiplier_ != 1.0; }
-  double poison_multiplier() const { return poison_multiplier_; }
 
   /// The shadow prediction for `features`, with any poison multiplier
   /// applied. Computed and scored, never served.
@@ -144,8 +143,6 @@ class PromotionGate {
 
   GateDecision Evaluate(const RiskWindow& champion,
                         const RiskWindow& challenger) const;
-
-  const PromotionGateConfig& config() const { return config_; }
 
  private:
   const PromotionGateConfig config_;

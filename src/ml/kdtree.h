@@ -57,10 +57,9 @@ class KdTree {
   void Clear();
 
   bool empty() const { return n_ == 0; }
-  size_t size() const { return n_; }
   size_t dims() const { return dims_; }
 
-  /// The min(k, size()) nearest rows to `query`, ascending by
+  /// The min(k, rows built) nearest rows to `query`, ascending by
   /// (distance, index) — bit-identical to
   /// ml::FindNearest(points, query, k, DistanceKind::kEuclidean).
   /// Requires a non-empty tree, k >= 1, and query.size() == dims().

@@ -23,7 +23,6 @@ class LinearRegression {
 
   const linalg::Vector& coefficients() const { return beta_; }
   double intercept() const { return intercept_; }
-  bool fitted() const { return fitted_; }
 
   void Save(BinaryWriter* w) const;
   static LinearRegression Load(BinaryReader* r);

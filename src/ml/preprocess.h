@@ -22,7 +22,6 @@ class Preprocessor {
   /// Learns per-dimension mean/stddev on (optionally log1p'd) data.
   void Fit(const linalg::Matrix& x);
 
-  bool fitted() const { return fitted_; }
   size_t dims() const { return mean_.size(); }
 
   linalg::Matrix Transform(const linalg::Matrix& x) const;

@@ -18,7 +18,7 @@
 //
 // Outputs:
 //  * gauges in a MetricsRegistry (qpp_drift_relerr_ewma{metric=...,pool=...},
-//    qpp_drift_fallback_share, ...) so /statsz exposes drift;
+//    qpp_drift_fallback_share, ...) so the Prometheus text exposes drift;
 //  * a drift signal (Observe's return value, qpp_drift_signals_total) when
 //    any model-path metric EWMA crosses kDriftThreshold. Acting on it is
 //    the lifecycle's job: lifecycle::LifecycleManager shadow-scores a

@@ -53,7 +53,8 @@ enum class FlightEventKind : uint8_t {
   kSloAlert,             ///< an SloEngine rule fired; detail = rule name
   kSloWindow,            ///< an SLO window closed; value = rule value
   kPick,                 ///< P2C dispatch; detail = replica label
-  kEscalation,           ///< detail = "label/reason"
+  kEscalation,           ///< detail = group; code = 0 dead, 1 circuit-open,
+                         ///< 2 overloaded
   kFallback,             ///< labeled degraded response; detail = reason
   kFault,                ///< injected fault; detail = kind name
   kBreakerTransition,    ///< code = new state; detail = replica label

@@ -16,7 +16,7 @@ void SortLabels(Labels* labels) {
 }
 
 /// `{k="v",k2="v2"}`, or "" when unlabeled; `extra` appends one more pair
-/// (used for quantile labels on histogram lines).
+/// (the `le` label of a histogram's bucket lines).
 std::string RenderLabels(const Labels& labels,
                          const std::pair<std::string, std::string>* extra =
                              nullptr) {
@@ -31,18 +31,6 @@ std::string RenderLabels(const Labels& labels,
   if (extra != nullptr) {
     if (!first) out += ',';
     out += extra->first + "=\"" + extra->second + "\"";
-  }
-  out += '}';
-  return out;
-}
-
-std::string LabelsJson(const Labels& labels) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out += ',';
-    first = false;
-    out += JsonString(k) + ":" + JsonString(v);
   }
   out += '}';
   return out;
@@ -102,40 +90,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                 << "' re-registered with a different layout");
   }
   return entry.metric.get();
-}
-
-std::string MetricsRegistry::StatszText() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  for (const auto& [key, e] : counters_) {
-    (void)key;
-    out += e.name + RenderLabels(e.labels) + " " +
-           JsonNumber(e.metric->value()) + "\n";
-  }
-  for (const auto& [key, e] : gauges_) {
-    (void)key;
-    out += e.name + RenderLabels(e.labels) + " " +
-           JsonNumber(e.metric->value()) + "\n";
-  }
-  for (const auto& [key, e] : histograms_) {
-    (void)key;
-    const HistogramSnapshot s = e.metric->Snapshot();
-    const std::string labels = RenderLabels(e.labels);
-    out += e.name + "_count" + labels + " " + JsonNumber(s.count()) + "\n";
-    out += e.name + "_underflow" + labels + " " + JsonNumber(s.underflow) +
-           "\n";
-    out += e.name + "_overflow" + labels + " " + JsonNumber(s.overflow) +
-           "\n";
-    out += e.name + "_min" + labels + " " + JsonNumber(s.min) + "\n";
-    out += e.name + "_max" + labels + " " + JsonNumber(s.max) + "\n";
-    for (const double q : {0.5, 0.95, 0.99}) {
-      const std::pair<std::string, std::string> quantile = {
-          "quantile", JsonNumber(q)};
-      out += e.name + RenderLabels(e.labels, &quantile) + " " +
-             JsonNumber(s.Quantile(q)) + "\n";
-    }
-  }
-  return out;
 }
 
 void MetricsRegistry::SetHelp(const std::string& name,
@@ -222,49 +176,6 @@ std::string MetricsRegistry::PrometheusText() const {
            JsonNumber(s.count()) + "\n";
   }
   out += "# EOF\n";
-  return out;
-}
-
-std::string MetricsRegistry::ToJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"counters\":[";
-  bool first = true;
-  for (const auto& [key, e] : counters_) {
-    (void)key;
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":" + JsonString(e.name) +
-           ",\"labels\":" + LabelsJson(e.labels) +
-           ",\"value\":" + JsonNumber(e.metric->value()) + "}";
-  }
-  out += "],\"gauges\":[";
-  first = true;
-  for (const auto& [key, e] : gauges_) {
-    (void)key;
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":" + JsonString(e.name) +
-           ",\"labels\":" + LabelsJson(e.labels) +
-           ",\"value\":" + JsonNumber(e.metric->value()) + "}";
-  }
-  out += "],\"histograms\":[";
-  first = true;
-  for (const auto& [key, e] : histograms_) {
-    (void)key;
-    if (!first) out += ',';
-    first = false;
-    const HistogramSnapshot s = e.metric->Snapshot();
-    out += "{\"name\":" + JsonString(e.name) +
-           ",\"labels\":" + LabelsJson(e.labels) +
-           ",\"count\":" + JsonNumber(s.count()) +
-           ",\"underflow\":" + JsonNumber(s.underflow) +
-           ",\"overflow\":" + JsonNumber(s.overflow) +
-           ",\"min\":" + JsonNumber(s.min) + ",\"max\":" + JsonNumber(s.max) +
-           ",\"p50\":" + JsonNumber(s.Quantile(0.5)) +
-           ",\"p95\":" + JsonNumber(s.Quantile(0.95)) +
-           ",\"p99\":" + JsonNumber(s.Quantile(0.99)) + "}";
-  }
-  out += "]}";
   return out;
 }
 

@@ -7,16 +7,10 @@
 // lock-free, see metrics.h). Re-requesting the same (name, labels) returns
 // the same instance, so independent components can share a metric.
 //
-// Exports:
-//   StatszText()     — plaintext exposition, one `name{labels} value` line
-//                      per sample in deterministic order (the /statsz page
-//                      of the service).
-//   PrometheusText() — Prometheus/OpenMetrics text exposition with
-//                      `# HELP`/`# TYPE` headers, cumulative
-//                      `_bucket{le="..."}` series per histogram, and
-//                      OpenMetrics exemplar comments linking tail buckets
-//                      to request trace ids.
-//   ToJson()         — the same data as a JSON document for dashboards.
+// Export: PrometheusText(), the Prometheus/OpenMetrics text exposition
+// with `# HELP`/`# TYPE` headers, cumulative `_bucket{le="..."}` series per
+// histogram, and OpenMetrics exemplar comments linking tail buckets to
+// request trace ids.
 #pragma once
 
 #include <map>
@@ -48,10 +42,6 @@ class MetricsRegistry {
   Histogram* GetHistogram(const std::string& name, Labels labels = {},
                           HistogramOptions options = {});
 
-  /// Plaintext dump. Histograms expand into _count/_underflow/_overflow/
-  /// _min/_max samples plus quantile-labeled value lines.
-  std::string StatszText() const;
-
   /// Registers the `# HELP` text PrometheusText() emits for `name` (all
   /// label variants of a metric share one help string). Optional; metrics
   /// without one get a generic line.
@@ -64,9 +54,6 @@ class MetricsRegistry {
   /// OpenMetrics `# {trace_id="..."} value` exemplar suffixes on buckets
   /// that carry one. Deterministic order; ends with `# EOF`.
   std::string PrometheusText() const;
-
-  /// {"counters": [...], "gauges": [...], "histograms": [...]}.
-  std::string ToJson() const;
 
   size_t num_metrics() const;
 

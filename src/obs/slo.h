@@ -127,7 +127,6 @@ class SloEngine {
   uint64_t ticks() const;
   uint64_t windows_closed() const;
   uint64_t alerts_total() const;
-  const SloEngineOptions& options() const { return options_; }
 
  private:
   struct RuleState {

@@ -111,7 +111,6 @@ class TraceRecorder {
   uint64_t dropped_count() const {
     return dropped_.load(std::memory_order_relaxed);
   }
-  const TraceRecorderOptions& options() const { return options_; }
   std::vector<TraceEvent> Events() const;  ///< snapshot copy (tests/tools)
 
   /// The full Chrome trace JSON document:

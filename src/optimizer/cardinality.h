@@ -81,8 +81,6 @@ class CardinalityModel {
   double ColumnNdv(const std::string& table_name,
                    const std::string& column) const;
 
-  uint64_t world_seed() const { return world_seed_; }
-
  private:
   /// Deterministic standard-normal draw keyed by the predicate semantics.
   double SeededGaussian(const std::string& key, const char* salt) const;

@@ -49,8 +49,6 @@ class Optimizer {
   Result<PhysicalPlan> Plan(const sql::SelectStmt& stmt,
                             const std::string& sql_text) const;
 
-  const OptimizerOptions& options() const { return options_; }
-
  private:
   struct Fragment {
     std::unique_ptr<PhysicalNode> node;

@@ -47,7 +47,7 @@ bool Enabled();
 bool SetForceScalar(bool force);
 
 /// "avx2" etc. when Enabled(), "scalar (forced)" otherwise — for bench
-/// reports and statsz lines.
+/// and CLI reports.
 const char* ActiveIsa();
 
 }  // namespace qpp::simd

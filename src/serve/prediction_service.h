@@ -224,7 +224,7 @@ class PredictionService {
   size_t queue_depth() const { return queue_.size(); }
 
   ServiceStatsSnapshot stats() const { return stats_.Snapshot(); }
-  /// The service's metrics registry (statsz/JSON export surface; see
+  /// The service's metrics registry (Prometheus export surface; see
   /// docs/OBSERVABILITY.md for the metric names).
   obs::MetricsRegistry* metrics() { return stats_.registry(); }
   const obs::MetricsRegistry& metrics() const { return stats_.registry(); }

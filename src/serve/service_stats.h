@@ -4,7 +4,7 @@
 // Since the qpp::obs subsystem landed, ServiceStats is a facade over an
 // obs::MetricsRegistry: every counter and the latency histogram live in
 // the registry under stable names (qpp_serve_*, see docs/OBSERVABILITY.md)
-// so the same numbers are available through the statsz/JSON exports, while
+// so the same numbers are available through its Prometheus text, while
 // this header keeps the original narrow Record*/Snapshot API the service
 // and its tests were written against. The hot path is unchanged — the
 // registry hands back stable metric pointers that are resolved once in the
@@ -79,7 +79,7 @@ class ServiceStats {
   ServiceStats();
 
   /// `trace_id` (0 = none) becomes the latency bucket's exemplar, linking
-  /// a statsz/Prometheus tail bucket to the request's Chrome trace.
+  /// a Prometheus tail bucket to the request's Chrome trace.
   void RecordResponse(double latency_seconds, uint64_t trace_id = 0) {
     requests_->Inc();
     latency_->Record(latency_seconds, trace_id);
@@ -100,7 +100,7 @@ class ServiceStats {
 
   ServiceStatsSnapshot Snapshot() const;
 
-  /// The backing registry — the statsz/JSON export surface, and where
+  /// The backing registry — the Prometheus export surface, and where
   /// components sharing the service's observability (e.g. a DriftMonitor)
   /// register their own metrics.
   obs::MetricsRegistry* registry() { return &registry_; }

@@ -9,7 +9,7 @@ namespace qpp::catalog {
 namespace {
 
 TEST(CatalogTest, AddAndLookupCaseInsensitive) {
-  Catalog cat("test");
+  Catalog cat;
   Table t;
   t.name = "Orders";
   t.row_count = 10;
@@ -26,7 +26,7 @@ TEST(CatalogTest, AddAndLookupCaseInsensitive) {
 }
 
 TEST(CatalogTest, ReplaceKeepsSingleEntry) {
-  Catalog cat("test");
+  Catalog cat;
   Table t;
   t.name = "t";
   t.row_count = 1;
@@ -110,7 +110,6 @@ TEST(TpcdsTest, PartitioningColumnsExist) {
 
 TEST(RetailBankTest, SchemaDiffersFromTpcds) {
   const Catalog bank = MakeRetailBankCatalog();
-  EXPECT_EQ(bank.name(), "retailbank");
   EXPECT_NE(bank.FindTable("transactions"), nullptr);
   EXPECT_NE(bank.FindTable("accounts"), nullptr);
   EXPECT_EQ(bank.FindTable("store_sales"), nullptr);

@@ -28,6 +28,7 @@
 #include "fault/chaos.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
+#include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "serve/prediction_service.h"
 #include "workload/pools.h"
@@ -805,9 +806,10 @@ TEST(FabricTest, OpenBreakerDivertsButProbesForRecovery) {
 // Every escalation rung must move exactly its own qpp_fabric_* counters
 // in the fabric's metrics registry — the stats snapshot reads the same
 // counters, but the registered names + labels are the monitoring
-// contract, so assert them by name. One table row per rung: dead ->
-// circuit-open (including the every-Nth recovery-probe path) ->
-// overloaded -> catch-all absorption -> inline fallback.
+// contract, so assert them by name — and record one flight event per
+// escalation. One table row per rung: dead -> circuit-open (including the
+// every-Nth recovery-probe path) -> overloaded -> catch-all absorption ->
+// inline fallback.
 TEST(FabricTest, EveryEscalationRungMovesItsLabeledCounters) {
   const TrainedFixture& f = F();
   const linalg::Vector feather = f.probe(QueryType::kFeather, 0);
@@ -819,20 +821,21 @@ TEST(FabricTest, EveryEscalationRungMovesItsLabeledCounters) {
     void (*induce)(Fabric&);  // put the fabric in the rung's state
     uint64_t dead, overloaded, exhausted;  // exact counter expectations
     bool open_positive;  // expect escalations{circuit-open} > 0 instead
+    int32_t code;  // the escalation events' reason: 0 dead, 1 open, 2 over
   };
   const RungCase kCases[] = {
       {"dead", 1, false,
        [](Fabric& fab) { fab.registry("feather", 0)->Unpublish(); },
-       /*dead=*/1, /*overloaded=*/0, /*exhausted=*/0, false},
+       /*dead=*/1, /*overloaded=*/0, /*exhausted=*/0, false, /*code=*/0},
       {"circuit-open", 60, true, [](Fabric&) {},
-       /*dead=*/0, /*overloaded=*/0, /*exhausted=*/0, true},
+       /*dead=*/0, /*overloaded=*/0, /*exhausted=*/0, true, /*code=*/1},
       {"overloaded", 1, false,
        [](Fabric& fab) { fab.service("feather", 0)->Shutdown(); },
-       /*dead=*/0, /*overloaded=*/1, /*exhausted=*/0, false},
+       /*dead=*/0, /*overloaded=*/1, /*exhausted=*/0, false, /*code=*/2},
       // Bottom of the ladder: feather refuses (overloaded rung), the
       // catch-all refuses too, and the fabric answers inline.
       {"fabric-exhausted", 1, false, [](Fabric& fab) { fab.Shutdown(); },
-       /*dead=*/0, /*overloaded=*/1, /*exhausted=*/1, false},
+       /*dead=*/0, /*overloaded=*/1, /*exhausted=*/1, false, /*code=*/2},
   };
 
   for (const RungCase& c : kCases) {
@@ -890,6 +893,17 @@ TEST(FabricTest, EveryEscalationRungMovesItsLabeledCounters) {
     // and absorption is never first-choice routing.
     EXPECT_EQ(counter("qpp_fabric_absorbed_total", kCatchAll), escalations);
     EXPECT_EQ(counter("qpp_fabric_requests_total", kCatchAll), 0u);
+
+    // The flight recorder holds one event per escalation, whole: the
+    // group as the detail and the reason as the code.
+    uint64_t events = 0;
+    for (const obs::FlightEvent& e : fabric.flight()->Snapshot()) {
+      if (e.kind != obs::FlightEventKind::kEscalation) continue;
+      ++events;
+      EXPECT_EQ(e.detail, "feather");
+      EXPECT_EQ(e.code, c.code);
+    }
+    EXPECT_EQ(events, escalations);
   }
 }
 

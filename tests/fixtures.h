@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "core/predictor.h"
 #include "ml/feature_vector.h"
+#include "par/simd.h"
 
 namespace qpp::fixtures {
 
@@ -59,5 +60,17 @@ inline std::shared_ptr<const core::Predictor> TinyModel(uint64_t seed) {
   model->Train(examples);
   return model;
 }
+
+/// Forces the scalar oracle path (or re-allows SIMD) for one scope, so a
+/// failing assertion cannot leak the forced state into later tests.
+class ScopedForceScalar {
+ public:
+  explicit ScopedForceScalar(bool force)
+      : prev_(simd::SetForceScalar(force)) {}
+  ~ScopedForceScalar() { simd::SetForceScalar(prev_); }
+
+ private:
+  bool prev_;
+};
 
 }  // namespace qpp::fixtures

@@ -15,23 +15,12 @@
 #include "linalg/matrix.h"
 #include "ml/kernel.h"
 #include "ml/knn.h"
-#include "par/simd.h"
 #include "par/simd_lanes.h"
 #include "par/thread_pool.h"
 #include "fixtures.h"
 
 namespace qpp {
 namespace {
-
-class ScopedForceScalar {
- public:
-  explicit ScopedForceScalar(bool force)
-      : prev_(simd::SetForceScalar(force)) {}
-  ~ScopedForceScalar() { simd::SetForceScalar(prev_); }
-
- private:
-  bool prev_;
-};
 
 linalg::Matrix RandomMatrix(Rng* rng, size_t rows, size_t cols) {
   linalg::Matrix m(rows, cols);
@@ -208,7 +197,7 @@ TEST(KnnOracleTest, BatchIsBitIdenticalToRowWiseAcrossDispatchMatrix) {
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     par::SetGlobalThreads(threads);
     for (bool force_scalar : {false, true}) {
-      ScopedForceScalar guard(force_scalar);
+      fixtures::ScopedForceScalar guard(force_scalar);
       for (size_t n : {size_t{1}, size_t{5}, size_t{33}, size_t{128}}) {
         const linalg::Matrix points = RandomMatrix(&rng, n, 7);
         const linalg::Matrix queries = RandomMatrix(&rng, 23, 7);
@@ -253,7 +242,7 @@ TEST(KnnOracleTest, PredictBatchBitIdenticalToPredictAcrossDispatchMatrix) {
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     par::SetGlobalThreads(threads);
     for (bool force_scalar : {false, true}) {
-      ScopedForceScalar guard(force_scalar);
+      fixtures::ScopedForceScalar guard(force_scalar);
       // Per-query reference under this exact dispatch configuration.
       std::vector<core::Prediction> want;
       for (const auto& q : pool) want.push_back(pred.Predict(q));

@@ -1,6 +1,6 @@
 // Tests for the observability subsystem: metric primitives (histogram edge
 // buckets, exact extremes, snapshot merge, concurrent recording), the
-// labeled metrics registry and its statsz/JSON exports, the Chrome
+// labeled metrics registry and its Prometheus exposition, the Chrome
 // trace_event recorder (valid JSON, monotonic timestamps, span nesting,
 // per-thread tids, zero-cost-when-disabled) and the prediction-drift
 // monitor. Ends with an end-to-end traced serve run asserting the pipeline
@@ -307,28 +307,6 @@ TEST(RegistryTest, HistogramRelayoutIsAnError) {
   EXPECT_THROW(reg.GetHistogram("lat", {}, other), CheckFailure);
 }
 
-TEST(RegistryTest, StatszTextListsEverySample) {
-  MetricsRegistry reg;
-  reg.GetCounter("reqs", {{"source", "model"}})->Inc(7);
-  reg.GetGauge("share")->Set(0.5);
-  reg.GetHistogram("lat")->Record(0.01);
-  const std::string text = reg.StatszText();
-  EXPECT_NE(text.find("reqs{source=\"model\"} 7\n"), std::string::npos);
-  EXPECT_NE(text.find("share 0.5\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_count 1\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_underflow 0\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_overflow 0\n"), std::string::npos);
-  EXPECT_NE(text.find("lat{quantile=\"0.5\"}"), std::string::npos);
-}
-
-TEST(RegistryTest, JsonExportIsValid) {
-  MetricsRegistry reg;
-  reg.GetCounter("c", {{"weird label", "va\"lue"}})->Inc();
-  reg.GetGauge("g")->Set(-3.5);
-  reg.GetHistogram("h")->Record(2.0);
-  EXPECT_TRUE(IsValidJson(reg.ToJson()));
-}
-
 TEST(RegistryTest, ConcurrentRegistrationIsSafe) {
   MetricsRegistry reg;
   std::vector<std::thread> threads;
@@ -603,7 +581,7 @@ TEST(DriftMonitorTest, ExportsGaugesIntoTheRegistry) {
                            {{"source", "model"}})
                 ->value(),
             1u);
-  const std::string text = reg.StatszText();
+  const std::string text = reg.PrometheusText();
   EXPECT_NE(text.find("qpp_drift_fallback_share"), std::string::npos);
 }
 
@@ -718,9 +696,9 @@ TEST(TracedServeTest, PipelineEmitsNestedSpanTaxonomy) {
   EXPECT_TRUE(IsValidJson(trace.ToJson()));
 
   // The service's registry carries the serve counters the stats print from.
-  const std::string statsz = std::as_const(service).metrics().StatszText();
-  EXPECT_NE(statsz.find("qpp_serve_requests_total 7"), std::string::npos);
-  EXPECT_NE(statsz.find("qpp_serve_cache_hits_total 1"), std::string::npos);
+  const std::string text = std::as_const(service).metrics().PrometheusText();
+  EXPECT_NE(text.find("qpp_serve_requests_total 7"), std::string::npos);
+  EXPECT_NE(text.find("qpp_serve_cache_hits_total 1"), std::string::npos);
 }
 
 TEST(TracedServeTest, DisabledTracingRecordsNothing) {

@@ -424,10 +424,10 @@ TEST(SloEngineTest, PublishesSelfMetricsAlertsFlightEventsAndTraceInstants) {
   EXPECT_EQ(engine.alerts_total(), 1u);
 
   // Self-metrics landed in the registry under stable names.
-  const std::string statsz = registry.StatszText();
-  EXPECT_NE(statsz.find("qpp_slo_windows_total"), std::string::npos);
-  EXPECT_NE(statsz.find("qpp_slo_alerts_total"), std::string::npos);
-  EXPECT_NE(statsz.find("rule=\"overload\""), std::string::npos);
+  const std::string text = registry.PrometheusText();
+  EXPECT_NE(text.find("qpp_slo_windows_total"), std::string::npos);
+  EXPECT_NE(text.find("qpp_slo_alerts_total"), std::string::npos);
+  EXPECT_NE(text.find("rule=\"overload\""), std::string::npos);
 
   // One window-close event and one alert event in the flight ring.
   const std::vector<FlightEvent> events = flight.Snapshot();

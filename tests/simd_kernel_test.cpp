@@ -81,18 +81,6 @@ double ScalarDot(const double* a, const double* b, size_t dims) {
   return s;
 }
 
-/// RAII force-scalar toggle so a failing assertion cannot leak the forced
-/// state into later tests.
-class ScopedForceScalar {
- public:
-  explicit ScopedForceScalar(bool force)
-      : prev_(simd::SetForceScalar(force)) {}
-  ~ScopedForceScalar() { simd::SetForceScalar(prev_); }
-
- private:
-  bool prev_;
-};
-
 TEST(SimdIntrospectionTest, CompiledIsaAndLanesAreConsistent) {
   const std::string isa = simd::CompiledIsa();
   EXPECT_TRUE(isa == "avx512" || isa == "avx2" || isa == "sse2" ||
@@ -109,10 +97,10 @@ TEST(SimdIntrospectionTest, ForceScalarTogglesEnabledAndActiveIsa) {
   // kernels; in that mode Enabled() is false regardless of the toggle and
   // the differential tests below still pass (both sides run the oracle).
   const bool env_allows = [] {
-    ScopedForceScalar allow(false);
+    fixtures::ScopedForceScalar allow(false);
     return simd::Enabled();
   }();
-  ScopedForceScalar force(true);
+  fixtures::ScopedForceScalar force(true);
   EXPECT_FALSE(simd::Enabled());
   EXPECT_STREQ(simd::ActiveIsa(), "scalar (forced)");
   const bool prev = simd::SetForceScalar(false);
@@ -355,7 +343,7 @@ TEST(SimdDifferentialTest, GemmKernelsBitIdenticalToReferenceUnderDispatch) {
     const linalg::Matrix want_tm = linalg::reference::TransposeMultiply(at, b);
     const linalg::Matrix want_mt = linalg::reference::MultiplyTranspose(a, bt);
     for (bool force : {false, true}) {
-      ScopedForceScalar guard(force);
+      fixtures::ScopedForceScalar guard(force);
       EXPECT_TRUE(SameBits(a.Multiply(b).data(), want_mul.data()))
           << s[0] << "x" << s[1] << "x" << s[2] << " force=" << force;
       EXPECT_TRUE(SameBits(at.TransposeMultiply(b).data(), want_tm.data()))
@@ -382,11 +370,11 @@ TEST(SimdDifferentialTest, FindNearestBitIdenticalAcrossDispatchAllShapes) {
           const linalg::Vector query = RandomDoubles(&rng, dims, -5.0, 5.0);
           std::vector<ml::Neighbor> got, want;
           {
-            ScopedForceScalar guard(false);
+            fixtures::ScopedForceScalar guard(false);
             got = ml::FindNearest(points, query, k, metric);
           }
           {
-            ScopedForceScalar guard(true);
+            fixtures::ScopedForceScalar guard(true);
             want = ml::FindNearest(points, query, k, metric);
           }
           ASSERT_EQ(got.size(), want.size());
@@ -578,7 +566,7 @@ TEST(SimdDifferentialTest, TrainedModelAndPredictionsBytesMatchScalarOracle) {
   }
   std::vector<std::vector<double>> metric_rows[2];
   for (int mode = 0; mode < 2; ++mode) {
-    ScopedForceScalar guard(mode == 1);
+    fixtures::ScopedForceScalar guard(mode == 1);
     core::Predictor pred;
     pred.Train(examples);
     std::ostringstream os;

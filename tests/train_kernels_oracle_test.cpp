@@ -34,6 +34,7 @@
 #include "par/simd.h"
 #include "par/thread_pool.h"
 #include "workload/pools.h"
+#include "fixtures.h"
 
 namespace qpp {
 namespace {
@@ -352,17 +353,6 @@ void ExpectSameEigen(const Matrix& a) {
   EXPECT_TRUE(SameBits(top.vectors, want_vectors)) << "top-k vectors differ";
 }
 
-/// Forces the scalar oracle path (or re-allows SIMD) for one scope.
-class ScopedForceScalar {
- public:
-  explicit ScopedForceScalar(bool force)
-      : prev_(simd::SetForceScalar(force)) {}
-  ~ScopedForceScalar() { simd::SetForceScalar(prev_); }
-
- private:
-  bool prev_;
-};
-
 /// IncompleteCholesky over the Gaussian kernel of x's rows, its columns
 /// filled by ml::GaussianKernelRows as KccaModel::Train fills them.
 linalg::IncompleteCholeskyResult WholeColumnIcd(const Matrix& x, double tau,
@@ -390,7 +380,7 @@ void ExpectSameIcd(const Matrix& x, double tau, size_t max_rank, double tol) {
   const linalg::IncompleteCholeskyResult want = reference::IncompleteCholesky(
       x.rows(), reference::GaussianOracle(x, tau), max_rank, tol);
   for (const bool force_scalar : {false, true}) {
-    const ScopedForceScalar scope(force_scalar);
+    const fixtures::ScopedForceScalar scope(force_scalar);
     const linalg::IncompleteCholeskyResult got =
         WholeColumnIcd(x, tau, max_rank, tol);
     EXPECT_EQ(got.pivots, want.pivots) << "scalar " << force_scalar;
@@ -406,7 +396,7 @@ void ExpectSameIcd(const Matrix& x, double tau, size_t max_rank, double tol) {
 void ExpectSameCholesky(const Matrix& a, double max_jitter) {
   const reference::Cholesky want = reference::Factor(a, max_jitter);
   for (const bool force_scalar : {false, true}) {
-    const ScopedForceScalar scope(force_scalar);
+    const fixtures::ScopedForceScalar scope(force_scalar);
     const linalg::Cholesky got(a, max_jitter);
     ASSERT_EQ(got.ok(), want.ok) << "scalar " << force_scalar;
     if (!want.ok) continue;
@@ -748,7 +738,7 @@ void ExpectSameSolve(const linalg::Cholesky& chol, const Matrix& b) {
     for (size_t r = 0; r < b.rows(); ++r) want(r, c) = col[r];
   }
   for (const bool force_scalar : {false, true}) {
-    const ScopedForceScalar scope(force_scalar);
+    const fixtures::ScopedForceScalar scope(force_scalar);
     EXPECT_TRUE(SameBits(chol.SolveLowerMatrix(b), want))
         << b.rows() << " x " << b.cols() << ", scalar " << force_scalar;
   }

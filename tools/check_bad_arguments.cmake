@@ -23,6 +23,7 @@ set(cases
   "chaos|--scenario|no-such-run|--save-plan|${refused}=>--save-plan"
   "plan|--sql|SELECT 1|extra=>'extra'"
   "obs|--flight-dump|f.json|--sql|SELECT 1=>--sql"
+  "serve|--statsz|s.txt=>--statsz"
   "train|--out=>--out"
   "chaos|--requests|abc=>--requests"
   "chaos|--requests|-1=>--requests"

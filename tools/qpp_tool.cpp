@@ -16,8 +16,8 @@
 //       multi-client workload and print service stats, drift-monitor
 //       EWMAs, and admission decisions. --trace-out FILE drops a Chrome
 //       trace-event JSON (chrome://tracing / Perfetto) of the serve
-//       pipeline plus simulated operator spans; --statsz FILE dumps the
-//       metrics registry (plaintext + .json sibling).
+//       pipeline plus simulated operator spans; --prom FILE writes the
+//       service's metrics registry as the Prometheus exposition.
 //   qpp_tool obs     --sql SQL [--model MODEL] --trace-out FILE
 //       trace one query end to end: traced prediction stages + the
 //       simulator's per-operator critical path, in one loadable file.
@@ -135,7 +135,7 @@ FlagSpec FlagsFor(const std::string& command, bool flight_demo) {
   if (command == "explain") return {{"model", "sql"}, {}};
   if (command == "serve") {
     return {{"model", "candidates", "seed", "clients", "requests", "distinct",
-             "workers", "batch", "cache", "trace-out", "statsz"},
+             "workers", "batch", "cache", "trace-out", "prom"},
             {}};
   }
   if (command == "obs" && flight_demo) {
@@ -206,7 +206,7 @@ int Usage() {
                "                   [--clients C] [--requests R] [--workers "
                "W]\n"
                "                   [--batch B] [--cache N] [--distinct D]\n"
-               "                   [--trace-out FILE] [--statsz FILE]\n"
+               "                   [--trace-out FILE] [--prom FILE]\n"
                "  qpp_tool obs     --sql SQL --trace-out FILE [--model "
                "MODEL]\n"
                "                   [--candidates N] [--seed S]\n"
@@ -377,7 +377,7 @@ int CmdServe(const Args& args) {
   service_config.max_batch = args.number("batch", 16);
   service_config.cache_capacity = args.number("cache", 4096);
   const std::string trace_path = args.get("trace-out");
-  const std::string statsz_path = args.get("statsz");
+  const std::string prom_path = args.get("prom");
   std::unique_ptr<obs::TraceRecorder> trace;
   if (!trace_path.empty()) {
     trace = std::make_unique<obs::TraceRecorder>();
@@ -442,7 +442,7 @@ int CmdServe(const Args& args) {
 
   // Online drift monitoring: every response is compared against the
   // simulator's observed metrics for its query; EWMAs land in the
-  // service's own registry (so --statsz exposes them too).
+  // service's own registry (so --prom exposes them too).
   obs::DriftMonitor drift(service.metrics());
 
   std::printf("serving %zu clients x %zu requests (%zu distinct queries, "
@@ -519,12 +519,11 @@ int CmdServe(const Args& args) {
                 "(load in chrome://tracing or ui.perfetto.dev)\n",
                 trace->event_count(), trace_path.c_str());
   }
-  if (!statsz_path.empty()) {
+  if (!prom_path.empty()) {
     const obs::MetricsRegistry& registry = std::as_const(service).metrics();
-    if (!WriteTextFile(statsz_path, registry.StatszText())) return 1;
-    if (!WriteTextFile(statsz_path + ".json", registry.ToJson())) return 1;
-    std::printf("statsz: %zu metrics written to %s (+ .json)\n",
-                registry.num_metrics(), statsz_path.c_str());
+    if (!WriteTextFile(prom_path, registry.PrometheusText())) return 1;
+    std::printf("prometheus exposition: %zu metrics written to %s\n",
+                registry.num_metrics(), prom_path.c_str());
   }
   return 0;
 }
