@@ -1,6 +1,5 @@
 #include "catalog/catalog.h"
 
-#include "common/check.h"
 #include "common/str_util.h"
 
 namespace qpp::catalog {
@@ -32,12 +31,6 @@ const Table* Catalog::FindTable(const std::string& name) const {
   auto it = index_.find(name);
   if (it == index_.end()) return nullptr;
   return &tables_[it->second];
-}
-
-const Table& Catalog::GetTable(const std::string& name) const {
-  const Table* t = FindTable(name);
-  QPP_CHECK_MSG(t != nullptr, "unknown table: " << name);
-  return *t;
 }
 
 Column MakeColumn(std::string name, ColumnType type, double ndv,

@@ -63,10 +63,6 @@ class Catalog {
   /// Table lookup; nullptr when absent.
   const Table* FindTable(const std::string& name) const;
 
-  /// Table lookup that throws CheckFailure when absent (internal callers
-  /// that have already validated names).
-  const Table& GetTable(const std::string& name) const;
-
   /// All tables in registration order.
   const std::vector<Table>& tables() const { return tables_; }
 

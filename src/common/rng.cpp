@@ -13,8 +13,7 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-uint64_t HashString64(const std::string& s) {
-  uint64_t h = 0xCBF29CE484222325ull;
+uint64_t HashString64(std::string_view s, uint64_t h) {
   for (unsigned char c : s) {
     h ^= c;
     h *= 0x100000001B3ull;

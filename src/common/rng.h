@@ -6,7 +6,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace qpp {
@@ -53,7 +53,9 @@ class Rng {
 };
 
 /// 64-bit FNV-1a hash of a string; used for stable label-derived seeds.
-uint64_t HashString64(const std::string& s);
+/// Passing a previous hash as `h` continues its stream:
+/// HashString64(b, HashString64(a)) == HashString64(a + b).
+uint64_t HashString64(std::string_view s, uint64_t h = 0xCBF29CE484222325ull);
 
 /// splitmix64 step, exposed for hashing small integer tuples into seeds.
 uint64_t SplitMix64(uint64_t x);

@@ -1,29 +1,17 @@
 #include "common/str_util.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
 namespace qpp {
 
-std::string ToUpperAscii(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return out;
-}
-
-std::string ToLowerAscii(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 namespace {
-/// One character as ToLowerAscii folds it.
+/// One character with its ASCII letter lower-cased (std::tolower in the C
+/// locale, without the locale lookup).
 unsigned char FoldAscii(char c) {
-  return static_cast<unsigned char>(
-      std::tolower(static_cast<unsigned char>(c)));
+  const auto u = static_cast<unsigned char>(c);
+  return u >= 'A' && u <= 'Z' ? static_cast<unsigned char>(u - 'A' + 'a') : u;
 }
 }  // namespace
 

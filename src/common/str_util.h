@@ -7,17 +7,12 @@
 
 namespace qpp {
 
-/// Uppercases ASCII letters (SQL keywords are case-insensitive).
-std::string ToUpperAscii(const std::string& s);
-
-/// Lowercases ASCII letters.
-std::string ToLowerAscii(const std::string& s);
-
-/// ToLowerAscii(a) == ToLowerAscii(b), compared in place.
+/// True when `a` and `b` are equal once their ASCII letters are
+/// lower-cased, compared in place.
 bool EqualsIgnoreCaseAscii(std::string_view a, std::string_view b);
 
-/// Orders strings as their ToLowerAscii forms order, compared in place: a
-/// transparent comparator for maps looked up case-insensitively.
+/// Orders strings as their ASCII-lower-cased forms order, compared in
+/// place: a transparent comparator for maps looked up case-insensitively.
 struct LessIgnoreCaseAscii {
   using is_transparent = void;
   bool operator()(std::string_view a, std::string_view b) const;

@@ -160,60 +160,55 @@ bool HistogramCovers(const catalog::Table& table, const Expr& e) {
 
 }  // namespace
 
-CardinalityModel::CardinalityModel(const catalog::Catalog* catalog,
-                                   uint64_t world_seed)
-    : catalog_(catalog), world_seed_(world_seed) {
-  QPP_CHECK(catalog != nullptr);
-}
-
 double CardinalityModel::SeededGaussian(const std::string& key,
                                         const char* salt) const {
-  Rng rng(SplitMix64(world_seed_ ^ HashString64(key + "#" + salt)));
+  const uint64_t h = HashString64(salt, HashString64("#", HashString64(key)));
+  Rng rng(SplitMix64(world_seed_ ^ h));
   return rng.Gaussian();
 }
 
-double CardinalityModel::SelectionSelectivity(const catalog::Table& table,
-                                              const BoundSelection& sel,
-                                              CardMode mode) const {
+DualValue CardinalityModel::SelectionSelectivity(
+    const catalog::Table& table, const BoundSelection& sel) const {
   const double uniform = EstimateExpr(table, sel.expr);
   const double sigma = TrueErrorSigma(table, sel.expr);
   const double z = SeededGaussian(sel.semantic_key, "sel");
-  const double truth = Clamp01(uniform * std::exp(sigma * z));
-  if (mode == CardMode::kTrue) return truth;
+  DualValue out;
+  out.truth = Clamp01(uniform * std::exp(sigma * z));
+  out.estimate = uniform;
   if (HistogramCovers(table, sel.expr)) {
     // Histogram-backed estimate: tracks the per-constant truth with only a
     // small precision error.
     const double z2 = SeededGaussian(sel.semantic_key, "hist");
-    return Clamp01(truth * std::exp(0.08 * z2));
+    out.estimate = Clamp01(out.truth * std::exp(0.08 * z2));
   }
-  return uniform;
+  return out;
 }
 
-double CardinalityModel::RelationSelectivity(const LogicalRelation& rel,
-                                             CardMode mode) const {
+DualValue CardinalityModel::RelationSelectivity(
+    const LogicalRelation& rel) const {
   QPP_CHECK(!rel.IsDerived());
-  const catalog::Table& table = catalog_->GetTable(rel.table);
-  double product = 1.0;
+  DualValue product{1.0, 1.0};
   for (const BoundSelection& sel : rel.selections) {
-    product *= SelectionSelectivity(table, sel, mode);
+    const DualValue s = SelectionSelectivity(*rel.catalog_table, sel);
+    product.estimate *= s.estimate;
+    product.truth *= s.truth;
   }
-  if (mode == CardMode::kTrue && rel.selections.size() >= 2) {
+  if (rel.selections.size() >= 2) {
     // Correlated columns: the true conjunction is less selective than the
     // independence product. Damping exponent 0.85 per extra predicate,
     // floored at 0.6.
     const double gamma = std::max(
         0.75, std::pow(0.92, static_cast<double>(rel.selections.size() - 1)));
-    product = std::pow(product, gamma);
+    product.truth = std::pow(product.truth, gamma);
   }
-  return Clamp01(product);
+  return {Clamp01(product.estimate), Clamp01(product.truth)};
 }
 
-double CardinalityModel::RelationCardinality(const LogicalRelation& rel,
-                                             CardMode mode) const {
-  QPP_CHECK(!rel.IsDerived());
-  const catalog::Table& table = catalog_->GetTable(rel.table);
-  const double card = table.row_count * RelationSelectivity(rel, mode);
-  return std::max(card, mode == CardMode::kTrue ? 0.0 : 1.0);
+DualValue CardinalityModel::RelationCardinality(
+    const LogicalRelation& rel) const {
+  const DualValue sel = RelationSelectivity(rel);  // checks: a base relation
+  const double rows = rel.catalog_table->row_count;
+  return {std::max(rows * sel.estimate, 1.0), std::max(rows * sel.truth, 0.0)};
 }
 
 double CardinalityModel::JoinEdgeSelectivity(const BoundJoin& join,
@@ -269,14 +264,6 @@ double CardinalityModel::GroupCardinality(
     groups = std::min(input_card, groups * std::exp(0.4 * z));
   }
   return std::max(groups, 1.0);
-}
-
-double CardinalityModel::ColumnNdv(const std::string& table_name,
-                                   const std::string& column) const {
-  const catalog::Table* t = catalog_->FindTable(table_name);
-  if (t == nullptr) return 0.0;
-  const catalog::Column* c = t->FindColumn(column);
-  return c != nullptr ? c->ndv : 0.0;
 }
 
 }  // namespace qpp::optimizer

@@ -36,24 +36,32 @@ enum class CardMode {
   kTrue,      ///< what the engine actually sees (metrics input)
 };
 
+/// One quantity as the optimizer estimates it and as the engine sees it.
+struct DualValue {
+  double estimate = 0.0;  ///< CardMode::kEstimate
+  double truth = 0.0;     ///< CardMode::kTrue
+};
+
 class CardinalityModel {
  public:
   /// `world_seed` fixes the hidden data truth; two models with the same seed
   /// agree on every true selectivity.
-  CardinalityModel(const catalog::Catalog* catalog, uint64_t world_seed);
+  explicit CardinalityModel(uint64_t world_seed) : world_seed_(world_seed) {}
 
-  /// Selectivity of one bound selection predicate against its table.
-  double SelectionSelectivity(const catalog::Table& table,
-                              const BoundSelection& sel, CardMode mode) const;
+  /// Selectivity of one bound selection predicate against its table, in
+  /// both modes (the estimate of a histogram-covered predicate is drawn
+  /// around its truth, so one pass yields both).
+  DualValue SelectionSelectivity(const catalog::Table& table,
+                                 const BoundSelection& sel) const;
 
   /// Combined selectivity of all selections on a base relation. In kTrue
   /// mode, multi-predicate conjunctions are damped (exponent < 1) to model
   /// correlated columns defeating the optimizer's independence assumption.
-  double RelationSelectivity(const LogicalRelation& rel, CardMode mode) const;
+  DualValue RelationSelectivity(const LogicalRelation& rel) const;
 
   /// Rows surviving the relation's selections. Base relations only
   /// (derived relations are planned recursively by the optimizer).
-  double RelationCardinality(const LogicalRelation& rel, CardMode mode) const;
+  DualValue RelationCardinality(const LogicalRelation& rel) const;
 
   /// Per-edge join selectivity factor. `left_ndv`/`right_ndv` are the
   /// effective NDVs of the join columns (pass 0 for unknown).
@@ -77,15 +85,11 @@ class CardinalityModel {
   /// Selectivity applied per residual (unclassifiable) predicate.
   static constexpr double kResidualSelectivity = 1.0 / 3.0;
 
-  /// NDV of `column` on base table `table_name`, 0 when unknown.
-  double ColumnNdv(const std::string& table_name,
-                   const std::string& column) const;
-
  private:
-  /// Deterministic standard-normal draw keyed by the predicate semantics.
+  /// Deterministic standard-normal draw keyed by the predicate semantics:
+  /// seeded from the hash of `key + "#" + salt`.
   double SeededGaussian(const std::string& key, const char* salt) const;
 
-  const catalog::Catalog* catalog_;
   uint64_t world_seed_;
 };
 

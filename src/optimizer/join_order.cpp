@@ -8,23 +8,23 @@
 
 namespace qpp::optimizer {
 
-EdgeBundle CollectJoinEdges(
-    const LogicalPlan& plan, size_t r,
-    const std::function<bool(size_t)>& in_set,
-    const std::function<double(size_t, const std::string&)>& column_ndv) {
-  EdgeBundle out;
+double EffectiveNdv(const LogicalPlan& plan, size_t rel,
+                    const std::string& column,
+                    const std::vector<double>& est_cards) {
+  const LogicalRelation& r = plan.relations[rel];
+  if (r.IsDerived()) return std::max(1.0, est_cards[rel] * 0.7);
+  const catalog::Column* c = r.catalog_table->FindColumn(column);
+  return c != nullptr && c->ndv > 0.0 ? c->ndv : 100.0;
+}
+
+std::vector<JoinEdgeNdv> JoinEdgeNdvs(const LogicalPlan& plan,
+                                      const std::vector<double>& est_cards) {
+  std::vector<JoinEdgeNdv> out;
+  out.reserve(plan.joins.size());
   for (const BoundJoin& j : plan.joins) {
-    const bool left_in = in_set(j.left_rel);
-    const bool right_in = in_set(j.right_rel);
-    if (j.right_rel == r && left_in) {
-      out.edges.push_back(&j);
-      out.set_ndvs.push_back(column_ndv(j.left_rel, j.left_column));
-      out.rel_ndvs.push_back(column_ndv(j.right_rel, j.right_column));
-    } else if (j.left_rel == r && right_in) {
-      out.edges.push_back(&j);
-      out.set_ndvs.push_back(column_ndv(j.right_rel, j.right_column));
-      out.rel_ndvs.push_back(column_ndv(j.left_rel, j.left_column));
-    }
+    out.push_back(
+        {EffectiveNdv(plan, j.left_rel, j.left_column, est_cards),
+         EffectiveNdv(plan, j.right_rel, j.right_column, est_cards)});
   }
   return out;
 }
@@ -34,8 +34,8 @@ namespace {
 /// Can relation r be appended after the set? Semi-joined (derived) relations
 /// must come after the outer relation their edge filters, and an outer
 /// relation must not be appended after its semi-joined partner.
-bool CanAdd(const LogicalPlan& plan, size_t r,
-            const std::function<bool(size_t)>& in_set) {
+template <typename InSet>
+bool CanAdd(const LogicalPlan& plan, size_t r, const InSet& in_set) {
   for (const BoundJoin& j : plan.joins) {
     if (!j.semi) continue;
     if (j.right_rel == r && !in_set(j.left_rel)) return false;
@@ -51,10 +51,9 @@ bool CanSeed(const LogicalPlan& plan, size_t r) {
   return true;
 }
 
-JoinOrder GreedyOrder(
-    const LogicalPlan& plan, const CardinalityModel& model,
-    const std::vector<double>& est_cards,
-    const std::function<double(size_t, const std::string&)>& column_ndv) {
+JoinOrder GreedyOrder(const LogicalPlan& plan, const CardinalityModel& model,
+                      const std::vector<double>& est_cards,
+                      const std::vector<JoinEdgeNdv>& ndvs) {
   const size_t n = plan.relations.size();
   std::vector<bool> used(n, false);
   const auto in_set = [&](size_t i) { return used[i]; };
@@ -72,13 +71,14 @@ JoinOrder GreedyOrder(
   double card = est_cards[seed];
   order.estimated_cost = card;
 
+  EdgeBundle bundle;
   while (order.sequence.size() < n) {
     size_t best = n;
     double best_card = std::numeric_limits<double>::infinity();
     bool best_connected = false;
     for (size_t r = 0; r < n; ++r) {
       if (used[r] || !CanAdd(plan, r, in_set)) continue;
-      EdgeBundle bundle = CollectJoinEdges(plan, r, in_set, column_ndv);
+      CollectJoinEdges(plan, r, in_set, ndvs, &bundle);
       const bool connected = !bundle.edges.empty();
       const double next = model.JoinOutputCardinality(
           card, est_cards[r], bundle.edges, bundle.set_ndvs, bundle.rel_ndvs,
@@ -102,12 +102,12 @@ JoinOrder GreedyOrder(
 
 }  // namespace
 
-JoinOrder OrderJoins(
-    const LogicalPlan& plan, const CardinalityModel& model,
-    const std::vector<double>& est_cards,
-    const std::function<double(size_t, const std::string&)>& column_ndv) {
+JoinOrder OrderJoins(const LogicalPlan& plan, const CardinalityModel& model,
+                     const std::vector<double>& est_cards,
+                     const std::vector<JoinEdgeNdv>& ndvs) {
   const size_t n = plan.relations.size();
   QPP_CHECK(est_cards.size() == n);
+  QPP_CHECK(ndvs.size() == plan.joins.size());
   QPP_CHECK(n >= 1);
   if (n == 1) {
     JoinOrder order;
@@ -115,7 +115,7 @@ JoinOrder OrderJoins(
     return order;
   }
   if (n > kDpRelationLimit) {
-    return GreedyOrder(plan, model, est_cards, column_ndv);
+    return GreedyOrder(plan, model, est_cards, ndvs);
   }
 
   // Left-deep DP over subsets.
@@ -142,13 +142,14 @@ JoinOrder OrderJoins(
     s.valid = true;
   }
 
+  EdgeBundle bundle;
   for (size_t mask = 1; mask <= full; ++mask) {
     const State& cur = dp[mask];
     if (!cur.valid) continue;
-    const auto in_set = [&](size_t i) { return (mask >> i) & 1; };
+    const auto in_set = [mask](size_t i) { return ((mask >> i) & 1) != 0; };
     for (size_t r = 0; r < n; ++r) {
       if (in_set(r) || !CanAdd(plan, r, in_set)) continue;
-      EdgeBundle bundle = CollectJoinEdges(plan, r, in_set, column_ndv);
+      CollectJoinEdges(plan, r, in_set, ndvs, &bundle);
       const double next_card = model.JoinOutputCardinality(
           cur.card, est_cards[r], bundle.edges, bundle.set_ndvs,
           bundle.rel_ndvs, CardMode::kEstimate);
@@ -167,7 +168,7 @@ JoinOrder OrderJoins(
   if (!dp[full].valid) {
     // Semi-join constraints can make some seeds invalid in odd graphs;
     // fall back to greedy which always produces an order.
-    return GreedyOrder(plan, model, est_cards, column_ndv);
+    return GreedyOrder(plan, model, est_cards, ndvs);
   }
 
   JoinOrder order;

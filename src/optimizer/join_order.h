@@ -7,7 +7,7 @@
 // relation they filter.
 #pragma once
 
-#include <functional>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -19,14 +19,6 @@ namespace qpp::optimizer {
 /// Maximum relation count for exact DP (12 -> 4096 subsets).
 constexpr size_t kDpRelationLimit = 12;
 
-struct JoinOrderInput {
-  /// Estimated post-selection cardinality per relation (index-aligned with
-  /// LogicalPlan::relations).
-  std::vector<double> est_cards;
-  /// Effective NDV of a join column per relation; keyed lazily via callback
-  /// to the planner, so this struct only carries cardinalities.
-};
-
 /// The chosen left-deep order: a permutation of relation indices. The
 /// physical planner joins them left to right, applying every join edge whose
 /// endpoints are both available.
@@ -34,6 +26,24 @@ struct JoinOrder {
   std::vector<size_t> sequence;
   double estimated_cost = 0.0;  ///< sum of intermediate estimated rows
 };
+
+/// The effective NDVs of one join edge's two columns, for join selectivity.
+struct JoinEdgeNdv {
+  double left = 0.0;   ///< of BoundJoin::left_column
+  double right = 0.0;  ///< of BoundJoin::right_column
+};
+
+/// Effective NDV of `column` of relation `rel`: the catalog NDV of a base
+/// column (100 when unknown), and for a derived relation, whose output rows
+/// are roughly unique, 0.7 × its estimated rows `est_cards[rel]`, at least 1.
+double EffectiveNdv(const LogicalPlan& plan, size_t rel,
+                    const std::string& column,
+                    const std::vector<double>& est_cards);
+
+/// EffectiveNdv of both columns of every join edge, index-aligned with
+/// `plan.joins`. `est_cards` is index-aligned with `plan.relations`.
+std::vector<JoinEdgeNdv> JoinEdgeNdvs(const LogicalPlan& plan,
+                                      const std::vector<double>& est_cards);
 
 /// The join edges applicable when relation `r` joins an already-joined set,
 /// with NDVs oriented set-side ("set") vs joining-relation-side ("rel").
@@ -43,17 +53,31 @@ struct EdgeBundle {
   std::vector<double> rel_ndvs;
 };
 
-/// Collects the edges between relation `r` and the set defined by `in_set`.
-EdgeBundle CollectJoinEdges(
-    const LogicalPlan& plan, size_t r,
-    const std::function<bool(size_t)>& in_set,
-    const std::function<double(size_t, const std::string&)>& column_ndv);
+/// Fills `out` with the edges between relation `r` and the set for which
+/// `in_set(i)` is true. `ndvs` is JoinEdgeNdvs of the plan.
+template <typename InSet>
+void CollectJoinEdges(const LogicalPlan& plan, size_t r, const InSet& in_set,
+                      const std::vector<JoinEdgeNdv>& ndvs, EdgeBundle* out) {
+  out->edges.clear();
+  out->set_ndvs.clear();
+  out->rel_ndvs.clear();
+  for (size_t k = 0; k < plan.joins.size(); ++k) {
+    const BoundJoin& j = plan.joins[k];
+    if (j.right_rel == r && in_set(j.left_rel)) {
+      out->edges.push_back(&j);
+      out->set_ndvs.push_back(ndvs[k].left);
+      out->rel_ndvs.push_back(ndvs[k].right);
+    } else if (j.left_rel == r && in_set(j.right_rel)) {
+      out->edges.push_back(&j);
+      out->set_ndvs.push_back(ndvs[k].right);
+      out->rel_ndvs.push_back(ndvs[k].left);
+    }
+  }
+}
 
-/// Computes a join order. `column_ndv(rel, column)` must return the
-/// effective NDV used for join selectivity (0 when unknown).
-JoinOrder OrderJoins(
-    const LogicalPlan& plan, const CardinalityModel& model,
-    const std::vector<double>& est_cards,
-    const std::function<double(size_t, const std::string&)>& column_ndv);
+/// Computes a join order. `ndvs` is JoinEdgeNdvs of the plan.
+JoinOrder OrderJoins(const LogicalPlan& plan, const CardinalityModel& model,
+                     const std::vector<double>& est_cards,
+                     const std::vector<JoinEdgeNdv>& ndvs);
 
 }  // namespace qpp::optimizer

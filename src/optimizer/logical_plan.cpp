@@ -1,8 +1,5 @@
 #include "optimizer/logical_plan.h"
 
-#include <map>
-#include <set>
-
 #include "common/str_util.h"
 
 namespace qpp::optimizer {
@@ -13,36 +10,24 @@ using sql::Expr;
 using sql::ExprKind;
 using sql::SelectStmt;
 
-/// Resolution scope: effective relation name -> index; plus the catalog for
-/// unqualified column lookups.
+/// Resolution scope: the relations of one query level, plus the enclosing
+/// level's scope for correlated references.
 struct Scope {
-  const catalog::Catalog* catalog = nullptr;
   const std::vector<LogicalRelation>* relations = nullptr;
-  std::map<std::string, size_t> by_name;
   const Scope* outer = nullptr;  ///< enclosing query scope (for correlation)
 
   /// Resolves a column reference to (relation index, is_outer). Returns
-  /// false when unresolvable.
+  /// false when unresolvable. Qualified references match a FROM entry's
+  /// effective name; unqualified ones the first FROM table owning the
+  /// column. Derived relations are never matched by name.
   bool Resolve(const Expr& col, size_t* rel, bool* is_outer) const {
     *is_outer = false;
-    if (!col.table.empty()) {
-      auto it = by_name.find(col.table);
-      if (it != by_name.end()) {
-        *rel = it->second;
-        return true;
-      }
-      if (outer != nullptr && outer->Resolve(col, rel, is_outer)) {
-        *is_outer = true;
-        return true;
-      }
-      return false;
-    }
-    // Unqualified: search base relations for a table owning this column.
     for (size_t i = 0; i < relations->size(); ++i) {
       const LogicalRelation& r = (*relations)[i];
       if (r.IsDerived()) continue;
-      const catalog::Table* t = catalog->FindTable(r.table);
-      if (t != nullptr && t->FindColumn(col.column) != nullptr) {
+      if (col.table.empty()
+              ? r.catalog_table->FindColumn(col.column) != nullptr
+              : r.alias == col.table) {
         *rel = i;
         return true;
       }
@@ -55,12 +40,26 @@ struct Scope {
   }
 };
 
-/// Collects the relation indices referenced by an expression (this scope
-/// only); `outer_refs` collects references that resolve in an enclosing
-/// scope. Returns false on unresolvable column references.
-bool CollectRelations(const Expr& e, const Scope& scope,
-                      std::set<size_t>* rels, bool* has_outer_ref,
-                      std::string* error) {
+/// The distinct relations an expression references: how many, and the
+/// first two (a conjunct over more than two is residual whatever they are).
+struct RelSet {
+  size_t count = 0;
+  size_t first = 0;
+  size_t second = 0;
+
+  void Insert(size_t r) {
+    if ((count >= 1 && r == first) || (count >= 2 && r == second)) return;
+    if (count == 0) first = r;
+    if (count == 1) second = r;
+    ++count;
+  }
+};
+
+/// Collects the relations referenced by an expression (this scope only);
+/// `has_outer_ref` records references that resolve in an enclosing scope.
+/// Returns false on unresolvable column references.
+bool CollectRelations(const Expr& e, const Scope& scope, RelSet* rels,
+                      bool* has_outer_ref, std::string* error) {
   switch (e.kind) {
     case ExprKind::kColumnRef: {
       size_t rel;
@@ -72,7 +71,7 @@ bool CollectRelations(const Expr& e, const Scope& scope,
       if (is_outer) {
         *has_outer_ref = true;
       } else {
-        rels->insert(rel);
+        rels->Insert(rel);
       }
       return true;
     }
@@ -135,30 +134,31 @@ struct Binder {
     plan.catalog = catalog;
 
     Scope scope;
-    scope.catalog = catalog;
     scope.relations = &plan.relations;
     scope.outer = outer;
 
     // FROM list: base tables only at this level (derived relations are
     // introduced by subquery decorrelation below).
     for (const sql::TableRef& ref : stmt.from) {
-      if (catalog->FindTable(ref.table) == nullptr) {
+      LogicalRelation rel;
+      rel.catalog_table = catalog->FindTable(ref.table);
+      if (rel.catalog_table == nullptr) {
         return Status::Error("unknown table: " + ref.table);
       }
-      LogicalRelation rel;
       rel.table = ref.table;
       rel.alias = ref.EffectiveName();
-      if (scope.by_name.count(rel.alias) > 0) {
-        return Status::Error("duplicate relation name: " + rel.alias);
+      for (const LogicalRelation& other : plan.relations) {
+        if (other.alias == rel.alias) {
+          return Status::Error("duplicate relation name: " + rel.alias);
+        }
       }
-      scope.by_name[rel.alias] = plan.relations.size();
       plan.relations.push_back(std::move(rel));
     }
 
     // Classify WHERE conjuncts.
     if (stmt.where != nullptr) {
-      for (Expr& conjunct : sql::SplitConjuncts(*stmt.where)) {
-        Status s = ClassifyConjunct(std::move(conjunct), &plan, &scope);
+      for (const Expr* conjunct : sql::SplitConjuncts(*stmt.where)) {
+        Status s = ClassifyConjunct(*conjunct, &plan, scope);
         if (!s.ok()) return s;
       }
     }
@@ -196,12 +196,9 @@ struct Binder {
       if (col != nullptr) {
         size_t rel;
         bool is_outer;
-        if (scope.Resolve(*col, &rel, &is_outer) && !is_outer &&
-            !plan.relations[rel].IsDerived()) {
-          const catalog::Table* t =
-              catalog->FindTable(plan.relations[rel].table);
+        if (scope.Resolve(*col, &rel, &is_outer) && !is_outer) {
           const catalog::Column* c =
-              t != nullptr ? t->FindColumn(col->column) : nullptr;
+              plan.relations[rel].catalog_table->FindColumn(col->column);
           if (c != nullptr) w = c->avg_width_bytes;
         }
       }
@@ -211,17 +208,20 @@ struct Binder {
     return plan;
   }
 
-  Status ClassifyConjunct(Expr conjunct, LogicalPlan* plan, Scope* scope) {
+  /// Binds one WHERE conjunct: a selection (the only kind that keeps a copy
+  /// of the predicate), a join edge, a subquery or a residual.
+  Status ClassifyConjunct(const Expr& conjunct, LogicalPlan* plan,
+                          const Scope& scope) {
     // Subquery predicates first.
     if (conjunct.kind == ExprKind::kInSubquery ||
         conjunct.kind == ExprKind::kExists) {
-      return BindSubquery(std::move(conjunct), plan, scope);
+      return BindSubquery(conjunct, plan, scope);
     }
 
-    std::set<size_t> rels;
+    RelSet rels;
     bool has_outer_ref = false;
     std::string err;
-    if (!CollectRelations(conjunct, *scope, &rels, &has_outer_ref, &err)) {
+    if (!CollectRelations(conjunct, scope, &rels, &has_outer_ref, &err)) {
       return Status::Error(err);
     }
     if (has_outer_ref) {
@@ -231,25 +231,27 @@ struct Binder {
       plan->num_residual_predicates += 1;
       return Status::Ok();
     }
-    if (rels.size() == 1) {
-      const size_t rel = *rels.begin();
+    if (rels.count == 1) {
+      LogicalRelation& rel = plan->relations[rels.first];
       BoundSelection sel;
       const Expr* col = FirstColumnRef(conjunct);
-      sel.column = col != nullptr ? col->column : "";
-      sel.semantic_key = plan->relations[rel].table + "|" + conjunct.ToString();
-      sel.expr = std::move(conjunct);
-      plan->relations[rel].selections.push_back(std::move(sel));
+      if (col != nullptr) sel.column = col->column;
+      sel.semantic_key = rel.table;
+      sel.semantic_key.push_back('|');
+      conjunct.AppendTo(&sel.semantic_key);
+      sel.expr = conjunct.Clone();
+      rel.selections.push_back(std::move(sel));
       return Status::Ok();
     }
-    if (rels.size() == 2 && conjunct.kind == ExprKind::kCompare &&
+    if (rels.count == 2 && conjunct.kind == ExprKind::kCompare &&
         conjunct.left != nullptr &&
         conjunct.left->kind == ExprKind::kColumnRef &&
         conjunct.right != nullptr &&
         conjunct.right->kind == ExprKind::kColumnRef) {
       size_t lrel, rrel;
       bool louter, router;
-      QPP_CHECK(scope->Resolve(*conjunct.left, &lrel, &louter));
-      QPP_CHECK(scope->Resolve(*conjunct.right, &rrel, &router));
+      QPP_CHECK(scope.Resolve(*conjunct.left, &lrel, &louter));
+      QPP_CHECK(scope.Resolve(*conjunct.right, &rrel, &router));
       BoundJoin join;
       join.left_rel = lrel;
       join.right_rel = rrel;
@@ -266,7 +268,8 @@ struct Binder {
     return Status::Ok();
   }
 
-  Status BindSubquery(Expr pred, LogicalPlan* plan, Scope* scope) {
+  Status BindSubquery(const Expr& pred, LogicalPlan* plan,
+                      const Scope& scope) {
     QPP_CHECK(pred.subquery != nullptr);
     // Extract correlated conjuncts from the subquery's WHERE: predicates
     // that compare an inner column with an outer column become semi-join
@@ -284,21 +287,18 @@ struct Binder {
 
     // Inner scope for classifying correlation (relations not yet bound, so
     // build a throwaway binder scope from the FROM list).
-    LogicalPlan probe_plan;
-    probe_plan.catalog = catalog;
+    std::vector<LogicalRelation> probe_relations;
     Scope inner_scope;
-    inner_scope.catalog = catalog;
-    inner_scope.relations = &probe_plan.relations;
-    inner_scope.outer = scope;
+    inner_scope.relations = &probe_relations;
+    inner_scope.outer = &scope;
     for (const sql::TableRef& ref : inner.from) {
-      if (catalog->FindTable(ref.table) == nullptr) {
+      LogicalRelation rel;
+      rel.catalog_table = catalog->FindTable(ref.table);
+      if (rel.catalog_table == nullptr) {
         return Status::Error("unknown table in subquery: " + ref.table);
       }
-      LogicalRelation rel;
-      rel.table = ref.table;
       rel.alias = ref.EffectiveName();
-      inner_scope.by_name[rel.alias] = probe_plan.relations.size();
-      probe_plan.relations.push_back(std::move(rel));
+      probe_relations.push_back(std::move(rel));
     }
 
     struct CorrelatedEdge {
@@ -311,7 +311,8 @@ struct Binder {
     std::vector<CorrelatedEdge> edges;
     std::vector<Expr> kept;
     if (pred.subquery->where != nullptr) {
-      for (Expr& conjunct : sql::SplitConjuncts(*pred.subquery->where)) {
+      for (const Expr* c : sql::SplitConjuncts(*pred.subquery->where)) {
+        const Expr& conjunct = *c;
         bool correlated = false;
         if (conjunct.kind == ExprKind::kCompare &&
             conjunct.left != nullptr &&
@@ -340,7 +341,7 @@ struct Binder {
             correlated = true;
           }
         }
-        if (!correlated) kept.push_back(std::move(conjunct));
+        if (!correlated) kept.push_back(conjunct.Clone());
       }
     }
     // Rebuild inner WHERE from the kept conjuncts.
@@ -354,7 +355,7 @@ struct Binder {
       }
     }
 
-    Result<LogicalPlan> sub = Bind(inner, scope);
+    Result<LogicalPlan> sub = Bind(inner, &scope);
     if (!sub.ok()) return sub.status();
 
     LogicalRelation derived;
@@ -370,7 +371,7 @@ struct Binder {
       }
       size_t rel;
       bool is_outer;
-      if (!scope->Resolve(*pred.left, &rel, &is_outer) || is_outer) {
+      if (!scope.Resolve(*pred.left, &rel, &is_outer) || is_outer) {
         return Status::Error("unresolvable IN column: " +
                              pred.left->ToString());
       }

@@ -43,6 +43,9 @@ struct LogicalPlan;
 /// relation wrapping a subquery's own logical plan.
 struct LogicalRelation {
   std::string table;            ///< catalog table name (base relations)
+  /// The catalog's table (base relations), found once when the FROM entry
+  /// is checked; null for derived relations.
+  const catalog::Table* catalog_table = nullptr;
   std::string alias;            ///< effective name predicates use
   std::vector<BoundSelection> selections;
   std::shared_ptr<LogicalPlan> derived;  ///< non-null for subquery relations

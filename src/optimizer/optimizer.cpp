@@ -45,7 +45,7 @@ Optimizer::Optimizer(const catalog::Catalog* catalog,
                      OptimizerOptions options)
     : catalog_(catalog),
       options_(options),
-      cards_(catalog, options.world_seed) {
+      cards_(options.world_seed) {
   QPP_CHECK(catalog != nullptr);
   QPP_CHECK(options_.nodes_used >= 1);
 }
@@ -96,15 +96,16 @@ Optimizer::Fragment Optimizer::PlanRelation(const LogicalPlan& plan,
   if (rel.IsDerived()) {
     return PlanLogical(*rel.derived);
   }
-  const catalog::Table& table = catalog_->GetTable(rel.table);
+  const catalog::Table& table = *rel.catalog_table;
 
   Fragment frag;
   auto scan = std::make_unique<PhysicalNode>(PhysOp::kFileScan);
   scan->table = table.name;
   scan->est_input_rows = table.row_count;
   scan->true_input_rows = table.row_count;
-  scan->est_rows = cards_.RelationCardinality(rel, CardMode::kEstimate);
-  scan->true_rows = cards_.RelationCardinality(rel, CardMode::kTrue);
+  const DualValue rows = cards_.RelationCardinality(rel);
+  scan->est_rows = rows.estimate;
+  scan->true_rows = rows.truth;
   // Scans project a subset of columns; 60% of the stored width is a
   // representative projection footprint.
   scan->row_width = std::max(8.0, table.RowWidthBytes() * 0.6);
@@ -133,25 +134,15 @@ Optimizer::Fragment Optimizer::PlanLogical(const LogicalPlan& plan) const {
   std::vector<Fragment> leaves;
   leaves.reserve(plan.relations.size());
   std::vector<double> est_cards;
-  std::vector<double> true_cards;
+  est_cards.reserve(plan.relations.size());
   for (size_t i = 0; i < plan.relations.size(); ++i) {
     leaves.push_back(PlanRelation(plan, i));
     est_cards.push_back(leaves.back().est_rows);
-    true_cards.push_back(leaves.back().true_rows);
   }
 
-  const auto column_ndv = [&](size_t rel, const std::string& column) {
-    const LogicalRelation& r = plan.relations[rel];
-    if (r.IsDerived()) {
-      // Derived relations expose roughly-unique output rows.
-      return std::max(1.0, leaves[rel].est_rows * 0.7);
-    }
-    const double ndv = cards_.ColumnNdv(r.table, column);
-    return ndv > 0.0 ? ndv : 100.0;
-  };
-
   // 2. Join order.
-  const JoinOrder order = OrderJoins(plan, cards_, est_cards, column_ndv);
+  const std::vector<JoinEdgeNdv> edge_ndvs = JoinEdgeNdvs(plan, est_cards);
+  const JoinOrder order = OrderJoins(plan, cards_, est_cards, edge_ndvs);
 
   // 3. Left-deep join tree.
   std::vector<bool> joined(plan.relations.size(), false);
@@ -164,10 +155,11 @@ Optimizer::Fragment Optimizer::PlanLogical(const LogicalPlan& plan) const {
   // first join in the pipeline can exploit that.
   bool acc_is_colocated_scan = !plan.relations[order.sequence[0]].IsDerived();
 
+  EdgeBundle bundle;
   for (size_t step = 1; step < order.sequence.size(); ++step) {
     const size_t r = order.sequence[step];
     Fragment inner = std::move(leaves[r]);
-    const EdgeBundle bundle = CollectJoinEdges(plan, r, in_set, column_ndv);
+    CollectJoinEdges(plan, r, in_set, edge_ndvs, &bundle);
 
     const double est_out = cards_.JoinOutputCardinality(
         acc.est_rows, inner.est_rows, bundle.edges, bundle.set_ndvs,
@@ -195,13 +187,8 @@ Optimizer::Fragment Optimizer::PlanLogical(const LogicalPlan& plan) const {
     if (all_equi && acc_is_colocated_scan && step == 1 &&
         bundle.edges.size() == 1 && !plan.relations[r].IsDerived()) {
       const BoundJoin& e = *bundle.edges[0];
-      const catalog::Table* lt = catalog_->FindTable(
-          plan.relations[e.left_rel].IsDerived() ? ""
-                                                 : plan.relations[e.left_rel].table);
-      const catalog::Table* rt = catalog_->FindTable(
-          plan.relations[e.right_rel].IsDerived()
-              ? ""
-              : plan.relations[e.right_rel].table);
+      const catalog::Table* lt = plan.relations[e.left_rel].catalog_table;
+      const catalog::Table* rt = plan.relations[e.right_rel].catalog_table;
       use_merge =
           lt != nullptr && rt != nullptr &&
           EqualsIgnoreCaseAscii(e.left_column, lt->partitioning_column) &&
@@ -272,7 +259,7 @@ Optimizer::Fragment Optimizer::PlanLogical(const LogicalPlan& plan) const {
     std::vector<double> group_ndvs;
     std::string key = "groupby";
     for (const auto& [rel, column] : plan.group_column_refs) {
-      group_ndvs.push_back(column_ndv(rel, column));
+      group_ndvs.push_back(EffectiveNdv(plan, rel, column, est_cards));
       key += "|" + plan.relations[rel].alias + "." + column;
     }
     // Columns we failed to resolve still reduce cardinality; assume a

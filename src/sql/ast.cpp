@@ -1,6 +1,6 @@
 #include "sql/ast.h"
 
-#include <sstream>
+#include <charconv>
 
 #include "common/check.h"
 #include "common/str_util.h"
@@ -47,6 +47,39 @@ std::unique_ptr<Expr> ClonePtr(const std::unique_ptr<Expr>& p) {
   return std::make_unique<Expr>(p->Clone());
 }
 
+void AppendInt(long long v, std::string* out) {
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  out->append(buf, static_cast<size_t>(end - buf));
+}
+
+/// An integer literal as "%lld" of its long long value, any other number
+/// as "%.12g".
+void AppendNumber(double num, bool is_integer, std::string* out) {
+  if (is_integer && num >= -0x1p63 && num < 0x1p63) {
+    AppendInt(static_cast<long long>(num), out);
+  } else if (is_integer) {
+    // Beyond long long: the double's exact integer value.
+    out->append(StrFormat("%.0f", num));
+  } else {
+    char buf[32];
+    const char* end = std::to_chars(buf, buf + sizeof buf, num,
+                                    std::chars_format::general, 12)
+                          .ptr;
+    out->append(buf, static_cast<size_t>(end - buf));
+  }
+}
+
+void CollectConjuncts(const Expr& predicate, std::vector<const Expr*>* out) {
+  if (predicate.kind == ExprKind::kLogical && predicate.is_and) {
+    QPP_CHECK(predicate.left && predicate.right);
+    CollectConjuncts(*predicate.left, out);
+    CollectConjuncts(*predicate.right, out);
+    return;
+  }
+  out->push_back(&predicate);
+}
+
 }  // namespace
 
 Expr Expr::Clone() const {
@@ -75,105 +108,102 @@ Expr Expr::Clone() const {
 }
 
 std::string Expr::ToString() const {
-  std::ostringstream os;
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Expr::AppendTo(std::string* out) const {
   switch (kind) {
     case ExprKind::kColumnRef:
-      if (!table.empty()) os << table << ".";
-      os << column;
+      if (!table.empty()) {
+        out->append(table);
+        out->push_back('.');
+      }
+      out->append(column);
       break;
     case ExprKind::kLiteral:
       if (is_string) {
-        std::string escaped;
+        out->push_back('\'');
         for (char c : str) {
-          escaped.push_back(c);
-          if (c == '\'') escaped.push_back('\'');
+          out->push_back(c);
+          if (c == '\'') out->push_back('\'');
         }
-        os << "'" << escaped << "'";
-      } else if (is_integer) {
-        os << static_cast<long long>(num);
+        out->push_back('\'');
       } else {
-        os << FormatG(num, 12);
+        AppendNumber(num, is_integer, out);
       }
       break;
     case ExprKind::kStar:
-      os << "*";
+      out->push_back('*');
       break;
     case ExprKind::kCompare:
-      os << left->ToString() << " " << CompareOpName(cmp) << " "
-         << right->ToString();
+      left->AppendTo(out);
+      out->push_back(' ');
+      out->append(CompareOpName(cmp));
+      out->push_back(' ');
+      right->AppendTo(out);
       break;
     case ExprKind::kLogical:
-      os << "(" << left->ToString() << (is_and ? " AND " : " OR ")
-         << right->ToString() << ")";
+      out->push_back('(');
+      left->AppendTo(out);
+      out->append(is_and ? " AND " : " OR ");
+      right->AppendTo(out);
+      out->push_back(')');
       break;
     case ExprKind::kNot:
-      os << "NOT (" << left->ToString() << ")";
+      out->append("NOT (");
+      left->AppendTo(out);
+      out->push_back(')');
       break;
     case ExprKind::kArith:
-      os << "(" << left->ToString() << " " << ArithOpName(arith) << " "
-         << right->ToString() << ")";
+      out->push_back('(');
+      left->AppendTo(out);
+      out->push_back(' ');
+      out->append(ArithOpName(arith));
+      out->push_back(' ');
+      right->AppendTo(out);
+      out->push_back(')');
       break;
     case ExprKind::kBetween:
-      os << left->ToString() << " BETWEEN " << lo->ToString() << " AND "
-         << hi->ToString();
+      left->AppendTo(out);
+      out->append(" BETWEEN ");
+      lo->AppendTo(out);
+      out->append(" AND ");
+      hi->AppendTo(out);
       break;
-    case ExprKind::kInList: {
-      os << left->ToString() << " IN (";
+    case ExprKind::kInList:
+      left->AppendTo(out);
+      out->append(" IN (");
       for (size_t i = 0; i < list.size(); ++i) {
-        if (i > 0) os << ", ";
-        os << list[i].ToString();
+        if (i > 0) out->append(", ");
+        list[i].AppendTo(out);
       }
-      os << ")";
+      out->push_back(')');
       break;
-    }
     case ExprKind::kInSubquery:
-      os << left->ToString() << (negated ? " NOT IN (" : " IN (")
-         << subquery->ToString() << ")";
+      left->AppendTo(out);
+      out->append(negated ? " NOT IN (" : " IN (");
+      out->append(subquery->ToString());
+      out->push_back(')');
       break;
     case ExprKind::kExists:
-      os << (negated ? "NOT EXISTS (" : "EXISTS (") << subquery->ToString()
-         << ")";
+      out->append(negated ? "NOT EXISTS (" : "EXISTS (");
+      out->append(subquery->ToString());
+      out->push_back(')');
       break;
     case ExprKind::kAgg:
-      os << AggFuncName(agg) << "(";
-      if (distinct) os << "DISTINCT ";
-      os << (left ? left->ToString() : "*") << ")";
+      out->append(AggFuncName(agg));
+      out->push_back('(');
+      if (distinct) out->append("DISTINCT ");
+      if (left) {
+        left->AppendTo(out);
+      } else {
+        out->push_back('*');
+      }
+      out->push_back(')');
       break;
   }
-  return os.str();
-}
-
-Expr MakeColumnRef(std::string table, std::string column) {
-  Expr e;
-  e.kind = ExprKind::kColumnRef;
-  e.table = std::move(table);
-  e.column = std::move(column);
-  return e;
-}
-
-Expr MakeNumberLiteral(double value, bool is_integer) {
-  Expr e;
-  e.kind = ExprKind::kLiteral;
-  e.num = value;
-  e.is_integer = is_integer;
-  return e;
-}
-
-Expr MakeStringLiteral(std::string value) {
-  Expr e;
-  e.kind = ExprKind::kLiteral;
-  e.str = std::move(value);
-  e.is_string = true;
-  return e;
-}
-
-Expr MakeCompare(CompareOp op, Expr left, Expr right) {
-  Expr e;
-  e.kind = ExprKind::kCompare;
-  e.cmp = op;
-  e.left = std::make_unique<Expr>(std::move(left));
-  e.right = std::make_unique<Expr>(std::move(right));
-  return e;
 }
 
 Expr MakeLogical(bool is_and, Expr left, Expr right) {
@@ -186,52 +216,59 @@ Expr MakeLogical(bool is_and, Expr left, Expr right) {
 }
 
 std::string SelectStmt::ToString() const {
-  std::ostringstream os;
-  os << "SELECT ";
-  if (distinct) os << "DISTINCT ";
+  std::string out;
+  out.append("SELECT ");
+  if (distinct) out.append("DISTINCT ");
   for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << items[i].expr.ToString();
-    if (!items[i].alias.empty()) os << " AS " << items[i].alias;
+    if (i > 0) out.append(", ");
+    items[i].expr.AppendTo(&out);
+    if (!items[i].alias.empty()) {
+      out.append(" AS ");
+      out.append(items[i].alias);
+    }
   }
-  os << " FROM ";
+  out.append(" FROM ");
   for (size_t i = 0; i < from.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << from[i].table;
-    if (!from[i].alias.empty()) os << " " << from[i].alias;
+    if (i > 0) out.append(", ");
+    out.append(from[i].table);
+    if (!from[i].alias.empty()) {
+      out.push_back(' ');
+      out.append(from[i].alias);
+    }
   }
-  if (where) os << " WHERE " << where->ToString();
+  if (where) {
+    out.append(" WHERE ");
+    where->AppendTo(&out);
+  }
   if (!group_by.empty()) {
-    os << " GROUP BY ";
+    out.append(" GROUP BY ");
     for (size_t i = 0; i < group_by.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << group_by[i].ToString();
+      if (i > 0) out.append(", ");
+      group_by[i].AppendTo(&out);
     }
   }
-  if (having) os << " HAVING " << having->ToString();
+  if (having) {
+    out.append(" HAVING ");
+    having->AppendTo(&out);
+  }
   if (!order_by.empty()) {
-    os << " ORDER BY ";
+    out.append(" ORDER BY ");
     for (size_t i = 0; i < order_by.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << order_by[i].expr.ToString();
-      if (!order_by[i].ascending) os << " DESC";
+      if (i > 0) out.append(", ");
+      order_by[i].expr.AppendTo(&out);
+      if (!order_by[i].ascending) out.append(" DESC");
     }
   }
-  if (limit) os << " LIMIT " << *limit;
-  return os.str();
+  if (limit) {
+    out.append(" LIMIT ");
+    AppendInt(*limit, &out);
+  }
+  return out;
 }
 
-std::vector<Expr> SplitConjuncts(const Expr& predicate) {
-  std::vector<Expr> out;
-  if (predicate.kind == ExprKind::kLogical && predicate.is_and) {
-    QPP_CHECK(predicate.left && predicate.right);
-    std::vector<Expr> l = SplitConjuncts(*predicate.left);
-    std::vector<Expr> r = SplitConjuncts(*predicate.right);
-    for (Expr& e : l) out.push_back(std::move(e));
-    for (Expr& e : r) out.push_back(std::move(e));
-    return out;
-  }
-  out.push_back(predicate.Clone());
+std::vector<const Expr*> SplitConjuncts(const Expr& predicate) {
+  std::vector<const Expr*> out;
+  CollectConjuncts(predicate, &out);
   return out;
 }
 

@@ -89,13 +89,11 @@ struct Expr {
 
   /// Unparses to SQL text (round-trips through the parser).
   std::string ToString() const;
+  /// Appends ToString() to `out`.
+  void AppendTo(std::string* out) const;
 };
 
-/// Convenience constructors used by templates and tests.
-Expr MakeColumnRef(std::string table, std::string column);
-Expr MakeNumberLiteral(double value, bool is_integer = false);
-Expr MakeStringLiteral(std::string value);
-Expr MakeCompare(CompareOp op, Expr left, Expr right);
+/// An AND (or OR) node over two operands.
 Expr MakeLogical(bool is_and, Expr left, Expr right);
 
 struct SelectItem {
@@ -139,7 +137,8 @@ struct SelectStmt {
   std::string ToString() const;
 };
 
-/// Splits a predicate tree into its top-level AND conjuncts (clones them).
-std::vector<Expr> SplitConjuncts(const Expr& predicate);
+/// The top-level AND conjuncts of a predicate tree, left to right, as
+/// pointers into it.
+std::vector<const Expr*> SplitConjuncts(const Expr& predicate);
 
 }  // namespace qpp::sql

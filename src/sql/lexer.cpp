@@ -1,6 +1,5 @@
 #include "sql/lexer.h"
 
-#include <cctype>
 #include <cstdlib>
 
 #include "common/str_util.h"
@@ -9,12 +8,33 @@ namespace qpp::sql {
 
 namespace {
 
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+// ASCII character classes: what <cctype> answers in the C locale, which is
+// the only locale the library runs in (nothing calls setlocale).
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+bool IsAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
 }
 
-bool IsIdentCont(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+bool IsIdentStart(char c) { return IsAlpha(c) || c == '_'; }
+
+bool IsIdentCont(char c) { return IsAlpha(c) || IsDigit(c) || c == '_'; }
+
+void FoldUpper(std::string* s) {
+  for (char& c : *s) {
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+  }
+}
+
+void FoldLower(std::string* s) {
+  for (char& c : *s) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
 }
 
 }  // namespace
@@ -25,7 +45,7 @@ Result<std::vector<Token>> Lex(const std::string& text) {
   const size_t n = text.size();
   while (i < n) {
     const char c = text[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       ++i;
       continue;
     }
@@ -39,55 +59,52 @@ Result<std::vector<Token>> Lex(const std::string& text) {
     if (IsIdentStart(c)) {
       size_t j = i;
       while (j < n && IsIdentCont(text[j])) ++j;
-      const std::string word = text.substr(i, j - i);
-      const std::string upper = ToUpperAscii(word);
-      if (IsReservedKeyword(upper)) {
+      // Keywords come out upper-cased, identifiers lower-cased, both folded
+      // in the token's own text.
+      tok.text.assign(text, i, j - i);
+      FoldUpper(&tok.text);
+      if (IsReservedKeyword(tok.text)) {
         tok.type = TokenType::kKeyword;
-        tok.text = upper;
       } else {
         tok.type = TokenType::kIdentifier;
-        tok.text = ToLowerAscii(word);
+        FoldLower(&tok.text);
       }
-      out.push_back(tok);
+      out.push_back(std::move(tok));
       i = j;
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < n &&
-         std::isdigit(static_cast<unsigned char>(text[i + 1])))) {
+    if (IsDigit(c) || (c == '.' && i + 1 < n && IsDigit(text[i + 1]))) {
       size_t j = i;
       bool is_float = false;
-      while (j < n && std::isdigit(static_cast<unsigned char>(text[j]))) ++j;
+      while (j < n && IsDigit(text[j])) ++j;
       if (j < n && text[j] == '.') {
         is_float = true;
         ++j;
-        while (j < n && std::isdigit(static_cast<unsigned char>(text[j]))) ++j;
+        while (j < n && IsDigit(text[j])) ++j;
       }
       if (j < n && (text[j] == 'e' || text[j] == 'E')) {
         size_t k = j + 1;
         if (k < n && (text[k] == '+' || text[k] == '-')) ++k;
-        if (k < n && std::isdigit(static_cast<unsigned char>(text[k]))) {
+        if (k < n && IsDigit(text[k])) {
           is_float = true;
           j = k;
-          while (j < n && std::isdigit(static_cast<unsigned char>(text[j])))
-            ++j;
+          while (j < n && IsDigit(text[j])) ++j;
         }
       }
       tok.type = is_float ? TokenType::kNumber : TokenType::kInteger;
-      tok.text = text.substr(i, j - i);
+      tok.text.assign(text, i, j - i);
       tok.number = std::strtod(tok.text.c_str(), nullptr);
-      out.push_back(tok);
+      out.push_back(std::move(tok));
       i = j;
       continue;
     }
     if (c == '\'') {
       size_t j = i + 1;
-      std::string value;
       bool closed = false;
       while (j < n) {
         if (text[j] == '\'') {
           if (j + 1 < n && text[j + 1] == '\'') {  // escaped quote
-            value.push_back('\'');
+            tok.text.push_back('\'');
             j += 2;
             continue;
           }
@@ -95,7 +112,7 @@ Result<std::vector<Token>> Lex(const std::string& text) {
           ++j;
           break;
         }
-        value.push_back(text[j]);
+        tok.text.push_back(text[j]);
         ++j;
       }
       if (!closed) {
@@ -103,48 +120,35 @@ Result<std::vector<Token>> Lex(const std::string& text) {
             "unterminated string literal at offset %zu", i));
       }
       tok.type = TokenType::kString;
-      tok.text = value;
-      out.push_back(tok);
+      out.push_back(std::move(tok));
       i = j;
       continue;
     }
     // Multi-char operators first.
+    tok.type = TokenType::kSymbol;
     if (c == '<' && i + 1 < n && (text[i + 1] == '=' || text[i + 1] == '>')) {
-      tok.type = TokenType::kSymbol;
-      tok.text = text.substr(i, 2);
-      out.push_back(tok);
+      tok.text.assign(text, i, 2);
       i += 2;
-      continue;
-    }
-    if (c == '>' && i + 1 < n && text[i + 1] == '=') {
-      tok.type = TokenType::kSymbol;
+    } else if (c == '>' && i + 1 < n && text[i + 1] == '=') {
       tok.text = ">=";
-      out.push_back(tok);
       i += 2;
-      continue;
-    }
-    if (c == '!' && i + 1 < n && text[i + 1] == '=') {
-      tok.type = TokenType::kSymbol;
+    } else if (c == '!' && i + 1 < n && text[i + 1] == '=') {
       tok.text = "<>";  // normalize != to <>
-      out.push_back(tok);
       i += 2;
-      continue;
-    }
-    static const std::string kSingles = "(),.*=<>+-/;";
-    if (kSingles.find(c) != std::string::npos) {
-      tok.type = TokenType::kSymbol;
-      tok.text = std::string(1, c);
-      out.push_back(tok);
+    } else if (std::string_view("(),.*=<>+-/;").find(c) !=
+               std::string_view::npos) {
+      tok.text.assign(1, c);
       ++i;
-      continue;
+    } else {
+      return Status::Error(
+          StrFormat("unexpected character '%c' at offset %zu", c, i));
     }
-    return Status::Error(
-        StrFormat("unexpected character '%c' at offset %zu", c, i));
+    out.push_back(std::move(tok));
   }
   Token end;
   end.type = TokenType::kEnd;
   end.position = n;
-  out.push_back(end);
+  out.push_back(std::move(end));
   return out;
 }
 

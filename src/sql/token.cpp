@@ -1,9 +1,5 @@
 #include "sql/token.h"
 
-#include <set>
-
-#include "common/str_util.h"
-
 namespace qpp::sql {
 
 bool Token::IsKeyword(const char* kw) const {
@@ -19,14 +15,17 @@ std::string Token::ToString() const {
   return text;
 }
 
-bool IsReservedKeyword(const std::string& upper) {
-  static const std::set<std::string> kKeywords = {
+bool IsReservedKeyword(std::string_view upper) {
+  static constexpr std::string_view kKeywords[] = {
       "SELECT", "FROM",  "WHERE",  "GROUP",  "BY",     "HAVING", "ORDER",
       "LIMIT",  "AS",    "AND",    "OR",     "NOT",    "IN",     "EXISTS",
       "BETWEEN", "JOIN", "INNER",  "LEFT",   "ON",     "ASC",    "DESC",
       "SUM",    "COUNT", "AVG",    "MIN",    "MAX",    "DISTINCT",
   };
-  return kKeywords.count(upper) > 0;
+  for (const std::string_view kw : kKeywords) {
+    if (kw == upper) return true;
+  }
+  return false;
 }
 
 }  // namespace qpp::sql

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace qpp::sql {
 
@@ -28,6 +29,6 @@ struct Token {
 };
 
 /// True if `word` (upper-cased) is a reserved keyword of the subset grammar.
-bool IsReservedKeyword(const std::string& upper);
+bool IsReservedKeyword(std::string_view upper);
 
 }  // namespace qpp::sql

@@ -20,9 +20,9 @@ TEST(CatalogTest, AddAndLookupCaseInsensitive) {
   EXPECT_EQ(cat.FindTable("nope"), nullptr);
   EXPECT_EQ(cat.FindTable("order"), nullptr);
   EXPECT_EQ(cat.FindTable("ordersx"), nullptr);
-  EXPECT_NE(cat.GetTable("orders").FindColumn("O_ID"), nullptr);
-  EXPECT_EQ(cat.GetTable("orders").FindColumn("o_i"), nullptr);
-  EXPECT_EQ(cat.GetTable("orders").FindColumn("o_idx"), nullptr);
+  EXPECT_NE(cat.FindTable("orders")->FindColumn("O_ID"), nullptr);
+  EXPECT_EQ(cat.FindTable("orders")->FindColumn("o_i"), nullptr);
+  EXPECT_EQ(cat.FindTable("orders")->FindColumn("o_idx"), nullptr);
 }
 
 TEST(CatalogTest, ReplaceKeepsSingleEntry) {
@@ -34,12 +34,12 @@ TEST(CatalogTest, ReplaceKeepsSingleEntry) {
   t.row_count = 99;
   cat.AddTable(t);
   EXPECT_EQ(cat.tables().size(), 1u);
-  EXPECT_EQ(cat.GetTable("t").row_count, 99.0);
+  EXPECT_EQ(cat.FindTable("t")->row_count, 99.0);
   t.name = "T";  // the same table in another case
   t.row_count = 7;
   cat.AddTable(t);
   EXPECT_EQ(cat.tables().size(), 1u);
-  EXPECT_EQ(cat.GetTable("t").row_count, 7.0);
+  EXPECT_EQ(cat.FindTable("t")->row_count, 7.0);
 }
 
 TEST(CatalogTest, RowWidthSumsColumns) {
@@ -52,15 +52,15 @@ TEST(CatalogTest, RowWidthSumsColumns) {
 
 TEST(TpcdsTest, Sf1RowCountsMatchSpec) {
   const Catalog cat = MakeTpcdsCatalog(1.0);
-  EXPECT_EQ(cat.GetTable("store_sales").row_count, 2880404.0);
-  EXPECT_EQ(cat.GetTable("catalog_sales").row_count, 1441548.0);
-  EXPECT_EQ(cat.GetTable("web_sales").row_count, 719384.0);
-  EXPECT_EQ(cat.GetTable("store_returns").row_count, 287514.0);
-  EXPECT_EQ(cat.GetTable("inventory").row_count, 11745000.0);
-  EXPECT_EQ(cat.GetTable("customer").row_count, 100000.0);
-  EXPECT_EQ(cat.GetTable("date_dim").row_count, 73049.0);
-  EXPECT_EQ(cat.GetTable("item").row_count, 18000.0);
-  EXPECT_EQ(cat.GetTable("warehouse").row_count, 5.0);
+  EXPECT_EQ(cat.FindTable("store_sales")->row_count, 2880404.0);
+  EXPECT_EQ(cat.FindTable("catalog_sales")->row_count, 1441548.0);
+  EXPECT_EQ(cat.FindTable("web_sales")->row_count, 719384.0);
+  EXPECT_EQ(cat.FindTable("store_returns")->row_count, 287514.0);
+  EXPECT_EQ(cat.FindTable("inventory")->row_count, 11745000.0);
+  EXPECT_EQ(cat.FindTable("customer")->row_count, 100000.0);
+  EXPECT_EQ(cat.FindTable("date_dim")->row_count, 73049.0);
+  EXPECT_EQ(cat.FindTable("item")->row_count, 18000.0);
+  EXPECT_EQ(cat.FindTable("warehouse")->row_count, 5.0);
 }
 
 TEST(TpcdsTest, HasAllTables) {
@@ -80,24 +80,24 @@ TEST(TpcdsTest, HasAllTables) {
 TEST(TpcdsTest, FactTablesScaleLinearly) {
   const Catalog sf1 = MakeTpcdsCatalog(1.0);
   const Catalog sf10 = MakeTpcdsCatalog(10.0);
-  EXPECT_NEAR(sf10.GetTable("store_sales").row_count,
-              10.0 * sf1.GetTable("store_sales").row_count, 1.0);
+  EXPECT_NEAR(sf10.FindTable("store_sales")->row_count,
+              10.0 * sf1.FindTable("store_sales")->row_count, 1.0);
   // Date dimension is scale-invariant.
-  EXPECT_EQ(sf10.GetTable("date_dim").row_count,
-            sf1.GetTable("date_dim").row_count);
+  EXPECT_EQ(sf10.FindTable("date_dim")->row_count,
+            sf1.FindTable("date_dim")->row_count);
   // Customers scale sub-linearly above SF 1.
-  EXPECT_LT(sf10.GetTable("customer").row_count,
-            10.0 * sf1.GetTable("customer").row_count);
-  EXPECT_GT(sf10.GetTable("customer").row_count,
-            sf1.GetTable("customer").row_count);
+  EXPECT_LT(sf10.FindTable("customer")->row_count,
+            10.0 * sf1.FindTable("customer")->row_count);
+  EXPECT_GT(sf10.FindTable("customer")->row_count,
+            sf1.FindTable("customer")->row_count);
 }
 
 TEST(TpcdsTest, PrimaryKeysFlagged) {
   const Catalog cat = MakeTpcdsCatalog(1.0);
-  const Column* pk = cat.GetTable("item").FindColumn("i_item_sk");
+  const Column* pk = cat.FindTable("item")->FindColumn("i_item_sk");
   ASSERT_NE(pk, nullptr);
   EXPECT_TRUE(pk->is_primary_key);
-  EXPECT_EQ(pk->ndv, cat.GetTable("item").row_count);
+  EXPECT_EQ(pk->ndv, cat.FindTable("item")->row_count);
 }
 
 TEST(TpcdsTest, PartitioningColumnsExist) {
@@ -114,7 +114,7 @@ TEST(RetailBankTest, SchemaDiffersFromTpcds) {
   EXPECT_NE(bank.FindTable("accounts"), nullptr);
   EXPECT_EQ(bank.FindTable("store_sales"), nullptr);
   // No column name collisions with TPC-DS fact columns.
-  EXPECT_EQ(bank.GetTable("transactions").FindColumn("ss_item_sk"), nullptr);
+  EXPECT_EQ(bank.FindTable("transactions")->FindColumn("ss_item_sk"), nullptr);
 }
 
 TEST(RetailBankTest, ColumnStatsSane) {

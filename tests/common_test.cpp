@@ -1,6 +1,7 @@
 // Unit tests for common/: rng, string utilities, serde, status, check.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -95,15 +96,26 @@ TEST(HashTest, HashString64Stable) {
   EXPECT_NE(HashString64(""), HashString64("a"));
 }
 
-TEST(StrUtilTest, CaseConversion) {
-  EXPECT_EQ(ToUpperAscii("Select * frOm t"), "SELECT * FROM T");
-  EXPECT_EQ(ToLowerAscii("Select"), "select");
+TEST(HashTest, HashString64ContinuesAStream) {
+  // The selection truth seeds hash key, '#' and salt as one stream.
+  const std::string key = "store_sales|ss_quantity > 10";
+  EXPECT_EQ(HashString64("sel", HashString64("#", HashString64(key))),
+            HashString64(key + "#" + "sel"));
+  EXPECT_EQ(HashString64("", HashString64(key)), HashString64(key));
 }
 
 TEST(StrUtilTest, CaseFoldedCompareMatchesToLowerAscii) {
+  // The reference: a copy with every character through std::tolower (the
+  // C locale's folding, which is ASCII's).
+  const auto ToLowerAscii = [](std::string s) {
+    for (char& c : s) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    return s;
+  };
   const std::vector<std::string> words = {
       "", "a", "A", "ab", "aB", "b", "Orders", "ORDERS", "order", "orders_",
-      "o_id", "O_ID9"};
+      "o_id", "O_ID9", "[", "`", "@", "\x80", "\xC9"};
   const LessIgnoreCaseAscii less;
   for (const std::string& a : words) {
     for (const std::string& b : words) {

@@ -61,7 +61,7 @@ TEST(SystemConfigTest, CacheRuleMatchesPaperStory) {
   // 4-of-32: the big fact tables no longer fit (the paper's Fig. 16
   // explanation for non-null disk I/O on that configuration)...
   const SystemConfig prod4 = SystemConfig::Neoview32(4);
-  const auto& ss = cat.GetTable("store_sales");
+  const auto& ss = *cat.FindTable("store_sales");
   EXPECT_FALSE(prod4.TableCached(ss.row_count * ss.RowWidthBytes()));
   // ...while 8+ nodes cache everything again.
   const SystemConfig prod8 = SystemConfig::Neoview32(8);

@@ -126,11 +126,10 @@ TEST_F(CardinalityTest, EqualityOnHighNdvColumnIsOneOverNdv) {
   // estimator falls back to the uniform 1/NDV rule.
   const LogicalPlan plan =
       Bind("SELECT 1 FROM store_sales WHERE ss_ticket_number = 123");
-  CardinalityModel model(&catalog_, 1);
-  const double est = model.RelationSelectivity(plan.relations[0],
-                                               CardMode::kEstimate);
+  CardinalityModel model(1);
+  const double est = model.RelationSelectivity(plan.relations[0]).estimate;
   const double ndv =
-      catalog_.GetTable("store_sales").FindColumn("ss_ticket_number")->ndv;
+      catalog_.FindTable("store_sales")->FindColumn("ss_ticket_number")->ndv;
   EXPECT_NEAR(est, 1.0 / ndv, 1e-12);
 }
 
@@ -140,11 +139,10 @@ TEST_F(CardinalityTest, EqualityOnLowNdvColumnIsHistogramBacked) {
   // is NOT exactly 1/NDV.
   const LogicalPlan plan =
       Bind("SELECT 1 FROM date_dim WHERE d_moy = 5");
-  CardinalityModel model(&catalog_, 1);
-  const double est = model.RelationSelectivity(plan.relations[0],
-                                               CardMode::kEstimate);
+  CardinalityModel model(1);
+  const double est = model.RelationSelectivity(plan.relations[0]).estimate;
   const double truth =
-      model.RelationSelectivity(plan.relations[0], CardMode::kTrue);
+      model.RelationSelectivity(plan.relations[0]).truth;
   EXPECT_GT(est, 0.0);
   EXPECT_LE(est, 1.0);
   EXPECT_LT(std::abs(std::log(est / truth)), 0.4);  // close to truth
@@ -153,25 +151,24 @@ TEST_F(CardinalityTest, EqualityOnLowNdvColumnIsHistogramBacked) {
 TEST_F(CardinalityTest, BetweenSelectivityNearRangeFraction) {
   const LogicalPlan plan = Bind(
       "SELECT 1 FROM date_dim WHERE d_year BETWEEN 1950 AND 1970");
-  CardinalityModel model(&catalog_, 1);
-  const double est = model.RelationSelectivity(plan.relations[0],
-                                               CardMode::kEstimate);
+  CardinalityModel model(1);
+  const double est = model.RelationSelectivity(plan.relations[0]).estimate;
   // Range histograms keep the estimate near the uniform width fraction
   // (truth deviates mildly; estimate tracks truth).
   const double uniform = 20.0 / 200.0;
   EXPECT_LT(std::abs(std::log(est / uniform)), 0.6);
   const double truth =
-      model.RelationSelectivity(plan.relations[0], CardMode::kTrue);
+      model.RelationSelectivity(plan.relations[0]).truth;
   EXPECT_LT(std::abs(std::log(est / truth)), 0.3);
 }
 
 TEST_F(CardinalityTest, TrueSelectivityDeterministicAndClamped) {
   const LogicalPlan plan =
       Bind("SELECT 1 FROM item WHERE i_category_id = 7");
-  CardinalityModel m1(&catalog_, 99), m2(&catalog_, 99), m3(&catalog_, 7);
-  const double t1 = m1.RelationSelectivity(plan.relations[0], CardMode::kTrue);
-  const double t2 = m2.RelationSelectivity(plan.relations[0], CardMode::kTrue);
-  const double t3 = m3.RelationSelectivity(plan.relations[0], CardMode::kTrue);
+  CardinalityModel m1(99), m2(99), m3(7);
+  const double t1 = m1.RelationSelectivity(plan.relations[0]).truth;
+  const double t2 = m2.RelationSelectivity(plan.relations[0]).truth;
+  const double t3 = m3.RelationSelectivity(plan.relations[0]).truth;
   EXPECT_EQ(t1, t2);              // same world seed -> identical truth
   EXPECT_NE(t1, t3);              // different world -> different truth
   EXPECT_GT(t1, 0.0);
@@ -182,18 +179,18 @@ TEST_F(CardinalityTest, SamePredicateSameTruthAcrossQueries) {
   const LogicalPlan p1 = Bind("SELECT 1 FROM item WHERE i_category_id = 7");
   const LogicalPlan p2 =
       Bind("SELECT i_brand FROM item WHERE i_category_id = 7");
-  CardinalityModel model(&catalog_, 5);
+  CardinalityModel model(5);
   EXPECT_EQ(
-      model.SelectionSelectivity(catalog_.GetTable("item"),
-                                 p1.relations[0].selections[0],
-                                 CardMode::kTrue),
-      model.SelectionSelectivity(catalog_.GetTable("item"),
-                                 p2.relations[0].selections[0],
-                                 CardMode::kTrue));
+      model.SelectionSelectivity(*catalog_.FindTable("item"),
+                                 p1.relations[0].selections[0])
+          .truth,
+      model.SelectionSelectivity(*catalog_.FindTable("item"),
+                                 p2.relations[0].selections[0])
+          .truth);
 }
 
 TEST_F(CardinalityTest, JoinCardinalityUsesMaxNdv) {
-  CardinalityModel model(&catalog_, 1);
+  CardinalityModel model(1);
   BoundJoin join;
   join.equi = true;
   join.semantic_key = "k";
@@ -203,7 +200,7 @@ TEST_F(CardinalityTest, JoinCardinalityUsesMaxNdv) {
 }
 
 TEST_F(CardinalityTest, SemiJoinCapsAtLeftCardinality) {
-  CardinalityModel model(&catalog_, 1);
+  CardinalityModel model(1);
   BoundJoin join;
   join.equi = true;
   join.semi = true;
@@ -214,7 +211,7 @@ TEST_F(CardinalityTest, SemiJoinCapsAtLeftCardinality) {
 }
 
 TEST_F(CardinalityTest, GroupCardinalityBounded) {
-  CardinalityModel model(&catalog_, 1);
+  CardinalityModel model(1);
   EXPECT_EQ(model.GroupCardinality(1e6, {12.0, 10.0}, CardMode::kEstimate,
                                    "g"),
             120.0);
@@ -232,13 +229,14 @@ TEST_F(OptimizerTest, JoinOrderIsPermutationRespectingSemiConstraints) {
   const LogicalPlan plan = Bind(
       "SELECT COUNT(*) FROM customer WHERE c_birth_year > 1970 "
       "AND c_customer_sk IN (SELECT ss_customer_sk FROM store_sales)");
-  CardinalityModel model(&catalog_, 1);
+  CardinalityModel model(1);
   std::vector<double> cards;
   for (const auto& rel : plan.relations) {
     cards.push_back(rel.IsDerived() ? 1e5 : 100.0);
   }
   const JoinOrder order = OrderJoins(
-      plan, model, cards, [](size_t, const std::string&) { return 100.0; });
+      plan, model, cards,
+      std::vector<JoinEdgeNdv>(plan.joins.size(), JoinEdgeNdv{100.0, 100.0}));
   ASSERT_EQ(order.sequence.size(), plan.relations.size());
   std::set<size_t> seen(order.sequence.begin(), order.sequence.end());
   EXPECT_EQ(seen.size(), order.sequence.size());
@@ -258,16 +256,13 @@ TEST_F(OptimizerTest, JoinOrderPrefersSelectiveDimensionFirst) {
       "SELECT COUNT(*) FROM store_sales, item, date_dim "
       "WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk "
       "AND i_category_id = 3 AND d_year = 2000");
-  CardinalityModel model(&catalog_, 1);
+  CardinalityModel model(1);
   std::vector<double> cards;
   for (const auto& rel : plan.relations) {
-    cards.push_back(model.RelationCardinality(rel, CardMode::kEstimate));
+    cards.push_back(model.RelationCardinality(rel).estimate);
   }
-  const JoinOrder order = OrderJoins(
-      plan, model, cards,
-      [&](size_t rel, const std::string& col) {
-        return model.ColumnNdv(plan.relations[rel].table, col);
-      });
+  const JoinOrder order =
+      OrderJoins(plan, model, cards, JoinEdgeNdvs(plan, cards));
   // store_sales (index 0) must not be the seed: orders with identical
   // intermediates tie on join cost, and the seed-cardinality term breaks
   // the tie toward the filtered dimension tables.

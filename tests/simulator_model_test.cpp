@@ -140,7 +140,7 @@ TEST_F(SimulatorModelTest, ScanIoDependsOnCacheOnly) {
   // On the memory-starved 4-of-32 configuration the same store_sales scan
   // pays pages proportional to the table (not the qualifying rows).
   const ExecutionSimulator starved(&catalog_, SystemConfig::Neoview32(4));
-  const auto& ss = catalog_.GetTable("store_sales");
+  const auto& ss = *catalog_.FindTable("store_sales");
   const double pages = ss.row_count * ss.RowWidthBytes() /
                        (SystemConfig::Neoview32(4).page_kb * 1024.0);
   auto narrow = MakePlan(Scan("store_sales", ss.row_count, 10.0, 60.0), 6);

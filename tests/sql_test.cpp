@@ -98,10 +98,10 @@ TEST(ParserTest, Subqueries) {
       "AND EXISTS (SELECT r_id FROM returns WHERE r_cid = c_id)").value();
   const auto conjuncts = SplitConjuncts(*stmt->where);
   ASSERT_EQ(conjuncts.size(), 2u);
-  EXPECT_EQ(conjuncts[0].kind, ExprKind::kInSubquery);
-  EXPECT_EQ(conjuncts[1].kind, ExprKind::kExists);
-  ASSERT_NE(conjuncts[0].subquery, nullptr);
-  EXPECT_EQ(conjuncts[0].subquery->from[0].table, "orders");
+  EXPECT_EQ(conjuncts[0]->kind, ExprKind::kInSubquery);
+  EXPECT_EQ(conjuncts[1]->kind, ExprKind::kExists);
+  ASSERT_NE(conjuncts[0]->subquery, nullptr);
+  EXPECT_EQ(conjuncts[0]->subquery->from[0].table, "orders");
 }
 
 TEST(ParserTest, NotInAndNotExists) {
@@ -110,8 +110,8 @@ TEST(ParserTest, NotInAndNotExists) {
       "AND NOT EXISTS (SELECT c FROM v WHERE v.c = t.a)").value();
   const auto conjuncts = SplitConjuncts(*stmt->where);
   ASSERT_EQ(conjuncts.size(), 2u);
-  EXPECT_TRUE(conjuncts[0].negated);
-  EXPECT_TRUE(conjuncts[1].negated);
+  EXPECT_TRUE(conjuncts[0]->negated);
+  EXPECT_TRUE(conjuncts[1]->negated);
 }
 
 TEST(ParserTest, ArithmeticPrecedence) {
@@ -243,8 +243,8 @@ TEST(AstTest, SplitConjunctsStopsAtOr) {
       Parse("SELECT a FROM t WHERE (a = 1 OR b = 2) AND c = 3").value();
   const auto conjuncts = SplitConjuncts(*stmt->where);
   ASSERT_EQ(conjuncts.size(), 2u);
-  EXPECT_EQ(conjuncts[0].kind, ExprKind::kLogical);
-  EXPECT_FALSE(conjuncts[0].is_and);
+  EXPECT_EQ(conjuncts[0]->kind, ExprKind::kLogical);
+  EXPECT_FALSE(conjuncts[0]->is_and);
 }
 
 }  // namespace
